@@ -32,6 +32,22 @@ cargo build --benches
 echo "==> quickstart example runs"
 cargo run --release --example quickstart >/dev/null
 
+echo "==> perfbench counter-drift gate: latency-sweep seed 1 keeps its baseline sim_digest"
+# A simulator speed-up must not move a single simulated statistic. The
+# digest is FNV over every traversal's requests, fetched bytes, runtime
+# in ps, reached count and per-level bytes; 0x3b4f05e0897e93a6 is the
+# seed-1 value recorded in perfbench/BASELINE.json. The benchmark is
+# used read-only and built under target/ like everything else.
+PB_OUT=$(CARGO_TARGET_DIR=target/perfbench cargo run --quiet --release \
+    --manifest-path perfbench/Cargo.toml -- \
+    --workload latency-sweep --seed 1 --seconds 1 --trace 0 2>/dev/null)
+PB_DIGEST_LINE=$(tail -2 <<<"$PB_OUT" | head -1)
+echo "    $PB_DIGEST_LINE"
+grep -q 'sim_digest=0x3b4f05e0897e93a6' <<<"$PB_DIGEST_LINE" \
+    || { echo "latency-sweep sim_digest drifted from perfbench/BASELINE.json"; exit 1; }
+tail -1 <<<"$PB_OUT" | grep -q '"correct": true' \
+    || { echo "perfbench latency-sweep reported incorrect results"; exit 1; }
+
 echo "==> streaming CSR builder stays within the peak-RSS budget (scale 18, <= 10 B/arc)"
 # The two-pass scatter builder promises ~4 B per directed arc plus the
 # per-vertex offset/cursor arrays; 10 B/arc leaves slack for the process

@@ -14,6 +14,38 @@
 //! SSSP round, matching the level-synchronous kernels of EMOGI/BaM); each
 //! batch is a list of [`DeviceRequest`]s executed to completion.
 //!
+//! # Event model: three kinds, two closed-form FIFO servers
+//!
+//! A request costs `2 + segments` heap events (3 on DRAM, 4 for a two-flit
+//! CXL read). **`Warp`**: a free warp takes the next item and a credit
+//! (or queues as a FIFO waiter); issuing computes the *request channel*
+//! in closed form — the TLP header / SQ entry serializes from
+//! `max(now + host overhead, channel free)` and reaches the device a
+//! fixed flight later — calls the backend with that arrival instant, and
+//! schedules one `SegReady` per response segment. **`SegReady`**: the
+//! *return link* is a work-conserving FIFO server, so the segment is done
+//! at `max(now, link free) + serialization`; the segment served last (the
+//! last of the latest-ready ones, known at issue) schedules `Complete`
+//! one propagation later. **`Complete`**: record the latency, release the
+//! credit (a waiter takes it and issues now), and free the warp after the
+//! per-item compute.
+//!
+//! Device arrival and segment departure need no events of their own, and
+//! the closed forms reproduce a loop that has them bit for bit
+//! (`crates/core/tests/engine_golden.rs` pins the reports across commits):
+//!
+//! * arrival is channel exit plus a constant and exits never decrease in
+//!   issue order, so the backend sees the same calls at the same instants;
+//! * same-instant `SegReady`s are scheduled in issue order either way, so
+//!   they enter the link FIFO alike, and link `done` times strictly
+//!   increase, so `Complete` times are distinct;
+//! * `SegReady` touches only the return link, disjoint from what `Warp`
+//!   and `Complete` touch, so their relative order is immaterial;
+//! * a `Complete` at `C` is scheduled by `C − propagation`, a `Warp` at
+//!   `C` at `C − item_compute`, so with `item_compute < propagation`
+//!   (asserted in [`Engine::new`]; 20 ns vs 400 ns) the `Complete` pops
+//!   first, as it did.
+//!
 //! # Parallel execution model: round shards
 //!
 //! A batch's requests are **globally coupled**: they contend for one
@@ -37,13 +69,13 @@
 //!   never re-streamed — with the fixed fold order making the float
 //!   fields bit-identical at any `RAYON_NUM_THREADS`.
 //!
-//! Because the engine's timing is translation-invariant (every device
-//! and link model advances through `max(now, busy_until)` and a drained
-//! batch leaves all `busy_until` marks at or before its end), a shard
-//! simulated at `t = 0` reproduces, shifted, exactly the timeline it
-//! would have produced starting at the previous round's end — so on
-//! DRAM- and CXL-backed systems the sharded run is **bit-identical** to
-//! the coupled single-engine chain.
+//! Because the engine's timing is translation-invariant (the device
+//! models and both link servers advance through `max(now, next_free)`,
+//! and a drained batch leaves every `next_free` mark at or before its
+//! end), a shard simulated at `t = 0` reproduces, shifted, exactly the
+//! timeline it would have produced starting at the previous round's end
+//! — so on DRAM- and CXL-backed systems the sharded run is
+//! **bit-identical** to the coupled single-engine chain.
 //!
 //! The flash-backed backends (XLFDD, NVMe) are the exception: their
 //! media carries real state across batches — plane page registers (a
@@ -65,8 +97,7 @@ use crate::metrics::RunMetrics;
 use cxlg_device::target::{MemoryTarget, ReadSegment};
 use cxlg_gpu::config::GpuConfig;
 use cxlg_link::pcie::PcieLinkConfig;
-use cxlg_sim::{CreditPool, EventQueue, OnlineStats, SimDuration, SimTime};
-use std::collections::VecDeque;
+use cxlg_sim::{Bandwidth, CreditPool, EventQueue, OnlineStats, SimDuration, SimTime};
 
 /// How requests travel to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,17 +147,9 @@ pub struct BatchResult {
 enum Ev {
     /// A warp is free and pulls the next work item.
     Warp,
-    /// A request arrives at the device.
-    DevArrive(u32),
-    /// A response segment is ready to enter the return link.
-    SegReady {
-        req: u32,
-        bytes: u64,
-    },
-    /// A segment finished serializing on the return link.
-    SegDone {
-        req: u32,
-    },
+    /// A response segment reaches the return link. `last` marks the
+    /// request's segment the link serves last.
+    SegReady { req: u32, last: bool, bytes: u64 },
     /// The request's final data arrived at the GPU.
     Complete(u32),
 }
@@ -145,20 +168,18 @@ pub struct Engine {
     cfg: EngineConfig,
     backend: Box<dyn MemoryTarget>,
     credits: CreditPool,
-    /// Request-direction channel availability.
+    /// Link bandwidth `W`, the same in both directions.
+    bandwidth: Bandwidth,
+    /// Serialization time of one request (read TLP header or SQ entry).
+    request_ser: SimDuration,
+    /// Request-channel exit to device arrival.
+    request_flight: SimDuration,
+    /// When the request channel is next free.
     req_next_free: SimTime,
-    /// Is a transfer currently serializing on the return link?
-    ///
-    /// An explicit flag rather than a `next_free` timestamp comparison:
-    /// when a segment becomes ready at the exact instant the in-flight
-    /// transfer ends, the ready event can be processed before the
-    /// completion event, and a timestamp check would wrongly see an idle
-    /// link and start a second concurrent transfer.
-    ret_inflight: bool,
-    /// Segments waiting for the return link, FIFO by ready time.
-    ret_queue: VecDeque<(u32, u64)>,
-    /// Cumulative bytes pushed over the return link (payload only).
-    ret_payload_bytes: u64,
+    /// When the return link is next free.
+    ret_next_free: SimTime,
+    /// The backend's response segments for the request being issued.
+    segs: Vec<ReadSegment>,
     run_latency: OnlineStats,
     run_requests: u64,
     run_fetched: u64,
@@ -166,17 +187,31 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine over a backend device.
+    /// Build an engine over a backend device. Panics unless the per-item
+    /// compute is shorter than the link propagation (module docs).
     pub fn new(cfg: EngineConfig, backend: Box<dyn MemoryTarget>) -> Self {
-        let credits = CreditPool::new(cfg.credits);
+        let prop = cfg.link.propagation();
+        assert!(
+            cfg.gpu.item_compute() < prop,
+            "item compute must be shorter than the link propagation"
+        );
+        let bandwidth = cfg.link.bandwidth();
+        let (request_bytes, sq_fetch) = match cfg.path {
+            RequestPath::Memory => (PcieLinkConfig::REQUEST_TLP_BYTES, SimDuration::ZERO),
+            // The drive fetches the SQ entry from GPU BAR memory: one
+            // more link round trip.
+            RequestPath::Storage { entry_bytes, .. } => (entry_bytes, prop + prop),
+        };
         Engine {
+            credits: CreditPool::new(cfg.credits),
+            bandwidth,
+            request_ser: bandwidth.transfer_time(request_bytes),
+            request_flight: prop + cfg.socket_penalty + sq_fetch,
             cfg,
             backend,
-            credits,
             req_next_free: SimTime::ZERO,
-            ret_inflight: false,
-            ret_queue: VecDeque::new(),
-            ret_payload_bytes: 0,
+            ret_next_free: SimTime::ZERO,
+            segs: Vec::new(),
             run_latency: OnlineStats::new(),
             run_requests: 0,
             run_fetched: 0,
@@ -189,37 +224,9 @@ impl Engine {
         self.backend.as_ref()
     }
 
-    /// Request overhead bytes on the request channel.
-    fn request_overhead(&self) -> u64 {
-        match self.cfg.path {
-            RequestPath::Memory => PcieLinkConfig::REQUEST_TLP_BYTES,
-            RequestPath::Storage { entry_bytes, .. } => entry_bytes,
-        }
-    }
-
-    /// Extra request-path delay (storage pays an additional round trip
-    /// for the drive to fetch the SQ entry from GPU BAR memory).
-    fn request_extra_delay(&self) -> SimDuration {
-        match self.cfg.path {
-            RequestPath::Memory => SimDuration::ZERO,
-            RequestPath::Storage { .. } => {
-                self.cfg.link.propagation() + self.cfg.link.propagation()
-            }
-        }
-    }
-
-    /// Per-segment return-path overhead bytes.
-    fn response_overhead(&self) -> u64 {
-        match self.cfg.path {
-            RequestPath::Memory => PcieLinkConfig::COMPLETION_HEADER_BYTES,
-            // The payload DMA carries its own TLP headers; CQ entries (if
-            // any) are charged per request on the final segment.
-            RequestPath::Storage { .. } => PcieLinkConfig::COMPLETION_HEADER_BYTES,
-        }
-    }
-
     /// Execute `requests` starting at `start`; returns when all data has
-    /// arrived at the GPU. Requests are handed to warps in order.
+    /// arrived at the GPU. Requests are handed to warps in order. Panics,
+    /// in release builds too, if the drained batch breaks an invariant.
     pub fn run_batch(&mut self, start: SimTime, requests: &[DeviceRequest]) -> BatchResult {
         let r = requests.len();
         if r == 0 {
@@ -231,24 +238,19 @@ impl Engine {
             };
         }
         let mut q: EventQueue<Ev> = EventQueue::with_capacity(1024);
-        // The queue clock starts at zero each batch; offset by `start`.
-        // We instead schedule everything in absolute time by seeding the
-        // first events at `start`.
+        // Everything is scheduled in absolute time, from `start`.
         let warps = (self.cfg.gpu.active_warps as usize).min(r);
         for _ in 0..warps {
             q.schedule_at(start, Ev::Warp);
         }
 
         let mut issue_time = vec![SimTime::ZERO; r];
-        let mut remaining = vec![0u32; r];
         let mut next_item = 0usize;
         let mut completed = 0usize;
-        let mut segs: Vec<ReadSegment> = Vec::with_capacity(8);
+        let mut returned = 0u64;
         let mut latency = OnlineStats::new();
         let mut end = start;
         let prop = self.cfg.link.propagation();
-        let penalty = self.cfg.socket_penalty;
-        let req_bw = self.cfg.link.bandwidth();
         let compute = self.cfg.gpu.item_compute();
 
         while let Some((now, ev)) = q.pop() {
@@ -265,39 +267,16 @@ impl Engine {
                         self.credits.enqueue_waiter(idx as u64);
                     }
                 }
-                Ev::DevArrive(idx) => {
-                    let reqst = requests[idx as usize];
-                    segs.clear();
-                    self.backend.read(now, reqst.addr, reqst.bytes, &mut segs);
-                    remaining[idx as usize] = segs.len() as u32;
-                    for s in &segs {
-                        // Return-side socket hop happens before the link.
-                        q.schedule_at(
-                            s.ready + penalty,
-                            Ev::SegReady {
-                                req: idx,
-                                bytes: s.bytes,
-                            },
-                        );
-                    }
-                }
-                Ev::SegReady { req, bytes } => {
-                    if !self.ret_inflight {
-                        self.start_return_transfer(&mut q, now, req, bytes);
-                    } else {
-                        self.ret_queue.push_back((req, bytes));
-                    }
-                }
-                Ev::SegDone { req } => {
-                    // Data reaches the GPU after the link propagation.
-                    remaining[req as usize] -= 1;
-                    if remaining[req as usize] == 0 {
-                        q.schedule_at(now + prop, Ev::Complete(req));
-                    }
-                    if let Some((nreq, nbytes)) = self.ret_queue.pop_front() {
-                        self.start_return_transfer(&mut q, now, nreq, nbytes);
-                    } else {
-                        self.ret_inflight = false;
+                Ev::SegReady { req, last, bytes } => {
+                    let ser = self
+                        .bandwidth
+                        .transfer_time(bytes + PcieLinkConfig::COMPLETION_HEADER_BYTES);
+                    let done = now.max(self.ret_next_free) + ser;
+                    self.ret_next_free = done;
+                    returned += bytes;
+                    if last {
+                        // Data reaches the GPU after the link propagation.
+                        q.schedule_at(done + prop, Ev::Complete(req));
                     }
                 }
                 Ev::Complete(idx) => {
@@ -313,12 +292,20 @@ impl Engine {
                     q.schedule_at(now + compute, Ev::Warp);
                 }
             }
-            let _ = req_bw; // silence unused in cfg paths where inlined below
         }
-        debug_assert_eq!(completed, r, "batch did not drain");
-        debug_assert!(self.ret_queue.is_empty());
 
         let fetched: u64 = requests.iter().map(|x| x.bytes).sum();
+        assert_eq!(completed, r, "batch did not drain");
+        assert!(
+            self.credits.in_use() == 0 && self.credits.waiting() == 0,
+            "credits outstanding after the batch drained"
+        );
+        assert_eq!(
+            returned, fetched,
+            "return-link payload differs from fetched bytes"
+        );
+        assert!(end >= start, "batch ended before it started");
+
         self.run_fetched += fetched;
         self.run_requests += r as u64;
         self.run_latency.merge(&latency);
@@ -331,6 +318,10 @@ impl Engine {
         }
     }
 
+    /// Issue request `idx` at `now`: host-side overhead (zero except for
+    /// UVM page faults), then the request serializes on the request
+    /// channel once it is free and flies to the device, which is handed
+    /// the read at its arrival instant.
     fn issue(
         &mut self,
         q: &mut EventQueue<Ev>,
@@ -340,28 +331,30 @@ impl Engine {
         issue_time: &mut [SimTime],
     ) {
         issue_time[idx as usize] = now;
-        // Host-side per-request overhead (zero except for UVM page
-        // faults), then serialize the request (TLP header or SQ entry)
-        // on the request channel and propagate to the device.
-        let host = SimDuration::from_ps(requests[idx as usize].overhead_ps);
-        let ser = self.cfg.link.bandwidth().transfer_time(self.request_overhead());
-        let start = (now + host).max(self.req_next_free);
-        let out = start + ser;
+        let req = requests[idx as usize];
+        let host = SimDuration::from_ps(req.overhead_ps);
+        let out = (now + host).max(self.req_next_free) + self.request_ser;
         self.req_next_free = out;
-        let arrive =
-            out + self.cfg.link.propagation() + self.cfg.socket_penalty + self.request_extra_delay();
-        q.schedule_at(arrive, Ev::DevArrive(idx));
-    }
-
-    fn start_return_transfer(&mut self, q: &mut EventQueue<Ev>, now: SimTime, req: u32, bytes: u64) {
-        let ser = self
-            .cfg
-            .link
-            .bandwidth()
-            .transfer_time(bytes + self.response_overhead());
-        self.ret_inflight = true;
-        self.ret_payload_bytes += bytes;
-        q.schedule_at(now + ser, Ev::SegDone { req });
+        let arrive = out + self.request_flight;
+        self.segs.clear();
+        self.backend
+            .read(arrive, req.addr, req.bytes, &mut self.segs);
+        // The link serves segments in (ready, schedule order): the last
+        // one served is the last of the latest-ready ones.
+        let last = (0..self.segs.len())
+            .max_by_key(|&i| self.segs[i].ready)
+            .expect("a device read yields at least one segment");
+        for (i, s) in self.segs.iter().enumerate() {
+            // Return-side socket hop happens before the link.
+            q.schedule_at(
+                s.ready + self.cfg.socket_penalty,
+                Ev::SegReady {
+                    req: idx,
+                    last: i == last,
+                    bytes: s.bytes,
+                },
+            );
+        }
     }
 
     /// Finalize run-level metrics at the end of the last batch.
@@ -483,6 +476,7 @@ pub fn merge_shard_metrics(outcomes: &[ShardOutcome]) -> RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cxlg_device::cxl_mem::CxlMemDevice;
     use cxlg_device::dram::{HostDram, HostDramConfig};
     use cxlg_link::pcie::PcieGen;
 
@@ -502,8 +496,147 @@ mod tests {
         (0..n)
             .map(|i| DeviceRequest {
                 addr: (i as u64) * 4096,
-                bytes, overhead_ps: 0 })
+                bytes,
+                overhead_ps: 0,
+            })
             .collect()
+    }
+
+    /// A device answering its `i`-th read with `script[i]`: segments of
+    /// `(delay after arrival in ps, bytes)`.
+    struct Scripted {
+        script: Vec<Vec<(u64, u64)>>,
+        reads: usize,
+    }
+
+    impl MemoryTarget for Scripted {
+        fn read(
+            &mut self,
+            t_arrive: SimTime,
+            _addr: u64,
+            _bytes: u64,
+            out: &mut Vec<ReadSegment>,
+        ) -> SimTime {
+            for &(delay, bytes) in &self.script[self.reads] {
+                out.push(ReadSegment {
+                    ready: t_arrive + SimDuration::from_ps(delay),
+                    bytes,
+                });
+            }
+            self.reads += 1;
+            out.last().map_or(t_arrive, |s| s.ready)
+        }
+        fn alignment(&self) -> u64 {
+            1
+        }
+        fn kind(&self) -> &'static str {
+            "scripted"
+        }
+        fn reads_served(&self) -> u64 {
+            self.reads as u64
+        }
+        fn bytes_served(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Gen4 x16 (24 B/ns: a 24 B request TLP serializes in 1 ns, a 48 B
+    /// segment in 2 ns), 400 ns propagation, near socket.
+    fn scripted_engine(warps: u32, backend: Box<dyn MemoryTarget>) -> Engine {
+        let link = PcieLinkConfig::x16(PcieGen::Gen4);
+        let cfg = EngineConfig {
+            gpu: GpuConfig::default().with_active_warps(warps),
+            credits: link.nmax(),
+            link,
+            socket_penalty: SimDuration::ZERO,
+            path: RequestPath::Memory,
+        };
+        Engine::new(cfg, backend)
+    }
+
+    fn us(ps: u64) -> f64 {
+        SimDuration::from_ps(ps).as_us_f64()
+    }
+
+    #[test]
+    fn segment_ready_as_the_link_frees_starts_then() {
+        // Three warps issue A, B, C at t = 0; the request channel spaces
+        // their arrivals 1 ns apart: 401, 402, 403 ns.
+        //   A: ready 401 ns, serializes 401 → 403 ns.
+        //   B: ready 403 ns (+1 ns at the device) — the instant A's
+        //      transfer ends: starts at 403, done 405 ns (no overlap with
+        //      A, no gap).
+        //   C: ready 403 ns too, queued behind B: 405 → 407 ns.
+        // Each completes 400 ns after its link transfer.
+        let dev = Scripted {
+            script: vec![vec![(0, 48)], vec![(1_000, 48)], vec![(0, 48)]],
+            reads: 0,
+        };
+        let mut e = scripted_engine(3, Box::new(dev));
+        let r = e.run_batch(SimTime::ZERO, &uniform_requests(3, 48));
+        assert_eq!(r.end, SimTime(807_000));
+        assert_eq!(r.latency.min(), us(803_000));
+        assert_eq!(r.latency.max(), us(807_000));
+        assert_eq!(r.latency.count(), 3);
+        assert!((r.latency.mean() - us(805_000)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn two_flit_cxl_read_completes_on_its_last_flit() {
+        let mut e = scripted_engine(1, Box::new(CxlMemDevice::default()));
+        // The request leaves the channel at 1 ns and arrives at 401 ns;
+        // an identical device yields the flit timings.
+        let mut flits = Vec::new();
+        CxlMemDevice::default().read(SimTime(401_000), 0, 128, &mut flits);
+        assert_eq!(flits.len(), 2);
+        assert!(flits.iter().all(|f| f.bytes == 64));
+        // 64 B at 24 B/ns: 2667 ps (rounded up). FIFO over both flits.
+        let first_done = flits[0].ready + SimDuration::from_ps(2_667);
+        let last_done = first_done.max(flits[1].ready) + SimDuration::from_ps(2_667);
+        let complete = last_done + SimDuration::from_ps(400_000);
+        let r = e.run_batch(SimTime::ZERO, &uniform_requests(1, 128));
+        assert_eq!(r.end, complete);
+        assert_eq!(r.latency.max(), us(complete.as_ps()));
+    }
+
+    #[test]
+    fn uvm_host_overhead_delays_issue() {
+        // A 1 µs fault-handling overhead precedes the request on the
+        // channel: out at 1001 ns, device at 1401 ns, link 1401 → 1403 ns,
+        // at the GPU at 1803 ns — exactly 1 µs later than without it.
+        let run = |overhead_ps| {
+            let dev = Scripted {
+                script: vec![vec![(0, 48)]],
+                reads: 0,
+            };
+            let mut e = scripted_engine(1, Box::new(dev));
+            let req = DeviceRequest {
+                addr: 0,
+                bytes: 48,
+                overhead_ps,
+            };
+            e.run_batch(SimTime::ZERO, &[req])
+        };
+        let plain = run(0);
+        let uvm = run(1_000_000);
+        assert_eq!(plain.end, SimTime(803_000));
+        assert_eq!(uvm.end, SimTime(1_803_000));
+        assert_eq!(uvm.latency.mean(), us(1_803_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "item compute must be shorter")]
+    fn compute_not_shorter_than_propagation_is_rejected() {
+        let link =
+            PcieLinkConfig::x16(PcieGen::Gen4).with_propagation(SimDuration::from_ps(20_000));
+        let cfg = EngineConfig {
+            gpu: GpuConfig::default(),
+            credits: link.nmax(),
+            link,
+            socket_penalty: SimDuration::ZERO,
+            path: RequestPath::Memory,
+        };
+        Engine::new(cfg, Box::new(HostDram::new(HostDramConfig::default())));
     }
 
     #[test]
@@ -562,7 +695,10 @@ mod tests {
         let n_predicted = t_bytes_per_us * m.latency.mean() / 128.0;
         let n_measured = m.mean_outstanding;
         let err = (n_predicted - n_measured).abs() / n_measured;
-        assert!(err < 0.15, "Little's law off by {err}: {n_predicted} vs {n_measured}");
+        assert!(
+            err < 0.15,
+            "Little's law off by {err}: {n_predicted} vs {n_measured}"
+        );
     }
 
     #[test]
@@ -643,10 +779,7 @@ mod tests {
         // the latency stats are the same fixed-order Welford fold, and
         // the outstanding mean is the same single division.
         assert_eq!(sm.latency.fingerprint(), cm.latency.fingerprint());
-        assert_eq!(
-            sm.mean_outstanding.to_bits(),
-            cm.mean_outstanding.to_bits()
-        );
+        assert_eq!(sm.mean_outstanding.to_bits(), cm.mean_outstanding.to_bits());
     }
 
     #[test]
