@@ -13,20 +13,26 @@
 //! `GOLDEN` and say why; a pure speed-up must leave it untouched.
 
 use cxlg_core::metrics::RunReport;
-use cxlg_core::system::SystemConfig;
+use cxlg_core::system::{BackendConfig, SystemConfig};
 use cxlg_core::traversal::Traversal;
 use cxlg_graph::spec::GraphSpec;
 use cxlg_link::pcie::PcieGen;
 
 /// FNV-1a 64 over the JSON of every run in [`grid`] order.
-const GOLDEN: u64 = 0x464e_5505_f04b_4d08;
+const GOLDEN: u64 = 0x9cff_9a07_1baa_15ee;
 
 const SCALE: u32 = 10;
 
-/// The 13 system presets: DRAM Gen3/Gen4, UVM, XLFDD×16, BaM/NVMe×4,
-/// the 64-warp ablation, far-socket CXL, and CXL Gen3×5 across the
+/// The 15 system presets: DRAM Gen3/Gen4, UVM, XLFDD×16, BaM/NVMe×4,
+/// the 64-warp ablation, far-socket CXL, the ablation's out-of-order
+/// latency bridge at +1.5 µs, a single tag-starved Gen4 expander (768
+/// credits against 128 device tags) at +3 µs, and CXL Gen3×5 across the
 /// Fig. 11 added-latency sweep.
 fn systems() -> Vec<SystemConfig> {
+    let mut out_of_order = SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(1.5);
+    if let BackendConfig::CxlMem { dev, .. } = &mut out_of_order.backend {
+        *dev = dev.out_of_order();
+    }
     let mut out = vec![
         SystemConfig::emogi_on_dram(PcieGen::Gen3),
         SystemConfig::emogi_on_dram(PcieGen::Gen4),
@@ -35,6 +41,8 @@ fn systems() -> Vec<SystemConfig> {
         SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
         SystemConfig::emogi_on_dram(PcieGen::Gen4).with_active_warps(64),
         SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).on_far_socket(),
+        out_of_order,
+        SystemConfig::emogi_on_cxl(PcieGen::Gen4, 1).with_added_latency_us(3.0),
     ];
     for us in [0.0, 0.5, 1.0, 1.5, 2.0, 3.0] {
         out.push(SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(us));
@@ -72,7 +80,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 #[test]
 fn engine_results_match_the_committed_golden_hash() {
     let reports = grid();
-    assert_eq!(reports.len(), 2 * 13 * 4);
+    assert_eq!(reports.len(), 2 * 15 * 4);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for r in &reports {
         fnv1a(&mut hash, serde_json::to_string(r).unwrap().as_bytes());
