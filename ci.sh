@@ -32,21 +32,28 @@ cargo build --benches
 echo "==> quickstart example runs"
 cargo run --release --example quickstart >/dev/null
 
-echo "==> perfbench counter-drift gate: latency-sweep seed 1 keeps its baseline sim_digest"
+echo "==> perfbench counter-drift gate: every workload keeps its seed-1 baseline sim_digest"
 # A simulator speed-up must not move a single simulated statistic. The
 # digest is FNV over every traversal's requests, fetched bytes, runtime
-# in ps, reached count and per-level bytes; 0x3b4f05e0897e93a6 is the
-# seed-1 value recorded in perfbench/BASELINE.json. The benchmark is
-# used read-only and built under target/ like everything else.
-PB_OUT=$(CARGO_TARGET_DIR=target/perfbench cargo run --quiet --release \
-    --manifest-path perfbench/Cargo.toml -- \
-    --workload latency-sweep --seed 1 --seconds 1 --trace 0 2>/dev/null)
-PB_DIGEST_LINE=$(tail -2 <<<"$PB_OUT" | head -1)
-echo "    $PB_DIGEST_LINE"
-grep -q 'sim_digest=0x3b4f05e0897e93a6' <<<"$PB_DIGEST_LINE" \
-    || { echo "latency-sweep sim_digest drifted from perfbench/BASELINE.json"; exit 1; }
-tail -1 <<<"$PB_OUT" | grep -q '"correct": true' \
-    || { echo "perfbench latency-sweep reported incorrect results"; exit 1; }
+# in ps, reached count and per-level bytes (for campaign, over the
+# result JSON files); the values are the seed-1 digests recorded in
+# perfbench/BASELINE.json. campaign is the only workload that runs the
+# out-of-order latency bridge and flash-social the only one on the
+# coupled flash path. The benchmark is used read-only and built under
+# target/ like everything else.
+for PB in latency-sweep:0x3b4f05e0897e93a6 flash-social:0x66a03ccf6e21b61c \
+          spill-sequential:0x40563a0750ec88a2 campaign:0xe42e2f94f2913bed; do
+    PB_WORKLOAD=${PB%%:*}
+    PB_OUT=$(CARGO_TARGET_DIR=target/perfbench cargo run --quiet --release \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$PB_WORKLOAD" --seed 1 --seconds 1 --trace 0 2>/dev/null)
+    PB_DIGEST_LINE=$(tail -2 <<<"$PB_OUT" | head -1)
+    echo "    $PB_DIGEST_LINE"
+    grep -q "sim_digest=${PB#*:}\$" <<<"$PB_DIGEST_LINE" \
+        || { echo "$PB_WORKLOAD sim_digest drifted from perfbench/BASELINE.json"; exit 1; }
+    tail -1 <<<"$PB_OUT" | grep -q '"correct": true' \
+        || { echo "perfbench $PB_WORKLOAD reported incorrect results"; exit 1; }
+done
 
 echo "==> streaming CSR builder stays within the peak-RSS budget (scale 18, <= 10 B/arc)"
 # The two-pass scatter builder promises ~4 B per directed arc plus the

@@ -16,7 +16,7 @@
 //!
 //! # Event model: three kinds, two closed-form FIFO servers
 //!
-//! A request costs `2 + segments` heap events (3 on DRAM, 4 for a two-flit
+//! A request costs `2 + segments` events (3 on DRAM, 4 for a two-flit
 //! CXL read). **`Warp`**: a free warp takes the next item and a credit
 //! (or queues as a FIFO waiter); issuing computes the *request channel*
 //! in closed form — the TLP header / SQ entry serializes from
@@ -46,6 +46,28 @@
 //!   (asserted in [`Engine::new`]; 20 ns vs 400 ns) the `Complete` pops
 //!   first, as it did.
 //!
+//! # Event list: one in-order lane per kind
+//!
+//! Each kind has its own [`Lane`]: a FIFO that takes pushes at or after
+//! its newest entry, plus an overflow heap for earlier ones. Every event
+//! is stamped from one sequence counter, and the loop pops whichever
+//! lane head has the smallest `(time, seq)`. That is exactly the total
+//! order of one heap over all events, for any push order, so the lanes
+//! change no result. They make most pushes O(1):
+//!
+//! * a `Warp` is scheduled at the batch start or at `now + item_compute`,
+//!   and `now` never decreases, so warp times never decrease;
+//! * a `Complete` is scheduled at link `done + propagation`, and link
+//!   `done` strictly increases, so completion times never decrease;
+//!
+//! so neither lane ever uses its heap. `SegReady` times are device ready
+//! times: in order on one host DRAM channel, mostly in order across
+//! interleaved CXL expanders, and mostly out of order on flash media with
+//! plane jitter. Shares of `SegReady` pushes that take the FIFO, at
+//! perfbench seed 1: `latency-sweep` 86.5%, `campaign` 79.2%,
+//! `spill-sequential` 51.7%, `flash-social` 10.2%. Scheduling an event
+//! before `now` panics, in release builds too.
+//!
 //! # Parallel execution model: round shards
 //!
 //! A batch's requests are **globally coupled**: they contend for one
@@ -58,7 +80,7 @@
 //! round boundaries. The parallel engine exploits that:
 //!
 //! * each round's batch becomes one **shard**, simulated on its own
-//!   fresh [`Engine`] (its own event queue) starting at `t = 0`
+//!   fresh [`Engine`] (its own event lanes) starting at `t = 0`
 //!   ([`Engine::run_shard`]);
 //! * shards are fanned out over the rayon pool by [`simulate_shards`],
 //!   whose ordered collect puts results back in round order no matter
@@ -97,7 +119,7 @@ use crate::metrics::RunMetrics;
 use cxlg_device::target::{MemoryTarget, ReadSegment};
 use cxlg_gpu::config::GpuConfig;
 use cxlg_link::pcie::PcieLinkConfig;
-use cxlg_sim::{Bandwidth, CreditPool, EventQueue, OnlineStats, SimDuration, SimTime};
+use cxlg_sim::{Bandwidth, CreditPool, Lane, OnlineStats, SimDuration, SimTime};
 
 /// How requests travel to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,22 +166,81 @@ pub struct BatchResult {
     pub latency: OnlineStats,
 }
 
-enum Ev {
+/// The engine's future-event list: one [`Lane`] per event kind, all
+/// stamped from one sequence counter so that popping the smallest
+/// `(time, seq)` head across them is the order a single heap would give.
+#[derive(Default)]
+struct Events {
+    /// Time of the event popped last; nothing may be scheduled before it.
+    now: SimTime,
+    seq: u64,
     /// A warp is free and pulls the next work item.
-    Warp,
-    /// A response segment reaches the return link. `last` marks the
-    /// request's segment the link serves last.
-    SegReady { req: u32, last: bool, bytes: u64 },
+    warps: Lane<()>,
+    /// A response segment `(req, last, bytes)` reaches the return link;
+    /// `last` marks the request's segment the link serves last.
+    segs: Lane<(u32, bool, u64)>,
     /// The request's final data arrived at the GPU.
-    Complete(u32),
+    completes: Lane<u32>,
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, _: &Self) -> bool {
-        false // events are never compared for equality by the queue
+/// Which lane holds the next event.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Next {
+    Warp,
+    Seg,
+    Complete,
+}
+
+impl Events {
+    /// The next sequence number for an event due at `t`. Panics, in
+    /// release builds too, if `t` is before the current time.
+    #[inline]
+    fn stamp(&mut self, t: SimTime) -> u64 {
+        assert!(t >= self.now, "event at {t:?} before now, {:?}", self.now);
+        self.seq += 1;
+        self.seq
+    }
+
+    #[inline]
+    fn warp(&mut self, t: SimTime) {
+        let seq = self.stamp(t);
+        self.warps.push(t, seq, ());
+    }
+
+    #[inline]
+    fn seg(&mut self, t: SimTime, req: u32, last: bool, bytes: u64) {
+        let seq = self.stamp(t);
+        self.segs.push(t, seq, (req, last, bytes));
+    }
+
+    #[inline]
+    fn complete(&mut self, t: SimTime, req: u32) {
+        let seq = self.stamp(t);
+        self.completes.push(t, seq, req);
+    }
+
+    /// The lane whose head is the earliest `(time, seq)`, advancing `now`
+    /// to its time; `None` once every lane is empty. The caller pops it.
+    #[inline]
+    fn next(&mut self) -> Option<Next> {
+        const IDLE: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+        let w = self.warps.peek_key().unwrap_or(IDLE);
+        let s = self.segs.peek_key().unwrap_or(IDLE);
+        let c = self.completes.peek_key().unwrap_or(IDLE);
+        let (key, next) = if s < w && s < c {
+            (s, Next::Seg)
+        } else if c < w {
+            (c, Next::Complete)
+        } else {
+            (w, Next::Warp)
+        };
+        if key == IDLE {
+            return None;
+        }
+        self.now = key.0;
+        Some(next)
     }
 }
-impl Eq for Ev {}
 
 /// The execution core. Owns the backend device and all link state; one
 /// engine is used for a whole run so channel/credit state carries across
@@ -180,6 +261,7 @@ pub struct Engine {
     ret_next_free: SimTime,
     /// The backend's response segments for the request being issued.
     segs: Vec<ReadSegment>,
+    events: Events,
     run_latency: OnlineStats,
     run_requests: u64,
     run_fetched: u64,
@@ -212,6 +294,7 @@ impl Engine {
             req_next_free: SimTime::ZERO,
             ret_next_free: SimTime::ZERO,
             segs: Vec::new(),
+            events: Events::default(),
             run_latency: OnlineStats::new(),
             run_requests: 0,
             run_fetched: 0,
@@ -237,11 +320,11 @@ impl Engine {
                 latency: OnlineStats::new(),
             };
         }
-        let mut q: EventQueue<Ev> = EventQueue::with_capacity(1024);
         // Everything is scheduled in absolute time, from `start`.
+        self.events.now = start;
         let warps = (self.cfg.gpu.active_warps as usize).min(r);
         for _ in 0..warps {
-            q.schedule_at(start, Ev::Warp);
+            self.events.warp(start);
         }
 
         let mut issue_time = vec![SimTime::ZERO; r];
@@ -253,21 +336,24 @@ impl Engine {
         let prop = self.cfg.link.propagation();
         let compute = self.cfg.gpu.item_compute();
 
-        while let Some((now, ev)) = q.pop() {
-            match ev {
-                Ev::Warp => {
+        while let Some(next) = self.events.next() {
+            let now = self.events.now;
+            match next {
+                Next::Warp => {
+                    self.events.warps.pop();
                     if next_item >= r {
                         continue; // no more work; warp retires
                     }
                     let idx = next_item as u32;
                     next_item += 1;
                     if self.credits.try_acquire(now) {
-                        self.issue(&mut q, now, idx, requests, &mut issue_time);
+                        self.issue(now, idx, requests, &mut issue_time);
                     } else {
                         self.credits.enqueue_waiter(idx as u64);
                     }
                 }
-                Ev::SegReady { req, last, bytes } => {
+                Next::Seg => {
+                    let (_, (req, last, bytes)) = self.events.segs.pop().expect("peeked");
                     let ser = self
                         .bandwidth
                         .transfer_time(bytes + PcieLinkConfig::COMPLETION_HEADER_BYTES);
@@ -276,20 +362,21 @@ impl Engine {
                     returned += bytes;
                     if last {
                         // Data reaches the GPU after the link propagation.
-                        q.schedule_at(done + prop, Ev::Complete(req));
+                        self.events.complete(done + prop, req);
                     }
                 }
-                Ev::Complete(idx) => {
+                Next::Complete => {
+                    let (_, idx) = self.events.completes.pop().expect("peeked");
                     let lat = now.saturating_since(issue_time[idx as usize]);
                     latency.push(lat.as_us_f64());
                     completed += 1;
                     end = end.max(now);
                     if let Some(waiter) = self.credits.release(now) {
-                        self.issue(&mut q, now, waiter as u32, requests, &mut issue_time);
+                        self.issue(now, waiter as u32, requests, &mut issue_time);
                     }
                     // The freed warp pulls its next item after processing
                     // the fetched edges.
-                    q.schedule_at(now + compute, Ev::Warp);
+                    self.events.warp(now + compute);
                 }
             }
         }
@@ -324,7 +411,6 @@ impl Engine {
     /// the read at its arrival instant.
     fn issue(
         &mut self,
-        q: &mut EventQueue<Ev>,
         now: SimTime,
         idx: u32,
         requests: &[DeviceRequest],
@@ -346,14 +432,8 @@ impl Engine {
             .expect("a device read yields at least one segment");
         for (i, s) in self.segs.iter().enumerate() {
             // Return-side socket hop happens before the link.
-            q.schedule_at(
-                s.ready + self.cfg.socket_penalty,
-                Ev::SegReady {
-                    req: idx,
-                    last: i == last,
-                    bytes: s.bytes,
-                },
-            );
+            self.events
+                .seg(s.ready + self.cfg.socket_penalty, idx, i == last, s.bytes);
         }
     }
 
@@ -379,11 +459,11 @@ impl Engine {
 
     /// Execute one round shard on this engine: run `requests` as a batch
     /// from `t = 0` and capture everything the shard merge needs. The
-    /// engine must be fresh (no prior batches) — each shard owns its
-    /// engine, event queue, and backend outright, which is what makes
-    /// shards independently simulable.
+    /// engine must be fresh (no prior batches; panics otherwise) — each
+    /// shard owns its engine, event lanes, and backend outright, which is
+    /// what makes shards independently simulable.
     pub fn run_shard(&mut self, requests: &[DeviceRequest]) -> ShardOutcome {
-        debug_assert_eq!(
+        assert_eq!(
             self.run_requests, 0,
             "run_shard requires a fresh engine; reuse couples shards"
         );
@@ -413,7 +493,7 @@ pub struct ShardOutcome {
 
 /// Simulate every round's batch as an independent shard across the rayon
 /// pool, returning outcomes in round order. `factory` builds one fresh
-/// [`Engine`] per shard (each shard gets its own event queue and backend
+/// [`Engine`] per shard (each shard gets its own event lanes and backend
 /// state). The vendored rayon's ordered collect guarantees the output
 /// order — and therefore the downstream merge — is a pure function of
 /// `batches`, independent of `RAYON_NUM_THREADS`.
@@ -622,6 +702,82 @@ mod tests {
         assert_eq!(plain.end, SimTime(803_000));
         assert_eq!(uvm.end, SimTime(1_803_000));
         assert_eq!(uvm.latency.mean(), us(1_803_000));
+    }
+
+    /// Pop every pending event, returning the lanes in pop order.
+    fn drain(ev: &mut Events) -> Vec<Next> {
+        std::iter::from_fn(|| {
+            let next = ev.next()?;
+            match next {
+                Next::Warp => ev.warps.pop().map(drop),
+                Next::Seg => ev.segs.pop().map(drop),
+                Next::Complete => ev.completes.pop().map(drop),
+            };
+            Some(next)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn same_instant_events_pop_in_schedule_order() {
+        // A Warp, a SegReady and a Complete due at the same picosecond
+        // pop in the order they were scheduled, whichever lanes hold them.
+        use Next::{Complete, Seg, Warp};
+        let t = SimTime(5_000);
+        for order in [
+            [Warp, Seg, Complete],
+            [Warp, Complete, Seg],
+            [Seg, Warp, Complete],
+            [Seg, Complete, Warp],
+            [Complete, Warp, Seg],
+            [Complete, Seg, Warp],
+        ] {
+            let mut ev = Events::default();
+            for kind in order {
+                match kind {
+                    Warp => ev.warp(t),
+                    Seg => ev.seg(t, 0, true, 64),
+                    Complete => ev.complete(t, 0),
+                }
+            }
+            assert_eq!(drain(&mut ev), order);
+            assert_eq!(ev.now, t);
+        }
+    }
+
+    #[test]
+    fn clock_advances_on_pop() {
+        let mut ev = Events::default();
+        ev.warp(SimTime(100));
+        assert_eq!(ev.now, SimTime::ZERO);
+        assert_eq!(drain(&mut ev), [Next::Warp]);
+        assert_eq!(ev.now, SimTime(100));
+        // Scheduling at the new clock is allowed; before it is not.
+        ev.complete(SimTime(100), 0);
+        assert_eq!(drain(&mut ev), [Next::Complete]);
+    }
+
+    #[test]
+    fn earlier_events_pop_first_across_lanes() {
+        let mut ev = Events::default();
+        ev.complete(SimTime(30), 0);
+        ev.warp(SimTime(20));
+        ev.seg(SimTime(40), 0, false, 64);
+        ev.seg(SimTime(10), 0, true, 64); // out of order: overflow heap
+        assert_eq!(
+            drain(&mut ev),
+            [Next::Seg, Next::Warp, Next::Complete, Next::Seg]
+        );
+        assert_eq!(ev.now, SimTime(40));
+    }
+
+    #[test]
+    #[should_panic(expected = "before now")]
+    fn scheduling_into_the_past_panics() {
+        let mut ev = Events::default();
+        ev.warp(SimTime(10));
+        drain(&mut ev);
+        ev.complete(SimTime(9), 0);
     }
 
     #[test]

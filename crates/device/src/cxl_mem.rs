@@ -16,10 +16,8 @@
 use crate::latency_bridge::{BridgeOrdering, LatencyBridge};
 use crate::target::{MemoryTarget, ReadSegment};
 use cxlg_link::cxl::{CxlPortConfig, CXL_FLIT_BYTES};
-use cxlg_sim::{Bandwidth, BandwidthChannel, SimDuration, SimTime};
+use cxlg_sim::{Bandwidth, BandwidthChannel, Lane, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Configuration of one CXL memory device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,9 +80,13 @@ pub struct CxlMemDevice {
     cfg: CxlMemConfig,
     dram: BandwidthChannel,
     bridge: LatencyBridge,
-    /// Release times of in-flight tags (min-heap); admission waits on the
-    /// earliest release when the pool is exhausted.
-    tag_release: BinaryHeap<Reverse<SimTime>>,
+    /// Release times of in-flight tags, sequenced by flit; admission
+    /// waits on the earliest release when the pool is exhausted. The
+    /// engine hands reads over in arrival order, so ingress, admission,
+    /// DRAM data-ready and bridge stamp times never decrease, releases
+    /// come in time order under either bridge ordering, and the lane
+    /// never needs its overflow heap.
+    tag_release: Lane<()>,
     reads: u64,
     flits: u64,
     bytes: u64,
@@ -101,7 +103,7 @@ impl CxlMemDevice {
                 cfg.dram_bandwidth_mb_per_sec,
             )),
             bridge: LatencyBridge::new(cfg.added_latency(), cfg.ordering),
-            tag_release: BinaryHeap::new(),
+            tag_release: Lane::new(),
             cfg,
             reads: 0,
             flits: 0,
@@ -135,7 +137,7 @@ impl CxlMemDevice {
         // Tag admission: wait for the earliest in-flight release if the
         // pool is full.
         let t_admit = if self.tag_release.len() as u64 >= self.cfg.device_tags {
-            let Reverse(earliest) = self.tag_release.pop().expect("non-empty at capacity");
+            let (earliest, ()) = self.tag_release.pop().expect("non-empty at capacity");
             t_ingress.max(earliest)
         } else {
             t_ingress
@@ -145,7 +147,7 @@ impl CxlMemDevice {
             + SimDuration::from_ps(self.cfg.dram_access_latency_ps);
         // Appendix A bridge.
         let release = self.bridge.release(t_admit, data_ready);
-        self.tag_release.push(Reverse(release));
+        self.tag_release.push(release, self.flits, ());
         self.flits += 1;
         self.resident_ps += release.saturating_since(t_admit).as_ps() as u128;
         release

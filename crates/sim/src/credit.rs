@@ -69,7 +69,8 @@ impl CreditPool {
 
     /// Return one credit at `now`. If a waiter is queued, the credit is
     /// handed directly to it and its token is returned (the pool count does
-    /// not change); otherwise the credit goes back to the pool.
+    /// not change); otherwise the credit goes back to the pool. Panics, in
+    /// release builds too, if no credit is held.
     #[inline]
     pub fn release(&mut self, now: SimTime) -> Option<u64> {
         self.advance(now);
@@ -78,8 +79,8 @@ impl CreditPool {
             self.acquisitions += 1;
             Some(w)
         } else {
-            debug_assert!(self.available < self.capacity, "release without acquire");
-            self.available = (self.available + 1).min(self.capacity);
+            assert!(self.available < self.capacity, "release without acquire");
+            self.available += 1;
             None
         }
     }
@@ -179,6 +180,15 @@ mod tests {
         assert_eq!(p.release(SimTime(6)), Some(8));
         assert_eq!(p.release(SimTime(7)), None);
         assert_eq!(p.available(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "release without acquire")]
+    fn release_without_acquire_panics() {
+        let mut p = CreditPool::new(2);
+        assert!(p.try_acquire(SimTime::ZERO));
+        p.release(SimTime(1));
+        p.release(SimTime(2));
     }
 
     #[test]

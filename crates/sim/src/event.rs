@@ -1,225 +1,254 @@
-//! The event queue: a monotonic priority queue of `(SimTime, E)` pairs.
+//! In-order event lanes: a future-event list that is a FIFO whenever the
+//! events arrive in time order.
 //!
-//! Ties at the same instant are broken by insertion order (a strictly
-//! increasing sequence number), which makes simulations deterministic
-//! regardless of `BinaryHeap` internals.
+//! A [`Lane`] pops `(time, seq, item)` entries in `(time, seq)` order,
+//! exactly like a binary heap keyed on the pair, for any push order. A
+//! push at or after the time of the lane's newest FIFO entry appends to
+//! the FIFO in O(1); only an earlier push goes to a small overflow heap.
+//! The FIFO stays sorted because `seq` is the caller's counter and only
+//! grows, so a pop takes the smaller of two heads.
+//!
+//! Simulations that schedule one kind of event in nondecreasing time
+//! (a warp's next pull, a FIFO server's completions, a tag pool's
+//! releases) never touch the heap. A driver that keeps several lanes
+//! and pops the smallest head across them, with one `seq` counter shared
+//! by all of them, gets the total order one heap would give: ties at the
+//! same instant are broken by scheduling order.
 
-use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::time::SimTime;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
-#[derive(PartialEq, Eq)]
-struct Entry<E> {
+#[derive(Debug, Clone)]
+struct Entry<T> {
     time: SimTime,
     seq: u64,
-    event: E,
+    item: T,
 }
 
-impl<E: Eq> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+impl<T> Entry<T> {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
 
-impl<E: Eq> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+// Entries order by key alone; the item is never compared.
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A future-event list with a monotonically advancing clock.
+/// A min-ordered event list over `(time, seq)` keys: a FIFO for in-order
+/// pushes plus an overflow heap for the rest.
 ///
-/// `pop` advances the clock to the time of the event it returns; scheduling
-/// into the past is a logic error and panics in debug builds (clamped to
-/// `now` in release builds so long simulations degrade gracefully rather
-/// than corrupting causality).
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    seq: u64,
-    now: SimTime,
-    scheduled_total: u64,
+/// `seq` must strictly increase across the pushes into one lane; ties
+/// in time then pop in push order.
+#[derive(Debug, Clone)]
+pub struct Lane<T> {
+    fifo: VecDeque<Entry<T>>,
+    heap: BinaryHeap<Reverse<Entry<T>>>,
 }
 
-impl<E: Eq> Default for EventQueue<E> {
+impl<T> Default for Lane<T> {
     fn default() -> Self {
-        Self::new()
+        Lane {
+            fifo: VecDeque::new(),
+            heap: BinaryHeap::new(),
+        }
     }
 }
 
-impl<E: Eq> EventQueue<E> {
-    /// Empty queue with the clock at t = 0.
+impl<T> Lane<T> {
+    /// An empty lane.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            scheduled_total: 0,
+        Self::default()
+    }
+
+    /// Add `item` due at `time`, with sequence number `seq`.
+    #[inline]
+    pub fn push(&mut self, time: SimTime, seq: u64, item: T) {
+        let entry = Entry { time, seq, item };
+        match self.fifo.back() {
+            Some(back) if time < back.time => self.heap.push(Reverse(entry)),
+            back => {
+                debug_assert!(back.is_none_or(|b| seq > b.seq), "seq must increase");
+                self.fifo.push_back(entry);
+            }
         }
     }
 
-    /// Empty queue with pre-reserved capacity for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-            now: SimTime::ZERO,
-            scheduled_total: 0,
+    /// Whether the heap holds the smallest entry.
+    #[inline]
+    fn heap_first(&self) -> bool {
+        match (self.fifo.front(), self.heap.peek()) {
+            (Some(f), Some(Reverse(h))) => h.key() < f.key(),
+            (None, h) => h.is_some(),
+            (Some(_), None) => false,
         }
     }
 
-    /// Current simulated time.
+    /// `(time, seq)` of the entry [`Lane::pop`] returns next.
     #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        if self.heap_first() {
+            self.heap.peek().map(|Reverse(h)| h.key())
+        } else {
+            self.fifo.front().map(Entry::key)
+        }
     }
 
-    /// Schedule `event` at absolute time `t` (clamped to `now` if in the
-    /// past; debug-asserts against that).
+    /// Remove the entry with the smallest `(time, seq)`.
     #[inline]
-    pub fn schedule_at(&mut self, t: SimTime, event: E) {
-        debug_assert!(t >= self.now, "scheduling into the past: {t:?} < {:?}", self.now);
-        let t = t.max(self.now);
-        self.heap.push(Reverse(Entry {
-            time: t,
-            seq: self.seq,
-            event,
-        }));
-        self.seq += 1;
-        self.scheduled_total += 1;
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        let e = if self.heap_first() {
+            self.heap.pop().map(|Reverse(h)| h)
+        } else {
+            self.fifo.pop_front()
+        }?;
+        Some((e.time, e.item))
     }
 
-    /// Schedule `event` after a relative delay.
-    #[inline]
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
-    /// Schedule `event` at the current instant (runs after all events
-    /// already scheduled for `now`).
-    #[inline]
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_at(self.now, event);
-    }
-
-    /// Remove and return the next event, advancing the clock to its time.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(e) = self.heap.pop()?;
-        debug_assert!(e.time >= self.now);
-        self.now = e.time;
-        Some((e.time, e.event))
-    }
-
-    /// Time of the next pending event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
+    /// Number of pending entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.fifo.len() + self.heap.len()
     }
 
-    /// True when no events are pending.
+    /// True when no entries are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events scheduled over the queue's lifetime (a cheap progress /
-    /// cost metric for simulation benchmarks).
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Drain every pending event without running it, leaving the clock
-    /// unchanged. Used to abort a simulation early.
-    pub fn clear(&mut self) {
-        self.heap.clear();
+        self.fifo.is_empty() && self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Xoshiro256StarStar;
+
+    /// Push `items` at their times with sequence numbers 0, 1, 2, ….
+    fn lane_of<T: Copy>(items: &[(u64, T)]) -> Lane<T> {
+        let mut lane = Lane::new();
+        for (seq, &(t, x)) in items.iter().enumerate() {
+            lane.push(SimTime(t), seq as u64, x);
+        }
+        lane
+    }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(30), "c");
-        q.schedule_at(SimTime(10), "a");
-        q.schedule_at(SimTime(20), "b");
-        assert_eq!(q.pop(), Some((SimTime(10), "a")));
-        assert_eq!(q.pop(), Some((SimTime(20), "b")));
-        assert_eq!(q.pop(), Some((SimTime(30), "c")));
-        assert_eq!(q.pop(), None);
+        let mut lane = lane_of(&[(30, "c"), (10, "a"), (20, "b")]);
+        assert_eq!(lane.peek_key(), Some((SimTime(10), 1)));
+        assert_eq!(lane.pop(), Some((SimTime(10), "a")));
+        assert_eq!(lane.pop(), Some((SimTime(20), "b")));
+        assert_eq!(lane.pop(), Some((SimTime(30), "c")));
+        assert_eq!(lane.pop(), None);
+        assert_eq!(lane.peek_key(), None);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
+        let items: Vec<(u64, u32)> = (0..100).map(|i| (5, i)).collect();
+        let mut lane = lane_of(&items);
         for i in 0..100u32 {
-            q.schedule_at(SimTime(5), i);
+            assert_eq!(lane.pop().unwrap().1, i);
         }
-        for i in 0..100u32 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
-    }
-
-    #[test]
-    fn clock_advances_on_pop() {
-        let mut q = EventQueue::new();
-        q.schedule_in(SimDuration(100), ());
-        assert_eq!(q.now(), SimTime::ZERO);
-        q.pop();
-        assert_eq!(q.now(), SimTime(100));
-        // Relative scheduling now uses the new clock.
-        q.schedule_in(SimDuration(50), ());
-        assert_eq!(q.peek_time(), Some(SimTime(150)));
     }
 
     #[test]
     fn schedule_now_runs_after_existing_same_time_events() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::ZERO, 1);
-        q.schedule_now(2);
-        assert_eq!(q.pop().unwrap().1, 1);
-        assert_eq!(q.pop().unwrap().1, 2);
+        // 'a' overflows to the heap behind 'x'. 'b', scheduled later for
+        // the same instant as 'a', also overflows and pops after it; 'y'
+        // ties with 'x' in the FIFO and pops after it.
+        let mut lane = lane_of(&[(20, 'x'), (10, 'a')]);
+        lane.push(SimTime(10), 2, 'b');
+        lane.push(SimTime(20), 3, 'y');
+        let order: Vec<char> = std::iter::from_fn(|| lane.pop().map(|(_, c)| c)).collect();
+        assert_eq!(order, ['a', 'b', 'x', 'y']);
     }
 
     #[test]
-    fn len_and_clear() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule_at(SimTime(i), i);
-        }
-        assert_eq!(q.len(), 10);
-        assert!(!q.is_empty());
-        assert_eq!(q.scheduled_total(), 10);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 10);
+    fn len_counts_both_queues() {
+        let mut lane = lane_of(&[(5, ()), (1, ()), (9, ())]);
+        assert_eq!(lane.len(), 3);
+        assert!(!lane.is_empty());
+        while lane.pop().is_some() {}
+        assert_eq!(lane.len(), 0);
+        assert!(lane.is_empty());
     }
 
     #[test]
     fn interleaved_schedule_and_pop_is_causal() {
         // A small cascade: each event schedules a successor; times must be
         // non-decreasing throughout.
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(1), 0u32);
+        let mut lane = Lane::new();
+        let mut seq = 0u64;
+        lane.push(SimTime(1), seq, 0u32);
         let mut last = SimTime::ZERO;
         let mut count = 0;
-        while let Some((t, depth)) = q.pop() {
+        while let Some((t, depth)) = lane.pop() {
             assert!(t >= last);
             last = t;
             count += 1;
             if depth < 50 {
-                q.schedule_in(SimDuration(depth as u64 % 7), depth + 1);
+                seq += 1;
+                lane.push(SimTime(t.0 + depth as u64 % 7), seq, depth + 1);
             }
         }
         assert_eq!(count, 51);
+    }
+
+    #[test]
+    fn matches_a_reference_heap_under_random_interleavings() {
+        // Times come from a narrow, drifting window, so pushes land in
+        // order, out of order, and on equal times; every so often the
+        // lane is drained to empty.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x1a4e);
+        let mut lane = Lane::new();
+        let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut base = 0u64;
+        let mut prev = SimTime::ZERO;
+        let mut out_of_order = 0;
+        for step in 0..20_000u64 {
+            if step % 2_500 == 2_499 {
+                while let Some(Reverse(want)) = reference.pop() {
+                    assert_eq!(lane.pop(), Some(want));
+                }
+                assert!(lane.is_empty());
+                continue;
+            }
+            if rng.next_below(3) < 2 {
+                let t = SimTime(base + rng.next_below(8));
+                out_of_order += (t < prev) as u32;
+                prev = t;
+                lane.push(t, seq, seq);
+                reference.push(Reverse((t, seq)));
+                seq += 1;
+                base += rng.next_below(3);
+            } else {
+                let want = reference.pop().map(|Reverse(k)| k);
+                assert_eq!(lane.peek_key(), want);
+                assert_eq!(lane.pop(), want);
+            }
+            assert_eq!(lane.len(), reference.len());
+        }
+        assert!(out_of_order > 100, "{out_of_order} out-of-order pushes");
     }
 }

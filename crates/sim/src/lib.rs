@@ -1,11 +1,11 @@
 //! # cxlg-sim — deterministic discrete-event simulation engine
 //!
 //! This crate provides the timing substrate used by every hardware model in
-//! the `cxl-gpu-graph` workspace: simulated time, an event queue, and a small
-//! set of queueing-theory building blocks (bandwidth-serialized channels,
-//! rate-limited servers, credit pools) from which the PCIe link, the CXL
-//! memory prototype, the flash drives and the GPU warp scheduler are
-//! assembled.
+//! the `cxl-gpu-graph` workspace: simulated time, in-order event lanes, and
+//! a small set of queueing-theory building blocks (bandwidth-serialized
+//! channels, rate-limited servers, credit pools) from which the PCIe link,
+//! the CXL memory prototype, the flash drives and the GPU warp scheduler
+//! are assembled.
 //!
 //! ## Design notes
 //!
@@ -20,8 +20,9 @@
 //!   configurations produce bit-identical results, which the test-suite and
 //!   the paper-figure harnesses rely on.
 //! * **No inversion of control**: rather than a trait-object component
-//!   framework, [`EventQueue`] is a plain priority queue and the *driver*
-//!   (in `cxlg-core`) owns the event loop plus all component state. This
+//!   framework, a [`Lane`] is a plain `(time, seq)`-ordered event list and
+//!   the *driver* (in `cxlg-core`) owns the event loop, one lane per event
+//!   kind, the shared sequence counter, and all component state. This
 //!   keeps borrows simple and the hot loop monomorphic.
 
 #![warn(missing_docs)]
@@ -37,7 +38,7 @@ pub mod time;
 
 pub use channel::BandwidthChannel;
 pub use credit::CreditPool;
-pub use event::EventQueue;
+pub use event::Lane;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use server::RateServer;
 pub use stats::{Histogram, OnlineStats, TimeWeighted};

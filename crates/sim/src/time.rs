@@ -274,11 +274,22 @@ impl Bandwidth {
 
     /// Time to serialize `bytes` at this rate (rounded up to the next
     /// picosecond so back-to-back transfers can never exceed the rate).
+    /// Transfers up to ~18 MB take a `u64` division; larger ones the
+    /// `u128` path, with the same result.
     #[inline]
     pub fn transfer_time(self, bytes: u64) -> SimDuration {
         if self.0 == 0 {
             return SimDuration(u64::MAX);
         }
+        match bytes.checked_mul(PS_PER_S) {
+            Some(n) => SimDuration(n.div_ceil(self.0)),
+            None => self.transfer_time_wide(bytes),
+        }
+    }
+
+    /// [`Bandwidth::transfer_time`] in `u128`, saturating; the rate must
+    /// be nonzero.
+    fn transfer_time_wide(self, bytes: u64) -> SimDuration {
         let ps = (bytes as u128 * PS_PER_S as u128).div_ceil(self.0 as u128);
         SimDuration(ps.min(u64::MAX as u128) as u64)
     }
@@ -381,6 +392,32 @@ mod tests {
         // 1 byte at 3 bytes/sec: 1/3 s, must round UP.
         let slow = Bandwidth::from_bytes_per_sec(3);
         assert_eq!(slow.transfer_time(1).as_ps(), PS_PER_S / 3 + 1);
+    }
+
+    #[test]
+    fn u64_fast_path_matches_the_u128_path() {
+        // The presets' rates in MB/s: PCIe x4 and x16 links of Gen3/4/5
+        // (3,000-48,000), XLFDD and NVMe drive links (3,000 and 6,000),
+        // the CXL expander's onboard DRAM (5,700), and host DRAM (10,000
+        // and 200,000); plus rates that make the rounding bite.
+        let rates = [3_000, 5_700, 6_000, 10_000, 12_000, 24_000, 48_000, 200_000]
+            .map(Bandwidth::from_mb_per_sec)
+            .into_iter()
+            .chain([1, 3, 7, u64::MAX].map(Bandwidth::from_bytes_per_sec));
+        let edge = u64::MAX / PS_PER_S;
+        let sizes = [0, 1, 24, 64, 4096, 2 << 20, edge - 1, edge, edge + 1];
+        for bw in rates {
+            for bytes in sizes.into_iter().chain([u64::MAX]) {
+                assert_eq!(
+                    bw.transfer_time(bytes),
+                    bw.transfer_time_wide(bytes),
+                    "{bw:?}, {bytes} B"
+                );
+            }
+        }
+        // The fast path covers exactly the multiplications that fit.
+        assert!(edge.checked_mul(PS_PER_S).is_some());
+        assert!((edge + 1).checked_mul(PS_PER_S).is_none());
     }
 
     #[test]
