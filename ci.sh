@@ -55,6 +55,29 @@ for PB in latency-sweep:0x3b4f05e0897e93a6 flash-social:0x66a03ccf6e21b61c \
         || { echo "perfbench $PB_WORKLOAD reported incorrect results"; exit 1; }
 done
 
+echo "==> perfbench traced counters: trace and request counts equal the seed-1 baseline exactly"
+# The traced pass (--trace 1) recomposes Traversal::run from its layers
+# and reports deterministic per-layer counts; "correct": true includes
+# its check that the recomposed pipeline agrees with Traversal::run.
+# The expected counts are traced_seed_1 in perfbench/BASELINE.json:
+# levels, frontier vertices, planned requests, simulated requests. The
+# digest gate above covers them only through a hash; this names the
+# layer that drifted.
+for PB in flash-social:28:413842:250353:250353 spill-sequential:9:655359:1558217:1558217; do
+    IFS=: read -r PB_WORKLOAD PB_LEVELS PB_VERTICES PB_PLANNED PB_SIMULATED <<<"$PB"
+    PB_JSON=$(CARGO_TARGET_DIR=target/perfbench cargo run --quiet --release \
+        --manifest-path perfbench/Cargo.toml -- \
+        --workload "$PB_WORKLOAD" --seed 1 --seconds 1 --trace 1 2>/dev/null | tail -1)
+    grep -q '"correct": true' <<<"$PB_JSON" \
+        || { echo "perfbench $PB_WORKLOAD --trace 1 reported incorrect results"; exit 1; }
+    for KV in trace.levels:$PB_LEVELS trace.frontier_vertices:$PB_VERTICES \
+              plan.requests:$PB_PLANNED engine.requests:$PB_SIMULATED; do
+        grep -qF "\"${KV%%:*}\": {\"value\": ${KV#*:}," <<<"$PB_JSON" \
+            || { echo "$PB_WORKLOAD ${KV%%:*} drifted from perfbench/BASELINE.json (want ${KV#*:})"; exit 1; }
+    done
+    echo "    $PB_WORKLOAD: trace.levels=$PB_LEVELS trace.frontier_vertices=$PB_VERTICES plan.requests=$PB_PLANNED engine.requests=$PB_SIMULATED"
+done
+
 echo "==> streaming CSR builder stays within the peak-RSS budget (scale 18, <= 10 B/arc)"
 # The two-pass scatter builder promises ~4 B per directed arc plus the
 # per-vertex offset/cursor arrays; 10 B/arc leaves slack for the process

@@ -34,6 +34,7 @@ pub fn reference_sssp_distances<G: CsrView + ?Sized>(
 ) -> Vec<u64> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    assert!(max_weight >= 1, "SSSP max_weight must be at least 1, got 0");
     let n = g.num_vertices();
     let mut dist = vec![u64::MAX; n];
     dist[source as usize] = 0;
@@ -91,6 +92,7 @@ pub fn verify_sssp<G: CsrView + ?Sized>(
     source: VertexId,
     max_weight: u32,
 ) -> Result<(), String> {
+    assert!(max_weight >= 1, "SSSP max_weight must be at least 1, got 0");
     // Replay the production trace's relaxation logic...
     let trace = sssp_trace(g, source, max_weight);
     let mut dist = vec![u64::MAX; g.num_vertices()];
@@ -179,6 +181,18 @@ mod tests {
             let g = GraphSpec::urand(9).seed(seed).build();
             verify_sssp(&g, 0, 64).unwrap();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_weight must be at least 1")]
+    fn dijkstra_rejects_zero_max_weight() {
+        reference_sssp_distances(&GraphSpec::urand(6).seed(1).build(), 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_weight must be at least 1")]
+    fn verify_sssp_rejects_zero_max_weight() {
+        let _ = verify_sssp(&GraphSpec::urand(6).seed(1).build(), 0, 0);
     }
 
     #[test]

@@ -172,14 +172,24 @@ impl Csr {
 /// function behind [`Csr::edge_weight`], shared by every storage backend
 /// (weights are a pure function of the endpoints, so no backend needs to
 /// store them).
+///
+/// `max_weight` must be at least 1; the SSSP entry points assert it once
+/// rather than per edge (0 would divide by zero here). A power-of-two
+/// range reduces with a mask, which equals the `%` it replaces and spares
+/// a 64-bit division on every relaxation.
 #[inline]
 pub fn edge_weight(u: VertexId, v: VertexId, max_weight: u32) -> u32 {
-    debug_assert!(max_weight >= 1);
     let mut z = ((u as u64) << 32 | v as u64).wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^= z >> 31;
-    1 + (z % max_weight as u64) as u32
+    let m = max_weight as u64;
+    let r = if max_weight.is_power_of_two() {
+        z & (m - 1)
+    } else {
+        z % m
+    };
+    1 + r as u32
 }
 
 /// Incremental FNV-1a 64, the workspace's graph-identity hash. The spill
@@ -289,6 +299,40 @@ mod tests {
         }
         // Direction matters.
         assert_ne!(g.edge_weight(0, 1, 1 << 20), g.edge_weight(1, 0, 1 << 20));
+    }
+
+    /// The hash behind [`edge_weight`], reduced with a plain `%`.
+    fn modulo_weight(u: VertexId, v: VertexId, max_weight: u32) -> u32 {
+        let mut z = ((u as u64) << 32 | v as u64).wrapping_add(0x9E3779B97F4A7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^= z >> 31;
+        1 + (z % max_weight as u64) as u32
+    }
+
+    #[test]
+    fn weight_reduction_equals_modulo() {
+        // A few thousand endpoint pairs (small IDs, scrambled IDs across
+        // the `u32` range, the extremes) at every power-of-two range,
+        // which takes the mask, and at 3 and 100, which keep `%`.
+        let mut pairs = Vec::new();
+        for u in 0..40u32 {
+            for v in 0..40u32 {
+                pairs.push((u, v));
+                pairs.push((
+                    u.wrapping_mul(0x9E37_79B9),
+                    v.wrapping_mul(0x85EB_CA6B) ^ 0xFFFF_0000,
+                ));
+            }
+        }
+        pairs.extend([(u32::MAX, u32::MAX), (u32::MAX, 0), (0, u32::MAX)]);
+        for m in (0..=31).map(|k| 1u32 << k).chain([3, 100]) {
+            for &(u, v) in &pairs {
+                let w = edge_weight(u, v, m);
+                assert_eq!(w, modulo_weight(u, v, m), "({u}, {v}) at {m}");
+                assert!((1..=m).contains(&w));
+            }
+        }
     }
 
     #[test]

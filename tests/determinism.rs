@@ -86,11 +86,11 @@ fn nested_parallel_sweeps_are_stable() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The PR 6 parallel paths — round-shard simulation in the engine and
-    /// parallel BFS frontier expansion — under the same property sweep
+    /// The engine's round-shard simulation under the same property sweep
     /// the graph pipeline gets: any family × scale × seed, every worker
     /// count must yield identical `RunMetrics` *and* identical trace
-    /// bytes.
+    /// bytes. The trace kernels are sequential, so the trace half pins
+    /// that no thread-dependent path creeps back in.
     #[test]
     fn parallel_engine_and_traversal_are_thread_count_invariant(
         fam in 0u8..3,
