@@ -32,7 +32,7 @@ cargo build --benches
 echo "==> quickstart example runs"
 cargo run --release --example quickstart >/dev/null
 
-echo "==> perfbench counter-drift gate: every workload keeps its seed-1 baseline sim_digest"
+echo "==> perfbench counter-drift gate: every workload keeps its seed-1 baseline sim_digest; peak-RSS ceilings"
 # A simulator speed-up must not move a single simulated statistic. The
 # digest is FNV over every traversal's requests, fetched bytes, runtime
 # in ps, reached count and per-level bytes (for campaign, over the
@@ -53,6 +53,22 @@ for PB in latency-sweep:0x3b4f05e0897e93a6 flash-social:0x66a03ccf6e21b61c \
         || { echo "$PB_WORKLOAD sim_digest drifted from perfbench/BASELINE.json"; exit 1; }
     tail -1 <<<"$PB_OUT" | grep -q '"correct": true' \
         || { echo "perfbench $PB_WORKLOAD reported incorrect results"; exit 1; }
+    # Peak-RSS ceilings: the traversal driver streams each level through
+    # planning and simulation, so no run holds its whole request plan.
+    # spill-sequential measured ~19.6 MB that way against 35.1 MB with a
+    # materialized plan, latency-sweep ~9.4 MB against 12.0 MB; the
+    # ceilings sit between, so a plan that is materialized again fails.
+    case "$PB_WORKLOAD" in
+        spill-sequential) PB_RSS_CEIL=27 ;;
+        latency-sweep) PB_RSS_CEIL=11 ;;
+        *) PB_RSS_CEIL= ;;
+    esac
+    if [ -n "$PB_RSS_CEIL" ]; then
+        PB_RSS=$(tail -1 <<<"$PB_OUT" | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p')
+        awk -v r="$PB_RSS" -v c="$PB_RSS_CEIL" 'BEGIN { exit !(r != "" && r + 0 <= c + 0) }' \
+            || { echo "$PB_WORKLOAD peak_rss_mb=${PB_RSS:-missing} exceeds the ${PB_RSS_CEIL} MB ceiling"; exit 1; }
+        echo "    $PB_WORKLOAD peak_rss_mb=$PB_RSS (ceiling $PB_RSS_CEIL MB)"
+    fi
 done
 
 echo "==> perfbench traced counters: trace and request counts equal the seed-1 baseline exactly"

@@ -11,7 +11,8 @@ fn uniform_requests(n: usize, bytes: u64) -> Vec<DeviceRequest> {
     (0..n)
         .map(|i| DeviceRequest {
             addr: i as u64 * 4096,
-            bytes, overhead_ps: 0 })
+            bytes,
+        })
         .collect()
 }
 

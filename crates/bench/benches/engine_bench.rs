@@ -23,7 +23,6 @@ fn level_batches() -> Vec<Vec<DeviceRequest>> {
                 .map(|i| DeviceRequest {
                     addr: i as u64 * 128,
                     bytes: 128,
-                    overhead_ps: 0,
                 })
                 .collect()
         })
@@ -72,6 +71,8 @@ fn bench_full_traversal(c: &mut Criterion) {
     let graph = GraphSpec::friendster_like(14).seed(0x5EED).build();
     let src = graph.max_degree_vertex().unwrap();
     let sys = SystemConfig::xlfdd(PcieGen::Gen4, 16);
+    // One worker is the sequential oracle: the shard policy plans and
+    // simulates the levels one after another.
     for workers in [1usize, 2, 8] {
         g.bench_with_input(
             BenchmarkId::new("sssp", workers),
@@ -85,9 +86,6 @@ fn bench_full_traversal(c: &mut Criterion) {
             },
         );
     }
-    g.bench_function("sssp_reference", |b| {
-        b.iter(|| Traversal::sssp(src).run_reference(&graph, &sys).metrics.runtime)
-    });
     g.finish();
 }
 

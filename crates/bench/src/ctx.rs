@@ -97,7 +97,7 @@ impl ExperimentCtx {
 
     /// Run a sweep on this context's configured worker count — the one
     /// knob that sizes both the cross-point fan-out and the within-run
-    /// round shards (`cxlg_core::engine::simulate_shards`). Experiments
+    /// round shards (`cxlg_core::engine::stream_shards`). Experiments
     /// should route sweeps through here rather than calling
     /// `runner::sweep` directly, so `ctx.threads` is authoritative and
     /// the manifest's recorded thread count matches what actually ran.

@@ -51,7 +51,8 @@ pub fn run(ctx: &ExperimentCtx) {
     let reqs: Vec<DeviceRequest> = (0..40_000)
         .map(|i| DeviceRequest {
             addr: i * 4096,
-            bytes: 90, overhead_ps: 0 })
+            bytes: 90,
+        })
         .collect();
     let batch = engine.run_batch(SimTime::ZERO, &reqs);
     let sim_t = (40_000u64 * 90) as f64 / 1e6 / batch.end.as_secs_f64();

@@ -29,10 +29,6 @@ pub struct DeviceRequest {
     pub addr: u64,
     /// Request size in bytes.
     pub bytes: u64,
-    /// Host-side overhead paid before this request reaches the link, in
-    /// ps. Zero for hardware-issued reads; the UVM access method charges
-    /// its driver fault-handling time here (Related Work, §6).
-    pub overhead_ps: u64,
 }
 
 /// A configured access method (stateful for the BaM cache).
@@ -68,8 +64,9 @@ pub enum AccessMethod {
         fetched_to: u64,
     },
     /// Unified virtual memory: 4 kB page migration on fault (the
-    /// pre-EMOGI baseline, Related Work §6). Faulted pages carry the
-    /// driver's fault-handling overhead into the request path.
+    /// pre-EMOGI baseline, Related Work §6). Every request is a fault;
+    /// the engine charges the driver's fault-handling overhead at issue
+    /// (`EngineConfig::issue_overhead`).
     Uvm {
         /// Page table with residency tracking.
         table: UvmPageTable,
@@ -101,13 +98,10 @@ impl AccessMethod {
         }
     }
 
-    /// UVM with a given GPU residency budget.
-    pub fn uvm(resident_bytes: u64) -> Self {
+    /// UVM paging with the given parameters.
+    pub fn uvm(cfg: UvmConfig) -> Self {
         AccessMethod::Uvm {
-            table: UvmPageTable::new(UvmConfig {
-                resident_bytes,
-                ..UvmConfig::default()
-            }),
+            table: UvmPageTable::new(cfg),
         }
     }
 
@@ -151,7 +145,8 @@ impl AccessMethod {
                 coalesce_span(span, *line, *sector, |t| {
                     out.push(DeviceRequest {
                         addr: t.addr,
-                        bytes: t.bytes, overhead_ps: 0 });
+                        bytes: t.bytes,
+                    });
                 });
                 0
             }
@@ -164,7 +159,8 @@ impl AccessMethod {
                         AccessOutcome::Hit => hits += 1,
                         AccessOutcome::Miss { .. } => out.push(DeviceRequest {
                             addr: line * line_bytes,
-                            bytes: line_bytes, overhead_ps: 0 }),
+                            bytes: line_bytes,
+                        }),
                     }
                 }
                 hits
@@ -186,7 +182,8 @@ impl AccessMethod {
                     let len = (*max_transfer).min(end - cur);
                     out.push(DeviceRequest {
                         addr: cur,
-                        bytes: len, overhead_ps: 0 });
+                        bytes: len,
+                    });
                     cur += len;
                 }
                 *fetched_to = end;
@@ -194,7 +191,6 @@ impl AccessMethod {
             }
             AccessMethod::Uvm { table } => {
                 let page = table.config().page_bytes;
-                let overhead = table.config().fault_overhead_ps;
                 let (first, last) = span_block_range(span, page);
                 let mut hits = 0;
                 for p in first..last {
@@ -203,7 +199,6 @@ impl AccessMethod {
                         UvmAccess::Fault => out.push(DeviceRequest {
                             addr: p * page,
                             bytes: page,
-                            overhead_ps: overhead,
                         }),
                     }
                 }
@@ -244,7 +239,13 @@ mod tests {
         let mut m = AccessMethod::bam(1 << 20, 4096);
         // A 256 B sublist in page 2.
         let reqs = collect(&mut m, span(2 * 4096 + 100, 256));
-        assert_eq!(reqs, vec![DeviceRequest { addr: 8192, bytes: 4096, overhead_ps: 0 }]);
+        assert_eq!(
+            reqs,
+            vec![DeviceRequest {
+                addr: 8192,
+                bytes: 4096
+            }]
+        );
         // A neighboring sublist in the same page: pure hit, no request.
         let mut out = Vec::new();
         let hits = m.requests_for_span(span(2 * 4096 + 400, 256), &mut out);
@@ -260,8 +261,14 @@ mod tests {
         assert_eq!(
             reqs,
             vec![
-                DeviceRequest { addr: 0, bytes: 512, overhead_ps: 0 },
-                DeviceRequest { addr: 512, bytes: 512, overhead_ps: 0 },
+                DeviceRequest {
+                    addr: 0,
+                    bytes: 512
+                },
+                DeviceRequest {
+                    addr: 512,
+                    bytes: 512
+                },
             ]
         );
     }
@@ -303,7 +310,13 @@ mod tests {
             fetched_to: 0,
         };
         let r1 = collect(&mut m, span(100, 256));
-        assert_eq!(r1, vec![DeviceRequest { addr: 0, bytes: 4096, overhead_ps: 0 }]);
+        assert_eq!(
+            r1,
+            vec![DeviceRequest {
+                addr: 0,
+                bytes: 4096
+            }]
+        );
         let mut out = Vec::new();
         let merged = m.requests_for_span(span(400, 256), &mut out);
         assert!(out.is_empty(), "second sublist should merge");
@@ -311,7 +324,13 @@ mod tests {
         // A sublist straddling into the next block fetches only the
         // unfetched tail.
         let r3 = collect(&mut m, span(4000, 256));
-        assert_eq!(r3, vec![DeviceRequest { addr: 4096, bytes: 4096, overhead_ps: 0 }]);
+        assert_eq!(
+            r3,
+            vec![DeviceRequest {
+                addr: 4096,
+                bytes: 4096
+            }]
+        );
     }
 
     #[test]
@@ -336,6 +355,38 @@ mod tests {
         let r2 = collect(&mut m, span(256, 256));
         assert_eq!(r1.iter().map(|r| r.bytes).sum::<u64>(), 256);
         assert_eq!(r2.iter().map(|r| r.bytes).sum::<u64>(), 256);
+    }
+
+    #[test]
+    fn device_request_is_sixteen_bytes() {
+        // A run's plan is dominated by requests: 16 B each (address and
+        // size) since the UVM fault overhead moved to the engine config.
+        assert_eq!(std::mem::size_of::<DeviceRequest>(), 16);
+    }
+
+    #[test]
+    fn uvm_faults_whole_pages_once() {
+        let mut m = AccessMethod::uvm(UvmConfig {
+            resident_bytes: 1 << 20,
+            ..UvmConfig::default()
+        });
+        let reqs = collect(&mut m, span(4096 + 100, 5000));
+        assert_eq!(
+            reqs,
+            vec![
+                DeviceRequest {
+                    addr: 4096,
+                    bytes: 4096
+                },
+                DeviceRequest {
+                    addr: 8192,
+                    bytes: 4096
+                },
+            ]
+        );
+        let mut out = Vec::new();
+        assert_eq!(m.requests_for_span(span(8192, 64), &mut out), 1);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! CXL read). **`Warp`**: a free warp takes the next item and a credit
 //! (or queues as a FIFO waiter); issuing computes the *request channel*
 //! in closed form — the TLP header / SQ entry serializes from
-//! `max(now + host overhead, channel free)` and reaches the device a
+//! `max(now + issue overhead, channel free)` and reaches the device a
 //! fixed flight later — calls the backend with that arrival instant, and
 //! schedules one `SegReady` per response segment. **`SegReady`**: the
 //! *return link* is a work-conserving FIFO server, so the segment is done
@@ -82,9 +82,12 @@
 //! * each round's batch becomes one **shard**, simulated on its own
 //!   fresh [`Engine`] (its own event lanes) starting at `t = 0`
 //!   ([`Engine::run_shard`]);
-//! * shards are fanned out over the rayon pool by [`simulate_shards`],
-//!   whose ordered collect puts results back in round order no matter
-//!   which worker ran them;
+//! * shards are fanned out over the rayon pool by `stream_shards`: a
+//!   worker plans the next round from the one shared planner, in round
+//!   order, simulates it, drops its requests, and files the outcome
+//!   under its round index, so results come back in round order no
+//!   matter which worker ran them ([`simulate_shards`] is the same loop
+//!   over batches planned in advance);
 //! * [`merge_shard_metrics`] reduces the per-shard [`ShardOutcome`]s in
 //!   **shard-index order**: simulated times are `u64` picoseconds (sums
 //!   and maxes are exact), and the latency [`OnlineStats`] are merged —
@@ -104,13 +107,16 @@
 //! re-read of the most recently sensed page skips the full `tR`), plane
 //! busy timestamps, and the latency-jitter RNG stream — which a fresh
 //! per-shard engine would reset, changing the physics. The traversal
-//! layer therefore dispatches on
+//! driver therefore has two policies, picked by
 //! [`BackendConfig::quiesces_between_batches`][qb]: quiescent backends
-//! take the shard path, flash-backed ones stay on the coupled chain
-//! (`Traversal::run_coupled`), keeping their paper-fidelity results
-//! byte-identical to the pre-shard engine. The differential suite in
-//! `crates/core/tests/parallel_differential.rs` pins all of these
-//! equivalences.
+//! take the shard policy above, flash-backed ones the chain policy — one
+//! engine whose batches run back to back on its clock, each level
+//! planned into one reused request buffer just before it runs —
+//! keeping their paper-fidelity results byte-identical to the pre-shard
+//! engine. `Traversal::run_coupled` forces the chain on any backend.
+//! Under either policy a worker holds at most one level's requests. The
+//! differential suite in `crates/core/tests/parallel_differential.rs`
+//! pins all of these equivalences.
 //!
 //! [qb]: crate::system::BackendConfig::quiesces_between_batches
 
@@ -151,6 +157,10 @@ pub struct EngineConfig {
     pub socket_penalty: SimDuration,
     /// Request transport semantics.
     pub path: RequestPath,
+    /// Host-side time paid before each request enters the request
+    /// channel: the UVM driver's per-fault handling (Related Work, §6),
+    /// zero for reads the GPU issues in hardware.
+    pub issue_overhead: SimDuration,
 }
 
 /// Result of executing one batch.
@@ -176,11 +186,12 @@ struct Events {
     seq: u64,
     /// A warp is free and pulls the next work item.
     warps: Lane<()>,
-    /// A response segment `(req, last, bytes)` reaches the return link;
-    /// `last` marks the request's segment the link serves last.
-    segs: Lane<(u32, bool, u64)>,
-    /// The request's final data arrived at the GPU.
-    completes: Lane<u32>,
+    /// A response segment of `bytes` reaches the return link; the
+    /// request's segment the link serves last carries its issue instant.
+    segs: Lane<(u64, Option<SimTime>)>,
+    /// The final data of a request issued at the carried instant arrived
+    /// at the GPU.
+    completes: Lane<SimTime>,
 }
 
 /// Which lane holds the next event.
@@ -208,15 +219,15 @@ impl Events {
     }
 
     #[inline]
-    fn seg(&mut self, t: SimTime, req: u32, last: bool, bytes: u64) {
+    fn seg(&mut self, t: SimTime, bytes: u64, last_of: Option<SimTime>) {
         let seq = self.stamp(t);
-        self.segs.push(t, seq, (req, last, bytes));
+        self.segs.push(t, seq, (bytes, last_of));
     }
 
     #[inline]
-    fn complete(&mut self, t: SimTime, req: u32) {
+    fn complete(&mut self, t: SimTime, issued: SimTime) {
         let seq = self.stamp(t);
-        self.completes.push(t, seq, req);
+        self.completes.push(t, seq, issued);
     }
 
     /// The lane whose head is the earliest `(time, seq)`, advancing `now`
@@ -327,7 +338,6 @@ impl Engine {
             self.events.warp(start);
         }
 
-        let mut issue_time = vec![SimTime::ZERO; r];
         let mut next_item = 0usize;
         let mut completed = 0usize;
         let mut returned = 0u64;
@@ -344,35 +354,35 @@ impl Engine {
                     if next_item >= r {
                         continue; // no more work; warp retires
                     }
-                    let idx = next_item as u32;
+                    let idx = next_item;
                     next_item += 1;
                     if self.credits.try_acquire(now) {
-                        self.issue(now, idx, requests, &mut issue_time);
+                        self.issue(now, requests[idx]);
                     } else {
                         self.credits.enqueue_waiter(idx as u64);
                     }
                 }
                 Next::Seg => {
-                    let (_, (req, last, bytes)) = self.events.segs.pop().expect("peeked");
+                    let (_, (bytes, last_of)) = self.events.segs.pop().expect("peeked");
                     let ser = self
                         .bandwidth
                         .transfer_time(bytes + PcieLinkConfig::COMPLETION_HEADER_BYTES);
                     let done = now.max(self.ret_next_free) + ser;
                     self.ret_next_free = done;
                     returned += bytes;
-                    if last {
+                    if let Some(issued) = last_of {
                         // Data reaches the GPU after the link propagation.
-                        self.events.complete(done + prop, req);
+                        self.events.complete(done + prop, issued);
                     }
                 }
                 Next::Complete => {
-                    let (_, idx) = self.events.completes.pop().expect("peeked");
-                    let lat = now.saturating_since(issue_time[idx as usize]);
+                    let (_, issued) = self.events.completes.pop().expect("peeked");
+                    let lat = now.saturating_since(issued);
                     latency.push(lat.as_us_f64());
                     completed += 1;
                     end = end.max(now);
                     if let Some(waiter) = self.credits.release(now) {
-                        self.issue(now, waiter as u32, requests, &mut issue_time);
+                        self.issue(now, requests[waiter as usize]);
                     }
                     // The freed warp pulls its next item after processing
                     // the fetched edges.
@@ -405,21 +415,12 @@ impl Engine {
         }
     }
 
-    /// Issue request `idx` at `now`: host-side overhead (zero except for
-    /// UVM page faults), then the request serializes on the request
+    /// Issue `req` at `now`: the host-side issue overhead (zero except
+    /// for UVM page faults), then the request serializes on the request
     /// channel once it is free and flies to the device, which is handed
     /// the read at its arrival instant.
-    fn issue(
-        &mut self,
-        now: SimTime,
-        idx: u32,
-        requests: &[DeviceRequest],
-        issue_time: &mut [SimTime],
-    ) {
-        issue_time[idx as usize] = now;
-        let req = requests[idx as usize];
-        let host = SimDuration::from_ps(req.overhead_ps);
-        let out = (now + host).max(self.req_next_free) + self.request_ser;
+    fn issue(&mut self, now: SimTime, req: DeviceRequest) {
+        let out = (now + self.cfg.issue_overhead).max(self.req_next_free) + self.request_ser;
         self.req_next_free = out;
         let arrive = out + self.request_flight;
         self.segs.clear();
@@ -432,8 +433,9 @@ impl Engine {
             .expect("a device read yields at least one segment");
         for (i, s) in self.segs.iter().enumerate() {
             // Return-side socket hop happens before the link.
+            let last_of = (i == last).then_some(now);
             self.events
-                .seg(s.ready + self.cfg.socket_penalty, idx, i == last, s.bytes);
+                .seg(s.ready + self.cfg.socket_penalty, s.bytes, last_of);
         }
     }
 
@@ -455,6 +457,11 @@ impl Engine {
     /// The engine's configured credit limit.
     pub fn credit_limit(&self) -> u64 {
         self.cfg.credits
+    }
+
+    /// The host-side overhead charged before each request is issued.
+    pub fn issue_overhead(&self) -> SimDuration {
+        self.cfg.issue_overhead
     }
 
     /// Execute one round shard on this engine: run `requests` as a batch
@@ -494,18 +501,58 @@ pub struct ShardOutcome {
 /// Simulate every round's batch as an independent shard across the rayon
 /// pool, returning outcomes in round order. `factory` builds one fresh
 /// [`Engine`] per shard (each shard gets its own event lanes and backend
-/// state). The vendored rayon's ordered collect guarantees the output
-/// order — and therefore the downstream merge — is a pure function of
-/// `batches`, independent of `RAYON_NUM_THREADS`.
+/// state). A thin wrapper over `stream_shards`, the traversal driver's
+/// shard loop, with a planner that copies the given batches; the output
+/// is a pure function of `batches`, independent of `RAYON_NUM_THREADS`.
 pub fn simulate_shards<F>(factory: F, batches: &[Vec<DeviceRequest>]) -> Vec<ShardOutcome>
 where
     F: Fn() -> Engine + Sync,
 {
+    stream_shards(
+        batches.len(),
+        |level, reqs| reqs.extend_from_slice(&batches[level]),
+        factory,
+    )
+    .into_iter()
+    .map(|((), outcome)| outcome)
+    .collect()
+}
+
+/// The shard policy's level loop: simulate `levels` rounds as independent
+/// shards across the rayon pool, planning each just before it runs.
+///
+/// A pool worker locks the one shared `plan`, which writes the next
+/// level's requests into the worker's buffer — levels are planned in
+/// level order, whichever worker asks, so stateful access methods see
+/// them in order. The worker unlocks, simulates the level on a fresh
+/// engine from `factory`, and drops its requests; so at most one level
+/// per worker is resident. Each outcome is filed under its level index
+/// with what `plan` returned for it, and the result is in level order.
+pub(crate) fn stream_shards<T, P, F>(levels: usize, plan: P, factory: F) -> Vec<(T, ShardOutcome)>
+where
+    T: Send,
+    P: FnMut(usize, &mut Vec<DeviceRequest>) -> T + Send,
+    F: Fn() -> Engine + Sync,
+{
     use rayon::prelude::*;
-    batches
-        .par_iter()
-        .map(|reqs| factory().run_shard(reqs))
-        .collect()
+    use std::sync::Mutex;
+    let planner = Mutex::new((0usize, plan));
+    let mut filed: Vec<(usize, T, ShardOutcome)> = (0..levels)
+        .into_par_iter()
+        .map(|_| {
+            let mut reqs = Vec::new();
+            let (level, planned) = {
+                let mut guard = planner.lock().expect("a planner panicked");
+                let (next, plan) = &mut *guard;
+                let level = *next;
+                *next += 1;
+                (level, plan(level, &mut reqs))
+            };
+            (level, planned, factory().run_shard(&reqs))
+        })
+        .collect();
+    filed.sort_unstable_by_key(|&(level, ..)| level);
+    filed.into_iter().map(|(_, t, o)| (t, o)).collect()
 }
 
 /// Reduce per-round [`ShardOutcome`]s into run-level [`RunMetrics`],
@@ -568,6 +615,7 @@ mod tests {
             link,
             socket_penalty: SimDuration::ZERO,
             path: RequestPath::Memory,
+            issue_overhead: SimDuration::ZERO,
         };
         Engine::new(cfg, Box::new(HostDram::new(HostDramConfig::default())))
     }
@@ -577,7 +625,6 @@ mod tests {
             .map(|i| DeviceRequest {
                 addr: (i as u64) * 4096,
                 bytes,
-                overhead_ps: 0,
             })
             .collect()
     }
@@ -623,6 +670,14 @@ mod tests {
     /// Gen4 x16 (24 B/ns: a 24 B request TLP serializes in 1 ns, a 48 B
     /// segment in 2 ns), 400 ns propagation, near socket.
     fn scripted_engine(warps: u32, backend: Box<dyn MemoryTarget>) -> Engine {
+        scripted_engine_with_overhead(warps, backend, SimDuration::ZERO)
+    }
+
+    fn scripted_engine_with_overhead(
+        warps: u32,
+        backend: Box<dyn MemoryTarget>,
+        issue_overhead: SimDuration,
+    ) -> Engine {
         let link = PcieLinkConfig::x16(PcieGen::Gen4);
         let cfg = EngineConfig {
             gpu: GpuConfig::default().with_active_warps(warps),
@@ -630,6 +685,7 @@ mod tests {
             link,
             socket_penalty: SimDuration::ZERO,
             path: RequestPath::Memory,
+            issue_overhead,
         };
         Engine::new(cfg, backend)
     }
@@ -689,13 +745,9 @@ mod tests {
                 script: vec![vec![(0, 48)]],
                 reads: 0,
             };
-            let mut e = scripted_engine(1, Box::new(dev));
-            let req = DeviceRequest {
-                addr: 0,
-                bytes: 48,
-                overhead_ps,
-            };
-            e.run_batch(SimTime::ZERO, &[req])
+            let mut e =
+                scripted_engine_with_overhead(1, Box::new(dev), SimDuration::from_ps(overhead_ps));
+            e.run_batch(SimTime::ZERO, &uniform_requests(1, 48))
         };
         let plain = run(0);
         let uvm = run(1_000_000);
@@ -736,8 +788,8 @@ mod tests {
             for kind in order {
                 match kind {
                     Warp => ev.warp(t),
-                    Seg => ev.seg(t, 0, true, 64),
-                    Complete => ev.complete(t, 0),
+                    Seg => ev.seg(t, 64, Some(SimTime::ZERO)),
+                    Complete => ev.complete(t, SimTime::ZERO),
                 }
             }
             assert_eq!(drain(&mut ev), order);
@@ -753,17 +805,17 @@ mod tests {
         assert_eq!(drain(&mut ev), [Next::Warp]);
         assert_eq!(ev.now, SimTime(100));
         // Scheduling at the new clock is allowed; before it is not.
-        ev.complete(SimTime(100), 0);
+        ev.complete(SimTime(100), SimTime::ZERO);
         assert_eq!(drain(&mut ev), [Next::Complete]);
     }
 
     #[test]
     fn earlier_events_pop_first_across_lanes() {
         let mut ev = Events::default();
-        ev.complete(SimTime(30), 0);
+        ev.complete(SimTime(30), SimTime::ZERO);
         ev.warp(SimTime(20));
-        ev.seg(SimTime(40), 0, false, 64);
-        ev.seg(SimTime(10), 0, true, 64); // out of order: overflow heap
+        ev.seg(SimTime(40), 64, None);
+        ev.seg(SimTime(10), 64, Some(SimTime::ZERO)); // out of order: overflow heap
         assert_eq!(
             drain(&mut ev),
             [Next::Seg, Next::Warp, Next::Complete, Next::Seg]
@@ -777,7 +829,7 @@ mod tests {
         let mut ev = Events::default();
         ev.warp(SimTime(10));
         drain(&mut ev);
-        ev.complete(SimTime(9), 0);
+        ev.complete(SimTime(9), SimTime::ZERO);
     }
 
     #[test]
@@ -791,6 +843,7 @@ mod tests {
             link,
             socket_penalty: SimDuration::ZERO,
             path: RequestPath::Memory,
+            issue_overhead: SimDuration::ZERO,
         };
         Engine::new(cfg, Box::new(HostDram::new(HostDramConfig::default())));
     }

@@ -37,7 +37,8 @@ pub fn pointer_chase_latency(
     let requests: Vec<DeviceRequest> = (0..hops)
         .map(|_| DeviceRequest {
             addr: chase.next_addr(),
-            bytes: POINTER_BYTES, overhead_ps: 0 })
+            bytes: POINTER_BYTES,
+        })
         .collect();
     // One warp serializes the loads exactly like the dependent chase.
     let single = sys.with_active_warps(1);
@@ -147,6 +148,22 @@ pub fn smoke_bfs() -> crate::metrics::RunReport {
 mod tests {
     use super::*;
     use cxlg_link::pcie::PcieGen;
+
+    #[test]
+    fn fig9_and_eqcheck_engines_charge_no_issue_overhead() {
+        // The chase and the eqcheck saturation batch build plain
+        // requests; only a UVM system's engine adds a per-request
+        // overhead, and neither runs on one.
+        for sys in [
+            SystemConfig::emogi_on_dram(PcieGen::Gen4),
+            SystemConfig::emogi_on_dram(PcieGen::Gen4).on_far_socket(),
+            SystemConfig::emogi_on_cxl(PcieGen::Gen4, 1).with_added_latency_us(3.0),
+            SystemConfig::emogi_on_cxl(PcieGen::Gen4, 1).on_far_socket(),
+        ] {
+            let engine = sys.with_active_warps(1).build_engine();
+            assert_eq!(engine.issue_overhead(), cxlg_sim::SimDuration::ZERO);
+        }
+    }
 
     #[test]
     fn host_dram_pointer_chase_matches_fig9() {

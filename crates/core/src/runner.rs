@@ -40,7 +40,7 @@ where
 /// ambient pool size. Campaign drivers route every sweep through this
 /// with the context's configured worker count, so one knob governs both
 /// the cross-point fan-out here and the within-run round shards in
-/// [`crate::engine::simulate_shards`]. Results are identical at any
+/// `cxlg_core::engine::stream_shards`. Results are identical at any
 /// thread count; only wall-clock changes.
 pub fn sweep_with_threads<P, R, F>(threads: usize, points: Vec<P>, f: F) -> Vec<R>
 where

@@ -11,6 +11,7 @@ use cxlg_device::nvme::{NvmeConfig, NvmeSsd};
 use cxlg_device::xlfdd::{XlfddConfig, XlfddDrive};
 use cxlg_gpu::bar::SubmissionQueueModel;
 use cxlg_gpu::config::GpuConfig;
+use cxlg_gpu::uvm::UvmConfig;
 use cxlg_link::pcie::{PcieGen, PcieLinkConfig};
 use cxlg_link::topology::{DevicePlacement, Topology};
 use serde::{Deserialize, Serialize};
@@ -345,6 +346,12 @@ impl SystemConfig {
         let socket_penalty = placement
             .map(|p| self.topology.socket_penalty(p))
             .unwrap_or(cxlg_sim::SimDuration::ZERO);
+        // Every UVM request is a page fault; the overhead does not depend
+        // on the residency budget.
+        let issue_overhead = match self.access {
+            AccessConfig::Uvm { .. } => uvm_config(0).fault_overhead(),
+            _ => cxlg_sim::SimDuration::ZERO,
+        };
         Engine::new(
             EngineConfig {
                 gpu: self.gpu,
@@ -352,6 +359,7 @@ impl SystemConfig {
                 credits: self.credits(),
                 socket_penalty,
                 path,
+                issue_overhead,
             },
             backend,
         )
@@ -373,9 +381,20 @@ impl SystemConfig {
             AccessConfig::Direct { alignment } => AccessMethod::xlfdd_direct(alignment),
             AccessConfig::Uvm { resident_bytes } => {
                 let resident = resident_bytes.unwrap_or((edge_list_bytes / 4).max(4096 * 256));
-                AccessMethod::uvm(resident)
+                AccessMethod::uvm(uvm_config(resident))
             }
         }
+    }
+}
+
+/// The UVM paging parameters with `resident_bytes` of GPU memory for
+/// migrated pages: the one source of both the page table
+/// [`SystemConfig::build_access`] builds and the fault overhead
+/// [`SystemConfig::build_engine`] charges at issue.
+fn uvm_config(resident_bytes: u64) -> UvmConfig {
+    UvmConfig {
+        resident_bytes,
+        ..UvmConfig::default()
     }
 }
 
@@ -433,6 +452,30 @@ mod tests {
         ] {
             let e = sys.build_engine();
             assert_eq!(e.credit_limit(), sys.credits());
+        }
+    }
+
+    #[test]
+    fn only_uvm_engines_charge_an_issue_overhead() {
+        let uvm = SystemConfig::uvm_on_dram(PcieGen::Gen4);
+        let fault = match uvm.build_access(400 << 20) {
+            crate::access::AccessMethod::Uvm { table } => table.config().fault_overhead(),
+            _ => panic!("expected a UVM page table"),
+        };
+        assert!(fault > cxlg_sim::SimDuration::ZERO);
+        assert_eq!(uvm.build_engine().issue_overhead(), fault);
+        for sys in [
+            SystemConfig::emogi_on_dram(PcieGen::Gen4),
+            SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5),
+            SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
+            SystemConfig::xlfdd(PcieGen::Gen4, 16),
+        ] {
+            assert_eq!(
+                sys.build_engine().issue_overhead(),
+                cxlg_sim::SimDuration::ZERO,
+                "{}",
+                sys.label()
+            );
         }
     }
 

@@ -16,19 +16,33 @@
 //!
 //! # Execution paths
 //!
-//! A run has three stages: trace, request planning, and simulation.
-//! Planning is sequential by construction — the access methods are
-//! stateful across levels (the BaM cache, UVM fault tracking) — but it
-//! is cheap; simulation dominates. On backends that quiesce at the
-//! level barrier (DRAM, CXL), [`Traversal::run`] simulates each level's
-//! batch as an independent **round shard** across the rayon pool and
-//! merges outcomes in level order (see the `engine` module docs for why
-//! this is exact); flash-backed backends carry media state across
-//! batches and stay on the coupled one-engine chain.
-//! [`Traversal::run_reference`] is the sequential oracle with the
-//! identical decomposition and dispatch, and [`Traversal::run_coupled`]
-//! keeps the legacy chained-batch semantics on every backend; the
-//! differential tests pin all three against each other.
+//! A run has three stages: trace, request planning, and simulation. One
+//! driver runs them: it traces the whole workload, then plans each level
+//! just before that level is simulated and drops the level's requests
+//! once it is done, so a run never holds its whole request plan. Planning
+//! is sequential by construction — the access methods are stateful
+//! across levels (the BaM cache, UVM fault tracking) — but it is cheap;
+//! simulation dominates. The driver has two policies:
+//!
+//! * **Shards**, on backends that quiesce at the level barrier (DRAM,
+//!   CXL): each rayon worker locks the one shared planner, plans the next
+//!   level in level order, unlocks, and simulates that level as an
+//!   independent **round shard** on a fresh engine
+//!   (`engine::stream_shards`). Outcomes merge in level order (see the
+//!   `engine` module docs for why this is exact). At most one level's
+//!   requests per worker are resident.
+//! * **Chain**, for flash-backed backends, whose media carries state
+//!   across batches: one engine, each level's batch starting on the clock
+//!   where the previous one ended, planned into one reused buffer.
+//!
+//! [`Traversal::run`] picks the policy by
+//! [`BackendConfig::quiesces_between_batches`][qb];
+//! [`Traversal::run_coupled`] forces the chain on every backend, the
+//! physics oracle the shard decomposition is checked against. The
+//! parallel oracle is `run` itself on a 1-thread pool, where the shard
+//! policy plans and simulates the levels one after another.
+//!
+//! [qb]: crate::system::BackendConfig::quiesces_between_batches
 //!
 //! The trace is one sequential kernel per algorithm (BFS, SSSP, CC).
 //! Each walks the frontier in sorted order, loops over the borrowed
@@ -46,13 +60,13 @@
 //! with both threads given to the fan-out. The traces therefore involve
 //! no threads at all.
 
-use crate::access::DeviceRequest;
-use crate::engine::{self, ShardOutcome};
+use crate::access::{AccessMethod, DeviceRequest};
+use crate::engine;
 use crate::metrics::{LevelStats, RunMetrics, RunReport};
 use crate::system::SystemConfig;
 use cxlg_graph::layout::EdgeListLayout;
 use cxlg_graph::{CsrView, VertexId};
-use cxlg_sim::SimTime;
+use cxlg_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Which algorithm to run.
@@ -87,20 +101,63 @@ pub struct Traversal {
     pub workload: Workload,
 }
 
-/// Everything the simulation stage needs, produced by the sequential
-/// planning stage: one request batch per level plus the trace-derived
-/// statistics the engine cannot know.
-struct RunPlan {
-    /// Per-level device request batches, in level order.
-    batches: Vec<Vec<DeviceRequest>>,
-    /// Per-level `(frontier size, useful bytes)`.
-    level_info: Vec<(u64, u64)>,
-    /// Sum of per-level useful bytes (`E` of §3.1).
-    total_useful: u64,
-    /// Access-method cache hits over the whole run.
-    total_hits: u64,
-    /// Vertices reached (BFS/SSSP/CC) or processed (PageRank).
-    reached: u64,
+/// What planning one level yields besides its requests: the
+/// trace-derived statistics the engine cannot know.
+#[derive(Clone, Copy)]
+struct LevelPlan {
+    /// Frontier size.
+    frontier: u64,
+    /// Useful sublist bytes (the level's share of `E`, §3.1).
+    useful: u64,
+    /// Access-method cache hits.
+    hits: u64,
+}
+
+/// The sequential planning stage, one level at a time: routes a traced
+/// level's sublist spans through the (stateful) access method. Levels
+/// must be planned in level order.
+struct Planner<'g, G: ?Sized> {
+    layout: EdgeListLayout<'g, G>,
+    access: AccessMethod,
+    /// The traced frontiers; each is dropped once planned.
+    frontiers: Vec<Vec<VertexId>>,
+}
+
+impl<'g, G: CsrView + ?Sized> Planner<'g, G> {
+    fn new(g: &'g G, sys: &SystemConfig, frontiers: Vec<Vec<VertexId>>) -> Self {
+        let layout = EdgeListLayout::new(g);
+        Planner {
+            access: sys.build_access(layout.edge_list_bytes()),
+            layout,
+            frontiers,
+        }
+    }
+
+    /// Append level `level`'s device requests to `out`.
+    fn plan(&mut self, level: usize, out: &mut Vec<DeviceRequest>) -> LevelPlan {
+        let frontier = std::mem::take(&mut self.frontiers[level]);
+        self.access.begin_level();
+        let (mut useful, mut hits) = (0u64, 0u64);
+        for &v in &frontier {
+            let span = self.layout.sublist_span(v);
+            useful += span.len;
+            hits += self.access.requests_for_span(span, out);
+        }
+        LevelPlan {
+            frontier: frontier.len() as u64,
+            useful,
+            hits,
+        }
+    }
+}
+
+/// How the driver simulates the planned levels (module docs).
+#[derive(Clone, Copy)]
+enum Policy {
+    /// Independent round shards across the rayon pool.
+    Shards,
+    /// One engine, batches chained on its clock.
+    Chain,
 }
 
 impl Traversal {
@@ -170,68 +227,6 @@ impl Traversal {
         }
     }
 
-    /// Sequential planning stage: trace the workload, then route every
-    /// level's sublist spans through the (stateful) access method to get
-    /// per-level request batches.
-    fn plan<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunPlan {
-        let layout = EdgeListLayout::new(g);
-        let mut access = sys.build_access(layout.edge_list_bytes());
-        let (levels_vertices, reached) = self.trace_with_reached(g);
-
-        let mut batches = Vec::with_capacity(levels_vertices.len());
-        let mut level_info = Vec::with_capacity(levels_vertices.len());
-        let mut total_useful = 0u64;
-        let mut total_hits = 0u64;
-        for frontier in &levels_vertices {
-            let mut reqs: Vec<DeviceRequest> = Vec::new();
-            access.begin_level();
-            let mut useful = 0u64;
-            for &v in frontier {
-                let span = layout.sublist_span(v);
-                useful += span.len;
-                total_hits += access.requests_for_span(span, &mut reqs);
-            }
-            total_useful += useful;
-            level_info.push((frontier.len() as u64, useful));
-            batches.push(reqs);
-        }
-        RunPlan {
-            batches,
-            level_info,
-            total_useful,
-            total_hits,
-            reached,
-        }
-    }
-
-    /// Assemble the report from per-level shard outcomes (in level
-    /// order) and the plan's trace statistics.
-    fn assemble(&self, plan: RunPlan, outcomes: Vec<ShardOutcome>, sys: &SystemConfig) -> RunReport {
-        let levels: Vec<LevelStats> = plan
-            .level_info
-            .iter()
-            .zip(&outcomes)
-            .enumerate()
-            .map(|(depth, (&(frontier, useful), o))| LevelStats {
-                depth: depth as u32,
-                frontier,
-                useful_bytes: useful,
-                fetched_bytes: o.result.fetched_bytes,
-                runtime: o.result.end.saturating_since(SimTime::ZERO),
-            })
-            .collect();
-        let mut metrics: RunMetrics = engine::merge_shard_metrics(&outcomes);
-        metrics.useful_bytes = plan.total_useful;
-        metrics.cache_hits = plan.total_hits;
-        RunReport {
-            metrics,
-            levels,
-            reached: plan.reached,
-            workload: self.name().to_string(),
-            backend: sys.label(),
-        }
-    }
-
     /// Run the workload on a simulated system, producing full metrics.
     ///
     /// On backends whose device state quiesces at the level barrier
@@ -240,7 +235,7 @@ impl Traversal {
     /// batch is simulated as an independent round shard across the rayon
     /// pool and the outcomes are merged in level order — bit-identical
     /// at any `RAYON_NUM_THREADS` *and* bit-identical to the coupled
-    /// path. Flash-backed backends (XLFDD, NVMe) carry real media state
+    /// chain. Flash-backed backends (XLFDD, NVMe) carry real media state
     /// between batches (plane page registers, busy timestamps, the
     /// jitter RNG), so resetting it per shard would change the physics;
     /// they stay on the coupled single-engine chain, preserving the
@@ -249,66 +244,79 @@ impl Traversal {
     ///
     /// [qb]: crate::system::BackendConfig::quiesces_between_batches
     pub fn run<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        if !sys.backend.quiesces_between_batches() {
-            return self.run_coupled(g, sys);
-        }
-        let plan = self.plan(g, sys);
-        let outcomes = engine::simulate_shards(|| sys.build_engine(), &plan.batches);
-        self.assemble(plan, outcomes, sys)
+        let policy = if sys.backend.quiesces_between_batches() {
+            Policy::Shards
+        } else {
+            Policy::Chain
+        };
+        self.drive(g, sys, policy)
     }
 
-    /// Sequential reference oracle: the identical decomposition and
-    /// merge as [`Traversal::run`] — per-level shards simulated in level
-    /// order on the calling thread for quiescent backends, the coupled
-    /// chain for flash-backed ones — with no rayon involvement in the
-    /// simulation stage. The differential harness pins `run` against
-    /// this at several pool sizes.
-    pub fn run_reference<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        if !sys.backend.quiesces_between_batches() {
-            return self.run_coupled(g, sys);
-        }
-        let plan = self.plan(g, sys);
-        let outcomes: Vec<ShardOutcome> = plan
-            .batches
-            .iter()
-            .map(|reqs| sys.build_engine().run_shard(reqs))
-            .collect();
-        self.assemble(plan, outcomes, sys)
-    }
-
-    /// Legacy coupled execution: one engine for the whole run, each
-    /// batch starting on the clock where the previous one ended. This is
-    /// the physics oracle the shard decomposition is validated against —
-    /// for backends whose device state quiesces between batches (all but
-    /// the flash arrays with their page registers and jitter RNGs),
-    /// [`Traversal::run`] must reproduce it bit-for-bit.
+    /// Coupled execution on any backend: one engine for the whole run,
+    /// each batch starting on the clock where the previous one ended.
+    /// This is the physics oracle the shard decomposition is validated
+    /// against — for backends whose device state quiesces between
+    /// batches (all but the flash arrays with their page registers and
+    /// jitter RNGs), [`Traversal::run`] must reproduce it bit-for-bit.
     pub fn run_coupled<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        let plan = self.plan(g, sys);
-        let mut engine = sys.build_engine();
-        let mut levels = Vec::with_capacity(plan.batches.len());
-        let mut t = SimTime::ZERO;
-        for (depth, (reqs, &(frontier, useful))) in
-            plan.batches.iter().zip(&plan.level_info).enumerate()
-        {
-            let level_start = t;
-            let batch = engine.run_batch(t, reqs);
-            t = batch.end;
-            levels.push(LevelStats {
-                depth: depth as u32,
-                frontier,
-                useful_bytes: useful,
-                fetched_bytes: batch.fetched_bytes,
-                runtime: t.saturating_since(level_start),
-            });
-        }
-        let mut metrics: RunMetrics = engine.finish();
-        metrics.useful_bytes = plan.total_useful;
-        metrics.cache_hits = plan.total_hits;
-        metrics.runtime = t.saturating_since(SimTime::ZERO);
+        self.drive(g, sys, Policy::Chain)
+    }
+
+    /// The one driver: trace, then plan and simulate level by level
+    /// under `policy` (module docs).
+    fn drive<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig, policy: Policy) -> RunReport {
+        let (frontiers, reached) = self.trace_with_reached(g);
+        let depth = frontiers.len();
+        let mut planner = Planner::new(g, sys, frontiers);
+        // Per level: the plan, the fetched bytes and the simulated time.
+        let mut levels: Vec<(LevelPlan, u64, SimDuration)> = Vec::with_capacity(depth);
+        let mut metrics: RunMetrics = match policy {
+            Policy::Shards => {
+                let filed = engine::stream_shards(
+                    depth,
+                    |level, reqs| planner.plan(level, reqs),
+                    || sys.build_engine(),
+                );
+                let mut outcomes = Vec::with_capacity(depth);
+                for (plan, o) in filed {
+                    let runtime = o.result.end.saturating_since(SimTime::ZERO);
+                    levels.push((plan, o.result.fetched_bytes, runtime));
+                    outcomes.push(o);
+                }
+                engine::merge_shard_metrics(&outcomes)
+            }
+            Policy::Chain => {
+                let mut engine = sys.build_engine();
+                let mut reqs = Vec::new();
+                let mut t = SimTime::ZERO;
+                for level in 0..depth {
+                    reqs.clear();
+                    let plan = planner.plan(level, &mut reqs);
+                    let batch = engine.run_batch(t, &reqs);
+                    levels.push((plan, batch.fetched_bytes, batch.end.saturating_since(t)));
+                    t = batch.end;
+                }
+                let mut metrics = engine.finish();
+                metrics.runtime = t.saturating_since(SimTime::ZERO);
+                metrics
+            }
+        };
+        metrics.useful_bytes = levels.iter().map(|(p, ..)| p.useful).sum();
+        metrics.cache_hits = levels.iter().map(|(p, ..)| p.hits).sum();
         RunReport {
             metrics,
-            levels,
-            reached: plan.reached,
+            levels: levels
+                .iter()
+                .enumerate()
+                .map(|(depth, &(plan, fetched_bytes, runtime))| LevelStats {
+                    depth: depth as u32,
+                    frontier: plan.frontier,
+                    useful_bytes: plan.useful,
+                    fetched_bytes,
+                    runtime,
+                })
+                .collect(),
+            reached,
             workload: self.name().to_string(),
             backend: sys.label(),
         }
@@ -856,19 +864,29 @@ mod tests {
     }
 
     #[test]
-    fn run_reference_is_the_same_decomposition() {
+    fn run_on_one_worker_is_the_oracle_at_every_pool_size() {
         let g = GraphSpec::urand(9).seed(6).build();
         let trav = Traversal::bfs(0);
-        // The oracle mirrors the dispatch: sequential shards on a
-        // quiescent backend, the coupled chain on a flash-backed one —
-        // either way `run` must agree with it byte-for-byte.
+        // On a 1-thread pool the shard policy plans and simulates the
+        // levels one after another; on a flash-backed backend `run`
+        // takes the chain at any pool size. Either way every pool must
+        // agree with it byte-for-byte.
         for sys in [
             SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5),
+            SystemConfig::uvm_on_dram(PcieGen::Gen4),
             SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
         ] {
-            let a = serde_json::to_string(&trav.run(&g, &sys)).unwrap();
-            let b = serde_json::to_string(&trav.run_reference(&g, &sys)).unwrap();
-            assert_eq!(a, b, "{}", sys.label());
+            let oracle = rayon::with_num_threads(1, || trav.run(&g, &sys));
+            let oracle = serde_json::to_string(&oracle).unwrap();
+            for workers in [2, 8] {
+                let got = rayon::with_num_threads(workers, || trav.run(&g, &sys));
+                assert_eq!(
+                    serde_json::to_string(&got).unwrap(),
+                    oracle,
+                    "{} at {workers} workers",
+                    sys.label()
+                );
+            }
         }
     }
 

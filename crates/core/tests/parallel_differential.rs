@@ -3,11 +3,13 @@
 //! Three equivalences pin the decomposition (see the `engine` module
 //! docs for why they hold):
 //!
-//! 1. **Parallel vs oracle** — [`Traversal::run`] must match the
-//!    sequential reference [`Traversal::run_reference`] byte-for-byte at
-//!    every worker count, on *every* backend (the oracle mirrors `run`'s
-//!    dispatch: sequential round shards on quiescent backends, the
-//!    coupled chain on flash-backed ones).
+//! 1. **Parallel vs oracle** — [`Traversal::run`] must match itself on a
+//!    1-thread pool byte-for-byte at every worker count, on *every*
+//!    backend. On one worker the traversal driver plans and simulates
+//!    the round shards one level after another; on more, workers take
+//!    levels from the one shared planner in level order, which the
+//!    stateful UVM planner in the system sweep depends on. Flash-backed
+//!    backends take the coupled chain at any pool size.
 //! 2. **Sharded vs coupled** — on backends whose device state quiesces
 //!    at the level barrier (DRAM, CXL, UVM), `run` must also match the
 //!    legacy one-engine [`Traversal::run_coupled`] physics oracle
@@ -84,7 +86,7 @@ proptest! {
         let g = family(fam, scale, seed).build();
         let trav = workload(work_pick, &g);
         let sys = any_system(sys_pick);
-        let oracle = rayon::with_num_threads(1, || trav.run_reference(&g, &sys));
+        let oracle = rayon::with_num_threads(1, || trav.run(&g, &sys));
         let oracle_bytes = serde_json::to_string(&oracle).unwrap();
         for workers in WORKER_COUNTS {
             let got = rayon::with_num_threads(workers, || trav.run(&g, &sys));
@@ -124,11 +126,7 @@ proptest! {
 /// Synthetic per-level batches with uneven sizes (including an empty
 /// level) — the shapes the traversal planner actually emits.
 fn synthetic_batches() -> Vec<Vec<DeviceRequest>> {
-    let req = |addr: u64, bytes: u64| DeviceRequest {
-        addr,
-        bytes,
-        overhead_ps: 0,
-    };
+    let req = |addr: u64, bytes: u64| DeviceRequest { addr, bytes };
     vec![
         vec![req(0, 128)],
         (0..2000).map(|i| req(i * 64, 64)).collect(),

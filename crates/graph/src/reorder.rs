@@ -14,7 +14,6 @@
 //!   with frontier order (the locality BFS actually sees);
 //! * [`random`] — adversarial shuffling, the locality floor.
 
-use crate::builder::csr_from_packed_arcs;
 use crate::csr::Csr;
 use crate::storage::CsrView;
 use crate::VertexId;
@@ -25,18 +24,38 @@ use rand::SeedableRng;
 /// Apply a relabeling permutation: vertex `v` becomes `perm[v]`.
 /// `perm` must be a permutation of `0..n`. The input may live in any
 /// storage backend; the relabeled result is always in-memory.
+///
+/// Two passes, no arc list: new vertex `perm[v]` takes `v`'s degree, so
+/// the offsets are a prefix sum; then each old sublist is relabeled into
+/// its new sublist, which is sorted. Self-loops and repeated arcs are
+/// kept, so the result equals the sort-based
+/// [`crate::builder::csr_from_packed_arcs`] over the relabeled arcs
+/// without dedup.
 pub fn relabel<G: CsrView + ?Sized>(g: &G, perm: &[VertexId]) -> Csr {
     let n = g.num_vertices();
     assert_eq!(perm.len(), n, "permutation length mismatch");
     debug_assert!(is_permutation(perm));
-    let mut arcs: Vec<u64> = Vec::with_capacity(g.num_edges() as usize);
+    let mut offsets = vec![0u64; n + 1];
     for v in 0..n as VertexId {
-        let nv = perm[v as usize];
-        g.for_neighbors(v, &mut |u| {
-            arcs.push(crate::builder::pack_arc(nv, perm[u as usize]));
-        });
+        offsets[perm[v as usize] as usize + 1] = g.degree(v);
     }
-    csr_from_packed_arcs(n, arcs, false)
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut targets: Vec<VertexId> = vec![0; offsets[n] as usize];
+    for v in 0..n as VertexId {
+        let nv = perm[v as usize] as usize;
+        let sublist = &mut targets[offsets[nv] as usize..offsets[nv + 1] as usize];
+        let mut next = 0;
+        g.with_neighbors(v, &mut |window| {
+            for &u in window {
+                sublist[next] = perm[u as usize];
+                next += 1;
+            }
+        });
+        sublist.sort_unstable();
+    }
+    Csr::from_parts(offsets, targets)
 }
 
 fn is_permutation(perm: &[VertexId]) -> bool {
@@ -53,6 +72,10 @@ fn is_permutation(perm: &[VertexId]) -> bool {
 /// Relabel so the highest-degree vertices get the lowest IDs (their
 /// sublists pack together at the front of the edge list).
 pub fn by_degree<G: CsrView + ?Sized>(g: &G) -> Csr {
+    relabel(g, &degree_perm(g))
+}
+
+fn degree_perm<G: CsrView + ?Sized>(g: &G) -> Vec<VertexId> {
     let n = g.num_vertices();
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
     order.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
@@ -60,12 +83,16 @@ pub fn by_degree<G: CsrView + ?Sized>(g: &G) -> Csr {
     for (new_id, &old) in order.iter().enumerate() {
         perm[old as usize] = new_id as VertexId;
     }
-    relabel(g, &perm)
+    perm
 }
 
 /// Relabel in BFS discovery order from `source`; unreached vertices keep
 /// their relative order after the reached ones.
 pub fn by_bfs<G: CsrView + ?Sized>(g: &G, source: VertexId) -> Csr {
+    relabel(g, &bfs_perm(g, source))
+}
+
+fn bfs_perm<G: CsrView + ?Sized>(g: &G, source: VertexId) -> Vec<VertexId> {
     let n = g.num_vertices();
     let mut perm = vec![VertexId::MAX; n];
     let mut next_id: VertexId = 0;
@@ -92,21 +119,26 @@ pub fn by_bfs<G: CsrView + ?Sized>(g: &G, source: VertexId) -> Csr {
             next_id += 1;
         }
     }
-    relabel(g, &perm)
+    perm
 }
 
 /// Random relabeling — destroys any locality (the adversarial baseline).
 pub fn random<G: CsrView + ?Sized>(g: &G, seed: u64) -> Csr {
-    let n = g.num_vertices();
+    relabel(g, &random_perm(g.num_vertices(), seed))
+}
+
+fn random_perm(n: usize, seed: u64) -> Vec<VertexId> {
     let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
     perm.shuffle(&mut SmallRng::seed_from_u64(seed));
-    relabel(g, &perm)
+    perm
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{csr_from_edges, csr_from_packed_arcs, pack_arc};
     use crate::spec::GraphSpec;
+    use crate::storage::{SpillConfig, SpillCsr};
 
     fn degree_multiset(g: &Csr) -> Vec<u64> {
         let mut d: Vec<u64> = (0..g.num_vertices() as VertexId)
@@ -174,6 +206,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The sort-based oracle: pack every relabeled arc and build through
+    /// `csr_from_packed_arcs` without dedup.
+    fn relabel_oracle<G: CsrView + ?Sized>(g: &G, perm: &[VertexId]) -> Csr {
+        let mut arcs = Vec::new();
+        for v in 0..g.num_vertices() as VertexId {
+            g.for_neighbors(v, &mut |u| {
+                arcs.push(pack_arc(perm[v as usize], perm[u as usize]));
+            });
+        }
+        csr_from_packed_arcs(g.num_vertices(), arcs, false)
+    }
+
+    /// `relabel` under random, degree and BFS permutations equals the
+    /// oracle.
+    fn assert_relabel_matches_oracle<G: CsrView + ?Sized>(g: &G, label: &str) {
+        let src = g.max_degree_vertex().unwrap_or(0);
+        for (name, perm) in [
+            ("random", random_perm(g.num_vertices(), 7)),
+            ("degree", degree_perm(g)),
+            ("bfs", bfs_perm(g, src)),
+        ] {
+            assert!(is_permutation(&perm), "{name} on {label}");
+            assert_eq!(
+                relabel(g, &perm),
+                relabel_oracle(g, &perm),
+                "{name} relabel of {label}"
+            );
+        }
+    }
+
+    #[test]
+    fn relabel_equals_the_sort_based_oracle() {
+        for scale in 6..=10 {
+            for spec in [
+                GraphSpec::urand(scale),
+                GraphSpec::kron(scale),
+                GraphSpec::friendster_like(scale),
+            ] {
+                let spec = spec.seed(scale as u64);
+                assert_relabel_matches_oracle(&spec.build(), &spec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn relabel_keeps_self_loops_and_repeated_arcs() {
+        let edges = [
+            (0, 0),
+            (1, 3),
+            (1, 3),
+            (3, 1),
+            (2, 2),
+            (2, 2),
+            (4, 0),
+            (0, 4),
+        ];
+        let g = csr_from_edges(6, &edges, false, false);
+        assert_eq!(g.num_edges(), edges.len() as u64);
+        assert_relabel_matches_oracle(&g, "self-loops and repeats");
+        let r = relabel(&g, &[5, 4, 3, 2, 1, 0]);
+        assert_eq!(r.neighbors(3), &[3, 3]);
+        assert_eq!(r.neighbors(4), &[2, 2]);
+        assert_eq!(r.neighbors(0), &[] as &[VertexId]);
+    }
+
+    #[test]
+    fn relabel_of_a_spilled_graph_equals_the_oracle() {
+        let mut cfg = SpillConfig::new(
+            std::env::temp_dir().join(format!("cxlg-relabel-oracle-{}", std::process::id())),
+        );
+        cfg.page_len = 16;
+        cfg.cache_pages = 2;
+        let spec = GraphSpec::kron(9).seed(3);
+        let spill = SpillCsr::build(&spec, &cfg).expect("spill build");
+        assert_relabel_matches_oracle(&spill, "spilled kron9");
+        assert_eq!(by_degree(&spill), by_degree(&spec.build()));
+        let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 
     #[test]

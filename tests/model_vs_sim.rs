@@ -13,7 +13,8 @@ fn uniform_requests(n: usize, bytes: u64, stride: u64) -> Vec<DeviceRequest> {
     (0..n)
         .map(|i| DeviceRequest {
             addr: i as u64 * stride,
-            bytes, overhead_ps: 0 })
+            bytes,
+        })
         .collect()
 }
 
