@@ -32,6 +32,9 @@ cargo build --benches
 echo "==> quickstart example runs"
 cargo run --release --example quickstart >/dev/null
 
+echo "==> latency_sweep example runs (one sweep_systems call: DRAM baseline + 13 CXL latency points)"
+cargo run --release --example latency_sweep >/dev/null
+
 echo "==> perfbench counter-drift gate: every workload keeps its seed-1 baseline sim_digest; peak-RSS ceilings"
 # A simulator speed-up must not move a single simulated statistic. The
 # digest is FNV over every traversal's requests, fetched bytes, runtime

@@ -9,8 +9,11 @@
 //! [`Experiment`]: crate::experiment::Experiment
 
 use crate::cache::GraphCache;
+use cxlg_core::metrics::RunReport;
+use cxlg_core::system::SystemConfig;
+use cxlg_core::traversal::Traversal;
 use cxlg_graph::spec::GraphSpec;
-use cxlg_graph::{CsrStorage, SpillConfig, StorageMode};
+use cxlg_graph::{CsrStorage, CsrView, SpillConfig, StorageMode};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -96,11 +99,12 @@ impl ExperimentCtx {
     }
 
     /// Run a sweep on this context's configured worker count — the one
-    /// knob that sizes both the cross-point fan-out and the within-run
-    /// round shards (`cxlg_core::engine::stream_shards`). Experiments
-    /// should route sweeps through here rather than calling
-    /// `runner::sweep` directly, so `ctx.threads` is authoritative and
-    /// the manifest's recorded thread count matches what actually ran.
+    /// knob that sizes both the cross-point fan-out and the (level,
+    /// system) units of [`sweep_systems`](Self::sweep_systems).
+    /// Experiments must route sweeps through here (or through
+    /// `sweep_systems`) rather than calling `cxlg_core::runner`'s sweeps
+    /// directly, so `ctx.threads` is authoritative and the manifest's
+    /// recorded thread count matches what actually ran.
     pub fn sweep<P, R, F>(&self, points: Vec<P>, f: F) -> Vec<R>
     where
         P: Send,
@@ -108,6 +112,21 @@ impl ExperimentCtx {
         F: Fn(P) -> R + Sync + Send,
     {
         cxlg_core::runner::sweep_with_threads(self.threads, points, f)
+    }
+
+    /// Run one traversal over many systems on one graph
+    /// ([`cxlg_core::runner::sweep_systems`]: traced once, planned once
+    /// per access method) on this context's configured worker count.
+    /// One report per system, in input order.
+    pub fn sweep_systems<G: CsrView + ?Sized>(
+        &self,
+        graph: &G,
+        traversal: Traversal,
+        systems: &[SystemConfig],
+    ) -> Vec<RunReport> {
+        rayon::with_num_threads(self.threads.max(1), || {
+            cxlg_core::runner::sweep_systems(graph, traversal, systems)
+        })
     }
 
     /// The three paper datasets at this context's scale and seed, in

@@ -5,7 +5,6 @@
 //! benchmarks.
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::sweep;
 use cxlg_core::system::{AccessConfig, BackendConfig, SystemConfig};
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;
@@ -36,32 +35,58 @@ pub fn run(ctx: &ExperimentCtx) {
     let bfs = Traversal::bfs(0);
     let mut entries: Vec<Entry> = Vec::new();
 
-    // 1. Warp count (§3.5.2: concurrency >= Nmax suffices).
-    let warp_points: Vec<u32> = vec![64, 128, 256, 512, 768, 1024, 2048, 3072];
-    let warp_runs = sweep(warp_points.clone(), |w| {
-        let sys = SystemConfig::emogi_on_dram(PcieGen::Gen4).with_active_warps(w);
-        bfs.run(&g, &sys).metrics.runtime.as_secs_f64() * 1e3
-    });
-    println!("\nWarp count (EMOGI/DRAM, Gen4; Nmax = 768):");
-    for (w, ms) in warp_points.iter().zip(&warp_runs) {
-        println!("  {w:>5} warps: {ms:>8.3} ms");
-        entries.push(Entry {
-            study: "warps",
-            point: w.to_string(),
-            runtime_ms: *ms,
-        });
-    }
-
-    // 2. Bridge ordering (Appendix A).
-    println!("\nLatency-bridge ordering (CXL +2 us, Gen3):");
-    for (label, ooo) in [("in-order", false), ("out-of-order", true)] {
+    // Every study runs the same BFS, so one sweep over all their systems
+    // traces once; the zero-copy systems (warps, bridge, devices) also
+    // share one plan, and each BaM capacity plans its own.
+    let warp_points: [u32; 8] = [64, 128, 256, 512, 768, 1024, 2048, 3072];
+    let bridges = [("in-order", false), ("out-of-order", true)];
+    let edge_bytes = g.num_edges() * 8;
+    let cache_denoms = [32u64, 16, 8, 4, 2, 1];
+    let device_counts = [1u32, 2, 3, 4, 5, 8];
+    let mut systems: Vec<SystemConfig> = warp_points
+        .iter()
+        .map(|&w| SystemConfig::emogi_on_dram(PcieGen::Gen4).with_active_warps(w))
+        .collect();
+    systems.extend(bridges.map(|(_, ooo)| {
         let mut sys = SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(2.0);
         if ooo {
             if let BackendConfig::CxlMem { dev, .. } = &mut sys.backend {
                 *dev = dev.out_of_order();
             }
         }
-        let ms = bfs.run(&g, &sys).metrics.runtime.as_secs_f64() * 1e3;
+        sys
+    }));
+    systems.extend(cache_denoms.map(|denom| {
+        let mut sys = SystemConfig::bam_on_nvme(PcieGen::Gen4, 4);
+        if let AccessConfig::SoftwareCache { capacity_bytes, .. } = &mut sys.access {
+            *capacity_bytes = Some((edge_bytes / denom).max(4096 * 64));
+        }
+        sys
+    }));
+    systems.extend(device_counts.map(|devices| SystemConfig::emogi_on_cxl(PcieGen::Gen3, devices)));
+    let reports = ctx.sweep_systems(&g, bfs, &systems);
+    let mut reports = reports.iter();
+    let mut next_ms = || {
+        let r = reports.next().expect("one report per system");
+        (r.metrics.runtime.as_secs_f64() * 1e3, r.metrics.raf())
+    };
+
+    // 1. Warp count (§3.5.2: concurrency >= Nmax suffices).
+    println!("\nWarp count (EMOGI/DRAM, Gen4; Nmax = 768):");
+    for w in warp_points {
+        let (ms, _) = next_ms();
+        println!("  {w:>5} warps: {ms:>8.3} ms");
+        entries.push(Entry {
+            study: "warps",
+            point: w.to_string(),
+            runtime_ms: ms,
+        });
+    }
+
+    // 2. Bridge ordering (Appendix A).
+    println!("\nLatency-bridge ordering (CXL +2 us, Gen3):");
+    for (label, _) in bridges {
+        let (ms, _) = next_ms();
         println!("  {label:<14} {ms:>8.3} ms");
         entries.push(Entry {
             study: "bridge",
@@ -72,18 +97,9 @@ pub fn run(ctx: &ExperimentCtx) {
 
     // 3. BaM cache capacity (fraction of the edge list).
     println!("\nBaM software-cache capacity (NVMe, 4 kB lines):");
-    let edge_bytes = g.num_edges() * 8;
-    for denom in [32u64, 16, 8, 4, 2, 1] {
-        let mut sys = SystemConfig::bam_on_nvme(PcieGen::Gen4, 4);
-        if let AccessConfig::SoftwareCache { capacity_bytes, .. } = &mut sys.access {
-            *capacity_bytes = Some((edge_bytes / denom).max(4096 * 64));
-        }
-        let r = bfs.run(&g, &sys);
-        let ms = r.metrics.runtime.as_secs_f64() * 1e3;
-        println!(
-            "  edge/{denom:<3} cache: {ms:>8.3} ms (RAF {:.2})",
-            r.metrics.raf()
-        );
+    for denom in cache_denoms {
+        let (ms, raf) = next_ms();
+        println!("  edge/{denom:<3} cache: {ms:>8.3} ms (RAF {raf:.2})");
         entries.push(Entry {
             study: "bam-cache",
             point: format!("edge/{denom}"),
@@ -93,9 +109,8 @@ pub fn run(ctx: &ExperimentCtx) {
 
     // 4. CXL device count (§4.2.2: five devices so tags exceed Nmax).
     println!("\nCXL device count (Gen3, +0 latency):");
-    for devices in [1u32, 2, 3, 4, 5, 8] {
-        let sys = SystemConfig::emogi_on_cxl(PcieGen::Gen3, devices);
-        let ms = bfs.run(&g, &sys).metrics.runtime.as_secs_f64() * 1e3;
+    for devices in device_counts {
+        let (ms, _) = next_ms();
         println!("  {devices:>2} device(s): {ms:>8.3} ms");
         entries.push(Entry {
             study: "cxl-devices",

@@ -9,7 +9,7 @@
 //! the BaM software cache at 4 kB, like Fig. 6.
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::{geometric_mean, sweep};
+use cxlg_core::runner::geometric_mean;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;
@@ -43,13 +43,20 @@ pub fn run(ctx: &ExperimentCtx) {
     let datasets = ctx.paper_datasets();
     let cc = Traversal::connected_components();
 
-    let rows: Vec<Row> = sweep((0..3).collect(), |i| {
+    let systems = [
+        SystemConfig::emogi_on_dram(PcieGen::Gen4),
+        SystemConfig::xlfdd(PcieGen::Gen4, 16),
+        SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
+    ];
+
+    let rows: Vec<Row> = ctx.sweep((0..3).collect(), |i| {
         let spec = datasets[i];
         let g = ctx.graph(spec);
-        let emogi = cc.run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen4));
+        let reports = ctx.sweep_systems(&g, cc, &systems);
+        let [emogi, xl, bam] = &reports[..] else {
+            unreachable!("one report per system")
+        };
         let base = emogi.metrics.runtime.as_secs_f64();
-        let xl = cc.run(&g, &SystemConfig::xlfdd(PcieGen::Gen4, 16));
-        let bam = cc.run(&g, &SystemConfig::bam_on_nvme(PcieGen::Gen4, 4));
         Row {
             dataset: spec.name(),
             components: emogi.reached,

@@ -9,7 +9,6 @@
 //! (the link, not the device pool, becomes the binding constraint).
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::sweep;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;
@@ -45,30 +44,31 @@ pub fn run(ctx: &ExperimentCtx) {
     let g = ctx.graph(spec);
     let bfs = Traversal::bfs(0);
 
-    // One host-DRAM baseline per generation, not per sweep point — at
-    // paper scale a single BFS simulation is minutes of work.
+    // Per generation, one host-DRAM baseline and then each device
+    // count: all EMOGI zero-copy, so one sweep traces and plans once
+    // for all eighteen systems.
     let gens = [PcieGen::Gen3, PcieGen::Gen4];
-    let bases: Vec<f64> = sweep(gens.to_vec(), |gen| {
-        bfs.run(&g, &SystemConfig::emogi_on_dram(gen))
-            .metrics
-            .runtime
-            .as_secs_f64()
-    });
-
-    let jobs: Vec<(PcieGen, f64, u32)> = gens
+    let systems: Vec<SystemConfig> = gens
         .into_iter()
-        .zip(bases)
-        .flat_map(|(gen, base)| DEVICE_COUNTS.into_iter().map(move |d| (gen, base, d)))
+        .flat_map(|gen| {
+            let cxl = DEVICE_COUNTS.map(|d| SystemConfig::emogi_on_cxl(gen, d));
+            std::iter::once(SystemConfig::emogi_on_dram(gen)).chain(cxl)
+        })
         .collect();
-    let points: Vec<Point> = sweep(jobs, |(gen, base, devices)| {
-        let r = bfs.run(&g, &SystemConfig::emogi_on_cxl(gen, devices));
-        Point {
-            gen: format!("{gen:?}"),
-            devices,
-            normalized_runtime: r.metrics.runtime.as_secs_f64() / base,
-            runtime_ms: r.metrics.runtime.as_secs_f64() * 1e3,
-        }
-    });
+    let reports = ctx.sweep_systems(&g, bfs, &systems);
+    let points: Vec<Point> = gens
+        .into_iter()
+        .zip(reports.chunks(1 + DEVICE_COUNTS.len()))
+        .flat_map(|(gen, runs)| {
+            let base = runs[0].metrics.runtime.as_secs_f64();
+            DEVICE_COUNTS.into_iter().zip(&runs[1..]).map(move |(devices, r)| Point {
+                gen: format!("{gen:?}"),
+                devices,
+                normalized_runtime: r.metrics.runtime.as_secs_f64() / base,
+                runtime_ms: r.metrics.runtime.as_secs_f64() * 1e3,
+            })
+        })
+        .collect();
 
     for gen in ["Gen3", "Gen4"] {
         println!("\n{gen} x16 (paper config: 5 devices)");

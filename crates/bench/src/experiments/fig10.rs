@@ -4,7 +4,6 @@
 
 use crate::ctx::ExperimentCtx;
 use cxlg_core::microbench::{cxl_cpu_random_read, CxlReadResult};
-use cxlg_core::runner::sweep;
 use cxlg_device::cxl_mem::CxlMemConfig;
 
 /// Banner title.
@@ -24,7 +23,7 @@ pub fn specs(_ctx: &ExperimentCtx) -> Vec<cxlg_graph::GraphSpec> {
 pub fn run(ctx: &ExperimentCtx) {
     ctx.banner(TITLE, DESC);
     let added: Vec<f64> = (0..=10).map(|i| i as f64).collect();
-    let results: Vec<CxlReadResult> = sweep(added, |us| {
+    let results: Vec<CxlReadResult> = ctx.sweep(added, |us| {
         cxl_cpu_random_read(
             CxlMemConfig::default().with_added_latency_us(us),
             1 << 30,

@@ -36,50 +36,41 @@ pub fn run(ctx: &ExperimentCtx) {
     let datasets = ctx.paper_datasets();
     let added = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
 
-    // One host-DRAM baseline per (dataset, workload) pair, hoisted out
-    // of the latency sweep — each baseline is a full traversal, and the
-    // seven latency points all divide by the same one.
+    // The host-DRAM baseline and the seven latency points all run EMOGI
+    // zero-copy, so one sweep per (dataset, workload) pair traces and
+    // plans once for all eight, and the baseline is its first report.
+    let mut systems = vec![SystemConfig::emogi_on_dram(PcieGen::Gen3)];
+    systems.extend(
+        added.map(|a| SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(a)),
+    );
     let pairs: Vec<(usize, &'static str)> = (0..3)
         .flat_map(|i| [(i, "BFS"), (i, "SSSP")])
         .collect();
-    let baselines: Vec<f64> = ctx.sweep(pairs.clone(), |(i, workload)| {
-        let g = ctx.graph(datasets[i]);
-        let src = good_source(&g);
-        let trav = match workload {
-            "BFS" => Traversal::bfs(src),
-            _ => Traversal::sssp(src),
-        };
-        trav.run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen3))
-            .metrics
-            .runtime
-            .as_secs_f64()
-    });
-
-    let jobs: Vec<(usize, &'static str, f64, f64)> = pairs
+    let points: Vec<Point> = ctx
+        .sweep(pairs, |(i, workload)| {
+            let spec = datasets[i];
+            let g = ctx.graph(spec);
+            let src = good_source(&g);
+            let trav = match workload {
+                "BFS" => Traversal::bfs(src),
+                _ => Traversal::sssp(src),
+            };
+            let reports = ctx.sweep_systems(&g, trav, &systems);
+            let base = reports[0].metrics.runtime.as_secs_f64();
+            added
+                .iter()
+                .zip(&reports[1..])
+                .map(|(&add, cxl)| Point {
+                    workload,
+                    dataset: spec.name(),
+                    added_latency_us: add,
+                    normalized_runtime: cxl.metrics.runtime.as_secs_f64() / base,
+                })
+                .collect::<Vec<_>>()
+        })
         .into_iter()
-        .zip(baselines)
-        .flat_map(|((i, w), base)| added.into_iter().map(move |a| (i, w, base, a)))
+        .flatten()
         .collect();
-
-    let points: Vec<Point> = ctx.sweep(jobs, |(i, workload, base, add)| {
-        let spec = datasets[i];
-        let g = ctx.graph(spec);
-        let src = good_source(&g);
-        let trav = match workload {
-            "BFS" => Traversal::bfs(src),
-            _ => Traversal::sssp(src),
-        };
-        let cxl = trav.run(
-            &g,
-            &SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(add),
-        );
-        Point {
-            workload,
-            dataset: spec.name(),
-            added_latency_us: add,
-            normalized_runtime: cxl.metrics.runtime.as_secs_f64() / base,
-        }
-    });
 
     for workload in ["BFS", "SSSP"] {
         println!("\n{workload}");

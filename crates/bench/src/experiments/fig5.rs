@@ -4,7 +4,6 @@
 
 use crate::ctx::ExperimentCtx;
 use crate::run_summary;
-use cxlg_core::runner::sweep;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;
@@ -36,23 +35,27 @@ pub fn run(ctx: &ExperimentCtx) {
     let g = ctx.graph(spec);
     let trav = Traversal::bfs(0);
 
-    let emogi = trav.run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen4));
-    println!("EMOGI (host DRAM) baseline: {}", run_summary(&emogi));
-    let base = emogi.metrics.runtime.as_secs_f64();
+    // EMOGI (the baseline), XLFDD at each alignment, then BaM: one
+    // trace for all nine.
+    let alignments = [16, 32, 64, 128, 256, 512, 4096];
+    let mut systems = vec![SystemConfig::emogi_on_dram(PcieGen::Gen4)];
+    systems.extend(alignments.map(|a| SystemConfig::xlfdd(PcieGen::Gen4, 16).with_alignment(a)));
+    systems.push(SystemConfig::bam_on_nvme(PcieGen::Gen4, 4));
+    let reports = ctx.sweep_systems(&g, trav, &systems);
+    let (emogi, bam) = (&reports[0], &reports[systems.len() - 1]);
 
-    let alignments: Vec<u64> = vec![16, 32, 64, 128, 256, 512, 4096];
-    let points: Vec<Point> = sweep(alignments, |a| {
-        let sys = SystemConfig::xlfdd(PcieGen::Gen4, 16).with_alignment(a);
-        let r = trav.run(&g, &sys);
-        Point {
+    println!("EMOGI (host DRAM) baseline: {}", run_summary(emogi));
+    let base = emogi.metrics.runtime.as_secs_f64();
+    let points: Vec<Point> = alignments
+        .iter()
+        .zip(&reports[1..])
+        .map(|(&a, r)| Point {
             alignment: a,
             normalized_runtime: r.metrics.runtime.as_secs_f64() / base,
             runtime_ms: r.metrics.runtime.as_secs_f64() * 1e3,
             raf: r.metrics.raf(),
-        }
-    });
-
-    let bam = trav.run(&g, &SystemConfig::bam_on_nvme(PcieGen::Gen4, 4));
+        })
+        .collect();
     let bam_norm = bam.metrics.runtime.as_secs_f64() / base;
 
     println!();

@@ -37,6 +37,13 @@ pub fn run(ctx: &ExperimentCtx) {
     let jobs: Vec<(usize, &'static str)> = (0..3)
         .flat_map(|i| [(i, "BFS"), (i, "SSSP")])
         .collect();
+    // EMOGI on host DRAM (the baseline), XLFDD and BaM: one trace per
+    // (dataset, workload) pair for all three.
+    let systems = [
+        SystemConfig::emogi_on_dram(PcieGen::Gen4),
+        SystemConfig::xlfdd(PcieGen::Gen4, 16),
+        SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
+    ];
 
     let cells: Vec<Cell> = ctx.sweep(jobs, |(i, workload)| {
         let spec = datasets[i];
@@ -46,10 +53,11 @@ pub fn run(ctx: &ExperimentCtx) {
             "BFS" => Traversal::bfs(src),
             _ => Traversal::sssp(src),
         };
-        let emogi = trav.run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen4));
+        let reports = ctx.sweep_systems(&g, trav, &systems);
+        let [emogi, xl, bam] = &reports[..] else {
+            unreachable!("one report per system")
+        };
         let base = emogi.metrics.runtime.as_secs_f64();
-        let xl = trav.run(&g, &SystemConfig::xlfdd(PcieGen::Gen4, 16));
-        let bam = trav.run(&g, &SystemConfig::bam_on_nvme(PcieGen::Gen4, 4));
         Cell {
             workload,
             dataset: spec.name(),

@@ -4,7 +4,6 @@
 
 use crate::ctx::ExperimentCtx;
 use cxlg_core::microbench::{pointer_chase_latency, PointerChaseResult};
-use cxlg_core::runner::sweep;
 use cxlg_core::system::SystemConfig;
 use cxlg_link::pcie::PcieGen;
 use serde::Serialize;
@@ -58,7 +57,7 @@ pub fn run(ctx: &ExperimentCtx) {
         }
     }
 
-    let bars: Vec<Bar> = sweep(jobs, |(label, near, sys)| {
+    let bars: Vec<Bar> = ctx.sweep(jobs, |(label, near, sys)| {
         let r: PointerChaseResult = pointer_chase_latency(&sys, REGION, HOPS, 1);
         Bar {
             label,

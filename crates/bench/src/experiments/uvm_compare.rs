@@ -5,7 +5,6 @@
 
 use crate::ctx::ExperimentCtx;
 use crate::{good_source, run_summary};
-use cxlg_core::runner::sweep;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;
@@ -36,15 +35,20 @@ pub fn specs(ctx: &ExperimentCtx) -> Vec<cxlg_graph::GraphSpec> {
 pub fn run(ctx: &ExperimentCtx) {
     ctx.banner(TITLE, DESC);
     let datasets = ctx.paper_datasets();
-    let rows: Vec<Row> = sweep((0..3).collect(), |i| {
+    let systems = [
+        SystemConfig::emogi_on_dram(PcieGen::Gen4),
+        SystemConfig::uvm_on_dram(PcieGen::Gen4),
+    ];
+    let rows: Vec<Row> = ctx.sweep((0..3).collect(), |i| {
         let spec = datasets[i];
         let g = ctx.graph(spec);
         let src = good_source(&g);
-        let bfs = Traversal::bfs(src);
-        let emogi = bfs.run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen4));
-        let uvm = bfs.run(&g, &SystemConfig::uvm_on_dram(PcieGen::Gen4));
-        eprintln!("[{}] emogi {}", spec.name(), run_summary(&emogi));
-        eprintln!("[{}] uvm   {}", spec.name(), run_summary(&uvm));
+        let reports = ctx.sweep_systems(&g, Traversal::bfs(src), &systems);
+        let [emogi, uvm] = &reports[..] else {
+            unreachable!("one report per system")
+        };
+        eprintln!("[{}] emogi {}", spec.name(), run_summary(emogi));
+        eprintln!("[{}] uvm   {}", spec.name(), run_summary(uvm));
         Row {
             dataset: spec.name(),
             emogi_ms: emogi.metrics.runtime.as_secs_f64() * 1e3,

@@ -5,7 +5,6 @@
 //! CXL degrade only mildly.
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::sweep;
 use cxlg_device::cxl_mem::{CxlMemConfig, CxlMemDevice};
 use cxlg_device::dram::HostDram;
 use cxlg_device::target::MemoryTarget;
@@ -100,7 +99,7 @@ pub fn run(ctx: &ExperimentCtx) {
     let jobs: Vec<(usize, f64)> = (0..3)
         .flat_map(|d| fractions.into_iter().map(move |f| (d, f)))
         .collect();
-    let points: Vec<Point> = sweep(jobs, |(d, f)| {
+    let points: Vec<Point> = ctx.sweep(jobs, |(d, f)| {
         let kiops = match d {
             0 => run_mixed(&mut HostDram::default(), f),
             1 => run_mixed(&mut CxlMemDevice::new(CxlMemConfig::default()), f),

@@ -82,11 +82,11 @@
 //! * each round's batch becomes one **shard**, simulated on its own
 //!   fresh [`Engine`] (its own event lanes) starting at `t = 0`
 //!   ([`Engine::run_shard`]);
-//! * shards are fanned out over the rayon pool by `stream_shards`: a
-//!   worker plans the next round from the one shared planner, in round
-//!   order, simulates it, drops its requests, and files the outcome
-//!   under its round index, so results come back in round order no
-//!   matter which worker ran them ([`simulate_shards`] is the same loop
+//! * the traversal driver (`runner::sweep_systems`) hands each planned
+//!   level out as one (level, system) unit per system sharing the plan;
+//!   any pool worker simulates a unit, drops its requests, and files the
+//!   outcome under its round index, so results come back in round order
+//!   no matter which worker ran them ([`simulate_shards`] does the same
 //!   over batches planned in advance);
 //! * [`merge_shard_metrics`] reduces the per-shard [`ShardOutcome`]s in
 //!   **shard-index order**: simulated times are `u64` picoseconds (sums
@@ -107,15 +107,15 @@
 //! re-read of the most recently sensed page skips the full `tR`), plane
 //! busy timestamps, and the latency-jitter RNG stream — which a fresh
 //! per-shard engine would reset, changing the physics. The traversal
-//! driver therefore has two policies, picked by
-//! [`BackendConfig::quiesces_between_batches`][qb]: quiescent backends
+//! driver therefore simulates each system by one of two policies, picked
+//! by [`BackendConfig::quiesces_between_batches`][qb]: quiescent backends
 //! take the shard policy above, flash-backed ones the chain policy — one
-//! engine whose batches run back to back on its clock, each level
-//! planned into one reused request buffer just before it runs —
-//! keeping their paper-fidelity results byte-identical to the pre-shard
-//! engine. `Traversal::run_coupled` forces the chain on any backend.
-//! Under either policy a worker holds at most one level's requests. The
-//! differential suite in `crates/core/tests/parallel_differential.rs`
+//! engine per system whose batches run back to back on its clock, in
+//! level order, whichever worker planned them — keeping their
+//! paper-fidelity results byte-identical to the pre-shard engine.
+//! `Traversal::run_coupled` forces the chain on any backend. A worker
+//! holds at most one level's requests, shared with the other systems of
+//! its plan. The differential suite in `crates/core/tests/parallel_differential.rs`
 //! pins all of these equivalences.
 //!
 //! [qb]: crate::system::BackendConfig::quiesces_between_batches
@@ -402,6 +402,11 @@ impl Engine {
             "return-link payload differs from fetched bytes"
         );
         assert!(end >= start, "batch ended before it started");
+        // A chained engine idles between its levels while the other
+        // systems of a sweep run theirs; it holds no event storage then.
+        self.events.warps.release();
+        self.events.segs.release();
+        self.events.completes.release();
 
         self.run_fetched += fetched;
         self.run_requests += r as u64;
@@ -501,58 +506,15 @@ pub struct ShardOutcome {
 /// Simulate every round's batch as an independent shard across the rayon
 /// pool, returning outcomes in round order. `factory` builds one fresh
 /// [`Engine`] per shard (each shard gets its own event lanes and backend
-/// state). A thin wrapper over `stream_shards`, the traversal driver's
-/// shard loop, with a planner that copies the given batches; the output
-/// is a pure function of `batches`, independent of `RAYON_NUM_THREADS`.
+/// state). The output is a pure function of `batches`, independent of
+/// `RAYON_NUM_THREADS`. The traversal driver files the same per-level
+/// outcomes as it goes instead (`runner::sweep_systems`).
 pub fn simulate_shards<F>(factory: F, batches: &[Vec<DeviceRequest>]) -> Vec<ShardOutcome>
 where
     F: Fn() -> Engine + Sync,
 {
-    stream_shards(
-        batches.len(),
-        |level, reqs| reqs.extend_from_slice(&batches[level]),
-        factory,
-    )
-    .into_iter()
-    .map(|((), outcome)| outcome)
-    .collect()
-}
-
-/// The shard policy's level loop: simulate `levels` rounds as independent
-/// shards across the rayon pool, planning each just before it runs.
-///
-/// A pool worker locks the one shared `plan`, which writes the next
-/// level's requests into the worker's buffer — levels are planned in
-/// level order, whichever worker asks, so stateful access methods see
-/// them in order. The worker unlocks, simulates the level on a fresh
-/// engine from `factory`, and drops its requests; so at most one level
-/// per worker is resident. Each outcome is filed under its level index
-/// with what `plan` returned for it, and the result is in level order.
-pub(crate) fn stream_shards<T, P, F>(levels: usize, plan: P, factory: F) -> Vec<(T, ShardOutcome)>
-where
-    T: Send,
-    P: FnMut(usize, &mut Vec<DeviceRequest>) -> T + Send,
-    F: Fn() -> Engine + Sync,
-{
     use rayon::prelude::*;
-    use std::sync::Mutex;
-    let planner = Mutex::new((0usize, plan));
-    let mut filed: Vec<(usize, T, ShardOutcome)> = (0..levels)
-        .into_par_iter()
-        .map(|_| {
-            let mut reqs = Vec::new();
-            let (level, planned) = {
-                let mut guard = planner.lock().expect("a planner panicked");
-                let (next, plan) = &mut *guard;
-                let level = *next;
-                *next += 1;
-                (level, plan(level, &mut reqs))
-            };
-            (level, planned, factory().run_shard(&reqs))
-        })
-        .collect();
-    filed.sort_unstable_by_key(|&(level, ..)| level);
-    filed.into_iter().map(|(_, t, o)| (t, o)).collect()
+    batches.par_iter().map(|reqs| factory().run_shard(reqs)).collect()
 }
 
 /// Reduce per-round [`ShardOutcome`]s into run-level [`RunMetrics`],

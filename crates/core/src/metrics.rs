@@ -32,10 +32,11 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Read amplification factor `D / E` (§3.1). Returns `NaN` when no
-    /// useful bytes were requested.
+    /// Read amplification factor `D / E` (§3.1). A run that needed and
+    /// fetched nothing (a BFS from an isolated vertex) has no
+    /// amplification: 1.0, not the `NaN` of `0 / 0`.
     pub fn raf(&self) -> f64 {
-        self.fetched_bytes as f64 / self.useful_bytes as f64
+        raf(self.fetched_bytes, self.useful_bytes)
     }
 
     /// Mean data transfer size per request, `d = D / requests` (§3.2).
@@ -85,6 +86,16 @@ impl RunMetrics {
                 (self.mean_outstanding * a + other.mean_outstanding * b) / (a + b);
         }
         self.peak_outstanding = self.peak_outstanding.max(other.peak_outstanding);
+    }
+}
+
+/// Read amplification factor `fetched / useful` (§3.1), 1.0 when both
+/// are zero: nothing needed and nothing fetched is no amplification.
+pub fn raf(fetched_bytes: u64, useful_bytes: u64) -> f64 {
+    if fetched_bytes == 0 && useful_bytes == 0 {
+        1.0
+    } else {
+        fetched_bytes as f64 / useful_bytes as f64
     }
 }
 

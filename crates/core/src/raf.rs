@@ -34,7 +34,8 @@ pub struct RafPoint {
 }
 
 /// RAF of replaying `trace` (per-level vertex frontiers) at alignment
-/// `alignment` with a cache of `capacity_bytes`.
+/// `alignment` with a cache of `capacity_bytes`; 1.0 for a trace that
+/// reads no bytes (see [`crate::metrics::raf`]).
 pub fn raf_for_trace<G: CsrView + ?Sized>(
     g: &G,
     trace: &[Vec<VertexId>],
@@ -58,7 +59,7 @@ pub fn raf_for_trace<G: CsrView + ?Sized>(
     let fetched = cache.fetched_bytes();
     RafPoint {
         alignment,
-        raf: fetched as f64 / useful as f64,
+        raf: crate::metrics::raf(fetched, useful),
         useful_bytes: useful,
         fetched_bytes: fetched,
         hit_rate: cache.hit_rate(),
@@ -181,6 +182,29 @@ mod tests {
             small.raf
         );
         assert!(big.hit_rate >= small.hit_rate);
+    }
+
+    #[test]
+    fn isolated_source_has_no_amplification() {
+        // Vertex 3 has no edges: its BFS reads nothing and fetches
+        // nothing, which is RAF 1.0 in the replay and in every run, not
+        // the NaN of 0 / 0.
+        use crate::system::SystemConfig;
+        use crate::traversal::Traversal;
+        use cxlg_link::pcie::PcieGen;
+        let g = cxlg_graph::builder::csr_from_edges(4, &[(0, 1), (1, 2)], true, false);
+        let p = raf_for_trace(&g, &bfs_trace(&g, 3), 64, default_capacity(&g, 64));
+        assert_eq!((p.useful_bytes, p.fetched_bytes, p.raf), (0, 0, 1.0));
+        for sys in [
+            SystemConfig::emogi_on_dram(PcieGen::Gen4),
+            SystemConfig::uvm_on_dram(PcieGen::Gen4),
+            SystemConfig::xlfdd(PcieGen::Gen4, 16),
+            SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
+        ] {
+            let m = Traversal::bfs(3).run(&g, &sys).metrics;
+            assert_eq!((m.useful_bytes, m.fetched_bytes), (0, 0), "{}", sys.label());
+            assert_eq!(m.raf(), 1.0, "{}", sys.label());
+        }
     }
 
     #[test]

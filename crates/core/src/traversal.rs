@@ -7,44 +7,52 @@
 //! extensions (the Discussion section contrasts sequential-access
 //! algorithms like PageRank with the random-access ones studied here).
 //!
-//! The algorithm logic is deliberately split from timing: a *trace*
-//! generator produces per-level frontiers (pure graph computation), and
-//! the timed run feeds those frontiers' sublists through the access
-//! method and the DES engine. The RAF simulation (`raf.rs`) reuses the
-//! same traces, so Figure 3 and the runtime figures see identical access
-//! orders.
+//! The algorithm logic is deliberately split from timing: a stepper
+//! ([`Levels`]) yields the per-level frontiers (pure graph computation),
+//! and the timed run feeds those frontiers' sublists through the access
+//! method and the DES engine. The RAF simulation (`raf.rs`) replays the
+//! same frontiers, so Figure 3 and the runtime figures see identical
+//! access orders.
 //!
 //! # Execution paths
 //!
 //! A run has three stages: trace, request planning, and simulation. One
-//! driver runs them: it traces the whole workload, then plans each level
-//! just before that level is simulated and drops the level's requests
-//! once it is done, so a run never holds its whole request plan. Planning
-//! is sequential by construction — the access methods are stateful
-//! across levels (the BaM cache, UVM fault tracking) — but it is cheap;
-//! simulation dominates. The driver has two policies:
+//! driver runs them, [`runner::sweep_systems`][sweep], for one traversal
+//! over any number of systems on one graph; [`Traversal::run`] is that
+//! driver with a single system.
 //!
-//! * **Shards**, on backends that quiesce at the level barrier (DRAM,
-//!   CXL): each rayon worker locks the one shared planner, plans the next
-//!   level in level order, unlocks, and simulates that level as an
-//!   independent **round shard** on a fresh engine
-//!   (`engine::stream_shards`). Outcomes merge in level order (see the
-//!   `engine` module docs for why this is exact). At most one level's
-//!   requests per worker are resident.
-//! * **Chain**, for flash-backed backends, whose media carries state
-//!   across batches: one engine, each level's batch starting on the clock
-//!   where the previous one ended, planned into one reused buffer.
+//! * **Trace once.** The stepper yields one frontier at a time. Added
+//!   latency, device count or warp count change neither the frontiers
+//!   nor, for systems with the same access method, the requests, so a
+//!   sweep traces each level once for all its systems.
+//! * **Plan once per access method.** Systems are grouped by
+//!   [`AccessConfig`][ac], the only input to
+//!   [`SystemConfig::build_access`] besides the graph. Each group plans
+//!   each level once, in level order — the access methods are stateful
+//!   across levels (the BaM cache, UVM fault tracking) — and the level's
+//!   frontier is dropped once the last group has planned it.
+//! * **Simulate per system.** Each planned level is a (level, system)
+//!   work unit for every system of its group, and the requests are
+//!   dropped after the last of them. Backends that quiesce at the level
+//!   barrier (DRAM, CXL) simulate a unit as an independent **round
+//!   shard** on a fresh engine, merged in level order afterwards (see
+//!   the `engine` module docs for why this is exact). Flash-backed
+//!   backends, whose media carries state across batches, keep one
+//!   **chained** engine per system that takes the levels in order, each
+//!   batch starting on the clock where the previous one ended.
 //!
-//! [`Traversal::run`] picks the policy by
-//! [`BackendConfig::quiesces_between_batches`][qb];
-//! [`Traversal::run_coupled`] forces the chain on every backend, the
-//! physics oracle the shard decomposition is checked against. The
-//! parallel oracle is `run` itself on a 1-thread pool, where the shard
-//! policy plans and simulates the levels one after another.
+//! Units are handed out in level order from one lock that also steps the
+//! trace and plans, and any pool worker may simulate any unit; a chained
+//! unit waits for its system's previous level. Every system's report is
+//! therefore bit-identical at any pool size, and equal to running the
+//! system alone. [`Traversal::run_coupled`] forces the chain on every
+//! backend, the physics oracle the shard decomposition is checked
+//! against.
 //!
-//! [qb]: crate::system::BackendConfig::quiesces_between_batches
+//! [sweep]: crate::runner::sweep_systems
+//! [ac]: crate::system::AccessConfig
 //!
-//! The trace is one sequential kernel per algorithm (BFS, SSSP, CC).
+//! The stepper runs one sequential kernel per algorithm (BFS, SSSP, CC).
 //! Each walks the frontier in sorted order, loops over the borrowed
 //! neighbor windows of [`CsrView::with_neighbors`], and pushes a vertex
 //! onto the next frontier the first time it is visited, improved or
@@ -60,13 +68,9 @@
 //! with both threads given to the fan-out. The traces therefore involve
 //! no threads at all.
 
-use crate::access::{AccessMethod, DeviceRequest};
-use crate::engine;
-use crate::metrics::{LevelStats, RunMetrics, RunReport};
+use crate::metrics::RunReport;
 use crate::system::SystemConfig;
-use cxlg_graph::layout::EdgeListLayout;
 use cxlg_graph::{CsrView, VertexId};
-use cxlg_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Which algorithm to run.
@@ -99,65 +103,6 @@ pub enum Workload {
 pub struct Traversal {
     /// The workload to execute.
     pub workload: Workload,
-}
-
-/// What planning one level yields besides its requests: the
-/// trace-derived statistics the engine cannot know.
-#[derive(Clone, Copy)]
-struct LevelPlan {
-    /// Frontier size.
-    frontier: u64,
-    /// Useful sublist bytes (the level's share of `E`, §3.1).
-    useful: u64,
-    /// Access-method cache hits.
-    hits: u64,
-}
-
-/// The sequential planning stage, one level at a time: routes a traced
-/// level's sublist spans through the (stateful) access method. Levels
-/// must be planned in level order.
-struct Planner<'g, G: ?Sized> {
-    layout: EdgeListLayout<'g, G>,
-    access: AccessMethod,
-    /// The traced frontiers; each is dropped once planned.
-    frontiers: Vec<Vec<VertexId>>,
-}
-
-impl<'g, G: CsrView + ?Sized> Planner<'g, G> {
-    fn new(g: &'g G, sys: &SystemConfig, frontiers: Vec<Vec<VertexId>>) -> Self {
-        let layout = EdgeListLayout::new(g);
-        Planner {
-            access: sys.build_access(layout.edge_list_bytes()),
-            layout,
-            frontiers,
-        }
-    }
-
-    /// Append level `level`'s device requests to `out`.
-    fn plan(&mut self, level: usize, out: &mut Vec<DeviceRequest>) -> LevelPlan {
-        let frontier = std::mem::take(&mut self.frontiers[level]);
-        self.access.begin_level();
-        let (mut useful, mut hits) = (0u64, 0u64);
-        for &v in &frontier {
-            let span = self.layout.sublist_span(v);
-            useful += span.len;
-            hits += self.access.requests_for_span(span, out);
-        }
-        LevelPlan {
-            frontier: frontier.len() as u64,
-            useful,
-            hits,
-        }
-    }
-}
-
-/// How the driver simulates the planned levels (module docs).
-#[derive(Clone, Copy)]
-enum Policy {
-    /// Independent round shards across the rayon pool.
-    Shards,
-    /// One engine, batches chained on its clock.
-    Chain,
 }
 
 impl Traversal {
@@ -202,32 +147,70 @@ impl Traversal {
         }
     }
 
-    /// Generate the per-level vertex frontiers without timing anything.
-    /// Each level lists the vertices whose sublists are read, in the
-    /// (sorted) order the GPU kernel would process them.
-    pub fn trace<G: CsrView + ?Sized>(&self, g: &G) -> Vec<Vec<VertexId>> {
-        self.trace_with_reached(g).0
-    }
-
-    /// The trace plus the reached/processed vertex count, computed in
-    /// one pass (SSSP previously re-ran the whole Bellman–Ford to count
-    /// reached vertices).
-    fn trace_with_reached<G: CsrView + ?Sized>(&self, g: &G) -> (Vec<Vec<VertexId>>, u64) {
-        match self.workload {
+    /// The stepper over this traversal's frontiers on `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the source vertex is out of range, or if an SSSP
+    /// `max_weight` is 0.
+    pub fn levels<'g, G: CsrView + ?Sized>(&self, g: &'g G) -> Levels<'g, G> {
+        let n = g.num_vertices();
+        let source_frontier = |source: VertexId| {
+            assert!((source as usize) < n, "source out of range");
+            vec![source]
+        };
+        let non_isolated = || -> Vec<VertexId> {
+            (0..n as VertexId).filter(|&v| g.degree(v) > 0).collect()
+        };
+        let (state, frontier) = match self.workload {
             Workload::Bfs { source } => {
-                let t = bfs_trace(g, source);
-                let reached = t.iter().map(|l| l.len() as u64).sum();
-                (t, reached)
+                let frontier = source_frontier(source);
+                let mut visited = vec![false; n];
+                visited[source as usize] = true;
+                (State::Bfs { visited }, Some(frontier))
             }
-            Workload::Sssp { source, max_weight } => sssp_trace_with_reached(g, source, max_weight),
-            Workload::PageRank { iterations } => {
-                (pagerank_trace(g, iterations), g.num_vertices() as u64)
+            Workload::Sssp { source, max_weight } => {
+                assert!(max_weight >= 1, "SSSP max_weight must be at least 1, got 0");
+                let frontier = source_frontier(source);
+                let mut dist = vec![u64::MAX; n];
+                dist[source as usize] = 0;
+                let mark = vec![false; n];
+                (State::Sssp { dist, mark, max_weight }, Some(frontier))
             }
-            Workload::ConnectedComponents => cc_trace(g),
-        }
+            Workload::PageRank { iterations } => (
+                State::PageRank {
+                    rounds_left: iterations,
+                },
+                (iterations > 0).then(non_isolated),
+            ),
+            Workload::ConnectedComponents => {
+                let frontier = non_isolated();
+                let label = (0..n as VertexId).collect();
+                let mark = vec![false; n];
+                (State::Cc { label, mark }, (!frontier.is_empty()).then_some(frontier))
+            }
+        };
+        Levels { g, state, frontier }
     }
 
-    /// Run the workload on a simulated system, producing full metrics.
+    /// Generate the per-level vertex frontiers without timing anything:
+    /// the stepper's levels, collected. Each level lists the vertices
+    /// whose sublists are read, in the (sorted) order the GPU kernel
+    /// would process them.
+    pub fn trace<G: CsrView + ?Sized>(&self, g: &G) -> Vec<Vec<VertexId>> {
+        self.levels(g).collect()
+    }
+
+    /// The trace plus the stepper's [`Levels::reached`] count.
+    fn trace_with_reached<G: CsrView + ?Sized>(&self, g: &G) -> (Vec<Vec<VertexId>>, u64) {
+        let mut levels = self.levels(g);
+        let trace = levels.by_ref().collect();
+        (trace, levels.reached())
+    }
+
+    /// Run the workload on a simulated system, producing full metrics:
+    /// [`runner::sweep_systems`](crate::runner::sweep_systems) with this
+    /// one system (module docs).
     ///
     /// On backends whose device state quiesces at the level barrier
     /// (DRAM, CXL — see
@@ -244,12 +227,8 @@ impl Traversal {
     ///
     /// [qb]: crate::system::BackendConfig::quiesces_between_batches
     pub fn run<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        let policy = if sys.backend.quiesces_between_batches() {
-            Policy::Shards
-        } else {
-            Policy::Chain
-        };
-        self.drive(g, sys, policy)
+        let mut reports = crate::runner::sweep_systems(g, *self, std::slice::from_ref(sys));
+        reports.pop().expect("one report per system")
     }
 
     /// Coupled execution on any backend: one engine for the whole run,
@@ -259,168 +238,172 @@ impl Traversal {
     /// batches (all but the flash arrays with their page registers and
     /// jitter RNGs), [`Traversal::run`] must reproduce it bit-for-bit.
     pub fn run_coupled<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        self.drive(g, sys, Policy::Chain)
+        let mut reports = crate::runner::drive(g, *self, std::slice::from_ref(sys), true);
+        reports.pop().expect("one report per system")
+    }
+}
+
+/// One traversal's frontiers, one level at a time: the per-algorithm
+/// stepper behind every trace and every run.
+///
+/// It owns the algorithm's state (`visited`, `dist`, `label` and the
+/// per-round `mark`) and yields each frontier, sorted by vertex ID. A
+/// frontier is expanded into the next one as it is yielded, so the
+/// stepper holds at most one frontier besides the one it hands out.
+/// Built by [`Traversal::levels`].
+pub struct Levels<'g, G: ?Sized> {
+    g: &'g G,
+    state: State,
+    /// The frontier the next call yields; `None` once converged.
+    frontier: Option<Vec<VertexId>>,
+}
+
+/// Per-algorithm traversal state.
+enum State {
+    Bfs {
+        visited: Vec<bool>,
+    },
+    Sssp {
+        dist: Vec<u64>,
+        mark: Vec<bool>,
+        max_weight: u32,
+    },
+    PageRank {
+        rounds_left: u32,
+    },
+    Cc {
+        label: Vec<VertexId>,
+        mark: Vec<bool>,
+    },
+}
+
+impl<G: CsrView + ?Sized> Levels<'_, G> {
+    /// Vertices reached (BFS, SSSP), components found (CC, isolated
+    /// vertices included) or vertices processed (PageRank). Final once
+    /// the last level has been yielded.
+    pub fn reached(&self) -> u64 {
+        let g = self.g;
+        match &self.state {
+            State::Bfs { visited } => visited.iter().filter(|&&v| v).count() as u64,
+            State::Sssp { dist, .. } => dist.iter().filter(|&&d| d != u64::MAX).count() as u64,
+            State::PageRank { .. } => g.num_vertices() as u64,
+            State::Cc { label, .. } => {
+                let mut roots: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+                    .filter(|&v| g.degree(v) > 0)
+                    .map(|v| label[v as usize])
+                    .collect();
+                roots.sort_unstable();
+                roots.dedup();
+                // Isolated vertices each count as their own component.
+                roots.len() as u64 + g.num_isolated() as u64
+            }
+        }
     }
 
-    /// The one driver: trace, then plan and simulate level by level
-    /// under `policy` (module docs).
-    fn drive<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig, policy: Policy) -> RunReport {
-        let (frontiers, reached) = self.trace_with_reached(g);
-        let depth = frontiers.len();
-        let mut planner = Planner::new(g, sys, frontiers);
-        // Per level: the plan, the fetched bytes and the simulated time.
-        let mut levels: Vec<(LevelPlan, u64, SimDuration)> = Vec::with_capacity(depth);
-        let mut metrics: RunMetrics = match policy {
-            Policy::Shards => {
-                let filed = engine::stream_shards(
-                    depth,
-                    |level, reqs| planner.plan(level, reqs),
-                    || sys.build_engine(),
-                );
-                let mut outcomes = Vec::with_capacity(depth);
-                for (plan, o) in filed {
-                    let runtime = o.result.end.saturating_since(SimTime::ZERO);
-                    levels.push((plan, o.result.fetched_bytes, runtime));
-                    outcomes.push(o);
+    /// Expand `frontier` into the next level's frontier; `None` once the
+    /// traversal has converged.
+    ///
+    /// SSSP and CC rounds are Gauss–Seidel (a distance or label lowered
+    /// early in a round feeds relaxations later in it), and a vertex
+    /// improved several times in one round enters the next frontier
+    /// once: `mark` records membership and is cleared after each round.
+    /// BFS dedups with `visited` itself.
+    fn expand(&mut self, frontier: &[VertexId]) -> Option<Vec<VertexId>> {
+        let g = self.g;
+        let mut next = Vec::new();
+        match &mut self.state {
+            State::Bfs { visited } => {
+                for &v in frontier {
+                    g.with_neighbors(v, &mut |window| {
+                        for &u in window {
+                            if !visited[u as usize] {
+                                visited[u as usize] = true;
+                                next.push(u);
+                            }
+                        }
+                    });
                 }
-                engine::merge_shard_metrics(&outcomes)
             }
-            Policy::Chain => {
-                let mut engine = sys.build_engine();
-                let mut reqs = Vec::new();
-                let mut t = SimTime::ZERO;
-                for level in 0..depth {
-                    reqs.clear();
-                    let plan = planner.plan(level, &mut reqs);
-                    let batch = engine.run_batch(t, &reqs);
-                    levels.push((plan, batch.fetched_bytes, batch.end.saturating_since(t)));
-                    t = batch.end;
+            State::Sssp {
+                dist,
+                mark,
+                max_weight,
+            } => {
+                let max_weight = *max_weight;
+                for &v in frontier {
+                    let dv = dist[v as usize];
+                    g.with_neighbors(v, &mut |window| {
+                        for &u in window {
+                            let nd = dv + g.edge_weight(v, u, max_weight) as u64;
+                            if nd < dist[u as usize] {
+                                dist[u as usize] = nd;
+                                if !mark[u as usize] {
+                                    mark[u as usize] = true;
+                                    next.push(u);
+                                }
+                            }
+                        }
+                    });
                 }
-                let mut metrics = engine.finish();
-                metrics.runtime = t.saturating_since(SimTime::ZERO);
-                metrics
+                next.iter().for_each(|&u| mark[u as usize] = false);
             }
-        };
-        metrics.useful_bytes = levels.iter().map(|(p, ..)| p.useful).sum();
-        metrics.cache_hits = levels.iter().map(|(p, ..)| p.hits).sum();
-        RunReport {
-            metrics,
-            levels: levels
-                .iter()
-                .enumerate()
-                .map(|(depth, &(plan, fetched_bytes, runtime))| LevelStats {
-                    depth: depth as u32,
-                    frontier: plan.frontier,
-                    useful_bytes: plan.useful,
-                    fetched_bytes,
-                    runtime,
-                })
-                .collect(),
-            reached,
-            workload: self.name().to_string(),
-            backend: sys.label(),
+            State::Cc { label, mark } => {
+                for &v in frontier {
+                    let lv = label[v as usize];
+                    g.with_neighbors(v, &mut |window| {
+                        for &u in window {
+                            if lv < label[u as usize] {
+                                label[u as usize] = lv;
+                                if !mark[u as usize] {
+                                    mark[u as usize] = true;
+                                    next.push(u);
+                                }
+                            }
+                        }
+                    });
+                }
+                next.iter().for_each(|&u| mark[u as usize] = false);
+            }
+            // Every iteration reads every non-isolated vertex's sublist in
+            // ID order: the sequential pattern the Discussion section
+            // contrasts with BFS.
+            State::PageRank { rounds_left } => {
+                *rounds_left -= 1;
+                return (*rounds_left > 0).then(|| frontier.to_vec());
+            }
         }
+        next.sort_unstable();
+        (!next.is_empty()).then_some(next)
+    }
+}
+
+impl<G: CsrView + ?Sized> Iterator for Levels<'_, G> {
+    type Item = Vec<VertexId>;
+
+    fn next(&mut self) -> Option<Vec<VertexId>> {
+        let frontier = self.frontier.take()?;
+        self.frontier = self.expand(&frontier);
+        Some(frontier)
     }
 }
 
 /// Level-synchronous BFS frontier trace. Frontiers are sorted by vertex
 /// ID, matching GPU kernels that compact the frontier from status arrays.
-///
-/// `visited` doubles as the next frontier's dedup mark: a vertex is
-/// pushed the first time it is seen, so each frontier is built without
-/// duplicates and only needs a sort.
 pub fn bfs_trace<G: CsrView + ?Sized>(g: &G, source: VertexId) -> Vec<Vec<VertexId>> {
-    let n = g.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    let mut visited = vec![false; n];
-    visited[source as usize] = true;
-    let mut frontier = vec![source];
-    let mut levels = Vec::new();
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            g.with_neighbors(v, &mut |window| {
-                for &u in window {
-                    if !visited[u as usize] {
-                        visited[u as usize] = true;
-                        next.push(u);
-                    }
-                }
-            });
-        }
-        next.sort_unstable();
-        levels.push(std::mem::replace(&mut frontier, next));
-    }
-    levels
+    Traversal::bfs(source).trace(g)
 }
 
 /// Frontier-based Bellman–Ford rounds: each round reads the sublists of
 /// vertices whose distance improved in the previous round.
 pub fn sssp_trace<G: CsrView + ?Sized>(g: &G, source: VertexId, max_weight: u32) -> Vec<Vec<VertexId>> {
-    sssp_trace_with_reached(g, source, max_weight).0
-}
-
-/// [`sssp_trace`] plus the reached-vertex count from the same pass (the
-/// final distance array is already in hand when the rounds converge, so
-/// counting costs one scan instead of a second full Bellman–Ford).
-///
-/// Rounds are Gauss–Seidel: a distance lowered early in a round feeds
-/// relaxations later in the same round, so the in-round processing order
-/// is part of the algorithm's semantics (see the module docs). A vertex
-/// improved several times in one round enters the next frontier once:
-/// `mark` records membership and is cleared after each round.
-pub fn sssp_trace_with_reached<G: CsrView + ?Sized>(
-    g: &G,
-    source: VertexId,
-    max_weight: u32,
-) -> (Vec<Vec<VertexId>>, u64) {
-    assert!(max_weight >= 1, "SSSP max_weight must be at least 1, got 0");
-    let n = g.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    let mut dist = vec![u64::MAX; n];
-    dist[source as usize] = 0;
-    let mut mark = vec![false; n];
-    let mut frontier = vec![source];
-    let mut rounds = Vec::new();
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            let dv = dist[v as usize];
-            g.with_neighbors(v, &mut |window| {
-                for &u in window {
-                    let nd = dv + g.edge_weight(v, u, max_weight) as u64;
-                    if nd < dist[u as usize] {
-                        dist[u as usize] = nd;
-                        if !mark[u as usize] {
-                            mark[u as usize] = true;
-                            next.push(u);
-                        }
-                    }
-                }
-            });
-        }
-        for &u in &next {
-            mark[u as usize] = false;
-        }
-        next.sort_unstable();
-        rounds.push(std::mem::replace(&mut frontier, next));
-    }
-    let reached = dist.iter().filter(|&&d| d != u64::MAX).count() as u64;
-    (rounds, reached)
-}
-
-/// PageRank access trace: every iteration reads every (non-isolated)
-/// vertex's sublist in ID order — the sequential pattern the Discussion
-/// section contrasts with BFS.
-pub fn pagerank_trace<G: CsrView + ?Sized>(g: &G, iterations: u32) -> Vec<Vec<VertexId>> {
-    let all: Vec<VertexId> = (0..g.num_vertices() as VertexId)
-        .filter(|&v| g.degree(v) > 0)
-        .collect();
-    (0..iterations).map(|_| all.clone()).collect()
+    let sssp = Traversal {
+        workload: Workload::Sssp { source, max_weight },
+    };
+    sssp.trace(g)
 }
 
 /// Compute PageRank values (damping 0.85) for result validation; the
-/// access trace is produced by [`pagerank_trace`].
+/// access trace is [`Traversal::pagerank`]'s levels.
 pub fn pagerank_values<G: CsrView + ?Sized>(g: &G, iterations: u32) -> Vec<f64> {
     let n = g.num_vertices();
     let mut rank = vec![1.0 / n as f64; n];
@@ -448,48 +431,10 @@ pub fn pagerank_values<G: CsrView + ?Sized>(g: &G, iterations: u32) -> Vec<f64> 
     rank
 }
 
-/// Label-propagation connected components: returns the per-round frontier
-/// trace and the number of components found. Like SSSP, rounds are
-/// Gauss–Seidel (labels lowered early in a round propagate within it),
-/// and a vertex relabelled several times in one round enters the next
-/// frontier once, deduplicated by a per-round `mark`.
+/// Label-propagation connected components: the per-round frontier trace
+/// and the number of components found (isolated vertices included).
 pub fn cc_trace<G: CsrView + ?Sized>(g: &G) -> (Vec<Vec<VertexId>>, u64) {
-    let n = g.num_vertices();
-    let mut label: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut mark = vec![false; n];
-    let mut frontier: Vec<VertexId> = (0..n as VertexId).filter(|&v| g.degree(v) > 0).collect();
-    let mut rounds = Vec::new();
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            let lv = label[v as usize];
-            g.with_neighbors(v, &mut |window| {
-                for &u in window {
-                    if lv < label[u as usize] {
-                        label[u as usize] = lv;
-                        if !mark[u as usize] {
-                            mark[u as usize] = true;
-                            next.push(u);
-                        }
-                    }
-                }
-            });
-        }
-        for &u in &next {
-            mark[u as usize] = false;
-        }
-        next.sort_unstable();
-        rounds.push(std::mem::replace(&mut frontier, next));
-    }
-    let mut roots: Vec<VertexId> = (0..n as VertexId)
-        .filter(|&v| g.degree(v) > 0)
-        .map(|v| label[v as usize])
-        .collect();
-    roots.sort_unstable();
-    roots.dedup();
-    // Isolated vertices each count as their own component.
-    let components = roots.len() as u64 + g.num_isolated() as u64;
-    (rounds, components)
+    Traversal::connected_components().trace_with_reached(g)
 }
 
 #[cfg(test)]
@@ -498,6 +443,12 @@ mod tests {
     use cxlg_graph::spec::GraphSpec;
     use cxlg_graph::{Csr, SpillConfig, SpillCsr};
     use cxlg_link::pcie::PcieGen;
+
+    fn sssp_with(source: VertexId, max_weight: u32) -> Traversal {
+        Traversal {
+            workload: Workload::Sssp { source, max_weight },
+        }
+    }
 
     fn path_graph(n: usize) -> Csr {
         // 0 - 1 - 2 - ... - (n-1), undirected.
@@ -632,14 +583,8 @@ mod tests {
             "BFS on {label}"
         );
         for max_weight in [64, 100] {
-            let sssp = Traversal {
-                workload: Workload::Sssp {
-                    source: src,
-                    max_weight,
-                },
-            };
             assert_eq!(
-                sssp.trace_with_reached(g),
+                sssp_with(src, max_weight).trace_with_reached(g),
                 naive_sssp(g, src, max_weight),
                 "SSSP (max_weight {max_weight}) on {label}"
             );
@@ -703,7 +648,7 @@ mod tests {
         );
         let edges = [(0, 3), (0, 6), (3, 4), (6, 4), (6, 1), (1, 4)];
         let g = cxlg_graph::builder::csr_from_edges(7, &edges, false, false);
-        let (rounds, reached) = sssp_trace_with_reached(&g, 0, 64);
+        let (rounds, reached) = sssp_with(0, 64).trace_with_reached(&g);
         assert_eq!(rounds, vec![vec![0], vec![3, 6], vec![1, 4], vec![4]]);
         assert_eq!(reached, 5);
         assert_eq!((rounds, reached), naive_sssp(&g, 0, 64));
@@ -712,7 +657,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_weight must be at least 1")]
     fn sssp_rejects_zero_max_weight() {
-        sssp_trace_with_reached(&path_graph(3), 0, 0);
+        sssp_with(0, 0).levels(&path_graph(3));
     }
 
     #[test]
@@ -744,7 +689,7 @@ mod tests {
         // On the path graph, every vertex is reachable along the only
         // path, and the trace pass itself now reports the count.
         let g = path_graph(6);
-        let (rounds, reached) = sssp_trace_with_reached(&g, 0, 64);
+        let (rounds, reached) = sssp_with(0, 64).trace_with_reached(&g);
         assert_eq!(reached, 6);
         // The trace and the count come from the same pass.
         let visited: usize = rounds.iter().map(|r| r.len()).sum();

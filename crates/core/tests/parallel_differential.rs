@@ -14,16 +14,22 @@
 //!    at the level barrier (DRAM, CXL, UVM), `run` must also match the
 //!    legacy one-engine [`Traversal::run_coupled`] physics oracle
 //!    bit-for-bit.
-//! 3. **Tamper detection** — corrupting one shard's `OnlineStats`
+//! 3. **Fan-out vs one system** — `runner::sweep_systems` traces once
+//!    and plans once per access method for a whole system list; each of
+//!    its reports must equal the system run alone, at every worker
+//!    count, on in-memory and spilled graphs.
+//! 4. **Tamper detection** — corrupting one shard's `OnlineStats`
 //!    before the merge must change the merged latency fingerprint, so a
 //!    buggy (e.g. reordered or lossy) merge cannot silently pass the
 //!    differential suite.
 
 use cxlg_core::access::DeviceRequest;
 use cxlg_core::engine;
-use cxlg_core::system::SystemConfig;
+use cxlg_core::runner::sweep_systems;
+use cxlg_core::system::{BackendConfig, SystemConfig};
 use cxlg_core::traversal::Traversal;
 use cxlg_graph::spec::GraphSpec;
+use cxlg_graph::{CsrView, SpillConfig, SpillCsr};
 use cxlg_link::pcie::PcieGen;
 use cxlg_sim::OnlineStats;
 use proptest::prelude::*;
@@ -121,6 +127,86 @@ proptest! {
             sys.label(),
         );
     }
+}
+
+/// A mixed system list. DRAM, CXL at +1 µs and CXL behind the
+/// out-of-order bridge share EMOGI's zero-copy plan, interleaved with
+/// the rest; XLFDD, BaM and UVM each plan their own (BaM and UVM
+/// statefully), and the flash-backed XLFDD and BaM chain their levels.
+fn mixed_systems() -> Vec<SystemConfig> {
+    let mut ooo = SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(2.0);
+    if let BackendConfig::CxlMem { dev, .. } = &mut ooo.backend {
+        *dev = dev.out_of_order();
+    }
+    vec![
+        SystemConfig::emogi_on_dram(PcieGen::Gen4),
+        SystemConfig::xlfdd(PcieGen::Gen4, 16),
+        SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(1.0),
+        SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
+        ooo,
+        SystemConfig::uvm_on_dram(PcieGen::Gen4),
+    ]
+}
+
+/// Every report of a `sweep_systems` call over [`mixed_systems`] must
+/// equal `oracle`, at every worker count, and so must `run` per system.
+fn assert_fan_out_matches<G: CsrView + ?Sized>(g: &G, trav: Traversal, oracle: &[String], label: &str) {
+    let systems = mixed_systems();
+    for workers in WORKER_COUNTS {
+        let swept = rayon::with_num_threads(workers, || sweep_systems(g, trav, &systems));
+        assert_eq!(swept.len(), systems.len());
+        for ((report, sys), want) in swept.iter().zip(&systems).zip(oracle) {
+            assert_eq!(
+                &serde_json::to_string(report).unwrap(),
+                want,
+                "{} on {} in a {label} sweep at {workers} workers",
+                trav.name(),
+                sys.label()
+            );
+            let alone = rayon::with_num_threads(workers, || trav.run(g, sys));
+            assert_eq!(&serde_json::to_string(&alone).unwrap(), want);
+        }
+    }
+}
+
+#[test]
+fn sweep_systems_equals_each_system_run_alone() {
+    // The oracle is each system alone on one worker: the coupled chain,
+    // which `run` equals on every backend (bit-exact on the quiescent
+    // ones, the same chain on the flash-backed ones).
+    let spec = GraphSpec::kron(9).seed(7);
+    let mem = spec.build();
+    let mut cfg = SpillConfig::new(
+        std::env::temp_dir().join(format!("cxlg-fan-out-{}", std::process::id())),
+    );
+    cfg.page_len = 64;
+    cfg.cache_pages = 4;
+    let spill = SpillCsr::build(&spec, &cfg).expect("spill build");
+    let src = mem.max_degree_vertex().unwrap();
+    for trav in [
+        Traversal::bfs(src),
+        Traversal::sssp(src),
+        Traversal::connected_components(),
+        Traversal::pagerank(2),
+    ] {
+        let oracle: Vec<String> = mixed_systems()
+            .iter()
+            .map(|sys| {
+                let report = rayon::with_num_threads(1, || trav.run_coupled(&mem, sys));
+                serde_json::to_string(&report).unwrap()
+            })
+            .collect();
+        assert_fan_out_matches(&mem, trav, &oracle, "mem");
+        assert_fan_out_matches(&spill, trav, &oracle, "spill");
+    }
+    drop(spill);
+    let _ = std::fs::remove_dir_all(&cfg.dir);
+}
+
+#[test]
+fn sweep_of_no_systems_is_empty() {
+    let g = GraphSpec::urand(6).seed(1).build();
+    assert!(sweep_systems(&g, Traversal::bfs(0), &[]).is_empty());
 }
 
 /// Synthetic per-level batches with uneven sizes (including an empty

@@ -19,7 +19,10 @@ pub struct ReadSegment {
 }
 
 /// A passive timing model of an external memory or storage device.
-pub trait MemoryTarget {
+///
+/// `Send`, so a chained engine can take its levels on whichever pool
+/// worker planned them.
+pub trait MemoryTarget: Send {
     /// Process a read of `bytes` at device-local address `addr` arriving
     /// at `t_arrive`. Pushes one or more [`ReadSegment`]s (in
     /// ready-time order) onto `out` and returns the instant the *last*

@@ -60,23 +60,29 @@ pub enum AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct SoftwareCache {
     cfg: SoftwareCacheConfig,
-    /// Per-set LRU stacks, most-recent first. Sets are short (`ways`), so
-    /// a Vec with rotate is faster than linked structures.
-    sets: Vec<Vec<u64>>,
+    /// Every set's `ways` slots in one array, set after set. A set is an
+    /// LRU stack, most recent first, with its [`EMPTY`] slots at the
+    /// tail: lines are only ever inserted at the front and evicted from
+    /// the back.
+    slots: Vec<u64>,
+    /// Number of sets.
+    sets: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
+/// The slot value of a set's unused ways. A real line ID would need a
+/// byte offset of `u64::MAX` at a 1-byte line.
+const EMPTY: u64 = u64::MAX;
+
 impl SoftwareCache {
     /// Build an empty cache.
     pub fn new(cfg: SoftwareCacheConfig) -> Self {
-        let sets = (0..cfg.num_sets())
-            .map(|_| Vec::with_capacity(cfg.ways as usize))
-            .collect();
         SoftwareCache {
             cfg,
-            sets,
+            slots: vec![EMPTY; cfg.num_lines() as usize],
+            sets: cfg.num_sets(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -88,20 +94,23 @@ impl SoftwareCache {
         &self.cfg
     }
 
+    /// The slots of the set `line` maps to.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
+    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
         // Avalanche the line ID so strided access patterns spread over
         // sets, as BaM's hash-partitioned cache does.
         let mut z = line.wrapping_mul(0x9E3779B97F4A7C15);
         z ^= z >> 29;
-        (z % self.sets.len() as u64) as usize
+        let ways = self.cfg.ways as usize;
+        let start = (z % self.sets) as usize * ways;
+        start..start + ways
     }
 
     /// Touch `line`; returns whether it hit and what was evicted.
     pub fn access(&mut self, line: u64) -> AccessOutcome {
-        let ways = self.cfg.ways as usize;
-        let set_idx = self.set_of(line);
-        let set = &mut self.sets[set_idx];
+        debug_assert_ne!(line, EMPTY, "line ID collides with the empty-slot sentinel");
+        let range = self.set_range(line);
+        let set = &mut self.slots[range];
         if let Some(pos) = set.iter().position(|&l| l == line) {
             // Move to MRU position.
             set[..=pos].rotate_right(1);
@@ -109,21 +118,22 @@ impl SoftwareCache {
             return AccessOutcome::Hit;
         }
         self.misses += 1;
-        let evicted = if set.len() >= ways {
-            let victim = set.pop();
-            self.evictions += 1;
-            victim
+        // The LRU slot goes to the front: an empty way, or the victim.
+        set.rotate_right(1);
+        let evicted = std::mem::replace(&mut set[0], line);
+        if evicted == EMPTY {
+            AccessOutcome::Miss { evicted: None }
         } else {
-            None
-        };
-        set.insert(0, line);
-        AccessOutcome::Miss { evicted }
+            self.evictions += 1;
+            AccessOutcome::Miss {
+                evicted: Some(evicted),
+            }
+        }
     }
 
     /// Is `line` currently resident (no LRU update)?
     pub fn contains(&self, line: u64) -> bool {
-        let set = &self.sets[self.set_of(line)];
-        set.contains(&line)
+        line != EMPTY && self.slots[self.set_range(line)].contains(&line)
     }
 
     /// Hits so far.
@@ -158,9 +168,7 @@ impl SoftwareCache {
 
     /// Drop all contents, keep counters.
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.slots.fill(EMPTY);
     }
 }
 

@@ -135,6 +135,12 @@ impl<T> Lane<T> {
     pub fn is_empty(&self) -> bool {
         self.fifo.is_empty() && self.heap.is_empty()
     }
+
+    /// Free the lane's storage. Panics unless the lane is empty.
+    pub fn release(&mut self) {
+        assert!(self.is_empty(), "released a lane with pending entries");
+        *self = Self::default();
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +197,22 @@ mod tests {
         while lane.pop().is_some() {}
         assert_eq!(lane.len(), 0);
         assert!(lane.is_empty());
+    }
+
+    #[test]
+    fn release_frees_storage_and_the_lane_stays_usable() {
+        let mut lane = lane_of(&[(5, 1), (1, 2), (9, 3)]);
+        while lane.pop().is_some() {}
+        lane.release();
+        assert_eq!((lane.fifo.capacity(), lane.heap.capacity()), (0, 0));
+        lane.push(SimTime(4), 10, 7);
+        assert_eq!(lane.pop(), Some((SimTime(4), 7)));
+    }
+
+    #[test]
+    #[should_panic(expected = "pending entries")]
+    fn release_of_a_pending_lane_panics() {
+        lane_of(&[(5, ())]).release();
     }
 
     #[test]
