@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI for cxl-gpu-graph: tier-1 verification plus docs and bench-target
-# compilation. Everything runs offline (dependencies are vendored under
+# CI for cxl-gpu-graph: tier-1 verification plus docs, the benchmark's
+# counter gates, and end-to-end campaigns. Everything runs offline (dependencies are vendored under
 # vendor/; see README.md "Offline dependency policy").
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -25,9 +25,6 @@ RAYON_NUM_THREADS=4 cargo test -q
 
 echo "==> cargo doc --no-deps with rustdoc warnings denied"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
-
-echo "==> bench targets compile"
-cargo build --benches
 
 echo "==> quickstart example runs"
 cargo run --release --example quickstart >/dev/null
@@ -211,8 +208,8 @@ cmp target/ci-results-spill/FIDELITY.md target/ci-results-t1/FIDELITY.md \
     || { echo "FIDELITY.md differs between spill and mem campaigns"; exit 1; }
 
 echo "==> cached campaign: cxlg run --cached twice against one store"
-# The campaign service path: pass 1 populates the content-addressed
-# store, pass 2 must be served entirely from it — byte-identical result
+# The cached campaign: pass 1 populates the content-addressed store,
+# pass 2 must be served entirely from it — byte-identical result
 # JSON, no graph builds, a green validate, and an unchanged FIDELITY.md.
 rm -rf target/ci-cached-pass1 target/ci-cached-pass2 target/ci-cas
 for P in 1 2; do
@@ -243,7 +240,7 @@ for f in target/ci-cached-pass1/*.json; do
     cmp "$f" "target/ci-cached-pass2/$b" \
         || { echo "$b differs between cached passes"; exit 1; }
     # Same scale, seed, and thread count as the plain t2 campaign above:
-    # routing through the scheduler + store must not change a byte.
+    # the store lookup around each experiment must not change a byte.
     cmp "$f" "target/ci-results-t2/$b" \
         || { echo "$b differs between cached and plain campaigns"; exit 1; }
     CACHED=$((CACHED + 1))
@@ -261,9 +258,9 @@ cmp target/ci-cached-pass1/FIDELITY.md target/ci-cached-pass2/FIDELITY.md \
     || { echo "FIDELITY.md differs between cached passes"; exit 1; }
 
 echo "==> chaos gate: a cached campaign under a pinned fault plan self-heals"
-# A deterministic fault schedule — a worker panic, an execute error, a
-# torn publish, a checksum corruption, and a delayed completion — hits a
-# fresh-store cached campaign. The scheduler must retry within the
+# A deterministic fault schedule — a panicking attempt, an execute
+# error, a torn publish, a checksum corruption, and a delayed attempt —
+# hits a fresh-store cached campaign. The campaign must retry within the
 # attempt budget and the heal loop must re-execute the poisoned
 # publication, so the campaign converges to the same bytes as the
 # fault-free cached run above.
@@ -297,8 +294,8 @@ grep -Eq '"failed": 0' target/ci-chaos-run1/service-stats.json \
     || { echo "a chaos job exhausted its retry budget"; exit 1; }
 
 echo "==> the same (seed, plan) replays to an identical stats snapshot"
-# Everything but the wall-clock / RSS telemetry exemptions must match
-# byte for byte across two runs of the same chaos schedule.
+# The snapshot holds counters only; every byte (the wall-clock / RSS
+# strip is a no-op) must match across two runs of the same schedule.
 cmp <(grep -v -e wall_ms -e rss_ target/ci-chaos-run1/service-stats.json) \
     <(grep -v -e wall_ms -e rss_ target/ci-chaos-run2/service-stats.json) \
     || { echo "chaos stats snapshots differ across replays"; exit 1; }

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// the degree parameter and seed, because `GraphSpec::name()` alone
 /// collapses specs that differ only in those fields — and a collapsed
 /// label would make the "exactly one build per spec" evidence lie.
-/// Public because the campaign service keys its fingerprint memo (and
+/// Public because the cached campaign keys its fingerprint memo (and
 /// thus every `JobKey`) on the same label.
 pub fn spec_label(spec: &GraphSpec) -> String {
     let param = match spec.kind {
@@ -84,12 +84,6 @@ impl GraphCache {
     /// The storage backend this cache builds into.
     pub fn storage_mode(&self) -> StorageMode {
         self.mode
-    }
-
-    /// The spill configuration builds use in [`StorageMode::Spill`]
-    /// (admission estimates need its resident-overhead budget).
-    pub fn spill_config(&self) -> &SpillConfig {
-        &self.spill
     }
 
     /// The graph for `spec`, building it on first use. The build happens

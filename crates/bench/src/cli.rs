@@ -1,4 +1,4 @@
-//! The `cxlg` campaign driver and the legacy shim entry points.
+//! The `cxlg` campaign driver.
 //!
 //! One binary fronts the whole evaluation: `cxlg list` enumerates the
 //! registry, `cxlg run <names...>` / `cxlg run --all` executes
@@ -7,18 +7,28 @@
 //! `--json-manifest` records the run configuration, per-experiment
 //! wall-clock, every result path, and the cache's per-spec build counts.
 //!
-//! The legacy per-figure binaries (`fig3`, `table1`, …) are shims over
-//! [`shim_main`]; `all_figures` is a shim over [`run_all`]. `cxlg
-//! validate` (the paper-fidelity gate) lives in [`crate::fidelity`].
+//! `cxlg run --cached` runs the same loop ([`run_campaign`]) with a
+//! [`CampaignCache`]: each experiment first looks its result up in a
+//! content-addressed store and executes only on a miss. `cxlg validate`
+//! (the paper-fidelity gate) lives in [`crate::fidelity`].
 
+use crate::cache::spec_label;
 use crate::ctx::ExperimentCtx;
 use crate::experiment::{Experiment, ExperimentReport};
 use crate::registry;
+use cxlg_core::mem::{peak_rss_kb, rss_span};
 use cxlg_core::runner::timed;
+use cxlg_graph::GraphSpec;
+use cxlg_serve::fault::{ExecFault, FaultInjector, FaultPlan};
+use cxlg_serve::job::{canonical, Job, JobKey};
+use cxlg_serve::stats::{Stats, StoreStats};
+use cxlg_serve::store::{manifest_for, FingerprintEntry, ResultStore, StoredResult};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
 const USAGE: &str = "\
 cxlg — one driver for the paper's experiment campaign
@@ -27,32 +37,15 @@ USAGE:
     cxlg list                                   enumerate registered experiments
     cxlg run [--json-manifest[=PATH]] <names..> run selected experiments
     cxlg run --all [--json-manifest[=PATH]]     run the full campaign
-    cxlg run --cached [--cas-root=DIR] [--cas-max-bytes=N]
-            [--max-attempts=N] [--fault-plan=SPEC] [--fault-seed=N]
-            <names..|--all>                     run through the campaign
-                                                service scheduler + content-
+    cxlg run --cached [--cas-root=DIR] [--max-attempts=N]
+            [--fault-plan=SPEC] [--fault-seed=N]
+            <names..|--all>                     run through the content-
                                                 addressed result store:
                                                 repeat runs with a warm store
                                                 are byte-identical cache hits;
                                                 a fault plan turns the run
                                                 into a deterministic chaos
                                                 campaign that must self-heal
-    cxlg serve --socket=PATH [--workers=N] [--cas-root=DIR]
-              [--max-attempts=N] [--job-timeout-ms=N]
-              [--mem-budget-bytes=N] [--cas-max-bytes=N]
-                                                long-running campaign service
-                                                speaking newline-delimited
-                                                JSON (submit/status/wait/
-                                                cancel/stats/shutdown) over a
-                                                Unix socket
-    cxlg serve --stats --socket=PATH            print a running service's
-                                                stats snapshot
-    cxlg submit --socket=PATH <experiment> [--scale=N] [--seed=N]
-               [--threads=N] [--priority=high|normal|low] [--wait]
-               [--timeout-ms=N]                 submit one job; or manage by
-                                                key: --status=KEY
-                                                --wait-key=KEY [--timeout-ms=N]
-                                                --cancel=KEY --shutdown
     cxlg cas gc --cas-root=DIR [--max-bytes=N] [--max-entries=N]
                                                 reap stale staging dirs,
                                                 quarantine corrupt entries,
@@ -77,7 +70,9 @@ OPTIONS:
     --json-manifest[=PATH]   write a run manifest (scale/seed/threads,
                              per-experiment wall-clock, peak RSS, result
                              paths, per-spec graph build and eviction
-                             counts); default PATH is
+                             counts; with --cached also the store root,
+                             hit/miss counts and per-experiment job
+                             keys); default PATH is
                              <results_dir>/manifest.json
     --max-bytes-per-arc=N    (graph-mem) exit nonzero when peak RSS
                              exceeds N bytes per directed arc — the CI
@@ -90,31 +85,20 @@ OPTIONS:
                              backend-invariant
     --storage=MODE           (graph-mem) build the probe dataset into
                              the given backend (`mem` | `spill`)
-    --cached                 (run) route the campaign through the
-                             service scheduler + content-addressed
-                             store; repeat runs are cache hits
-    --cas-root=DIR           (run --cached, serve, cas gc) content-
-                             addressed store root; default
-                             <results_dir>/cas
-    --cas-max-bytes=N        (run --cached, serve) GC the store down to
-                             N bytes after every publication
-    --max-attempts=N         (run --cached, serve) execution attempts
-                             per job before it is Failed; default 1
+    --cached                 (run) serve each experiment from the
+                             content-addressed store when it holds a
+                             verified result, else execute and publish;
+                             repeat runs are cache hits
+    --cas-root=DIR           (run --cached, cas gc) content-addressed
+                             store root; default <results_dir>/cas
+    --max-attempts=N         (run --cached) execution attempts per
+                             experiment before it fails; default 1
     --fault-plan=SPEC        (run --cached) deterministic fault schedule,
                              e.g. panic@2,error@5,torn@3,corrupt@4,
                              delay@6:25 — kind@nth-occurrence, delays
                              carry :ms
     --fault-seed=N           (run --cached) injector seed for the plan's
                              corruption byte choices; default 0
-    --job-timeout-ms=N       (serve) watchdog deadline: executions past
-                             it are marked timed_out and the key re-arms
-    --mem-budget-bytes=N     (serve) admission gate: estimated bytes of
-                             concurrently running jobs stay at or below N
-    --timeout-ms=N           (submit) bound a --wait / --wait-key block;
-                             an expired wait answers wait_timed_out and
-                             exits nonzero
-    --socket=PATH            (serve, submit) Unix socket path
-    --workers=N              (serve) worker-pool size; default 2
     --campaign-dir=DIR       (validate) campaign to check; default is
                              the results dir
     --root=DIR               (lint) workspace root to scan; default is
@@ -141,7 +125,7 @@ pub struct RunArgs {
     pub names: Vec<String>,
     /// `Some(None)` = manifest at the default path; `Some(Some(p))` = at `p`.
     pub manifest: Option<Option<String>>,
-    /// Route the run through the campaign service scheduler + CAS.
+    /// Run through the content-addressed result store.
     pub cached: bool,
     /// CAS root for `--cached` (default `<results_dir>/cas`).
     pub cas_root: Option<String>,
@@ -150,11 +134,9 @@ pub struct RunArgs {
     pub fault_plan: Option<String>,
     /// Injector seed for the plan's deterministic corruption choices.
     pub fault_seed: u64,
-    /// Execution attempts per job before `Failed` (0 = scheduler
+    /// Execution attempts per experiment before it fails (0 = the
     /// default of one attempt, i.e. no retries).
     pub max_attempts: u64,
-    /// CAS byte budget: GC after every publication (`--cached`).
-    pub cas_max_bytes: Option<u64>,
     /// Graph storage backend override (`--graph-storage=`); `None`
     /// falls back to `CXLG_GRAPH_STORAGE` / mem.
     pub graph_storage: Option<cxlg_graph::StorageMode>,
@@ -171,7 +153,6 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         fault_plan: None,
         fault_seed: 0,
         max_attempts: 0,
-        cas_max_bytes: None,
         graph_storage: None,
     };
     for a in args {
@@ -187,7 +168,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         } else if let Some(spec) = a.strip_prefix("--fault-plan=") {
             // Parse eagerly so a typo is a usage error, not a failure
             // minutes into the campaign.
-            cxlg_serve::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
+            FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
             out.fault_plan = Some(spec.to_string());
         } else if let Some(n) = a.strip_prefix("--fault-seed=") {
             out.fault_seed = n
@@ -199,13 +180,6 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 .ok()
                 .filter(|m| *m >= 1)
                 .ok_or_else(|| format!("--max-attempts: bad count `{n}` (need >= 1)"))?;
-        } else if let Some(n) = a.strip_prefix("--cas-max-bytes=") {
-            out.cas_max_bytes = Some(
-                n.parse::<u64>()
-                    .ok()
-                    .filter(|b| *b >= 1)
-                    .ok_or_else(|| format!("--cas-max-bytes: bad size `{n}` (need >= 1)"))?,
-            );
         } else if let Some(mode) = a.strip_prefix("--graph-storage=") {
             out.graph_storage = Some(
                 cxlg_graph::StorageMode::parse(mode)
@@ -240,9 +214,6 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         if out.max_attempts != 0 {
             return Err("--max-attempts only applies with --cached".to_string());
         }
-        if out.cas_max_bytes.is_some() {
-            return Err("--cas-max-bytes only applies with --cached".to_string());
-        }
     }
     Ok(out)
 }
@@ -263,31 +234,62 @@ pub fn resolve(names: &[String]) -> Result<Vec<&'static dyn Experiment>, String>
 }
 
 /// What a campaign run produced: the per-experiment reports plus the
-/// names of any experiments that panicked.
+/// names of any experiments that failed.
 pub struct CampaignOutcome {
     /// One report per executed experiment, in run order. Failed
     /// experiments report whatever files they dumped before panicking.
     pub reports: Vec<ExperimentReport>,
-    /// Names of experiments whose run panicked.
+    /// Names of experiments whose run panicked (or, on a cached run,
+    /// failed every attempt).
     pub failed: Vec<String>,
+    /// On a cached run, how the store answered each report, in run
+    /// order; empty on a plain run.
+    pub cached: Vec<CacheRecord>,
+}
+
+/// How the result cache answered one experiment of a cached run.
+#[derive(Debug, Clone)]
+pub struct CacheRecord {
+    /// The experiment's content key (its store directory name).
+    pub key: String,
+    /// Whether the result came from the store.
+    pub cache_hit: bool,
+    /// Why the experiment failed, if it did.
+    pub error: Option<String>,
 }
 
 /// Run `exps` in order against one shared context, optionally writing a
 /// manifest. A panicking experiment is caught and recorded — the rest
-/// of the campaign (and the manifest) still completes, matching the
-/// per-child isolation the old `all_figures` spawner provided. This is
-/// the library core of `cxlg run`, used directly by integration tests.
+/// of the campaign (and the manifest) still completes. This is the
+/// library core of `cxlg run`, used directly by integration tests and
+/// the benchmark; it derives no keys and touches no store.
 pub fn run_experiments(
     ctx: &ExperimentCtx,
     exps: &[&dyn Experiment],
     manifest_path: Option<&Path>,
+) -> CampaignOutcome {
+    run_campaign(ctx, exps, manifest_path, None)
+}
+
+/// The campaign loop behind `cxlg run`: [`run_experiments`] when
+/// `cache` is `None`, `cxlg run --cached` otherwise. With a cache, each
+/// experiment is first looked up in the store and executes only on a
+/// miss (see [`CampaignCache`]); the loop, its eviction plan and its
+/// manifest are otherwise the same, so a cached campaign's result files
+/// are byte-identical to a plain one's. A cached run also leaves its
+/// counters in `<results_dir>/service-stats.json`.
+pub fn run_campaign(
+    ctx: &ExperimentCtx,
+    exps: &[&dyn Experiment],
+    manifest_path: Option<&Path>,
+    mut cache: Option<&mut CampaignCache>,
 ) -> CampaignOutcome {
     // Eviction plan: count, across this run list, how many experiments
     // declared each spec, so a graph can leave the cache right after
     // its last consumer (peak RSS is the campaign's binding
     // constraint). Spec-ordered, so plan output order is structural
     // rather than hash-order luck (lint rule D1).
-    let mut consumers: BTreeMap<cxlg_graph::GraphSpec, usize> = BTreeMap::new();
+    let mut consumers: BTreeMap<GraphSpec, usize> = BTreeMap::new();
     for exp in exps {
         for spec in exp.specs(ctx) {
             *consumers.entry(spec).or_insert(0) += 1;
@@ -300,10 +302,17 @@ pub fn run_experiments(
     // and fail once, and the manifest must tell the two entries apart.
     let mut failed_flags = Vec::with_capacity(exps.len());
     let mut failed = Vec::new();
+    let mut cached = Vec::new();
     for exp in exps {
         println!("\n################ {} ################\n", exp.name());
-        let (outcome, wall) = timed(|| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(ctx)))
+        let (outcome, wall) = timed(|| match cache.as_deref_mut() {
+            None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(ctx)))
+                .map_err(|_| ()),
+            Some(cache) => {
+                let (record, outcome) = cache.step(ctx, *exp);
+                cached.push(record);
+                outcome.map_err(|e| eprintln!("[{}: {e}]", exp.name()))
+            }
         });
         walls_ms.push(wall.as_secs_f64() * 1e3);
         match outcome {
@@ -311,60 +320,415 @@ pub fn run_experiments(
                 reports.push(report);
                 failed_flags.push(false);
             }
-            Err(_) => {
-                // The panic message has already gone to stderr via the
-                // default hook; salvage whatever was dumped pre-panic.
+            Err(()) => {
+                // The panic message (via the default hook) or the cached
+                // step's error is already on stderr; salvage whatever was
+                // dumped before the failure.
                 eprintln!("[{} FAILED]", exp.name());
                 failed.push(exp.name().to_string());
                 failed_flags.push(true);
                 reports.push(ExperimentReport {
                     name: exp.name().to_string(),
                     result_files: ctx.take_written(),
-                    peak_rss_kb: cxlg_core::mem::peak_rss_kb(),
+                    peak_rss_kb: peak_rss_kb(),
                 });
             }
         }
         // This experiment's declared graphs are done with (even on
-        // failure — it consumes no more); evict any whose last consumer
-        // this was.
+        // failure or a cache hit — it consumes no more); evict any whose
+        // last consumer this was.
         for spec in exp.specs(ctx) {
             if ctx.release(spec) {
                 eprintln!("[evicted {} from the graph cache]", spec.name());
             }
         }
     }
-    println!(
-        "\n{} of {} experiment(s) regenerated. JSON in {}.",
+    let mut summary = format!(
+        "{} of {} experiment(s) regenerated",
         reports.len() - failed.len(),
-        exps.len(),
-        ctx.results_dir.display()
+        exps.len()
     );
+    if let Some(cache) = cache.as_deref() {
+        let stats = cache.stats();
+        summary += &format!(
+            " ({} cache hit(s), {} fresh)",
+            stats.cache_hits, stats.cache_misses
+        );
+        // Byte-stable snapshot of the run's counters: ci.sh's chaos gate
+        // replays a campaign from the same `(seed, plan)` and diffs it.
+        let path = ctx.results_dir.join("service-stats.json");
+        std::fs::write(&path, stats.render_json()).expect("write service stats");
+        eprintln!("[service stats {}]", path.display());
+    }
+    println!("\n{summary}. JSON in {}.", ctx.results_dir.display());
     if !failed.is_empty() {
         eprintln!("\nFAILED: {failed:?}");
     }
     if let Some(path) = manifest_path {
-        write_manifest(ctx, &reports, &walls_ms, &failed_flags, path);
+        let cached_run = cache.as_deref().map(|c| (c, cached.as_slice()));
+        write_manifest(ctx, &reports, &walls_ms, &failed_flags, cached_run, path);
     }
-    CampaignOutcome { reports, failed }
+    CampaignOutcome {
+        reports,
+        failed,
+        cached,
+    }
+}
+
+/// How many extra rounds a cached experiment gets when its freshly
+/// published entry fails verification (poisoned, e.g. corrupted after
+/// publication): re-executing heals any single corruption, and a second
+/// round absorbs a fault injected into the healing run itself.
+const HEAL_ROUNDS: usize = 2;
+
+/// Identity of the code this binary was built from: an FNV-64 over every
+/// workspace source, emitted by the `cxlg-bench` build script. Cached
+/// runs bind it into every job key and into the fingerprint memo, so a
+/// store written by other code misses instead of serving stale bytes.
+pub const BUILD_ID: &str = env!("CXLG_BUILD_ID");
+
+/// The result cache of a `cxlg run --cached` campaign: the
+/// content-addressed store, the fingerprint memo, an optional fault
+/// injector (chaos runs), and the attempt budget. [`run_campaign`]
+/// consults it once per experiment, in run order:
+///
+/// 1. resolve the experiment's graph fingerprints from the memo
+///    (building only graphs the memo lacks) and derive its [`JobKey`];
+/// 2. probe the store: a verified hit is written into the results
+///    directory byte for byte, and nothing runs;
+/// 3. on a miss, make up to `max_attempts` attempts, each running the
+///    experiment under `catch_unwind` straight into the results
+///    directory and publishing the files it reports;
+/// 4. probe again after a clean publish: an entry poisoned after
+///    publication is quarantined by that probe and re-executed, at most
+///    `HEAL_ROUNDS` (2) times.
+pub struct CampaignCache {
+    store: ResultStore,
+    memo: FingerprintMemo,
+    faults: Option<Arc<FaultInjector>>,
+    max_attempts: u64,
+    stats: Stats,
+}
+
+impl CampaignCache {
+    /// Open (creating if needed) the cache rooted at `cas_root` for code
+    /// of identity `build_id` — [`BUILD_ID`] in production. `faults`
+    /// fires on the execute step and on the store's publish path;
+    /// `max_attempts` is clamped to at least 1.
+    pub fn open(
+        cas_root: &Path,
+        build_id: &str,
+        faults: Option<FaultInjector>,
+        max_attempts: u64,
+    ) -> std::io::Result<Self> {
+        let faults = faults.map(Arc::new);
+        let mut store = ResultStore::new(cas_root)?;
+        if let Some(f) = &faults {
+            store = store.with_faults(Arc::clone(f));
+        }
+        Ok(CampaignCache {
+            store,
+            memo: FingerprintMemo::load(cas_root.join("fingerprints.json"), build_id),
+            faults,
+            max_attempts: max_attempts.max(1),
+            stats: Stats::default(),
+        })
+    }
+
+    /// The counters so far, with the faults fired and the store's
+    /// recovery counters filled in.
+    pub fn stats(&self) -> Stats {
+        let c = self.store.counters();
+        Stats {
+            faults_injected: self.faults.as_ref().map_or(0, |f| f.fired_count()),
+            store: StoreStats {
+                staging_reaped: c.staging_reaped,
+                quarantined: c.quarantined,
+                evicted: c.evicted,
+                entries: self.store.len() as u64,
+            },
+            ..self.stats.clone()
+        }
+    }
+
+    /// The cached step for one experiment (see the type docs).
+    fn step(
+        &mut self,
+        ctx: &ExperimentCtx,
+        exp: &dyn Experiment,
+    ) -> (CacheRecord, Result<ExperimentReport, String>) {
+        let job = Job {
+            experiment: exp.name().to_string(),
+            scale: ctx.scale,
+            seed: ctx.seed,
+            threads: ctx.threads,
+        };
+        let fingerprints = self.memo.resolve(ctx, &exp.specs(ctx));
+        let key = JobKey::derive(&job, &fingerprints, &self.memo.build_id);
+        let record = |cache_hit, outcome: &Result<ExperimentReport, String>| CacheRecord {
+            key: key.as_str().to_string(),
+            cache_hit,
+            error: outcome.as_ref().err().cloned(),
+        };
+        if let Some(hit) = self.store.probe(&key) {
+            self.stats.cache_hits += 1;
+            let outcome = materialize(ctx, exp, &hit);
+            return (record(true, &outcome), outcome);
+        }
+        self.stats.cache_misses += 1;
+        let mut outcome = Err("no attempt ran".to_string());
+        for _round in 0..=HEAL_ROUNDS {
+            outcome = self.execute(ctx, exp, &job, &key, &fingerprints);
+            if outcome.is_err() || self.store.probe(&key).is_some() {
+                break; // failed with its budget spent, or published and verified
+            }
+            eprintln!("[{}: poisoned store entry, re-executing]", exp.name());
+            outcome = Err("store entry still poisoned after every heal round".to_string());
+        }
+        if outcome.is_err() {
+            self.stats.failed += 1;
+        }
+        (record(false, &outcome), outcome)
+    }
+
+    /// Up to `max_attempts` attempts at running `exp` into the results
+    /// directory and publishing its files under `key`; the first
+    /// success, or the last attempt's error.
+    fn execute(
+        &mut self,
+        ctx: &ExperimentCtx,
+        exp: &dyn Experiment,
+        job: &Job,
+        key: &JobKey,
+        fingerprints: &[(String, u64)],
+    ) -> Result<ExperimentReport, String> {
+        let mut attempt = 1;
+        loop {
+            let fault = self
+                .faults
+                .as_ref()
+                .map_or(ExecFault::None, |f| f.on_execute());
+            let ((run, wall), span) = rss_span(|| timed(|| run_attempt(ctx, exp, fault)));
+            let outcome = run.and_then(|report| {
+                let mut manifest = manifest_for(
+                    key,
+                    canonical(job, fingerprints, &self.memo.build_id),
+                    job.clone(),
+                    fingerprints
+                        .iter()
+                        .map(|(spec, fp)| FingerprintEntry {
+                            spec: spec.clone(),
+                            fingerprint: *fp,
+                        })
+                        .collect(),
+                );
+                manifest.wall_ms = wall.as_secs_f64() * 1e3;
+                manifest.rss_peak_kb = span.after_kb;
+                manifest.rss_delta_kb = span.delta_kb();
+                self.store
+                    .publish(manifest, &read_result_files(&report)?)
+                    .map_err(|e| format!("result publication failed: {e}"))?;
+                Ok(report)
+            });
+            match outcome {
+                Err(e) if attempt < self.max_attempts => {
+                    eprintln!("[{}: attempt {attempt} failed ({e}), retrying]", exp.name());
+                    self.stats.retries += 1;
+                    attempt += 1;
+                }
+                done => return done,
+            }
+        }
+    }
+}
+
+/// One attempt at `exp`, with the injected execute-site `fault` applied
+/// first. A panic — real or injected — fails the attempt, not the
+/// campaign.
+fn run_attempt(
+    ctx: &ExperimentCtx,
+    exp: &dyn Experiment,
+    fault: ExecFault,
+) -> Result<ExperimentReport, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match fault {
+            ExecFault::Panic => panic!("injected fault: panic"),
+            ExecFault::Error => return Err("injected fault: execute error".to_string()),
+            ExecFault::DelayMs(ms) => std::thread::sleep(Duration::from_millis(ms)),
+            ExecFault::None => {}
+        }
+        Ok(exp.run(ctx))
+    }))
+    .unwrap_or_else(|_| Err("experiment panicked".to_string()))
+}
+
+/// `(file name, bytes)` of every result file a run reported — the
+/// payloads of its store entry.
+fn read_result_files(report: &ExperimentReport) -> Result<Vec<(String, Vec<u8>)>, String> {
+    report
+        .result_files
+        .iter()
+        .map(|path| {
+            let p = Path::new(path);
+            let name = p
+                .file_name()
+                .and_then(|n| n.to_str())
+                .ok_or_else(|| format!("unnameable result file `{path}`"))?;
+            let bytes = std::fs::read(p).map_err(|e| format!("read result `{path}`: {e}"))?;
+            Ok((name.to_string(), bytes))
+        })
+        .collect()
+}
+
+/// Write a verified store hit's payloads into the results directory,
+/// verbatim, as `exp`'s report.
+fn materialize(
+    ctx: &ExperimentCtx,
+    exp: &dyn Experiment,
+    hit: &StoredResult,
+) -> Result<ExperimentReport, String> {
+    let mut result_files = Vec::with_capacity(hit.files.len());
+    for (name, bytes) in &hit.files {
+        let path = ctx.results_dir.join(name);
+        std::fs::write(&path, bytes).map_err(|e| format!("materialize `{name}`: {e}"))?;
+        eprintln!("[cache-hit {}]", path.display());
+        result_files.push(path.display().to_string());
+    }
+    Ok(ExperimentReport {
+        name: exp.name().to_string(),
+        result_files,
+        peak_rss_kb: peak_rss_kb(),
+    })
+}
+
+/// `(spec label → Csr::fingerprint)`, persisted as `fingerprints.json`
+/// under the store root so a warm store resolves job keys without
+/// building a graph. A fingerprint is a pure function of the spec *and
+/// the generator code*, so the memo records the build identity it was
+/// written under: a memo from other code — or a damaged one — loads
+/// empty and is rebuilt.
+struct FingerprintMemo {
+    path: PathBuf,
+    build_id: String,
+    fingerprints: BTreeMap<String, u64>,
+}
+
+impl FingerprintMemo {
+    fn load(path: PathBuf, build_id: &str) -> Self {
+        let fingerprints = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|text| Self::parse(&text, build_id))
+            .unwrap_or_default();
+        FingerprintMemo {
+            path,
+            build_id: build_id.to_string(),
+            fingerprints,
+        }
+    }
+
+    /// The table in `text` if it is well formed and was written under
+    /// `build_id`; a partial table is never returned.
+    fn parse(text: &str, build_id: &str) -> Option<BTreeMap<String, u64>> {
+        let Ok(Value::Map(top)) = serde_json::from_str::<Value>(text) else {
+            return None;
+        };
+        let (mut written_by, mut table) = (None, None);
+        for (field, v) in top {
+            match (field.as_str(), v) {
+                ("build_id", Value::Str(id)) => written_by = Some(id),
+                ("fingerprints", Value::Map(m)) => table = Some(m),
+                _ => return None,
+            }
+        }
+        if written_by? != build_id {
+            return None;
+        }
+        table?
+            .into_iter()
+            .map(|(label, v)| match v {
+                Value::U64(fp) => Some((label, fp)),
+                Value::I64(fp) if fp >= 0 => Some((label, fp as u64)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Write the memo, staged and renamed; label-sorted, so byte-stable.
+    fn persist(&self) -> std::io::Result<()> {
+        let v = Value::Map(vec![
+            ("build_id".to_string(), Value::Str(self.build_id.clone())),
+            (
+                "fingerprints".to_string(),
+                Value::Map(
+                    self.fingerprints
+                        .iter()
+                        .map(|(label, fp)| (label.clone(), Value::U64(*fp)))
+                        .collect(),
+                ),
+            ),
+        ]);
+        let text = serde_json::to_string_pretty(&v).expect("serialize fingerprint memo");
+        let tmp = self
+            .path
+            .with_extension(format!("tmp-{}", std::process::id()));
+        std::fs::write(&tmp, text)?;
+        std::fs::rename(&tmp, &self.path)
+    }
+
+    /// `(label, fingerprint)` per distinct spec, building (through the
+    /// context's graph cache, where the experiment will find the graph)
+    /// only specs the memo lacks, and persisting the memo when it grew.
+    fn resolve(&mut self, ctx: &ExperimentCtx, specs: &[GraphSpec]) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = Vec::new();
+        let mut grew = false;
+        for &spec in specs {
+            let label = spec_label(&spec);
+            if out.iter().any(|(l, _)| *l == label) {
+                continue;
+            }
+            let fp = *self.fingerprints.entry(label.clone()).or_insert_with(|| {
+                grew = true;
+                ctx.graph(spec).fingerprint()
+            });
+            out.push((label, fp));
+        }
+        if grew {
+            // The memo only saves work; a failed write costs a rebuild
+            // next time, never a wrong key.
+            if let Err(e) = self.persist() {
+                eprintln!("[fingerprint memo {} not saved: {e}]", self.path.display());
+            }
+        }
+        out
+    }
 }
 
 /// Serialize the run manifest: configuration, per-experiment wall-clock
 /// and result paths, and the graph cache's per-spec build counts (the
-/// proof that the campaign built each dataset exactly once).
+/// proof that the campaign built each dataset exactly once). A cached
+/// run adds the store root, its hit/miss counts, and per experiment the
+/// job key, whether it was a hit, and any error.
 fn write_manifest(
     ctx: &ExperimentCtx,
     reports: &[ExperimentReport],
     walls_ms: &[f64],
     failed_flags: &[bool],
+    cached: Option<(&CampaignCache, &[CacheRecord])>,
     path: &Path,
 ) {
     let experiments = reports
         .iter()
         .zip(walls_ms)
         .zip(failed_flags)
-        .map(|((r, wall), failed)| {
-            Value::Map(vec![
-                ("name".to_string(), Value::Str(r.name.clone())),
+        .enumerate()
+        .map(|(i, ((r, wall), failed))| {
+            let record = cached.map(|(_, records)| &records[i]);
+            let mut fields = vec![("name".to_string(), Value::Str(r.name.clone()))];
+            if let Some(rec) = record {
+                fields.push(("key".to_string(), Value::Str(rec.key.clone())));
+                fields.push(("cache_hit".to_string(), Value::Bool(rec.cache_hit)));
+            }
+            fields.extend([
                 ("wall_ms".to_string(), Value::F64(*wall)),
                 ("failed".to_string(), Value::Bool(*failed)),
                 // Process high-water RSS when the experiment finished
@@ -374,7 +738,11 @@ fn write_manifest(
                     "result_files".to_string(),
                     Value::Array(r.result_files.iter().map(|f| Value::Str(f.clone())).collect()),
                 ),
-            ])
+            ]);
+            if let Some(err) = record.and_then(|rec| rec.error.as_ref()) {
+                fields.push(("error".to_string(), Value::Str(err.clone())));
+            }
+            Value::Map(fields)
         })
         .collect();
     let builds = ctx
@@ -398,7 +766,7 @@ fn write_manifest(
         })
         .collect();
     let (graph_resident, graph_on_disk) = ctx.graph_storage_bytes();
-    let manifest = Value::Map(vec![
+    let mut manifest = vec![
         ("scale".to_string(), Value::U64(ctx.scale as u64)),
         ("seed".to_string(), Value::U64(ctx.seed)),
         ("threads".to_string(), Value::U64(ctx.threads as u64)),
@@ -414,10 +782,20 @@ fn write_manifest(
             "results_dir".to_string(),
             Value::Str(ctx.results_dir.display().to_string()),
         ),
-        (
-            "peak_rss_kb".to_string(),
-            Value::U64(cxlg_core::mem::peak_rss_kb()),
-        ),
+    ];
+    if let Some((cache, _)) = cached {
+        let stats = cache.stats();
+        manifest.extend([
+            (
+                "cas_root".to_string(),
+                Value::Str(cache.store.root().display().to_string()),
+            ),
+            ("cache_hits".to_string(), Value::U64(stats.cache_hits)),
+            ("cache_misses".to_string(), Value::U64(stats.cache_misses)),
+        ]);
+    }
+    manifest.extend([
+        ("peak_rss_kb".to_string(), Value::U64(peak_rss_kb())),
         ("experiments".to_string(), Value::Array(experiments)),
         ("graph_builds".to_string(), Value::Array(builds)),
         ("graph_evictions".to_string(), Value::Array(evictions)),
@@ -426,7 +804,7 @@ fn write_manifest(
         std::fs::create_dir_all(parent).expect("create manifest dir");
     }
     let mut f = std::fs::File::create(path).expect("create manifest file");
-    let s = serde_json::to_string_pretty(&manifest).expect("serialize manifest");
+    let s = serde_json::to_string_pretty(&Value::Map(manifest)).expect("serialize manifest");
     f.write_all(s.as_bytes()).expect("write manifest file");
     eprintln!("[manifest {}]", path.display());
 }
@@ -444,47 +822,33 @@ pub fn run_cli(args: RunArgs) -> i32 {
             }
         }
     };
-    if args.cached {
-        let results_dir = crate::results_dir();
-        let cas_root = args
-            .cas_root
-            .map_or_else(|| results_dir.join("cas"), PathBuf::from);
-        let manifest_path = args
-            .manifest
-            .map(|p| p.map_or_else(|| results_dir.join("manifest.json"), PathBuf::from));
-        let opts = crate::serve_cli::CachedOptions {
-            fault_plan: args.fault_plan,
-            fault_seed: args.fault_seed,
-            max_attempts: args.max_attempts,
-            cas_max_bytes: args.cas_max_bytes,
-            graph_storage: args.graph_storage,
-        };
-        let outcome = crate::serve_cli::run_cached_campaign(
-            crate::bench_scale(),
-            crate::bench_seed(),
-            rayon::current_num_threads(),
-            &results_dir,
-            &cas_root,
-            &exps,
-            manifest_path.as_deref(),
-            &opts,
-        );
-        return match outcome {
-            Ok(o) if o.failed.is_empty() => 0,
-            Ok(_) => 1,
-            Err(msg) => {
-                eprintln!("cxlg run --cached: {msg}");
-                2
-            }
-        };
-    }
     let ctx = ExperimentCtx::from_env_with_storage(
         args.graph_storage.unwrap_or_else(crate::graph_storage),
     );
     let manifest_path = args
         .manifest
         .map(|p| p.map_or_else(|| ctx.results_dir.join("manifest.json"), PathBuf::from));
-    let outcome = run_experiments(&ctx, &exps, manifest_path.as_deref());
+    let mut cache = None;
+    if args.cached {
+        let cas_root = args
+            .cas_root
+            .map_or_else(|| ctx.results_dir.join("cas"), PathBuf::from);
+        let faults = match args.fault_plan.as_deref().map(FaultPlan::parse).transpose() {
+            Ok(plan) => plan.map(|plan| FaultInjector::new(args.fault_seed, plan)),
+            Err(e) => {
+                eprintln!("cxlg run --cached: fault plan: {e}");
+                return 2;
+            }
+        };
+        match CampaignCache::open(&cas_root, BUILD_ID, faults, args.max_attempts) {
+            Ok(c) => cache = Some(c),
+            Err(e) => {
+                eprintln!("cxlg run --cached: open result store {}: {e}", cas_root.display());
+                return 2;
+            }
+        }
+    }
+    let outcome = run_campaign(&ctx, &exps, manifest_path.as_deref(), cache.as_mut());
     if outcome.failed.is_empty() {
         0
     } else {
@@ -680,293 +1044,6 @@ pub fn run_lint(args: LintArgs) -> i32 {
     }
 }
 
-/// Parsed `cxlg serve` arguments.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ServeArgs {
-    /// Unix socket path the service listens on (or is queried at).
-    pub socket: PathBuf,
-    /// Worker-pool size (default 2).
-    pub workers: usize,
-    /// CAS root (default `<results_dir>/cas`).
-    pub cas_root: Option<String>,
-    /// Client mode: query a running service's stats instead of serving.
-    pub stats: bool,
-    /// Execution attempts per job before `Failed` (default 1).
-    pub max_attempts: u64,
-    /// Per-job watchdog timeout in ms (`None` disables).
-    pub job_timeout_ms: Option<u64>,
-    /// Admission budget: estimated bytes of concurrently running jobs.
-    pub mem_budget_bytes: Option<u64>,
-    /// CAS byte budget: GC after every publication.
-    pub cas_max_bytes: Option<u64>,
-}
-
-/// Parse the arguments following `cxlg serve`.
-pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
-    let mut out = ServeArgs {
-        socket: PathBuf::new(),
-        workers: 2,
-        cas_root: None,
-        stats: false,
-        max_attempts: 0,
-        job_timeout_ms: None,
-        mem_budget_bytes: None,
-        cas_max_bytes: None,
-    };
-    let mut socket = None;
-    let parse_positive = |flag: &str, n: &str| {
-        n.parse::<u64>()
-            .ok()
-            .filter(|v| *v >= 1)
-            .ok_or_else(|| format!("{flag}: bad value `{n}` (need >= 1)"))
-    };
-    for a in args {
-        if let Some(p) = a.strip_prefix("--socket=") {
-            if p.is_empty() {
-                return Err("--socket= requires a path".to_string());
-            }
-            socket = Some(PathBuf::from(p));
-        } else if let Some(n) = a.strip_prefix("--workers=") {
-            out.workers = parse_positive("--workers", n)? as usize;
-        } else if let Some(dir) = a.strip_prefix("--cas-root=") {
-            if dir.is_empty() {
-                return Err("--cas-root= requires a directory".to_string());
-            }
-            out.cas_root = Some(dir.to_string());
-        } else if let Some(n) = a.strip_prefix("--max-attempts=") {
-            out.max_attempts = parse_positive("--max-attempts", n)?;
-        } else if let Some(n) = a.strip_prefix("--job-timeout-ms=") {
-            out.job_timeout_ms = Some(parse_positive("--job-timeout-ms", n)?);
-        } else if let Some(n) = a.strip_prefix("--mem-budget-bytes=") {
-            out.mem_budget_bytes = Some(parse_positive("--mem-budget-bytes", n)?);
-        } else if let Some(n) = a.strip_prefix("--cas-max-bytes=") {
-            out.cas_max_bytes = Some(parse_positive("--cas-max-bytes", n)?);
-        } else if a == "--stats" {
-            out.stats = true;
-        } else {
-            return Err(format!("unknown argument `{a}`"));
-        }
-    }
-    out.socket = socket.ok_or("serve: --socket=PATH is required")?;
-    Ok(out)
-}
-
-/// Parsed `cxlg submit` arguments: the socket plus exactly one action.
-#[derive(Debug, PartialEq, Eq)]
-pub struct SubmitArgs {
-    /// Unix socket of the running service.
-    pub socket: PathBuf,
-    /// The single request this invocation sends.
-    pub action: SubmitAction,
-}
-
-/// What a `cxlg submit` invocation asks the service to do.
-#[derive(Debug, PartialEq, Eq)]
-pub enum SubmitAction {
-    /// Submit one experiment job.
-    Submit {
-        /// Registered experiment name.
-        experiment: String,
-        /// Override the server's default scale.
-        scale: Option<u32>,
-        /// Override the server's default seed.
-        seed: Option<u64>,
-        /// Override the server's default thread count.
-        threads: Option<usize>,
-        /// Scheduling lane (server default: normal).
-        priority: Option<String>,
-        /// Block until the job is terminal.
-        wait: bool,
-        /// Bound the `--wait` block (ms); the response carries
-        /// `wait_timed_out` when it expires first.
-        timeout_ms: Option<u64>,
-    },
-    /// Snapshot a job by key.
-    Status(String),
-    /// Block until a job is terminal (optionally bounded, in ms).
-    WaitKey(String, Option<u64>),
-    /// Cancel a queued job.
-    Cancel(String),
-    /// Stop the service.
-    Shutdown,
-}
-
-/// Parse the arguments following `cxlg submit`.
-pub fn parse_submit_args(args: &[String]) -> Result<SubmitArgs, String> {
-    let mut socket = None;
-    let mut experiment = None;
-    let mut scale = None;
-    let mut seed = None;
-    let mut threads = None;
-    let mut priority = None;
-    let mut wait = false;
-    let mut timeout_ms = None;
-    let mut wait_key = None;
-    let mut keyed: Option<SubmitAction> = None;
-    let set_keyed = |action: SubmitAction, keyed: &mut Option<SubmitAction>| {
-        if keyed.is_some() {
-            Err("submit: pass at most one of --status/--wait-key/--cancel/--shutdown".to_string())
-        } else {
-            *keyed = Some(action);
-            Ok(())
-        }
-    };
-    for a in args {
-        if let Some(p) = a.strip_prefix("--socket=") {
-            if p.is_empty() {
-                return Err("--socket= requires a path".to_string());
-            }
-            socket = Some(PathBuf::from(p));
-        } else if let Some(n) = a.strip_prefix("--scale=") {
-            scale = Some(n.parse::<u32>().map_err(|_| format!("bad scale `{n}`"))?);
-        } else if let Some(n) = a.strip_prefix("--seed=") {
-            seed = Some(n.parse::<u64>().map_err(|_| format!("bad seed `{n}`"))?);
-        } else if let Some(n) = a.strip_prefix("--threads=") {
-            threads = Some(
-                n.parse::<usize>()
-                    .ok()
-                    .filter(|t| *t >= 1)
-                    .ok_or_else(|| format!("bad thread count `{n}`"))?,
-            );
-        } else if let Some(p) = a.strip_prefix("--priority=") {
-            if !matches!(p, "high" | "normal" | "low") {
-                return Err(format!("bad priority `{p}` (high|normal|low)"));
-            }
-            priority = Some(p.to_string());
-        } else if a == "--wait" {
-            wait = true;
-        } else if let Some(n) = a.strip_prefix("--timeout-ms=") {
-            timeout_ms = Some(
-                n.parse::<u64>()
-                    .map_err(|_| format!("bad timeout `{n}`"))?,
-            );
-        } else if let Some(k) = a.strip_prefix("--status=") {
-            set_keyed(SubmitAction::Status(k.to_string()), &mut keyed)?;
-        } else if let Some(k) = a.strip_prefix("--wait-key=") {
-            // The timeout flag may come after the key; bind them once
-            // every argument is seen.
-            if wait_key.replace(k.to_string()).is_some() {
-                return Err("submit: pass --wait-key at most once".to_string());
-            }
-        } else if let Some(k) = a.strip_prefix("--cancel=") {
-            set_keyed(SubmitAction::Cancel(k.to_string()), &mut keyed)?;
-        } else if a == "--shutdown" {
-            set_keyed(SubmitAction::Shutdown, &mut keyed)?;
-        } else if a.starts_with('-') {
-            return Err(format!("unknown option `{a}`"));
-        } else if experiment.is_none() {
-            experiment = Some(a.clone());
-        } else {
-            return Err(format!("unexpected argument `{a}`"));
-        }
-    }
-    let socket = socket.ok_or("submit: --socket=PATH is required")?;
-    if let Some(k) = wait_key {
-        set_keyed(SubmitAction::WaitKey(k, timeout_ms.take()), &mut keyed)?;
-    }
-    if timeout_ms.is_some() && !wait {
-        return Err("submit: --timeout-ms requires --wait or --wait-key".to_string());
-    }
-    let action = match (experiment, keyed) {
-        (Some(_), Some(_)) => {
-            return Err("submit: an experiment name and a keyed action are exclusive".to_string())
-        }
-        (None, Some(action)) => action,
-        (Some(experiment), None) => SubmitAction::Submit {
-            experiment,
-            scale,
-            seed,
-            threads,
-            priority,
-            wait,
-            timeout_ms,
-        },
-        (None, None) => return Err("submit: nothing to do (experiment name or keyed action)".to_string()),
-    };
-    Ok(SubmitArgs { socket, action })
-}
-
-/// Render one protocol request line for a submit action. Pure, so the
-/// wire format is unit-testable without a live socket.
-pub fn submit_request_line(action: &SubmitAction) -> String {
-    let mut fields: Vec<(String, Value)> = Vec::new();
-    match action {
-        SubmitAction::Submit {
-            experiment,
-            scale,
-            seed,
-            threads,
-            priority,
-            wait,
-            timeout_ms,
-        } => {
-            fields.push(("op".to_string(), Value::Str("submit".to_string())));
-            fields.push(("experiment".to_string(), Value::Str(experiment.clone())));
-            if let Some(s) = scale {
-                fields.push(("scale".to_string(), Value::U64(*s as u64)));
-            }
-            if let Some(s) = seed {
-                fields.push(("seed".to_string(), Value::U64(*s)));
-            }
-            if let Some(t) = threads {
-                fields.push(("threads".to_string(), Value::U64(*t as u64)));
-            }
-            if let Some(p) = priority {
-                fields.push(("priority".to_string(), Value::Str(p.clone())));
-            }
-            if *wait {
-                fields.push(("wait".to_string(), Value::Bool(true)));
-            }
-            if let Some(t) = timeout_ms {
-                fields.push(("timeout_ms".to_string(), Value::U64(*t)));
-            }
-        }
-        SubmitAction::Status(k) => {
-            fields.push(("op".to_string(), Value::Str("status".to_string())));
-            fields.push(("key".to_string(), Value::Str(k.clone())));
-        }
-        SubmitAction::WaitKey(k, timeout_ms) => {
-            fields.push(("op".to_string(), Value::Str("wait".to_string())));
-            fields.push(("key".to_string(), Value::Str(k.clone())));
-            if let Some(t) = timeout_ms {
-                fields.push(("timeout_ms".to_string(), Value::U64(*t)));
-            }
-        }
-        SubmitAction::Cancel(k) => {
-            fields.push(("op".to_string(), Value::Str("cancel".to_string())));
-            fields.push(("key".to_string(), Value::Str(k.clone())));
-        }
-        SubmitAction::Shutdown => {
-            fields.push(("op".to_string(), Value::Str("shutdown".to_string())));
-        }
-    }
-    serde_json::to_string(&Value::Map(fields)).expect("serialize request")
-}
-
-/// Exit code for a service response line: 0 when the service said
-/// `ok:true`, the reported job status (if any) is not `failed`, and a
-/// bounded wait did not expire (`wait_timed_out`) — so scripts can poll
-/// with `--timeout-ms` and branch on the exit code.
-pub fn response_exit_code(response: &str) -> i32 {
-    let Ok(Value::Map(map)) = serde_json::from_str::<Value>(response) else {
-        return 1;
-    };
-    let ok = map
-        .iter()
-        .any(|(k, v)| k == "ok" && matches!(v, Value::Bool(true)));
-    let failed = map
-        .iter()
-        .any(|(k, v)| k == "status" && matches!(v, Value::Str(s) if s == "failed"));
-    let timed_out = map
-        .iter()
-        .any(|(k, v)| k == "wait_timed_out" && matches!(v, Value::Bool(true)));
-    if ok && !failed && !timed_out {
-        0
-    } else {
-        1
-    }
-}
-
 /// Parsed `cxlg cas gc` arguments.
 #[derive(Debug, PartialEq, Eq)]
 pub struct CasGcArgs {
@@ -1047,105 +1124,6 @@ pub fn run_cas_gc(args: CasGcArgs) -> i32 {
     0
 }
 
-/// Execute `cxlg serve`: either run the campaign service on a Unix
-/// socket until a client sends `shutdown`, or (with `--stats`) query a
-/// running service and print its stats line. Returns the exit code.
-#[cfg(unix)]
-pub fn run_serve(args: ServeArgs) -> i32 {
-    use cxlg_serve::server::{request_one, Server, SubmitDefaults};
-    if args.stats {
-        return match request_one(&args.socket, "{\"op\":\"stats\"}") {
-            Ok(resp) => {
-                println!("{resp}");
-                response_exit_code(&resp)
-            }
-            Err(e) => {
-                eprintln!("cxlg serve --stats: {e}");
-                1
-            }
-        };
-    }
-    let results_dir = crate::results_dir();
-    let cas_root = args
-        .cas_root
-        .map_or_else(|| results_dir.join("cas"), PathBuf::from);
-    let cache = std::sync::Arc::new(crate::cache::GraphCache::with_storage(
-        crate::graph_storage(),
-        cxlg_graph::SpillConfig::new(results_dir.join("graph-spill")),
-    ));
-    let backend = match crate::serve_cli::RegistryBackend::new(&cas_root, cache) {
-        Ok(b) => std::sync::Arc::new(b),
-        Err(e) => {
-            eprintln!("cxlg serve: open CAS root: {e}");
-            return 2;
-        }
-    };
-    let store = match cxlg_serve::store::ResultStore::new(&cas_root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cxlg serve: open result store: {e}");
-            return 2;
-        }
-    };
-    let defaults = SubmitDefaults {
-        scale: crate::bench_scale(),
-        seed: crate::bench_seed(),
-        threads: rayon::current_num_threads(),
-    };
-    let sched = cxlg_serve::scheduler::Scheduler::with_config(
-        store,
-        backend,
-        cxlg_serve::scheduler::SchedulerConfig {
-            workers: args.workers,
-            max_attempts: args.max_attempts,
-            job_timeout_ms: args.job_timeout_ms,
-            mem_budget_bytes: args.mem_budget_bytes,
-            cas_max_bytes: args.cas_max_bytes,
-            faults: None,
-        },
-    );
-    let server = match Server::bind(&args.socket, sched, defaults) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cxlg serve: bind {}: {e}", args.socket.display());
-            return 2;
-        }
-    };
-    println!(
-        "cxlg serve: listening on {} (workers={}, cas={}, defaults scale={} seed={:#x} threads={})",
-        args.socket.display(),
-        args.workers,
-        cas_root.display(),
-        defaults.scale,
-        defaults.seed,
-        defaults.threads,
-    );
-    match server.run() {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("cxlg serve: {e}");
-            1
-        }
-    }
-}
-
-/// Execute `cxlg submit`: send one request line to a running service
-/// and print the response. Returns the exit code.
-#[cfg(unix)]
-pub fn run_submit(args: SubmitArgs) -> i32 {
-    let line = submit_request_line(&args.action);
-    match cxlg_serve::server::request_one(&args.socket, &line) {
-        Ok(resp) => {
-            println!("{resp}");
-            response_exit_code(&resp)
-        }
-        Err(e) => {
-            eprintln!("cxlg submit: {e}");
-            1
-        }
-    }
-}
-
 /// Entry point of the `cxlg` binary.
 pub fn cxlg_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1170,22 +1148,6 @@ pub fn cxlg_main() {
             Ok(ga) => graph_mem(ga),
             Err(msg) => {
                 eprintln!("cxlg graph-mem: {msg}\n\n{USAGE}");
-                2
-            }
-        },
-        #[cfg(unix)]
-        Some("serve") => match parse_serve_args(&args[1..]) {
-            Ok(sa) => run_serve(sa),
-            Err(msg) => {
-                eprintln!("cxlg serve: {msg}\n\n{USAGE}");
-                2
-            }
-        },
-        #[cfg(unix)]
-        Some("submit") => match parse_submit_args(&args[1..]) {
-            Ok(sa) => run_submit(sa),
-            Err(msg) => {
-                eprintln!("cxlg submit: {msg}\n\n{USAGE}");
                 2
             }
         },
@@ -1223,37 +1185,6 @@ pub fn cxlg_main() {
             2
         }
     };
-    std::process::exit(code);
-}
-
-/// Entry point of a legacy per-figure shim binary: run exactly one
-/// registered experiment with the environment-derived context. The
-/// result JSON matches `cxlg run <name>` byte for byte (enforced by
-/// `tests/golden_parity.rs`); stdout is the experiment's own output,
-/// without the driver's `####` separator and summary footer.
-pub fn shim_main(name: &str) {
-    let exp = registry::find(name)
-        .unwrap_or_else(|| panic!("experiment `{name}` is not registered"));
-    let ctx = ExperimentCtx::from_env();
-    exp.run(&ctx);
-}
-
-/// Entry point of the `all_figures` shim: `cxlg run --all
-/// --json-manifest` under the hood (one process, shared graph cache —
-/// no child spawning).
-pub fn run_all() {
-    let code = run_cli(RunArgs {
-        all: true,
-        names: Vec::new(),
-        manifest: Some(None),
-        cached: false,
-        cas_root: None,
-        fault_plan: None,
-        fault_seed: 0,
-        max_attempts: 0,
-        cas_max_bytes: None,
-        graph_storage: None,
-    });
     std::process::exit(code);
 }
 
@@ -1375,14 +1306,14 @@ mod tests {
             "--fault-plan=panic@2,torn@1,delay@3:25",
             "--fault-seed=7",
             "--max-attempts=4",
-            "--cas-max-bytes=4096",
             "fig3",
         ]))
         .unwrap();
         assert_eq!(ra.fault_plan.as_deref(), Some("panic@2,torn@1,delay@3:25"));
         assert_eq!(ra.fault_seed, 7);
         assert_eq!(ra.max_attempts, 4);
-        assert_eq!(ra.cas_max_bytes, Some(4096));
+        // The store is bounded by `cxlg cas gc`, not by the run.
+        assert!(parse_run_args(&s(&["--cached", "--cas-max-bytes=4096", "fig3"])).is_err());
         // A bad plan is a usage error, caught at parse time.
         assert!(parse_run_args(&s(&["--cached", "--fault-plan=frob@1", "fig3"])).is_err());
         assert!(parse_run_args(&s(&["--cached", "--fault-plan=panic", "fig3"])).is_err());
@@ -1391,110 +1322,77 @@ mod tests {
         assert!(parse_run_args(&s(&["--fault-plan=panic@1", "fig3"])).is_err());
         assert!(parse_run_args(&s(&["--fault-seed=7", "fig3"])).is_err());
         assert!(parse_run_args(&s(&["--max-attempts=2", "fig3"])).is_err());
-        assert!(parse_run_args(&s(&["--cas-max-bytes=1", "fig3"])).is_err());
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cxlg-cli-test-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
-    fn parse_serve_forms() {
-        let sa = parse_serve_args(&s(&["--socket=/tmp/s.sock"])).unwrap();
-        assert_eq!(
-            sa,
-            ServeArgs {
-                socket: PathBuf::from("/tmp/s.sock"),
-                workers: 2,
-                cas_root: None,
-                stats: false,
-                max_attempts: 0,
-                job_timeout_ms: None,
-                mem_budget_bytes: None,
-                cas_max_bytes: None,
-            }
-        );
-        let sa =
-            parse_serve_args(&s(&["--socket=/tmp/s.sock", "--workers=4", "--cas-root=/tmp/cas", "--stats"]))
-                .unwrap();
-        assert_eq!(sa.workers, 4);
-        assert_eq!(sa.cas_root, Some("/tmp/cas".to_string()));
-        assert!(sa.stats);
-        let sa = parse_serve_args(&s(&[
-            "--socket=/tmp/s.sock",
-            "--max-attempts=3",
-            "--job-timeout-ms=5000",
-            "--mem-budget-bytes=1073741824",
-            "--cas-max-bytes=8388608",
-        ]))
-        .unwrap();
-        assert_eq!(sa.max_attempts, 3);
-        assert_eq!(sa.job_timeout_ms, Some(5000));
-        assert_eq!(sa.mem_budget_bytes, Some(1_073_741_824));
-        assert_eq!(sa.cas_max_bytes, Some(8_388_608));
-        assert!(parse_serve_args(&s(&[])).is_err(), "socket is required");
-        assert!(parse_serve_args(&s(&["--socket="])).is_err());
-        assert!(parse_serve_args(&s(&["--socket=/tmp/s", "--workers=0"])).is_err());
-        assert!(parse_serve_args(&s(&["--socket=/tmp/s", "--job-timeout-ms=0"])).is_err());
-        assert!(parse_serve_args(&s(&["--socket=/tmp/s", "--mem-budget-bytes=x"])).is_err());
-        assert!(parse_serve_args(&s(&["--socket=/tmp/s", "--frob"])).is_err());
+    fn memo_round_trips_and_discards_damage() {
+        let path = tmp_dir("memo").join("fingerprints.json");
+        let mut memo = FingerprintMemo::load(path.clone(), "build-a");
+        assert!(memo.fingerprints.is_empty(), "a missing memo loads empty");
+        memo.fingerprints = BTreeMap::from([
+            ("kron8(ef16)@0x1".to_string(), 0xABCD_u64),
+            ("urand8(deg32)@0x1".to_string(), u64::MAX),
+        ]);
+        memo.persist().unwrap();
+        assert_eq!(FingerprintMemo::load(path.clone(), "build-a").fingerprints, memo.fingerprints);
+        // Byte-stable across rewrites.
+        let first = std::fs::read(&path).unwrap();
+        memo.persist().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), first);
+        // Damage is discarded wholesale, not half-parsed.
+        for damaged in [
+            "not json",
+            r#"{"build_id": "build-a", "fingerprints": {"x": "nope"}}"#,
+            r#"{"build_id": "build-a"}"#,
+            r#"{"kron8(ef16)@0x1": 7}"#,
+        ] {
+            std::fs::write(&path, damaged).unwrap();
+            assert!(
+                FingerprintMemo::load(path.clone(), "build-a").fingerprints.is_empty(),
+                "{damaged}"
+            );
+        }
     }
 
     #[test]
-    fn parse_submit_forms() {
-        let sa = parse_submit_args(&s(&["--socket=/tmp/s.sock", "fig3", "--wait"])).unwrap();
-        assert_eq!(
-            sa.action,
-            SubmitAction::Submit {
-                experiment: "fig3".to_string(),
-                scale: None,
-                seed: None,
-                threads: None,
-                priority: None,
-                wait: true,
-                timeout_ms: None
-            }
-        );
-        let sa = parse_submit_args(&s(&[
-            "--socket=/tmp/s.sock",
-            "fig3",
-            "--scale=10",
-            "--seed=7",
-            "--threads=2",
-            "--priority=high",
-        ]))
-        .unwrap();
-        let SubmitAction::Submit { scale, seed, threads, priority, wait, .. } = sa.action else {
-            panic!("must parse a submit action")
-        };
-        assert_eq!((scale, seed, threads), (Some(10), Some(7), Some(2)));
-        assert_eq!(priority.as_deref(), Some("high"));
-        assert!(!wait);
-        let sa = parse_submit_args(&s(&["--socket=/tmp/s", "--status=0123456789abcdef"])).unwrap();
-        assert_eq!(sa.action, SubmitAction::Status("0123456789abcdef".to_string()));
-        let sa = parse_submit_args(&s(&["--socket=/tmp/s", "--shutdown"])).unwrap();
-        assert_eq!(sa.action, SubmitAction::Shutdown);
-    }
-
-    #[test]
-    fn parse_submit_timeout_forms() {
-        let sa =
-            parse_submit_args(&s(&["--socket=/tmp/s", "fig3", "--wait", "--timeout-ms=250"]))
-                .unwrap();
-        let SubmitAction::Submit { wait, timeout_ms, .. } = sa.action else {
-            panic!("must parse a submit action")
-        };
-        assert!(wait);
-        assert_eq!(timeout_ms, Some(250));
-        // The flag binds to --wait-key in either argument order.
-        let sa = parse_submit_args(&s(&["--socket=/tmp/s", "--timeout-ms=100", "--wait-key=k"]))
-            .unwrap();
-        assert_eq!(sa.action, SubmitAction::WaitKey("k".to_string(), Some(100)));
-        let sa = parse_submit_args(&s(&["--socket=/tmp/s", "--wait-key=k"])).unwrap();
-        assert_eq!(sa.action, SubmitAction::WaitKey("k".to_string(), None));
-        // A timeout without anything to wait on is a usage error.
-        assert!(parse_submit_args(&s(&["--socket=/tmp/s", "fig3", "--timeout-ms=5"])).is_err());
-        assert!(parse_submit_args(&s(&["--socket=/tmp/s", "fig3", "--timeout-ms=x", "--wait"]))
-            .is_err());
+    fn a_memo_from_another_build_loads_empty() {
+        let path = tmp_dir("memo-foreign").join("fingerprints.json");
+        let mut memo = FingerprintMemo::load(path.clone(), "build-a");
+        memo.fingerprints.insert("urand8(deg32)@0x1".to_string(), 7);
+        memo.persist().unwrap();
+        assert_eq!(FingerprintMemo::load(path.clone(), "build-a").fingerprints.len(), 1);
         assert!(
-            parse_submit_args(&s(&["--socket=/tmp/s", "--wait-key=a", "--wait-key=b"])).is_err()
+            FingerprintMemo::load(path, "build-b").fingerprints.is_empty(),
+            "fingerprints written by other generator code must not be trusted"
         );
+    }
+
+    #[test]
+    fn memo_resolves_fingerprints_across_instances() {
+        let dir = tmp_dir("memo-resolve");
+        let path = dir.join("fingerprints.json");
+        let exp = registry::find("fig3").unwrap();
+        let ctx = ExperimentCtx::new(8, 1, 1, dir.join("results"));
+        let specs = exp.specs(&ctx);
+        let fps = FingerprintMemo::load(path.clone(), "build-a").resolve(&ctx, &specs);
+        assert!(!fps.is_empty(), "fig3 must declare graph inputs");
+        assert!(!ctx.graph_build_counts().is_empty(), "a cold memo builds to fingerprint");
+        // A fresh memo over a fresh context resolves without building.
+        let ctx2 = ExperimentCtx::new(8, 1, 1, dir.join("results2"));
+        let fps2 = FingerprintMemo::load(path.clone(), "build-a").resolve(&ctx2, &specs);
+        assert_eq!(fps2, fps);
+        assert!(ctx2.graph_build_counts().is_empty(), "a warm memo must not build");
+        // Under another build identity the same memo file is cold again.
+        let ctx3 = ExperimentCtx::new(8, 1, 1, dir.join("results3"));
+        assert_eq!(FingerprintMemo::load(path, "build-b").resolve(&ctx3, &specs), fps);
+        assert!(!ctx3.graph_build_counts().is_empty());
     }
 
     #[test]
@@ -1523,58 +1421,6 @@ mod tests {
         assert!(parse_cas_args(&s(&["gc", "--cas-root="])).is_err());
         assert!(parse_cas_args(&s(&["gc", "--cas-root=/tmp/c", "--max-bytes=x"])).is_err());
         assert!(parse_cas_args(&s(&["gc", "--cas-root=/tmp/c", "--frob"])).is_err());
-    }
-
-    #[test]
-    fn parse_submit_rejects_bad_combinations() {
-        assert!(parse_submit_args(&s(&["fig3"])).is_err(), "socket required");
-        assert!(parse_submit_args(&s(&["--socket=/tmp/s"])).is_err(), "no action");
-        assert!(parse_submit_args(&s(&["--socket=/tmp/s", "fig3", "--shutdown"])).is_err());
-        assert!(
-            parse_submit_args(&s(&["--socket=/tmp/s", "--status=a", "--cancel=b"])).is_err()
-        );
-        assert!(parse_submit_args(&s(&["--socket=/tmp/s", "fig3", "--threads=0"])).is_err());
-        assert!(parse_submit_args(&s(&["--socket=/tmp/s", "fig3", "--priority=urgent"])).is_err());
-    }
-
-    #[test]
-    fn submit_request_lines_are_valid_protocol() {
-        let line = submit_request_line(&SubmitAction::Submit {
-            experiment: "fig3".to_string(),
-            scale: Some(10),
-            seed: None,
-            threads: None,
-            priority: Some("low".to_string()),
-            wait: true,
-            timeout_ms: Some(250),
-        });
-        assert_eq!(
-            line,
-            r#"{"op":"submit","experiment":"fig3","scale":10,"priority":"low","wait":true,"timeout_ms":250}"#
-        );
-        assert!(cxlg_serve::proto::parse_request(&line).is_ok());
-        let line =
-            submit_request_line(&SubmitAction::WaitKey("0123456789abcdef".to_string(), Some(100)));
-        assert!(line.contains(r#""timeout_ms":100"#), "{line}");
-        assert!(cxlg_serve::proto::parse_request(&line).is_ok());
-        let line =
-            submit_request_line(&SubmitAction::WaitKey("0123456789abcdef".to_string(), None));
-        assert!(cxlg_serve::proto::parse_request(&line).is_ok());
-        let line = submit_request_line(&SubmitAction::Shutdown);
-        assert_eq!(line, r#"{"op":"shutdown"}"#);
-    }
-
-    #[test]
-    fn response_exit_codes_track_ok_and_failure() {
-        assert_eq!(response_exit_code(r#"{"ok":true}"#), 0);
-        assert_eq!(response_exit_code(r#"{"ok":true,"status":"done"}"#), 0);
-        assert_eq!(response_exit_code(r#"{"ok":true,"status":"failed"}"#), 1);
-        assert_eq!(response_exit_code(r#"{"ok":false,"error":"boom"}"#), 1);
-        assert_eq!(
-            response_exit_code(r#"{"ok":true,"status":"running","wait_timed_out":true}"#),
-            1
-        );
-        assert_eq!(response_exit_code("garbage"), 1);
     }
 
     #[test]

@@ -76,9 +76,8 @@ impl ExperimentCtx {
         Self::with_cache(scale, seed, threads, results_dir, Arc::new(GraphCache::new()))
     }
 
-    /// Context sharing an existing graph cache — the campaign service
-    /// creates one context per job but must not rebuild a dataset that
-    /// another job on the same service already built.
+    /// Context over an existing graph cache (a configured storage
+    /// backend, or one cache shared by several contexts).
     pub fn with_cache(
         scale: u32,
         seed: u64,
@@ -175,8 +174,7 @@ impl ExperimentCtx {
     /// the last one does, the graph is dropped from the shared cache —
     /// its memory is freed as soon as the final `Arc` clone goes away —
     /// and `true` is returned. Without an installed plan this is a
-    /// no-op (single-experiment shims and tests keep whole-context
-    /// caching).
+    /// no-op (tests and embedders keep whole-context caching).
     pub fn release(&self, spec: GraphSpec) -> bool {
         let mut remaining = self.remaining_consumers.lock().unwrap();
         match remaining.get_mut(&spec) {

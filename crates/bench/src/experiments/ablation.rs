@@ -1,8 +1,6 @@
 //! Ablation tables for the design choices DESIGN.md calls out: warp
 //! count (§3.5.2), bridge ordering (Appendix A), BaM cache capacity, and
-//! CXL device count (§4.2.2). Printed as simulated-runtime tables; the
-//! criterion `ablation` bench measures the same points as wall-clock
-//! benchmarks.
+//! CXL device count (§4.2.2). Printed as simulated-runtime tables.
 
 use crate::ctx::ExperimentCtx;
 use cxlg_core::system::{AccessConfig, BackendConfig, SystemConfig};

@@ -2,10 +2,9 @@
 //! extension study, each exposing `TITLE`, `DESC`, and
 //! `run(&ExperimentCtx)` and registered in [`crate::registry`].
 //!
-//! These are the bodies of the former standalone binaries under
-//! `src/bin/`; the binaries remain as shims that invoke the registry.
-//! Stdout and the JSON `series` member are unchanged from the
-//! standalone era.
+//! Run any of them with `cxlg run <name>` (or all with `cxlg run
+//! --all`). Stdout and the JSON `series` member are unchanged from the
+//! era when each was its own binary.
 
 pub mod ablation;
 pub mod cc_study;

@@ -11,15 +11,15 @@
 //!   once per campaign;
 //! * [`experiments`] — the per-figure implementations;
 //! * [`cli`] — the `cxlg` driver (`list` / `run` / `--json-manifest`)
-//!   and the legacy shim entry points;
+//!   and its one campaign loop, which `run --cached` runs with a
+//!   content-addressed result cache around each experiment;
 //! * [`fidelity`] — `cxlg validate`: the paper's reference series as
 //!   data, a residual engine over captured campaigns, and the generated
 //!   FIDELITY.md report.
 //!
-//! The historical per-figure binaries under `src/bin/` still exist as
-//! shims over the registry, with stdout and result JSON unchanged.
-//! Results are dumped under `target/paper-results/` so EXPERIMENTS.md
-//! can be refreshed mechanically.
+//! `cxlg` is the only binary: `cxlg run fig3` runs one figure. Results
+//! are dumped under `target/paper-results/` so EXPERIMENTS.md can be
+//! refreshed mechanically.
 //!
 //! Simulation scale is controlled by the `CXLG_SCALE` environment
 //! variable (log2 of the vertex count, default 16). The paper uses
@@ -41,7 +41,6 @@ pub mod experiment;
 pub mod experiments;
 pub mod fidelity;
 pub mod registry;
-pub mod serve_cli;
 
 use cxlg_core::metrics::RunReport;
 use std::path::PathBuf;

@@ -1,7 +1,7 @@
 //! Static registry of every experiment the harness knows.
 //!
 //! The table is the single source of truth for `cxlg list`, `cxlg run
-//! --all`, the legacy shim binaries, and the docs' per-experiment index.
+//! <name>`, `cxlg run --all`, and the docs' per-experiment index.
 //! Order matters: `run --all` executes in table order, which mirrors the
 //! old `all_figures` sequence (tables, figures, eqcheck, extensions)
 //! with the new workload studies appended.

@@ -34,7 +34,7 @@ pub fn peak_rss_kb() -> u64 {
 /// to "how much memory did this job add?".
 ///
 /// [`peak_rss_kb`] is **process-global and monotone**: under a shared
-/// process (the campaign service runs many jobs in one), every job
+/// process (a campaign runs many experiments in one), every job
 /// sampling it at completion reports the same campaign high-water
 /// mark, which misattributes the largest job's footprint to everyone.
 /// A span records the mark before and after instead; the delta is the
@@ -70,10 +70,9 @@ pub fn rss_span<R>(f: impl FnOnce() -> R) -> (R, RssSpan) {
 
 /// *Current* resident set size of this process in kilobytes, or 0 when
 /// no source is available. Unlike [`peak_rss_kb`] this is
-/// instantaneous — it goes down when memory is freed — and feeds the
-/// campaign service's admission gate and `serve --stats` telemetry.
-/// Falls back to the (monotone) peak when `VmRSS` is unavailable, which
-/// only over-reports — the safe direction for an admission gate.
+/// instantaneous — it goes down when memory is freed. Falls back to the
+/// (monotone) peak when `VmRSS` is unavailable, which only
+/// over-reports.
 pub fn current_rss_kb() -> u64 {
     proc_status_kb("VmRSS:").unwrap_or_else(peak_rss_kb)
 }

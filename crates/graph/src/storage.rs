@@ -252,24 +252,6 @@ impl SpillConfig {
             segment_arcs: 1 << 20,
         }
     }
-
-    /// Resident budget of the page cache when full.
-    pub fn page_cache_bytes(&self) -> u64 {
-        self.cache_pages as u64 * self.page_len as u64 * 4
-    }
-
-    /// Estimated peak transient working set of the spill builder.
-    pub fn build_working_bytes(&self) -> u64 {
-        self.segment_arcs.saturating_mul(12)
-    }
-
-    /// Resident overhead beyond the offsets array — what an admission
-    /// gate should budget for a spill-mode graph in addition to
-    /// 8 B/vertex.
-    pub fn resident_overhead_bytes(&self) -> u64 {
-        self.page_cache_bytes()
-            .saturating_add(self.build_working_bytes())
-    }
 }
 
 /// Process-unique suffix for spill filenames, so concurrent builds of

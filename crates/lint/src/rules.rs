@@ -74,15 +74,9 @@ pub fn classify(path: &str) -> FileClass {
 
 /// Files where rule `D2` (wall-clock) is allowed: the annotated
 /// wall-clock modules. `runner::timed` feeds operator telemetry only
-/// (manifest wall-clock); `mem` reads the kernel's RSS high water; the
-/// campaign-service scheduler times queue waits and job execution —
-/// fields that land only in CAS manifests and stats snapshots, both
-/// exempt from byte-stability, never in result payloads.
-const D2_ALLOWED: &[&str] = &[
-    "crates/core/src/runner.rs",
-    "crates/core/src/mem.rs",
-    "crates/serve/src/scheduler.rs",
-];
+/// (manifest and CAS-manifest wall-clock, never result payloads);
+/// `mem` reads the kernel's RSS high water.
+const D2_ALLOWED: &[&str] = &["crates/core/src/runner.rs", "crates/core/src/mem.rs"];
 
 /// Files where rule `D4` (float accumulation) is allowed: the approved
 /// merge/stat helpers whose accumulation orders are pinned by tests

@@ -4,8 +4,7 @@
 //! be linted:
 //!
 //! * `vendor/` — the offline dependency stand-ins are external code
-//!   with their own idioms (and deliberately wall-clock-aware, e.g.
-//!   criterion);
+//!   with their own idioms;
 //! * `target/` and `.git/` — build products and VCS internals;
 //! * any directory named `corpus` — lint test fixtures are *data*
 //!   (must-flag examples would otherwise flag the lint's own tree).

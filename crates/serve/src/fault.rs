@@ -1,11 +1,11 @@
-//! Deterministic fault injection for the campaign service.
+//! Deterministic fault injection for the cached campaign.
 //!
 //! The paper's campaigns run for hours against real storage hardware,
-//! where worker crashes, torn writes, and stuck jobs are routine. This
+//! where crashed runs, torn writes, and stuck jobs are routine. This
 //! module makes those failures *schedulable*: a [`FaultPlan`] names
 //! which occurrence of which internal event should misbehave, and a
-//! [`FaultInjector`] threads that schedule behind the scheduler's
-//! execute path and the store's publish path. Because faults key on
+//! [`FaultInjector`] threads that schedule behind the campaign's
+//! execute step and the store's publish path. Because faults key on
 //! **deterministic event counters** (the Nth execution attempt, the Nth
 //! publication) rather than wall-clock or entropy, a chaos run is
 //! replayable byte-for-byte from its `(seed, plan)` pair — every chaos
@@ -15,9 +15,9 @@
 //!
 //! | kind            | site            | effect |
 //! |-----------------|-----------------|--------|
-//! | `panic@N`       | Nth execution   | the worker's backend call panics (exercises `catch_unwind` containment + retry) |
-//! | `error@N`       | Nth execution   | the backend reports an execute-time error |
-//! | `delay@N:MS`    | Nth execution   | completion is delayed by `MS` ms (exercises watchdog/timeout paths) |
+//! | `panic@N`       | Nth execution   | the experiment run panics (exercises `catch_unwind` containment + retry) |
+//! | `error@N`       | Nth execution   | the attempt fails with an execute-time error |
+//! | `delay@N:MS`    | Nth execution   | the attempt starts `MS` ms late (a stuck job that still completes) |
 //! | `torn@N`        | Nth publication | the publish dies mid-stage: a partial `.tmp-*` staging dir is left behind and the publish fails |
 //! | `corrupt@N`     | Nth publication | the publish lands, then one payload byte is flipped (exercises checksum quarantine + re-execution) |
 //!
@@ -55,9 +55,9 @@ impl SplitMix64 {
 /// What a scheduled fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic inside the backend call (worker crash).
+    /// Panic inside the experiment run (a crashed attempt).
     Panic,
-    /// Return an execute-time error from the backend call.
+    /// Fail the attempt with an execute-time error.
     Error,
     /// Sleep this many milliseconds before executing (stuck job).
     DelayMs(u64),
@@ -175,7 +175,7 @@ impl FaultPlan {
 pub enum ExecFault {
     /// Proceed normally.
     None,
-    /// Panic (the scheduler's `catch_unwind` contains it).
+    /// Panic (the campaign's `catch_unwind` contains it).
     Panic,
     /// Fail with an injected error.
     Error,
@@ -195,8 +195,8 @@ pub enum PublishFault {
 }
 
 /// The live injector: a [`FaultPlan`] plus the per-site event counters
-/// and a log of fired faults. Thread through
-/// [`crate::scheduler::SchedulerConfig`] and the store; absent an
+/// and a log of fired faults. Shared by the campaign's execute step and
+/// the store ([`crate::store::ResultStore::with_faults`]); absent an
 /// injector, both paths are fault-free.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -280,8 +280,7 @@ impl FaultInjector {
         self.fired.lock().unwrap().len() as u64
     }
 
-    /// The fired-fault log, in firing order (deterministic under a
-    /// single worker).
+    /// The fired-fault log, in firing order.
     pub fn fired_log(&self) -> Vec<String> {
         self.fired.lock().unwrap().clone()
     }

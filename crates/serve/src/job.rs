@@ -1,13 +1,14 @@
-//! The job model: what a client asks the service to run, and the
+//! The job model: one experiment of a cached campaign, and the
 //! deterministic key that names its result in the content-addressed
 //! store.
 //!
 //! A [`Job`] is one experiment at one `(scale, seed, threads)`
 //! configuration. Its [`JobKey`] is an FNV-64 hash over a canonical
-//! string of those fields **plus the graph fingerprints of every
-//! dataset the experiment consumes** (`Csr::fingerprint`), so the key
-//! changes — and the cache misses — whenever the experiment identity,
-//! its parameters, or the actual bytes of its input graphs change.
+//! string of those fields, **the graph fingerprints of every dataset
+//! the experiment consumes** (`Csr::fingerprint`), and **the build
+//! identity of the code that runs it**, so the key changes — and the
+//! cache misses — whenever the experiment identity, its parameters,
+//! the actual bytes of its input graphs, or the program itself change.
 //! `threads` is part of the key because every result JSON records the
 //! pool size in its header; byte-identical replay requires keying on
 //! it. (Result *series* are thread-count invariant by the ci.sh
@@ -15,7 +16,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// One schedulable unit: an experiment at a fixed configuration.
+/// One cacheable unit: an experiment at a fixed configuration.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Job {
     /// Registered experiment name (`fig3`, `table1`, …).
@@ -28,48 +29,6 @@ pub struct Job {
     pub threads: usize,
 }
 
-/// Scheduling lane. FIFO within a lane; the pool always drains `High`
-/// before `Normal` before `Low`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
-    /// Drained first (interactive / gating requests).
-    High,
-    /// The default lane.
-    Normal,
-    /// Drained last (backfill, speculative sweeps).
-    Low,
-}
-
-impl Priority {
-    /// Lane index in drain order (0 drains first).
-    pub fn lane(self) -> usize {
-        match self {
-            Priority::High => 0,
-            Priority::Normal => 1,
-            Priority::Low => 2,
-        }
-    }
-
-    /// Wire name (`high` / `normal` / `low`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
-    }
-
-    /// Parse a wire name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "high" => Ok(Priority::High),
-            "normal" => Ok(Priority::Normal),
-            "low" => Ok(Priority::Low),
-            other => Err(format!("unknown priority `{other}` (high|normal|low)")),
-        }
-    }
-}
-
 /// Content-addressed name of a job's result: 16 lowercase hex digits of
 /// an FNV-64 over the job's canonical description.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,14 +36,15 @@ pub struct JobKey(String);
 
 impl JobKey {
     /// Derive the key for `job` given the `(dataset label, fingerprint)`
-    /// pairs of every graph it consumes. The pairs are sorted by label
-    /// before hashing so declaration order never changes the key.
-    pub fn derive(job: &Job, fingerprints: &[(String, u64)]) -> Self {
-        JobKey(fnv64_hex(&canonical(job, fingerprints)))
+    /// pairs of every graph it consumes and the `build_id` of the code
+    /// that runs it. The pairs are sorted by label before hashing so
+    /// declaration order never changes the key.
+    pub fn derive(job: &Job, fingerprints: &[(String, u64)], build_id: &str) -> Self {
+        JobKey(fnv64_hex(&canonical(job, fingerprints, build_id)))
     }
 
-    /// Wrap an already-derived key (wire intake). Accepts exactly 16
-    /// lowercase hex digits.
+    /// Wrap an already-derived key (a store directory name). Accepts
+    /// exactly 16 lowercase hex digits.
     pub fn parse(s: &str) -> Result<Self, String> {
         if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()) {
             Ok(JobKey(s.to_string()))
@@ -108,7 +68,7 @@ impl std::fmt::Display for JobKey {
 /// The canonical description a key hashes: stable across field
 /// reordering and fingerprint declaration order. Stored in the CAS
 /// manifest so an operator can audit what a key binds.
-pub fn canonical(job: &Job, fingerprints: &[(String, u64)]) -> String {
+pub fn canonical(job: &Job, fingerprints: &[(String, u64)], build_id: &str) -> String {
     let mut fps: Vec<&(String, u64)> = fingerprints.iter().collect();
     fps.sort();
     let fp_part: Vec<String> = fps
@@ -116,7 +76,7 @@ pub fn canonical(job: &Job, fingerprints: &[(String, u64)]) -> String {
         .map(|(label, fp)| format!("{label}={fp:#018x}"))
         .collect();
     format!(
-        "experiment={};scale={};seed={:#x};threads={};graphs=[{}]",
+        "build={build_id};experiment={};scale={};seed={:#x};threads={};graphs=[{}]",
         job.experiment,
         job.scale,
         job.seed,
@@ -145,6 +105,8 @@ fn fnv64_hex(s: &str) -> String {
 mod tests {
     use super::*;
 
+    const B: &str = "0123456789abcdef";
+
     fn job() -> Job {
         Job {
             experiment: "fig3".to_string(),
@@ -156,8 +118,8 @@ mod tests {
 
     #[test]
     fn key_is_stable_and_order_independent() {
-        let a = JobKey::derive(&job(), &[("urand10".into(), 7), ("kron10".into(), 9)]);
-        let b = JobKey::derive(&job(), &[("kron10".into(), 9), ("urand10".into(), 7)]);
+        let a = JobKey::derive(&job(), &[("urand10".into(), 7), ("kron10".into(), 9)], B);
+        let b = JobKey::derive(&job(), &[("kron10".into(), 9), ("urand10".into(), 7)], B);
         assert_eq!(a, b, "fingerprint declaration order must not move the key");
         assert_eq!(a.as_str().len(), 16);
         assert!(a.as_str().bytes().all(|c| c.is_ascii_hexdigit()));
@@ -165,26 +127,26 @@ mod tests {
 
     #[test]
     fn every_field_moves_the_key() {
-        let base = JobKey::derive(&job(), &[("urand10".into(), 7)]);
+        let base = JobKey::derive(&job(), &[("urand10".into(), 7)], B);
         let mut j = job();
         j.experiment = "fig4".into();
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)]), base);
+        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
         let mut j = job();
         j.scale = 11;
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)]), base);
+        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
         let mut j = job();
         j.seed = 1;
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)]), base);
+        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
         let mut j = job();
         j.threads = 4;
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)]), base);
+        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
         // A changed graph fingerprint (same label) also misses.
-        assert_ne!(JobKey::derive(&job(), &[("urand10".into(), 8)]), base);
+        assert_ne!(JobKey::derive(&job(), &[("urand10".into(), 8)], B), base);
     }
 
     #[test]
     fn parse_round_trips_and_rejects_junk() {
-        let k = JobKey::derive(&job(), &[]);
+        let k = JobKey::derive(&job(), &[], B);
         assert_eq!(JobKey::parse(k.as_str()).unwrap(), k);
         assert!(JobKey::parse("short").is_err());
         assert!(JobKey::parse("0123456789ABCDEF").is_err(), "uppercase rejected");
@@ -193,7 +155,8 @@ mod tests {
 
     #[test]
     fn canonical_names_every_input() {
-        let c = canonical(&job(), &[("urand10(deg32)@0x5eed".into(), 0xAB)]);
+        let c = canonical(&job(), &[("urand10(deg32)@0x5eed".into(), 0xAB)], B);
+        assert!(c.contains("build=0123456789abcdef"));
         assert!(c.contains("experiment=fig3"));
         assert!(c.contains("scale=10"));
         assert!(c.contains("seed=0x5eed"));
@@ -202,14 +165,12 @@ mod tests {
     }
 
     #[test]
-    fn priority_parses_and_orders() {
-        assert_eq!(Priority::parse("high").unwrap(), Priority::High);
-        assert_eq!(Priority::parse("normal").unwrap(), Priority::Normal);
-        assert_eq!(Priority::parse("low").unwrap(), Priority::Low);
-        assert!(Priority::parse("urgent").is_err());
-        assert!(Priority::High.lane() < Priority::Normal.lane());
-        assert!(Priority::Normal.lane() < Priority::Low.lane());
-        assert_eq!(Priority::parse(Priority::Low.as_str()).unwrap(), Priority::Low);
+    fn two_build_identities_give_two_keys_for_the_same_job() {
+        let fps = [("urand10".to_string(), 7)];
+        let a = JobKey::derive(&job(), &fps, "0123456789abcdef");
+        let b = JobKey::derive(&job(), &fps, "fedcba9876543210");
+        assert_ne!(a, b, "a store written by other code must miss");
+        assert_eq!(a, JobKey::derive(&job(), &fps, "0123456789abcdef"));
     }
 
     #[test]

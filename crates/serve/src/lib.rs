@@ -1,59 +1,41 @@
-//! # cxlg-serve — the campaign job service
+//! # cxlg-serve — the campaign's content-addressed result cache
 //!
-//! Turns the batch campaign into a long-running service shape: clients
-//! submit **jobs** (one experiment at one `(scale, seed, threads)`
-//! configuration), a **bounded worker pool** schedules them over FIFO
-//! priority lanes with singleflight dedup, and results are memoized in
-//! a **content-addressed store** so a job whose inputs have not changed
-//! is served from cache instead of re-simulated.
+//! `cxlg run --cached` runs the ordinary campaign loop with one extra
+//! step per experiment: derive the experiment's key, serve a verified
+//! stored result if there is one, and otherwise execute and publish.
+//! This crate holds the pieces of that step that know the cache format:
 //!
-//! * [`job`] — the [`Job`] model and the deterministic
-//!   [`JobKey`] derived from the job fields plus the graph
-//!   fingerprints of its datasets;
-//! * [`store`] — [`ResultStore`]: one directory per
-//!   job key holding the result payloads and a manifest with integrity
-//!   checksums, published atomically (write-then-rename) and verified
-//!   on every read;
-//! * [`scheduler`] — [`Scheduler`]: the worker
-//!   pool, job lifecycle (`Queued → Running → Done/Failed/TimedOut`,
-//!   plus `Cancelled` for jobs pulled from the queue), singleflight,
-//!   bounded retries, the per-job watchdog, the RSS-aware admission
-//!   gate, and the cache-first execution path;
+//! * [`job`] — the [`Job`] model and the deterministic [`JobKey`],
+//!   derived from the job fields, the graph fingerprints of its
+//!   datasets, and the build identity of the code that ran it;
+//! * [`store`] — [`ResultStore`]: one directory per job key holding the
+//!   result payloads and a manifest with integrity checksums, published
+//!   atomically (write-then-rename), verified on every read,
+//!   quarantined when damaged, recovered on open, and bounded by GC;
 //! * [`fault`] — the deterministic chaos layer: a
-//!   [`fault::FaultPlan`] schedules worker panics, execute errors,
-//!   delays, torn publishes, and checksum corruption onto exact event
-//!   indices, replayable byte-for-byte from `(seed, plan)`;
-//! * [`stats`] — the byte-stable service statistics snapshot;
-//! * [`proto`] — the newline-delimited JSON request/response wire
-//!   format;
-//! * [`server`] — the Unix-socket front end (`cxlg serve`).
+//!   [`fault::FaultPlan`] schedules panics, execute errors, delays,
+//!   torn publishes, and checksum corruption onto exact event indices,
+//!   replayable byte-for-byte from `(seed, plan)`;
+//! * [`stats`] — the byte-stable counter snapshot a cached campaign
+//!   leaves beside its results (`service-stats.json`).
 //!
-//! The crate is deliberately ignorant of what a job *does*: execution
-//! and graph-fingerprint resolution are injected through the
-//! [`JobBackend`] trait, which `cxlg-bench`
-//! implements over its experiment registry. That keeps the dependency
-//! arrow pointing one way (`bench → serve`) and makes the scheduler and
-//! store testable with stub backends.
+//! The crate does not know what an experiment is; `cxlg-bench` runs
+//! them and hands this crate names and bytes, so the dependency arrow
+//! points one way (`bench → serve`).
 //!
 //! Determinism contract: a cached result is byte-identical to a fresh
 //! run (checksummed payload bytes are replayed verbatim), and every
-//! serialized artifact is byte-stable except the explicitly exempted
-//! wall-clock / RSS telemetry fields, mirroring the campaign manifest's
-//! exemptions.
+//! serialized artifact is byte-stable except the store manifest's
+//! explicitly exempted wall-clock / RSS telemetry fields.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod job;
-pub mod proto;
-pub mod scheduler;
-#[cfg(unix)]
-pub mod server;
 pub mod stats;
 pub mod store;
 
 pub use fault::{FaultInjector, FaultPlan};
-pub use job::{Job, JobKey, Priority};
-pub use scheduler::{JobBackend, JobOutput, Scheduler, SchedulerConfig, WaitOutcome};
+pub use job::{Job, JobKey};
 pub use store::ResultStore;

@@ -1,28 +1,13 @@
-//! Service statistics: the `stats` request / `cxlg serve --stats`
-//! payload.
+//! Cached-campaign statistics: the `service-stats.json` snapshot a
+//! `cxlg run --cached` campaign leaves beside its results.
 //!
-//! The snapshot is **byte-stable** for a given sequence of scheduler
-//! events — fixed field order, sorted per-experiment table — with the
-//! same exemption the campaign manifest carries: the wall-clock and
-//! RSS fields (`cumulative_wall_ms`, `rss_now_kb`, `rss_peak_kb`) are
-//! host telemetry and are the only nondeterministic bytes in the
-//! rendering. A chaos run replayed from the same `(seed, plan)` must
-//! reproduce every other byte of this snapshot — that identity is
-//! ci.sh's replay gate.
+//! The snapshot is **byte-stable** for a given sequence of campaign
+//! events — fixed field order, counters only, no wall-clock or RSS
+//! fields. A chaos run replayed from the same `(seed, plan)` must
+//! reproduce every byte of this snapshot — that identity is ci.sh's
+//! replay gate.
 
 use serde::Value;
-
-/// Cumulative per-experiment execution record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentStat {
-    /// Experiment name.
-    pub experiment: String,
-    /// Jobs that reached a terminal executed state (hits and misses).
-    pub jobs: u64,
-    /// Summed execution wall-clock (ms) — telemetry, exempt from
-    /// byte-stability.
-    pub cumulative_wall_ms: f64,
-}
 
 /// Counters of the result store's recovery machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,46 +22,26 @@ pub struct StoreStats {
     pub entries: u64,
 }
 
-/// Point-in-time service counters.
-#[derive(Debug, Clone, PartialEq)]
+/// Counters of one cached campaign.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
-    /// Live queued entries per lane, in `[high, normal, low]` order.
-    pub queue_depth: [usize; 3],
-    /// Jobs currently executing.
-    pub running: usize,
-    /// Jobs that reached `Done`.
-    pub completed: u64,
-    /// Jobs that reached `Failed` (after exhausting retries).
-    pub failed: u64,
-    /// Jobs cancelled while queued.
-    pub cancelled: u64,
-    /// Submissions collapsed by singleflight.
-    pub deduped: u64,
-    /// Completions served from the result store.
+    /// Experiments served from the result store.
     pub cache_hits: u64,
-    /// Completions that required fresh execution.
+    /// Experiments that missed the store and executed.
     pub cache_misses: u64,
-    /// Failed attempts re-queued under the retry budget.
+    /// Failed execution attempts retried under the attempt budget.
     pub retries: u64,
-    /// Executions marked `TimedOut` by the watchdog.
-    pub timed_out: u64,
-    /// Queued jobs the admission gate deferred at least once.
-    pub admission_deferred: u64,
+    /// Experiments that exhausted their attempt budget (or stayed
+    /// poisoned through every heal round).
+    pub failed: u64,
     /// Faults fired by the attached injector (0 without one).
     pub faults_injected: u64,
     /// Result-store recovery counters.
     pub store: StoreStats,
-    /// Current process RSS (kB) — telemetry, exempt from
-    /// byte-stability.
-    pub rss_now_kb: u64,
-    /// Peak process RSS (kB) — telemetry, exempt from byte-stability.
-    pub rss_peak_kb: u64,
-    /// Per-experiment cumulative table, sorted by experiment name.
-    pub per_experiment: Vec<ExperimentStat>,
 }
 
 impl Stats {
-    /// Fraction of executed jobs served from cache (0 when none ran).
+    /// Fraction of experiments served from cache (0 when none ran).
     pub fn hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -89,27 +54,10 @@ impl Stats {
     /// The snapshot as a JSON value with fixed key order.
     pub fn to_value(&self) -> Value {
         Value::Map(vec![
-            (
-                "queue_depth".to_string(),
-                Value::Map(vec![
-                    ("high".to_string(), Value::U64(self.queue_depth[0] as u64)),
-                    ("normal".to_string(), Value::U64(self.queue_depth[1] as u64)),
-                    ("low".to_string(), Value::U64(self.queue_depth[2] as u64)),
-                ]),
-            ),
-            ("running".to_string(), Value::U64(self.running as u64)),
-            ("completed".to_string(), Value::U64(self.completed)),
-            ("failed".to_string(), Value::U64(self.failed)),
-            ("cancelled".to_string(), Value::U64(self.cancelled)),
-            ("deduped".to_string(), Value::U64(self.deduped)),
             ("cache_hits".to_string(), Value::U64(self.cache_hits)),
             ("cache_misses".to_string(), Value::U64(self.cache_misses)),
             ("retries".to_string(), Value::U64(self.retries)),
-            ("timed_out".to_string(), Value::U64(self.timed_out)),
-            (
-                "admission_deferred".to_string(),
-                Value::U64(self.admission_deferred),
-            ),
+            ("failed".to_string(), Value::U64(self.failed)),
             (
                 "faults_injected".to_string(),
                 Value::U64(self.faults_injected),
@@ -122,32 +70,13 @@ impl Stats {
                         "staging_reaped".to_string(),
                         Value::U64(self.store.staging_reaped),
                     ),
-                    ("quarantined".to_string(), Value::U64(self.store.quarantined)),
+                    (
+                        "quarantined".to_string(),
+                        Value::U64(self.store.quarantined),
+                    ),
                     ("evicted".to_string(), Value::U64(self.store.evicted)),
                     ("entries".to_string(), Value::U64(self.store.entries)),
                 ]),
-            ),
-            // Telemetry: exempt from byte-stability, like wall-clock.
-            ("rss_now_kb".to_string(), Value::U64(self.rss_now_kb)),
-            ("rss_peak_kb".to_string(), Value::U64(self.rss_peak_kb)),
-            (
-                "per_experiment".to_string(),
-                Value::Array(
-                    self.per_experiment
-                        .iter()
-                        .map(|e| {
-                            Value::Map(vec![
-                                ("experiment".to_string(), Value::Str(e.experiment.clone())),
-                                ("jobs".to_string(), Value::U64(e.jobs)),
-                                // Telemetry: exempt.
-                                (
-                                    "cumulative_wall_ms".to_string(),
-                                    Value::F64(e.cumulative_wall_ms),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
             ),
         ])
     }
@@ -164,17 +93,10 @@ mod tests {
 
     fn sample() -> Stats {
         Stats {
-            queue_depth: [1, 2, 0],
-            running: 1,
-            completed: 5,
-            failed: 1,
-            cancelled: 2,
-            deduped: 3,
             cache_hits: 4,
             cache_misses: 1,
             retries: 2,
-            timed_out: 1,
-            admission_deferred: 1,
+            failed: 1,
             faults_injected: 3,
             store: StoreStats {
                 staging_reaped: 1,
@@ -182,20 +104,6 @@ mod tests {
                 evicted: 2,
                 entries: 4,
             },
-            rss_now_kb: 1024,
-            rss_peak_kb: 2048,
-            per_experiment: vec![
-                ExperimentStat {
-                    experiment: "fig3".to_string(),
-                    jobs: 3,
-                    cumulative_wall_ms: 12.5,
-                },
-                ExperimentStat {
-                    experiment: "table1".to_string(),
-                    jobs: 2,
-                    cumulative_wall_ms: 40.0,
-                },
-            ],
         }
     }
 
@@ -211,23 +119,19 @@ mod tests {
     #[test]
     fn rendering_is_byte_stable_modulo_telemetry_fields() {
         let a = sample().render_json();
-        let mut other = sample();
-        // Only the exempt telemetry differs.
-        other.per_experiment[0].cumulative_wall_ms = 99.0;
-        other.rss_now_kb = 777;
-        other.rss_peak_kb = 999;
-        let b = other.render_json();
-        // The same strip ci.sh's chaos replay gate applies.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("wall_ms") && !l.contains("rss_"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_ne!(a, b);
-        assert_eq!(strip(&a), strip(&b), "non-telemetry bytes must be identical");
-        // And rendering the same snapshot twice is bytewise stable.
+        // Rendering the same snapshot twice is bytewise stable.
         assert_eq!(a, sample().render_json());
+        // The snapshot carries no telemetry: the strip ci.sh's chaos
+        // replay gate applies removes nothing, so every byte is compared.
+        let stripped: Vec<&str> = a
+            .lines()
+            .filter(|l| !l.contains("wall_ms") && !l.contains("rss_"))
+            .collect();
+        assert_eq!(stripped.join("\n"), a);
+        // Any counter change shows.
+        let mut other = sample();
+        other.retries += 1;
+        assert_ne!(a, other.render_json());
     }
 
     #[test]
@@ -239,23 +143,13 @@ mod tests {
         assert_eq!(
             keys,
             vec![
-                "queue_depth",
-                "running",
-                "completed",
-                "failed",
-                "cancelled",
-                "deduped",
                 "cache_hits",
                 "cache_misses",
                 "retries",
-                "timed_out",
-                "admission_deferred",
+                "failed",
                 "faults_injected",
                 "hit_ratio",
-                "store",
-                "rss_now_kb",
-                "rss_peak_kb",
-                "per_experiment"
+                "store"
             ]
         );
         let Some((_, Value::Map(store))) = m.iter().find(|(k, _)| k == "store") else {

@@ -12,11 +12,10 @@
 //! `.tmp-<key>-<pid>` directory and `rename`d into place, so a reader
 //! never observes a half-written entry: either `<root>/<jobkey>` exists
 //! with its complete manifest and payloads, or it does not exist. When
-//! two publishers race (possible across processes — in-process the
-//! scheduler's singleflight already collapses them), the first rename
-//! wins and the loser discards its staging directory; both executions
-//! produced byte-identical payloads by the determinism contract, so
-//! which one lands is unobservable.
+//! two publishers race (possible across processes sharing a root), the
+//! first rename wins and the loser discards its staging directory; both
+//! executions produced byte-identical payloads by the determinism
+//! contract, so which one lands is unobservable.
 //!
 //! **Crash recovery on open.** A process that dies mid-publish leaves
 //! its `.tmp-<key>-<pid>` staging directory behind. [`ResultStore::new`]
@@ -94,7 +93,7 @@ pub struct StoredManifest {
     /// [`ResultStore::publish`].
     pub files: Vec<FileEntry>,
     /// Whether this entry was produced by a cache hit replay (always
-    /// `false` in the store; the scheduler reports hit/miss per run).
+    /// `false` in the store; the campaign reports hit/miss per run).
     pub cache_hit: bool,
     /// Execution wall-clock in milliseconds — telemetry, exempt from
     /// byte-stability.
@@ -122,8 +121,8 @@ pub struct StoredResult {
     pub files: Vec<(String, Vec<u8>)>,
 }
 
-/// Monotone counters of the store's recovery machinery, surfaced in
-/// `serve --stats`.
+/// Monotone counters of the store's recovery machinery, surfaced in a
+/// cached campaign's `service-stats.json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Stale `.tmp-*` staging directories reaped on open.
@@ -583,7 +582,7 @@ mod tests {
     }
 
     fn key() -> JobKey {
-        JobKey::derive(&job(), &[("urand8".to_string(), 7)])
+        JobKey::derive(&job(), &[("urand8".to_string(), 7)], "test-build")
     }
 
     fn publish_one(store: &ResultStore) -> JobKey {
@@ -596,7 +595,7 @@ mod tests {
 
     fn publish_n(store: &ResultStore, seed: u64) -> JobKey {
         let j = job_n(seed);
-        let k = JobKey::derive(&j, &[("urand8".to_string(), 7)]);
+        let k = JobKey::derive(&j, &[("urand8".to_string(), 7)], "test-build");
         let m = manifest_for(&k, format!("canon-{seed}"), j, Vec::new());
         let files = vec![("fig3.json".to_string(), format!("{{\"x\":{seed}}}").into_bytes())];
         assert!(store.publish(m, &files).unwrap());

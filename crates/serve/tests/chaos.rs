@@ -1,87 +1,15 @@
-//! Chaos/recovery contract tests: deterministic fault injection, the
-//! retry budget, the watchdog, bounded waits, terminal-entry pruning,
-//! the admission gate, and concurrent checksum repair.
-//!
-//! The headline property is **replayability**: a run under a fixed
-//! `(seed, FaultPlan)` must converge to the same healed results and the
-//! same stats snapshot (modulo wall-clock/RSS telemetry) every time —
-//! every chaos test doubles as a regression test.
+//! Store repair under load: concurrent readers of a content-addressed
+//! entry that is being tampered with and re-published must only ever
+//! see verified bytes. The campaign-level chaos tests (fault plans,
+//! retries, replay) live with the campaign loop in
+//! `crates/bench/tests/cached_campaign.rs`.
 
-use cxlg_serve::fault::{FaultInjector, FaultPlan};
-use cxlg_serve::job::{Job, Priority};
-use cxlg_serve::scheduler::{
-    JobBackend, JobOutput, JobStatus, Scheduler, SchedulerConfig, WaitOutcome,
-};
+use cxlg_serve::job::Job;
 use cxlg_serve::store::{manifest_for, ResultStore};
 use cxlg_serve::JobKey;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Deterministic echo backend with an optional gate (to pin a worker)
-/// and a per-scale admission estimate.
-struct EchoBackend {
-    execs: AtomicU64,
-    gate: (Mutex<bool>, Condvar),
-    gated: AtomicBool,
-    admission_unit: u64,
-}
-
-impl EchoBackend {
-    fn new() -> Arc<Self> {
-        Arc::new(EchoBackend {
-            execs: AtomicU64::new(0),
-            gate: (Mutex::new(false), Condvar::new()),
-            gated: AtomicBool::new(false),
-            admission_unit: 0,
-        })
-    }
-
-    fn with_admission(unit: u64) -> Arc<Self> {
-        Arc::new(EchoBackend {
-            execs: AtomicU64::new(0),
-            gate: (Mutex::new(false), Condvar::new()),
-            gated: AtomicBool::new(false),
-            admission_unit: unit,
-        })
-    }
-
-    fn hold_next(&self) {
-        *self.gate.0.lock().unwrap() = false;
-        self.gated.store(true, Ordering::SeqCst);
-    }
-
-    fn release(&self) {
-        *self.gate.0.lock().unwrap() = true;
-        self.gate.1.notify_all();
-    }
-}
-
-impl JobBackend for EchoBackend {
-    fn fingerprints(&self, job: &Job) -> Result<Vec<(String, u64)>, String> {
-        Ok(vec![(format!("ds{}", job.scale), 0xF00D)])
-    }
-
-    fn execute(&self, _key: &JobKey, job: &Job) -> Result<JobOutput, String> {
-        if self.gated.swap(false, Ordering::SeqCst) {
-            let mut open = self.gate.0.lock().unwrap();
-            while !*open {
-                open = self.gate.1.wait(open).unwrap();
-            }
-        }
-        self.execs.fetch_add(1, Ordering::SeqCst);
-        Ok(JobOutput {
-            files: vec![(
-                format!("{}.json", job.experiment),
-                format!("{{\"result\":\"{}@{}\"}}", job.experiment, job.scale).into_bytes(),
-            )],
-        })
-    }
-
-    fn admission_bytes(&self, _job: &Job) -> u64 {
-        self.admission_unit
-    }
-}
 
 fn job(name: &str) -> Job {
     Job {
@@ -98,252 +26,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The telemetry strip ci.sh's replay gate applies: drop wall-clock and
-/// RSS lines, keep every other byte.
-fn strip_telemetry(s: &str) -> String {
-    s.lines()
-        .filter(|l| !l.contains("wall_ms") && !l.contains("rss_"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// One full chaos campaign under a pinned plan; returns the stripped
-/// stats render and the healed store payload bytes, sorted by key.
-fn chaos_campaign(tag: &str) -> (String, Vec<(String, Vec<u8>)>) {
-    let plan = FaultPlan::parse("panic@2,error@4,delay@5:10,torn@2,corrupt@3").unwrap();
-    let faults = Arc::new(FaultInjector::new(2023, plan));
-    let store = ResultStore::new(tmp_dir(tag))
-        .unwrap()
-        .with_faults(Arc::clone(&faults));
-    let backend = EchoBackend::new();
-    let sched = Scheduler::with_config(
-        store,
-        backend,
-        SchedulerConfig {
-            workers: 1,
-            max_attempts: 4,
-            faults: Some(Arc::clone(&faults)),
-            ..SchedulerConfig::default()
-        },
-    );
-
-    // Five jobs, submitted (and healed) strictly in order. Under one
-    // worker the event trace is fully deterministic:
-    //   fig1: exec#1 ok, publish#1 ok                            → done
-    //   fig2: exec#2 PANIC → retry → exec#3 ok, publish#2 TORN →
-    //         retry → exec#4 ERROR → retry → exec#5 (delayed) ok,
-    //         publish#3 CORRUPT                                  → done (poisoned)
-    //   fig2 resubmit: Done-entry revalidation misses (corruption
-    //         quarantined) → re-arm → exec#6 ok, publish#4 ok    → done (healed)
-    //   fig3..fig5: clean                                        → done
-    for name in ["fig1", "fig2"] {
-        let o = sched.submit(job(name), Priority::Normal).unwrap();
-        assert_eq!(sched.wait(&o.key).unwrap().status, JobStatus::Done, "{name}");
-    }
-    // fig2's Done hides a corrupted entry; resubmission self-heals.
-    let o = sched.submit(job("fig2"), Priority::Normal).unwrap();
-    assert!(!o.deduped, "a poisoned Done entry must re-arm, not dedup");
-    assert_eq!(sched.wait(&o.key).unwrap().status, JobStatus::Done);
-    for name in ["fig3", "fig4", "fig5"] {
-        let o = sched.submit(job(name), Priority::Normal).unwrap();
-        assert_eq!(sched.wait(&o.key).unwrap().status, JobStatus::Done, "{name}");
-    }
-
-    let stats = sched.stats();
-    assert_eq!(stats.retries, 3, "panic + torn + error each cost one retry");
-    assert_eq!(stats.faults_injected, 5, "the whole plan must fire");
-    assert_eq!(stats.store.quarantined, 1, "the corruption must quarantine");
-    assert_eq!(stats.failed, 0, "every job must heal");
-    assert_eq!(stats.completed, 6, "5 jobs + the healing re-run");
-    let rendered = stats.render_json();
-
-    let mut payloads = Vec::new();
-    for key in sched.store().keys() {
-        let hit = sched.store().probe(&key).expect("healed entries must verify");
-        for (name, bytes) in hit.files {
-            payloads.push((format!("{key}/{name}"), bytes));
-        }
-    }
-    assert_eq!(payloads.len(), 5, "all five jobs must land verified");
-    sched.shutdown();
-    (strip_telemetry(&rendered), payloads)
-}
-
-#[test]
-fn a_pinned_fault_plan_replays_byte_for_byte() {
-    let (stats_a, payloads_a) = chaos_campaign("replay-a");
-    let (stats_b, payloads_b) = chaos_campaign("replay-b");
-    assert_eq!(
-        stats_a, stats_b,
-        "same (seed, plan) must replay to an identical stats snapshot"
-    );
-    assert_eq!(
-        payloads_a, payloads_b,
-        "healed results must be byte-identical across replays"
-    );
-}
-
-#[test]
-fn injected_panic_is_contained_and_retried_within_budget() {
-    let plan = FaultPlan::parse("panic@1").unwrap();
-    let faults = Arc::new(FaultInjector::new(1, plan));
-    let backend = EchoBackend::new();
-    let sched = Scheduler::with_config(
-        ResultStore::new(tmp_dir("retry")).unwrap(),
-        backend.clone(),
-        SchedulerConfig {
-            workers: 1,
-            max_attempts: 2,
-            faults: Some(faults),
-            ..SchedulerConfig::default()
-        },
-    );
-    let o = sched.submit(job("fig1"), Priority::Normal).unwrap();
-    let snap = sched.wait(&o.key).unwrap();
-    assert_eq!(snap.status, JobStatus::Done, "retry must absorb the panic");
-    assert_eq!(snap.attempts, 2);
-    assert_eq!(sched.stats().retries, 1);
-    assert_eq!(sched.stats().failed, 0);
-    assert_eq!(backend.execs.load(Ordering::SeqCst), 1, "panic fired before the backend ran");
-}
-
-#[test]
-fn exhausted_retry_budget_fails_with_the_last_error() {
-    let plan = FaultPlan::parse("error@1,error@2").unwrap();
-    let faults = Arc::new(FaultInjector::new(1, plan));
-    let sched = Scheduler::with_config(
-        ResultStore::new(tmp_dir("budget")).unwrap(),
-        EchoBackend::new(),
-        SchedulerConfig {
-            workers: 1,
-            max_attempts: 2,
-            faults: Some(faults),
-            ..SchedulerConfig::default()
-        },
-    );
-    let o = sched.submit(job("fig1"), Priority::Normal).unwrap();
-    let snap = sched.wait(&o.key).unwrap();
-    assert_eq!(snap.status, JobStatus::Failed);
-    assert_eq!(snap.attempts, 2);
-    assert_eq!(snap.error.as_deref(), Some("injected fault: execute error"));
-    let stats = sched.stats();
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.failed, 1);
-}
-
-#[test]
-fn the_watchdog_times_out_runaway_executions_and_rearms_the_key() {
-    // One injected 400 ms stall against a 50 ms watchdog.
-    let plan = FaultPlan::parse("delay@1:400").unwrap();
-    let faults = Arc::new(FaultInjector::new(1, plan));
-    let backend = EchoBackend::new();
-    let sched = Scheduler::with_config(
-        ResultStore::new(tmp_dir("watchdog")).unwrap(),
-        backend.clone(),
-        SchedulerConfig {
-            workers: 1,
-            job_timeout_ms: Some(50),
-            faults: Some(faults),
-            ..SchedulerConfig::default()
-        },
-    );
-    let o = sched.submit(job("slow"), Priority::Normal).unwrap();
-    let snap = sched.wait(&o.key).unwrap();
-    assert_eq!(snap.status, JobStatus::TimedOut);
-    assert!(
-        snap.error.as_deref().unwrap_or("").contains("watchdog"),
-        "timeout must say why: {:?}",
-        snap.error
-    );
-    assert_eq!(sched.stats().timed_out, 1);
-
-    // The key re-arms on resubmit (fault spent → fast path) and the
-    // straggler's eventual completion cannot clobber the new round.
-    let o2 = sched.submit(job("slow"), Priority::Normal).unwrap();
-    assert!(!o2.deduped, "timed-out entries re-arm, not dedup");
-    let snap = sched.wait(&o2.key).unwrap();
-    assert_eq!(snap.status, JobStatus::Done);
-    sched.shutdown();
-}
-
-#[test]
-fn wait_timeout_returns_pending_instead_of_hanging() {
-    let backend = EchoBackend::new();
-    let sched = Scheduler::new(ResultStore::new(tmp_dir("waitto")).unwrap(), backend.clone(), 1);
-    backend.hold_next();
-    let o = sched.submit(job("gate"), Priority::Normal).unwrap();
-    // Bounded wait on an in-flight job: answers Pending, promptly.
-    let outcome = sched.wait_timeout(&o.key, Some(Duration::from_millis(40)));
-    let WaitOutcome::Pending(snap) = outcome else {
-        panic!("a held job must report Pending, got {outcome:?}");
-    };
-    assert!(!snap.status.is_terminal());
-    backend.release();
-    assert_eq!(sched.wait(&o.key).unwrap().status, JobStatus::Done);
-    // Bounded wait on a terminal job: Terminal, no timeout taken.
-    let outcome = sched.wait_timeout(&o.key, Some(Duration::from_millis(0)));
-    assert!(matches!(outcome, WaitOutcome::Terminal(_)));
-}
-
-#[test]
-fn a_cancelled_then_pruned_key_returns_instead_of_hanging() {
-    let backend = EchoBackend::new();
-    let sched = Scheduler::new(ResultStore::new(tmp_dir("prune")).unwrap(), backend.clone(), 1);
-    backend.hold_next();
-    let gate = sched.submit(job("gate"), Priority::Normal).unwrap();
-    let doomed = sched.submit(job("doomed"), Priority::Normal).unwrap();
-    assert!(sched.cancel(&doomed.key));
-    assert_eq!(sched.wait(&doomed.key).unwrap().status, JobStatus::Cancelled);
-    // Prune the terminal entry; the gate job (running) must survive.
-    assert_eq!(sched.prune_terminal(), 1);
-    assert!(sched.status(&doomed.key).is_none(), "pruned entry is gone");
-    // The PR 8 bug: wait on such a key parked forever. Now it answers.
-    assert!(sched.wait(&doomed.key).is_none());
-    assert!(matches!(
-        sched.wait_timeout(&doomed.key, None),
-        WaitOutcome::Unknown
-    ));
-    backend.release();
-    assert_eq!(sched.wait(&gate.key).unwrap().status, JobStatus::Done);
-}
-
-#[test]
-fn the_admission_gate_defers_jobs_past_the_memory_budget() {
-    // Each job claims 64 MiB against a 100 MiB budget: with 2 workers
-    // only one job may run at a time, but progress is guaranteed.
-    let backend = EchoBackend::with_admission(64 << 20);
-    let sched = Scheduler::with_config(
-        ResultStore::new(tmp_dir("admission")).unwrap(),
-        backend.clone(),
-        SchedulerConfig {
-            workers: 2,
-            mem_budget_bytes: Some(100 << 20),
-            ..SchedulerConfig::default()
-        },
-    );
-    backend.hold_next();
-    let first = sched.submit(job("big1"), Priority::Normal).unwrap();
-    // Wait until the first job occupies the budget.
-    while sched.status(&first.key).map(|s| s.status) != Some(JobStatus::Running) {
-        std::thread::yield_now();
-    }
-    let second = sched.submit(job("big2"), Priority::Normal).unwrap();
-    // The second worker is idle but must not dispatch big2 over budget.
-    let outcome = sched.wait_timeout(&second.key, Some(Duration::from_millis(60)));
-    let WaitOutcome::Pending(snap) = outcome else {
-        panic!("big2 must stay deferred while big1 runs, got {outcome:?}");
-    };
-    assert_eq!(snap.status, JobStatus::Queued, "deferred means still queued");
-    backend.release();
-    // Capacity frees → big2 admits and completes.
-    assert_eq!(sched.wait(&second.key).unwrap().status, JobStatus::Done);
-    assert_eq!(sched.wait(&first.key).unwrap().status, JobStatus::Done);
-    assert!(
-        sched.stats().admission_deferred >= 1,
-        "the deferral must be counted"
-    );
-}
-
 #[test]
 fn concurrent_readers_never_observe_torn_bytes_during_repair() {
     // N readers hammer `probe` while one thread tampers with the entry
@@ -352,7 +34,7 @@ fn concurrent_readers_never_observe_torn_bytes_during_repair() {
     // mix — the checksum table is what makes repair safe under load.
     let store = Arc::new(ResultStore::new(tmp_dir("repair")).unwrap());
     let j = job("fig1");
-    let key = JobKey::derive(&j, &[("ds8".to_string(), 0xF00D)]);
+    let key = JobKey::derive(&j, &[("ds8".to_string(), 0xF00D)], "test-build");
     let old_bytes = b"{\"result\":\"old\"}".to_vec();
     let new_bytes = b"{\"result\":\"new\"}".to_vec();
     let publish = |bytes: &Vec<u8>| {
