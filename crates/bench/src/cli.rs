@@ -118,7 +118,7 @@ ENVIRONMENT:
 
 /// Parsed `cxlg run` arguments.
 #[derive(Debug, PartialEq, Eq)]
-pub struct RunArgs {
+struct RunArgs {
     /// Run every registered experiment in registry order.
     pub all: bool,
     /// Explicitly selected experiment names (empty with `all`).
@@ -132,8 +132,9 @@ pub struct RunArgs {
     /// Fault-plan spec for a `--cached` chaos run (e.g.
     /// `panic@2,torn@1,corrupt@3`).
     pub fault_plan: Option<String>,
-    /// Injector seed for the plan's deterministic corruption choices.
-    pub fault_seed: u64,
+    /// Injector seed for the plan's deterministic corruption choices
+    /// (`None` = not given; the injector then uses seed 0).
+    pub fault_seed: Option<u64>,
     /// Execution attempts per experiment before it fails (0 = the
     /// default of one attempt, i.e. no retries).
     pub max_attempts: u64,
@@ -143,7 +144,7 @@ pub struct RunArgs {
 }
 
 /// Parse the arguments following `cxlg run`.
-pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut out = RunArgs {
         all: false,
         names: Vec::new(),
@@ -151,7 +152,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         cached: false,
         cas_root: None,
         fault_plan: None,
-        fault_seed: 0,
+        fault_seed: None,
         max_attempts: 0,
         graph_storage: None,
     };
@@ -171,9 +172,10 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
             out.fault_plan = Some(spec.to_string());
         } else if let Some(n) = a.strip_prefix("--fault-seed=") {
-            out.fault_seed = n
-                .parse::<u64>()
-                .map_err(|_| format!("--fault-seed: bad number `{n}`"))?;
+            out.fault_seed = Some(
+                n.parse::<u64>()
+                    .map_err(|_| format!("--fault-seed: bad number `{n}`"))?,
+            );
         } else if let Some(n) = a.strip_prefix("--max-attempts=") {
             out.max_attempts = n
                 .parse::<u64>()
@@ -208,7 +210,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         if out.cas_root.is_some() {
             return Err("--cas-root only applies with --cached".to_string());
         }
-        if out.fault_plan.is_some() || out.fault_seed != 0 {
+        if out.fault_plan.is_some() || out.fault_seed.is_some() {
             return Err("--fault-plan/--fault-seed only apply with --cached".to_string());
         }
         if out.max_attempts != 0 {
@@ -219,7 +221,7 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 }
 
 /// Resolve names against the registry, failing on the first unknown one.
-pub fn resolve(names: &[String]) -> Result<Vec<&'static dyn Experiment>, String> {
+fn resolve(names: &[String]) -> Result<Vec<&'static dyn Experiment>, String> {
     names
         .iter()
         .map(|n| {
@@ -810,7 +812,7 @@ fn write_manifest(
 }
 
 /// Execute a parsed `cxlg run`, returning the process exit code.
-pub fn run_cli(args: RunArgs) -> i32 {
+fn run_cli(args: RunArgs) -> i32 {
     let exps: Vec<&dyn Experiment> = if args.all {
         registry::all().collect()
     } else {
@@ -834,7 +836,7 @@ pub fn run_cli(args: RunArgs) -> i32 {
             .cas_root
             .map_or_else(|| ctx.results_dir.join("cas"), PathBuf::from);
         let faults = match args.fault_plan.as_deref().map(FaultPlan::parse).transpose() {
-            Ok(plan) => plan.map(|plan| FaultInjector::new(args.fault_seed, plan)),
+            Ok(plan) => plan.map(|plan| FaultInjector::new(args.fault_seed.unwrap_or(0), plan)),
             Err(e) => {
                 eprintln!("cxlg run --cached: fault plan: {e}");
                 return 2;
@@ -858,7 +860,7 @@ pub fn run_cli(args: RunArgs) -> i32 {
 
 /// Parsed `cxlg graph-mem` arguments.
 #[derive(Debug, PartialEq)]
-pub struct GraphMemArgs {
+struct GraphMemArgs {
     /// Dataset family (`urand`, `kron`, `social`).
     pub family: String,
     /// log2 vertex count.
@@ -870,7 +872,7 @@ pub struct GraphMemArgs {
 }
 
 /// Parse the arguments following `cxlg graph-mem`.
-pub fn parse_graph_mem_args(args: &[String]) -> Result<GraphMemArgs, String> {
+fn parse_graph_mem_args(args: &[String]) -> Result<GraphMemArgs, String> {
     let mut family = None;
     let mut scale = None;
     let mut max_bytes_per_arc = None;
@@ -928,7 +930,7 @@ pub fn parse_graph_mem_args(args: &[String]) -> Result<GraphMemArgs, String> {
 /// Peak RSS is a process-wide high-water mark, so the probe is honest
 /// only when the build is the process's dominant allocation — which is
 /// why it is a subcommand (fresh process) rather than an experiment.
-pub fn graph_mem(args: GraphMemArgs) -> i32 {
+fn graph_mem(args: GraphMemArgs) -> i32 {
     let seed = crate::bench_seed();
     let spec = match args.family.as_str() {
         "urand" => cxlg_graph::GraphSpec::urand(args.scale),
@@ -983,7 +985,7 @@ pub fn graph_mem(args: GraphMemArgs) -> i32 {
 
 /// Parsed `cxlg lint` arguments.
 #[derive(Debug, PartialEq, Eq)]
-pub struct LintArgs {
+struct LintArgs {
     /// Workspace root to scan (default: current directory).
     pub root: PathBuf,
     /// Emit the machine-readable JSON report instead of text.
@@ -993,7 +995,7 @@ pub struct LintArgs {
 }
 
 /// Parse the arguments following `cxlg lint`.
-pub fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
+fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
     let mut out = LintArgs {
         root: PathBuf::from("."),
         json: false,
@@ -1021,7 +1023,7 @@ pub fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
 /// wall-clock on stderr (the report itself must stay host-independent).
 /// Returns the process exit code: with `--deny`, 1 on any unsuppressed
 /// finding; 2 on I/O failure.
-pub fn run_lint(args: LintArgs) -> i32 {
+fn run_lint(args: LintArgs) -> i32 {
     let (run, wall) = timed(|| cxlg_lint::run_workspace(&args.root));
     let run = match run {
         Ok(r) => r,
@@ -1046,7 +1048,7 @@ pub fn run_lint(args: LintArgs) -> i32 {
 
 /// Parsed `cxlg cas gc` arguments.
 #[derive(Debug, PartialEq, Eq)]
-pub struct CasGcArgs {
+struct CasGcArgs {
     /// Store root to collect.
     pub cas_root: PathBuf,
     /// Evict (LRU by publication sequence) until at or below this many
@@ -1058,7 +1060,7 @@ pub struct CasGcArgs {
 
 /// Parse the arguments following `cxlg cas` (currently only the `gc`
 /// verb).
-pub fn parse_cas_args(args: &[String]) -> Result<CasGcArgs, String> {
+fn parse_cas_args(args: &[String]) -> Result<CasGcArgs, String> {
     let Some(("gc", rest)) = args.split_first().map(|(v, r)| (v.as_str(), r)) else {
         return Err("cas: expected the `gc` verb".to_string());
     };
@@ -1097,7 +1099,7 @@ pub fn parse_cas_args(args: &[String]) -> Result<CasGcArgs, String> {
 /// and evict entries oldest-publication-first until the given bounds
 /// fit. With no bounds this is a recovery-only pass. Returns the exit
 /// code.
-pub fn run_cas_gc(args: CasGcArgs) -> i32 {
+fn run_cas_gc(args: CasGcArgs) -> i32 {
     let store = match cxlg_serve::store::ResultStore::new(&args.cas_root) {
         Ok(s) => s,
         Err(e) => {
@@ -1230,6 +1232,10 @@ mod tests {
         assert!(parse_run_args(&s(&["--all", "fig3"])).is_err());
         assert!(parse_run_args(&s(&["--json-manifest="])).is_err());
         assert!(parse_run_args(&s(&["--frobnicate"])).is_err());
+        // Seed 0 is a seed like any other: without --cached it is
+        // rejected, not mistaken for "unset".
+        assert!(parse_run_args(&s(&["--all", "--fault-seed=0"])).is_err());
+        assert!(parse_run_args(&s(&["--all", "--cached", "--fault-seed=0"])).is_ok());
     }
 
     #[test]
@@ -1310,7 +1316,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(ra.fault_plan.as_deref(), Some("panic@2,torn@1,delay@3:25"));
-        assert_eq!(ra.fault_seed, 7);
+        assert_eq!(ra.fault_seed, Some(7));
         assert_eq!(ra.max_attempts, 4);
         // The store is bounded by `cxlg cas gc`, not by the run.
         assert!(parse_run_args(&s(&["--cached", "--cas-max-bytes=4096", "fig3"])).is_err());

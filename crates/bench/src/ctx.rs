@@ -41,20 +41,15 @@ pub struct ExperimentCtx {
 }
 
 impl ExperimentCtx {
-    /// Context from the environment: `CXLG_SCALE` (default 16),
+    /// Context from the environment — `CXLG_SCALE` (default 16),
     /// `CXLG_SEED` (default `0x5EED`), `CXLG_RESULTS_DIR` (default
-    /// `target/paper-results`), `CXLG_GRAPH_STORAGE` (default `mem`),
-    /// and the rayon pool size. In spill mode the graph spill files live
+    /// `target/paper-results`) and the rayon pool size — with an explicit
+    /// storage backend: `cxlg run` passes its `--graph-storage=` override
+    /// or else [`crate::graph_storage`], so the flag beats the environment
+    /// without mutating it. In spill mode the graph spill files live
     /// under `<results_dir>/graph-spill/` (not `.json`, so the result
     /// byte-diff gates never see them) and are deleted as graphs are
     /// evicted or the process exits.
-    pub fn from_env() -> Self {
-        Self::from_env_with_storage(crate::graph_storage())
-    }
-
-    /// [`from_env`](Self::from_env) with an explicit storage backend —
-    /// the `cxlg run --graph-storage=` override, which must beat the
-    /// environment without mutating it.
     pub fn from_env_with_storage(mode: StorageMode) -> Self {
         let results_dir = crate::results_dir();
         let cache = Arc::new(GraphCache::with_storage(

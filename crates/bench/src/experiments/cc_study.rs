@@ -9,7 +9,7 @@
 //! the BaM software cache at 4 kB, like Fig. 6.
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::geometric_mean;
+use cxlg_core::metrics::geometric_mean;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;

@@ -4,7 +4,7 @@
 
 use crate::ctx::ExperimentCtx;
 use crate::good_source;
-use cxlg_core::runner::geometric_mean;
+use cxlg_core::metrics::geometric_mean;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;

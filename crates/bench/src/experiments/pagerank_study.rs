@@ -10,7 +10,7 @@
 //! methods as Fig. 6, so the two tables can be read side by side.
 
 use crate::ctx::ExperimentCtx;
-use cxlg_core::runner::geometric_mean;
+use cxlg_core::metrics::geometric_mean;
 use cxlg_core::system::SystemConfig;
 use cxlg_core::traversal::Traversal;
 use cxlg_link::pcie::PcieGen;

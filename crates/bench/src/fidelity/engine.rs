@@ -1,7 +1,7 @@
 //! The alignment + residual engine behind `cxlg validate`.
 //!
 //! [`Campaign::load`] reads a campaign directory (result JSONs plus the
-//! optional `manifest.json`), [`extract`] reduces each figure's
+//! optional `manifest.json`), `extract` reduces each figure's
 //! free-form `series` JSON to named scalars and `(x, y)` series, and
 //! [`evaluate`] walks the reference [`Check`] table computing per-point
 //! residuals and PASS / FLAG / SKIP verdicts. Everything is pure over
@@ -9,7 +9,8 @@
 //! on a checked-in campaign.
 
 use super::reference::{checks_for, Check, Expect, FIGURES};
-use cxlg_core::runner::{interp_series, try_geometric_mean};
+use cxlg_core::metrics::try_geometric_mean;
+use cxlg_core::runner::interp_series;
 use cxlg_link::pcie::PcieGen;
 use cxlg_model::requirements::{emogi_requirements, requirements};
 use serde::Value;
@@ -79,7 +80,7 @@ impl Campaign {
 
 /// One figure's data reduced to the shapes the reference table keys on.
 #[derive(Debug, Default)]
-pub struct Extracted {
+struct Extracted {
     /// Named scalar quantities.
     pub scalars: BTreeMap<String, f64>,
     /// Named `(x, y)` series, sorted by ascending x.
@@ -141,7 +142,7 @@ fn family(dataset: &str) -> &str {
 
 /// Reduce one figure's `series` JSON (ignored for `eq6`) to the named
 /// scalars/series its checks reference. Unknown figures extract empty.
-pub fn extract(figure: &str, campaign: &Campaign) -> Extracted {
+fn extract(figure: &str, campaign: &Campaign) -> Extracted {
     let mut out = Extracted::default();
     let Some(series) = campaign.series(figure) else {
         if figure == "eq6" {

@@ -124,7 +124,7 @@ pub fn run_validate(args: ValidateArgs) -> i32 {
 }
 
 /// Render and write the report to `path`, creating parent directories.
-pub fn write_report(report: &FidelityReport, path: &Path) -> std::io::Result<()> {
+fn write_report(report: &FidelityReport, path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;

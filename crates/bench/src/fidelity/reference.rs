@@ -89,7 +89,7 @@ pub const FIGURES: &[&str] = &[
 /// Paper Fig. 4 / §3.2 example throughput profile
 /// `T = min(100·d, 48·d, 24000)` sampled away from the d = 500 B kink
 /// so linear interpolation of the measured log-spaced grid is exact.
-pub const FIG4_T_PROFILE: &[(f64, f64)] = &[
+const FIG4_T_PROFILE: &[(f64, f64)] = &[
     (64.0, 3_072.0),
     (128.0, 6_144.0),
     (256.0, 12_288.0),
@@ -102,7 +102,7 @@ pub const FIG4_T_PROFILE: &[(f64, f64)] = &[
 /// the CXL latency stays under ~2 µs"), transcribed as ≈1.0 below the
 /// allowance. The paper tabulates no values past the allowance, so the
 /// rise is checked separately as a trend.
-pub const FIG11_PARITY_PROFILE: &[(f64, f64)] = &[
+const FIG11_PARITY_PROFILE: &[(f64, f64)] = &[
     (0.0, 1.0),
     (0.5, 1.0),
     (1.0, 1.02),
@@ -143,7 +143,7 @@ macro_rules! fig3_series_checks {
 }
 
 /// Every fidelity check, grouped by figure in [`FIGURES`] order.
-pub static CHECKS: &[&[Check]] = &[
+static CHECKS: &[&[Check]] = &[
     // ---------------------------------------------------------- table1
     &[
         Check {

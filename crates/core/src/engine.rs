@@ -313,11 +313,6 @@ impl Engine {
         }
     }
 
-    /// The backend device (for statistics).
-    pub fn backend(&self) -> &dyn MemoryTarget {
-        self.backend.as_ref()
-    }
-
     /// Execute `requests` starting at `start`; returns when all data has
     /// arrived at the GPU. Requests are handed to warps in order. Panics,
     /// in release builds too, if the drained batch breaks an invariant.

@@ -68,15 +68,6 @@ pub fn rss_span<R>(f: impl FnOnce() -> R) -> (R, RssSpan) {
     (r, RssSpan { before_kb, after_kb })
 }
 
-/// *Current* resident set size of this process in kilobytes, or 0 when
-/// no source is available. Unlike [`peak_rss_kb`] this is
-/// instantaneous — it goes down when memory is freed. Falls back to the
-/// (monotone) peak when `VmRSS` is unavailable, which only
-/// over-reports.
-pub fn current_rss_kb() -> u64 {
-    proc_status_kb("VmRSS:").unwrap_or_else(peak_rss_kb)
-}
-
 /// Parse `VmHWM:  <n> kB` out of `/proc/self/status`.
 fn vm_hwm_kb() -> Option<u64> {
     proc_status_kb("VmHWM:")
@@ -167,14 +158,6 @@ mod tests {
         // (can only arise from a buggy caller, but must not panic).
         let span = RssSpan { before_kb: 10, after_kb: 4 };
         assert_eq!(span.delta_kb(), 0);
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn current_rss_is_positive_and_no_larger_than_a_sane_bound() {
-        let now = current_rss_kb();
-        assert!(now > 0, "no current-RSS source found on Linux");
-        assert!(now < (1u64 << 30), "implausible VmRSS {now} kB");
     }
 
     #[test]

@@ -58,35 +58,6 @@ impl RunMetrics {
         }
     }
 
-    /// Achieved request rate in MIOPS.
-    pub fn miops(&self) -> f64 {
-        let secs = self.runtime.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.requests as f64 / 1e6 / secs
-        }
-    }
-
-    /// Merge a batch's metrics into the run totals.
-    pub fn absorb(&mut self, other: &RunMetrics) {
-        self.runtime += other.runtime;
-        self.useful_bytes += other.useful_bytes;
-        self.fetched_bytes += other.fetched_bytes;
-        self.requests += other.requests;
-        self.cache_hits += other.cache_hits;
-        self.latency.merge(&other.latency);
-        // Time-weight the outstanding averages by batch runtime.
-        let (a, b) = (
-            (self.runtime - other.runtime).as_secs_f64(),
-            other.runtime.as_secs_f64(),
-        );
-        if a + b > 0.0 {
-            self.mean_outstanding =
-                (self.mean_outstanding * a + other.mean_outstanding * b) / (a + b);
-        }
-        self.peak_outstanding = self.peak_outstanding.max(other.peak_outstanding);
-    }
 }
 
 /// Read amplification factor `fetched / useful` (§3.1), 1.0 when both
@@ -138,17 +109,21 @@ impl RunReport {
 }
 
 /// Non-panicking geometric mean of ratios: `None` for an empty input or
-/// any non-positive/NaN ratio. The fidelity engine aggregates
-/// measured/paper ratios with this — a degenerate series in a result
-/// file must surface as an "n/a" summary cell, not abort the whole
-/// validation run. This is the single implementation;
+/// any non-positive or non-finite (NaN, ±inf) ratio. The fidelity
+/// engine aggregates measured/paper ratios with this — a degenerate
+/// series in a result file must surface as an "n/a" summary cell, not
+/// abort the whole validation run. This is the single implementation;
 /// [`geometric_mean`] is a panicking shell around it.
 pub fn try_geometric_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| !(x > 0.0)) {
+    if xs.is_empty() || xs.iter().any(|&x| !is_positive_finite(x)) {
         return None;
     }
     let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
     Some((log_sum / xs.len() as f64).exp())
+}
+
+fn is_positive_finite(x: f64) -> bool {
+    x.is_finite() && x > 0.0
 }
 
 /// Geometric mean of ratios — the paper summarizes Fig. 6 as geometric
@@ -157,10 +132,10 @@ pub fn try_geometric_mean(xs: &[f64]) -> Option<f64> {
 ///
 /// # Panics
 ///
-/// Panics on an empty input and on any non-positive (or NaN) ratio:
-/// `ln()` of zero or a negative number is `-inf`/`NaN`, which would
-/// propagate into the summary statistic with no diagnostic. Runtime
-/// ratios are positive by construction, so a violation is a bug
+/// Panics on an empty input and on any non-positive or non-finite ratio:
+/// `ln()` of zero, a negative number or infinity is `-inf`/`NaN`/`inf`,
+/// which would propagate into the summary statistic with no diagnostic.
+/// Runtime ratios are positive by construction, so a violation is a bug
 /// upstream. Computation is delegated to [`try_geometric_mean`]; this
 /// wrapper only turns the `None` into a diagnostic.
 pub fn geometric_mean(xs: &[f64]) -> f64 {
@@ -169,11 +144,11 @@ pub fn geometric_mean(xs: &[f64]) -> f64 {
         let (i, x) = xs
             .iter()
             .enumerate()
-            .find(|&(_, &x)| !(x > 0.0))
+            .find(|&(_, &x)| !is_positive_finite(x))
             .expect("non-empty input without a mean must hold a bad ratio");
         panic!(
-            "geometric_mean: ratio [{i}] = {x} is not positive; \
-             the geometric mean is only defined over positive ratios"
+            "geometric_mean: ratio [{i}] = {x} is not positive and finite; \
+             the geometric mean is only defined over positive finite ratios"
         )
     })
 }
@@ -212,24 +187,6 @@ mod tests {
         // 24,000 bytes in 1 us = 24,000 MB/s.
         let m = metrics(1.0, 24_000, 24_000, 10);
         assert!((m.throughput_mb_per_sec() - 24_000.0).abs() < 1e-6);
-        assert!((m.miops() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn absorb_accumulates_and_time_weights() {
-        let mut a = metrics(1.0, 100, 200, 2);
-        a.mean_outstanding = 10.0;
-        let mut b = metrics(3.0, 300, 400, 4);
-        b.mean_outstanding = 30.0;
-        b.peak_outstanding = 77;
-        a.absorb(&b);
-        assert_eq!(a.runtime.as_us_f64(), 4.0);
-        assert_eq!(a.useful_bytes, 400);
-        assert_eq!(a.fetched_bytes, 600);
-        assert_eq!(a.requests, 6);
-        // Time-weighted: (10 * 1 + 30 * 3) / 4 = 25.
-        assert!((a.mean_outstanding - 25.0).abs() < 1e-9);
-        assert_eq!(a.peak_outstanding, 77);
     }
 
     #[test]
@@ -308,6 +265,7 @@ mod tests {
         assert_eq!(try_geometric_mean(&[1.0, 0.0]), None);
         assert_eq!(try_geometric_mean(&[1.0, -2.0]), None);
         assert_eq!(try_geometric_mean(&[1.0, f64::NAN]), None);
+        assert_eq!(try_geometric_mean(&[1.0, f64::INFINITY]), None);
         let g = try_geometric_mean(&[1.0, 4.0]).unwrap();
         assert!((g - 2.0).abs() < 1e-12);
     }

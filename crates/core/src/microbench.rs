@@ -9,7 +9,6 @@
 
 use crate::access::DeviceRequest;
 use crate::system::SystemConfig;
-use crate::traversal::Traversal;
 use cxlg_device::cxl_mem::{CxlMemConfig, CxlMemDevice};
 use cxlg_device::target::MemoryTarget;
 use cxlg_gpu::pointer_chase::{PointerChase, POINTER_BYTES};
@@ -114,34 +113,6 @@ pub fn cxl_cpu_random_read(
         latency_us,
         outstanding,
     }
-}
-
-/// Convenience: the BFS pointer-chase-style latency ladder of Figure 9 —
-/// DRAM near/far and CXL near/far at each added latency.
-pub fn fig9_labels() -> Vec<(&'static str, bool)> {
-    // (label, is_near_socket)
-    vec![
-        ("DRAM0", false),
-        ("DRAM1", true),
-        ("CXL0(+0)", false),
-        ("CXL0(+1)", false),
-        ("CXL0(+2)", false),
-        ("CXL0(+3)", false),
-        ("CXL3(+0)", true),
-        ("CXL3(+1)", true),
-        ("CXL3(+2)", true),
-        ("CXL3(+3)", true),
-    ]
-}
-
-/// Sanity helper: BFS on a trivially small system, used by examples and
-/// smoke tests to confirm the full stack is wired.
-pub fn smoke_bfs() -> crate::metrics::RunReport {
-    use cxlg_graph::spec::GraphSpec;
-    use cxlg_link::pcie::PcieGen;
-    let g = GraphSpec::urand(8).seed(1).build();
-    let sys = SystemConfig::emogi_on_dram(PcieGen::Gen4);
-    Traversal::bfs(0).run(&g, &sys)
 }
 
 #[cfg(test)]
@@ -274,12 +245,5 @@ mod tests {
             "outstanding at +0 {}",
             base.outstanding
         );
-    }
-
-    #[test]
-    fn smoke_bfs_runs() {
-        let report = smoke_bfs();
-        assert!(report.reached > 1);
-        assert!(report.metrics.runtime.as_us_f64() > 0.0);
     }
 }

@@ -363,50 +363,6 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, std::time::Duration) {
     (r, start.elapsed())
 }
 
-/// A labelled runtime measurement, the common shape of the paper's
-/// normalized-runtime figures.
-#[derive(Debug, Clone)]
-pub struct LabelledRun {
-    /// Point label (e.g. "+1.0us", "64 B").
-    pub label: String,
-    /// The run's report.
-    pub report: RunReport,
-}
-
-/// Normalize a set of runtimes by a baseline runtime (the paper
-/// normalizes XLFDD/BaM by EMOGI, and CXL by host DRAM).
-///
-/// # Panics
-///
-/// Panics if the baseline runtime is zero: a zero baseline would turn
-/// every normalized point into `inf`/`NaN`, which serializes into figure
-/// JSON without complaint and poisons the BENCH_* trajectories silently.
-/// A zero simulated runtime always indicates a mis-configured run (empty
-/// trace, degenerate graph), so fail loudly at the source.
-pub fn normalized_runtimes(baseline: &RunReport, runs: &[LabelledRun]) -> Vec<(String, f64)> {
-    let base = baseline.metrics.runtime.as_secs_f64();
-    assert!(
-        base > 0.0,
-        "normalized_runtimes: baseline runtime must be positive, got {base} s \
-         (baseline workload {:?} on {:?}); every normalized point would be inf/NaN",
-        baseline.workload,
-        baseline.backend,
-    );
-    runs.iter()
-        .map(|r| {
-            (
-                r.label.clone(),
-                r.report.metrics.runtime.as_secs_f64() / base,
-            )
-        })
-        .collect()
-}
-
-// The geometric-mean summaries moved to `metrics` (they are statistics,
-// not sweep machinery); re-exported here so existing
-// `runner::geometric_mean` imports keep compiling.
-pub use crate::metrics::{geometric_mean, try_geometric_mean};
-
 /// Interpolate a `(x, y)` series at `x`, clamping outside the sampled
 /// range — the alignment step when a measured series and a paper series
 /// sample different x grids. `log_x` interpolates linearly in `ln x`
@@ -444,7 +400,6 @@ mod tests {
     use super::*;
     use cxlg_graph::spec::GraphSpec;
     use cxlg_link::pcie::PcieGen;
-    use cxlg_sim::SimDuration;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -599,14 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_reexport_resolves() {
-        // The functions moved to `metrics`; the `runner` path must keep
-        // working for the figure binaries that import it from here.
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(try_geometric_mean(&[]), None);
-    }
-
-    #[test]
     fn interp_series_handles_degenerate_series() {
         assert_eq!(interp_series(&[], 1.0, false), None);
         assert_eq!(interp_series(&[(8.0, 1.5)], 4096.0, true), Some(1.5));
@@ -629,32 +576,5 @@ mod tests {
         // Linear-x: halfway between 64 and 512 is 288.
         let mid = interp_series(&pts, 288.0, false).unwrap();
         assert!((mid - 3.0).abs() < 1e-12, "{mid}");
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline runtime must be positive")]
-    fn normalization_rejects_zero_baseline() {
-        let g = GraphSpec::urand(8).seed(1).build();
-        let mut base = Traversal::bfs(0).run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen4));
-        base.metrics.runtime = SimDuration::ZERO;
-        let runs = vec![LabelledRun {
-            label: "any".into(),
-            report: base.clone(),
-        }];
-        normalized_runtimes(&base, &runs);
-    }
-
-    #[test]
-    fn normalization_against_baseline() {
-        let g = GraphSpec::urand(8).seed(1).build();
-        let base = Traversal::bfs(0).run(&g, &SystemConfig::emogi_on_dram(PcieGen::Gen4));
-        let mut slow = base.clone();
-        slow.metrics.runtime = SimDuration::from_ps(base.metrics.runtime.as_ps() * 2);
-        let runs = vec![LabelledRun {
-            label: "slow".into(),
-            report: slow,
-        }];
-        let norm = normalized_runtimes(&base, &runs);
-        assert!((norm[0].1 - 2.0).abs() < 1e-9);
     }
 }

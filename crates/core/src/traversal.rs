@@ -402,35 +402,6 @@ pub fn sssp_trace<G: CsrView + ?Sized>(g: &G, source: VertexId, max_weight: u32)
     sssp.trace(g)
 }
 
-/// Compute PageRank values (damping 0.85) for result validation; the
-/// access trace is [`Traversal::pagerank`]'s levels.
-pub fn pagerank_values<G: CsrView + ?Sized>(g: &G, iterations: u32) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut rank = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
-    let d = 0.85;
-    for _ in 0..iterations {
-        next.iter_mut().for_each(|x| *x = (1.0 - d) / n as f64);
-        let mut dangling = 0.0;
-        for v in 0..n as VertexId {
-            let deg = g.degree(v);
-            if deg == 0 {
-                // cxlg-lint: allow(D4) -- sequential fold in fixed vertex order (0..n); order is structural, pinned by pagerank determinism tests
-                dangling += rank[v as usize];
-                continue;
-            }
-            let share = d * rank[v as usize] / deg as f64;
-            g.for_neighbors(v, &mut |u| {
-                next[u as usize] += share;
-            });
-        }
-        let spread = d * dangling / n as f64;
-        next.iter_mut().for_each(|x| *x += spread);
-        std::mem::swap(&mut rank, &mut next);
-    }
-    rank
-}
-
 /// Label-propagation connected components: the per-round frontier trace
 /// and the number of components found (isolated vertices included).
 pub fn cc_trace<G: CsrView + ?Sized>(g: &G) -> (Vec<Vec<VertexId>>, u64) {
@@ -694,15 +665,6 @@ mod tests {
         // The trace and the count come from the same pass.
         let visited: usize = rounds.iter().map(|r| r.len()).sum();
         assert!(visited >= 6);
-    }
-
-    #[test]
-    fn pagerank_values_sum_to_one() {
-        let g = GraphSpec::kron(8).seed(5).build();
-        let pr = pagerank_values(&g, 10);
-        let sum: f64 = pr.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
-        assert!(pr.iter().all(|&x| x >= 0.0));
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! independent implementations, GAP-benchmark style, so a timing-model
 //! bug can never silently corrupt algorithmic results.
 
-use crate::traversal::{bfs_trace, sssp_trace};
+use crate::traversal::sssp_trace;
 use cxlg_graph::{CsrView, VertexId};
 use std::collections::VecDeque;
 
 /// BFS depths by a plain queue implementation; `u32::MAX` = unreached.
-pub fn reference_bfs_depths<G: CsrView + ?Sized>(g: &G, source: VertexId) -> Vec<u32> {
+fn reference_bfs_depths<G: CsrView + ?Sized>(g: &G, source: VertexId) -> Vec<u32> {
     let n = g.num_vertices();
     let mut depth = vec![u32::MAX; n];
     depth[source as usize] = 0;
@@ -143,22 +143,10 @@ pub fn reference_component_count<G: CsrView + ?Sized>(g: &G) -> u64 {
     (0..n as u32).filter(|&v| find(&mut parent, v) == v).count() as u64
 }
 
-/// End-to-end check used by tests: BFS trace, SSSP convergence, and CC
-/// count all match their references.
-pub fn verify_all<G: CsrView + ?Sized>(g: &G, source: VertexId) -> Result<(), String> {
-    verify_bfs_trace(g, source, &bfs_trace(g, source))?;
-    verify_sssp(g, source, 64)?;
-    let (_, cc) = crate::traversal::cc_trace(g);
-    let reference = reference_component_count(g);
-    if cc != reference {
-        return Err(format!("components: got {cc}, reference {reference}"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traversal::bfs_trace;
     use cxlg_graph::spec::GraphSpec;
 
     #[test]
@@ -200,19 +188,6 @@ mod tests {
         let g = GraphSpec::kron(10).seed(5).build();
         let (_, cc) = crate::traversal::cc_trace(&g);
         assert_eq!(cc, reference_component_count(&g));
-    }
-
-    #[test]
-    fn verify_all_on_each_family() {
-        for spec in [
-            GraphSpec::urand(9).seed(7),
-            GraphSpec::kron(9).seed(7),
-            GraphSpec::friendster_like(9).seed(7),
-        ] {
-            let g = spec.build();
-            let src = g.max_degree_vertex().unwrap();
-            verify_all(&g, src).unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
-        }
     }
 
     #[test]

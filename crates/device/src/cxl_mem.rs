@@ -117,11 +117,6 @@ impl CxlMemDevice {
         &self.cfg
     }
 
-    /// Flit-level accesses served.
-    pub fn flits_served(&self) -> u64 {
-        self.flits
-    }
-
     /// Mean device-resident time per flit (admission to response egress).
     pub fn mean_resident(&self) -> SimDuration {
         if self.flits == 0 {
@@ -330,7 +325,6 @@ mod tests {
         d.read(SimTime::ZERO, 0, 128, &mut out);
         d.read(SimTime::ZERO, 128, 64, &mut out);
         assert_eq!(d.reads_served(), 2);
-        assert_eq!(d.flits_served(), 3);
         assert_eq!(d.bytes_served(), 192);
         assert!(d.mean_resident().as_ns_f64() > 0.0);
     }

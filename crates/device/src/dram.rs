@@ -33,7 +33,7 @@ impl Default for HostDramConfig {
 
 impl HostDramConfig {
     /// Access latency as a duration.
-    pub fn access_latency(&self) -> SimDuration {
+    fn access_latency(&self) -> SimDuration {
         SimDuration::from_ps(self.access_latency_ps)
     }
 }

@@ -86,19 +86,9 @@ impl<T: MemoryTarget> DeviceArray<T> {
         self.devices.is_empty()
     }
 
-    /// The interleaving in use.
-    pub fn interleave(&self) -> Interleave {
-        self.interleave
-    }
-
     /// Access a device for statistics.
     pub fn device(&self, i: usize) -> &T {
         &self.devices[i]
-    }
-
-    /// Mutable device access (for reconfiguring between runs).
-    pub fn device_mut(&mut self, i: usize) -> &mut T {
-        &mut self.devices[i]
     }
 
     /// Total reads served across devices.

@@ -31,7 +31,6 @@ pub struct LatencyBridge {
     ordering: BridgeOrdering,
     /// In-order mode: release time of the previous response.
     prev_release: SimTime,
-    releases: u64,
 }
 
 impl LatencyBridge {
@@ -41,24 +40,12 @@ impl LatencyBridge {
             added,
             ordering,
             prev_release: SimTime::ZERO,
-            releases: 0,
         }
     }
 
     /// The configured additional latency.
     pub fn added_latency(&self) -> SimDuration {
         self.added
-    }
-
-    /// The ordering discipline.
-    pub fn ordering(&self) -> BridgeOrdering {
-        self.ordering
-    }
-
-    /// Change the additional latency between runs (the prototype exposes
-    /// this via CXL.io register writes, §4.2.1).
-    pub fn set_added_latency(&mut self, added: SimDuration) {
-        self.added = added;
     }
 
     /// Compute when a response is released to the CXL interface.
@@ -81,14 +68,9 @@ impl LatencyBridge {
             // OoO mode does not constrain successors.
             BridgeOrdering::OutOfOrder => self.prev_release.max(out),
         };
-        self.releases += 1;
         out
     }
 
-    /// Responses released so far.
-    pub fn releases(&self) -> u64 {
-        self.releases
-    }
 }
 
 #[cfg(test)]
@@ -143,16 +125,5 @@ mod tests {
         assert_eq!(r1, at(5.0));
         let r2 = b.release(at(1.0), at(1.1));
         assert_eq!(r2, at(2.0), "OoO must not block behind the slow head");
-        assert_eq!(b.releases(), 2);
-    }
-
-    #[test]
-    fn latency_is_adjustable_between_runs() {
-        let mut b = LatencyBridge::new(us(0.0), BridgeOrdering::InOrder);
-        assert_eq!(b.release(at(0.0), at(0.1)), at(0.1));
-        b.set_added_latency(us(3.0));
-        assert_eq!(b.added_latency(), us(3.0));
-        let rel = b.release(at(1.0), at(1.1));
-        assert_eq!(rel, at(4.0));
     }
 }

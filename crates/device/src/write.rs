@@ -63,8 +63,8 @@ impl XlfddDrive {
     }
 }
 
-/// Program pages on a flash array (helper shared with tests).
-pub fn write_flash(flash: &mut FlashArray, t_arrive: SimTime, addr: u64, bytes: u64) -> SimTime {
+/// Program the pages covering `[addr, addr + bytes)` on a flash array.
+fn write_flash(flash: &mut FlashArray, t_arrive: SimTime, addr: u64, bytes: u64) -> SimTime {
     let page_bytes = flash.config().page_bytes;
     let first = addr / page_bytes;
     let last = (addr + bytes.max(1) - 1) / page_bytes;

@@ -80,11 +80,6 @@ impl XlfddDrive {
         &self.cfg
     }
 
-    /// Flash-level statistics.
-    pub fn flash(&self) -> &FlashArray {
-        &self.flash
-    }
-
     /// Mutable flash access (used by the write path).
     pub fn flash_mut(&mut self) -> &mut FlashArray {
         &mut self.flash
@@ -207,7 +202,7 @@ mod tests {
         let us = ready.as_us_f64();
         assert!(us >= 4.29, "{us}");
         assert!(us <= 8.5, "{us}");
-        assert_eq!(d.flash().reads(), 2);
+        assert_eq!(d.flash.reads(), 2);
     }
 
     #[test]

@@ -51,15 +51,6 @@ impl SubmissionQueueModel {
         self.queue_depth_per_drive as u64 * drives as u64
     }
 
-    /// Request-path overhead bytes per command (SQ fetch).
-    pub fn request_overhead_bytes(&self) -> u64 {
-        self.entry_bytes
-    }
-
-    /// Response-path overhead bytes per command (CQ post, if any).
-    pub fn response_overhead_bytes(&self) -> u64 {
-        self.completion_bytes
-    }
 }
 
 #[cfg(test)]
@@ -70,15 +61,15 @@ mod tests {
     #[test]
     fn xlfdd_has_no_completion_queue() {
         let sq = SubmissionQueueModel::xlfdd();
-        assert_eq!(sq.response_overhead_bytes(), 0);
+        assert_eq!(sq.completion_bytes, 0);
         assert_eq!(sq.entry_bytes, 16);
     }
 
     #[test]
     fn nvme_entries_are_64_bytes() {
         let sq = SubmissionQueueModel::nvme();
-        assert_eq!(sq.request_overhead_bytes(), 64);
-        assert_eq!(sq.response_overhead_bytes(), 16);
+        assert_eq!(sq.entry_bytes, 64);
+        assert_eq!(sq.completion_bytes, 16);
     }
 
     #[test]
@@ -95,8 +86,8 @@ mod tests {
         let x = SubmissionQueueModel::xlfdd();
         let n = SubmissionQueueModel::nvme();
         assert!(
-            x.request_overhead_bytes() + x.response_overhead_bytes()
-                < n.request_overhead_bytes() + n.response_overhead_bytes()
+            x.entry_bytes + x.completion_bytes
+                < n.entry_bytes + n.completion_bytes
         );
     }
 }

@@ -13,7 +13,6 @@
 //! form one transaction.
 
 use cxlg_graph::layout::{align_down, ByteSpan};
-use serde::{Deserialize, Serialize};
 
 /// One coalesced memory transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,74 +55,12 @@ pub fn coalesce_span_vec(span: ByteSpan, line: u64, sector: u64) -> Vec<Transact
     v
 }
 
-/// Histogram of transaction sizes, for validating the EMOGI request mix.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TransactionMix {
-    /// `counts[k]` counts transactions of `(k + 1) * sector` bytes.
-    counts: Vec<u64>,
-    sector: u64,
-    total_bytes: u64,
-}
-
-impl TransactionMix {
-    /// Empty mix for a given sector/line geometry.
-    pub fn new(line: u64, sector: u64) -> Self {
-        TransactionMix {
-            counts: vec![0; (line / sector) as usize],
-            sector,
-            total_bytes: 0,
-        }
-    }
-
-    /// Record one transaction.
-    pub fn record(&mut self, t: Transaction) {
-        let idx = (t.bytes / self.sector) as usize - 1;
-        self.counts[idx] += 1;
-        self.total_bytes += t.bytes;
-    }
-
-    /// Total transactions recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Fraction of transactions of exactly `bytes`.
-    pub fn fraction(&self, bytes: u64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let idx = (bytes / self.sector) as usize - 1;
-        self.counts.get(idx).copied().unwrap_or(0) as f64 / total as f64
-    }
-
-    /// Average transaction size in bytes (the paper's `d`).
-    pub fn mean_bytes(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.total_bytes as f64 / total as f64
-    }
-}
-
-/// The paper's assumed EMOGI distribution (§3.3.1): 32/64/96/128 B at
-/// 20/20/20/40 %, averaging 89.6 B.
-pub fn paper_emogi_mean_bytes() -> f64 {
-    0.2 * 32.0 + 0.2 * 64.0 + 0.2 * 96.0 + 0.4 * 128.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn span(offset: u64, len: u64) -> ByteSpan {
         ByteSpan { offset, len }
-    }
-
-    #[test]
-    fn paper_average_is_89_6() {
-        assert!((paper_emogi_mean_bytes() - 89.6).abs() < 1e-9);
     }
 
     #[test]
@@ -203,29 +140,21 @@ mod tests {
     }
 
     #[test]
-    fn mix_statistics() {
-        let mut mix = TransactionMix::new(128, 32);
-        coalesce_span(span(32, 256), 128, 32, |t| mix.record(t));
-        assert_eq!(mix.total(), 3);
-        assert!((mix.fraction(96) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((mix.fraction(128) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((mix.fraction(32) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((mix.mean_bytes() - 256.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn random_sublists_average_lands_near_paper_estimate() {
         // Random 256 B sublists at random 8 B-aligned offsets (urand's
         // average degree): the mean transaction size should be on the
         // order of the paper's 89.6 B estimate.
-        let mut mix = TransactionMix::new(128, 32);
+        let (mut count, mut bytes) = (0u64, 0u64);
         let mut state = 99u64;
         for _ in 0..10_000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let offset = (state >> 20) % 100_000 * 8;
-            coalesce_span(span(offset, 256), 128, 32, |t| mix.record(t));
+            coalesce_span(span(offset, 256), 128, 32, |t| {
+                count += 1;
+                bytes += t.bytes;
+            });
         }
-        let mean = mix.mean_bytes();
+        let mean = bytes as f64 / count as f64;
         assert!(
             (80.0..128.0).contains(&mean),
             "mean transaction {mean} B out of plausible EMOGI range"

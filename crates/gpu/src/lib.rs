@@ -17,8 +17,7 @@
 //!   access (XLFDD has no completion queues, §4.1.1);
 //! * [`pointer_chase`] — the Appendix-B latency microbenchmark;
 //! * [`uvm`] — the unified-virtual-memory paging baseline that EMOGI's
-//!   zero-copy access supersedes (Related Work, §6);
-//! * [`warp`] — warp pool bookkeeping for the DES driver.
+//!   zero-copy access supersedes (Related Work, §6).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,12 +28,10 @@ pub mod config;
 pub mod pointer_chase;
 pub mod swcache;
 pub mod uvm;
-pub mod warp;
 
 pub use bar::SubmissionQueueModel;
-pub use coalesce::{coalesce_span, Transaction, TransactionMix};
+pub use coalesce::{coalesce_span, Transaction};
 pub use config::GpuConfig;
 pub use pointer_chase::PointerChase;
 pub use swcache::{AccessOutcome, SoftwareCache, SoftwareCacheConfig};
 pub use uvm::{UvmAccess, UvmConfig, UvmPageTable};
-pub use warp::WarpPool;

@@ -21,7 +21,6 @@ pub struct PointerChase {
     region_bytes: u64,
     rng: Xoshiro256StarStar,
     current: u64,
-    hops: u64,
 }
 
 impl PointerChase {
@@ -36,7 +35,6 @@ impl PointerChase {
             region_bytes,
             rng: Xoshiro256StarStar::seed_from_u64(seed),
             current: 0,
-            hops: 0,
         }
     }
 
@@ -54,14 +52,9 @@ impl PointerChase {
             next = (next + 1) % slots;
         }
         self.current = next;
-        self.hops += 1;
         next * POINTER_BYTES
     }
 
-    /// Hops taken so far.
-    pub fn hops(&self) -> u64 {
-        self.hops
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +69,6 @@ mod tests {
             assert_eq!(a % POINTER_BYTES, 0);
             assert!(a < 1 << 20);
         }
-        assert_eq!(pc.hops(), 10_000);
     }
 
     #[test]

@@ -33,12 +33,12 @@ impl SoftwareCacheConfig {
     }
 
     /// Number of sets implied by the geometry (at least 1).
-    pub fn num_sets(&self) -> u64 {
+    fn num_sets(&self) -> u64 {
         (self.capacity_bytes / self.line_bytes / self.ways as u64).max(1)
     }
 
     /// Lines held at capacity.
-    pub fn num_lines(&self) -> u64 {
+    fn num_lines(&self) -> u64 {
         self.num_sets() * self.ways as u64
     }
 }
@@ -141,11 +141,6 @@ impl SoftwareCache {
         self.hits
     }
 
-    /// Misses so far (each miss = one line fetch of `line_bytes`).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Evictions so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -166,10 +161,6 @@ impl SoftwareCache {
         }
     }
 
-    /// Drop all contents, keep counters.
-    pub fn invalidate_all(&mut self) {
-        self.slots.fill(EMPTY);
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +192,7 @@ mod tests {
         assert!(matches!(c.access(7), AccessOutcome::Miss { evicted: None }));
         assert_eq!(c.access(7), AccessOutcome::Hit);
         assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.fetched_bytes(), 4096, "one miss fetches one line");
         assert!(c.contains(7));
         assert!(!c.contains(8));
     }
@@ -262,17 +253,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn invalidate_clears_contents_keeps_counters() {
-        let mut c = small(64, 4, 4096);
-        c.access(1);
-        c.access(1);
-        c.invalidate_all();
-        assert!(!c.contains(1));
-        assert_eq!(c.hits(), 1);
-        assert!(matches!(c.access(1), AccessOutcome::Miss { .. }));
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //!   pre-sized slot of the final targets array, and a parallel
 //!   per-sublist sort (+ in-place dedup) restores the invariant. Peak
 //!   memory is ≈ 4 B per directed arc plus the offsets/cursors arrays
-//!   (16 B per vertex), versus ≈ 24 B/arc for the sort-based path
-//!   (packed arcs + merge scratch + the copied-out targets), and the
-//!   O(m log m) global comparison sort becomes O(m) counting + scatter
-//!   plus small per-sublist sorts.
+//!   (16 B per vertex), versus ≈ 12 B/arc for the sort-based path
+//!   (packed arcs + the copied-out targets), and the O(m log m) global
+//!   comparison sort becomes O(m) counting + scatter plus small
+//!   per-sublist sorts.
 //! * [`csr_from_packed_arcs`] — the naive sort-based builder, retained
 //!   only as the test oracle: the property tests cross-check the
-//!   streaming builder and [`crate::reorder::relabel`] against it. It is
-//!   not a builder for production callers.
+//!   streaming builder and the [`crate::reorder`] relabeling against
+//!   it. It is not a builder for production callers.
 //!
 //! Both are **bit-identical** to each other and across any
 //! `RAYON_NUM_THREADS`: counting is commutative, scatter order within a
@@ -32,9 +32,9 @@ use crate::VertexId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Vertices per parallel work unit in the offsets scan, the per-sublist
-/// sort, and the dedup compaction. Boundaries depend on `n` alone, so
-/// work splitting never affects results.
+/// Vertices per parallel work unit in the per-sublist sort and the dedup
+/// compaction. Boundaries depend on `n` alone, so work splitting never
+/// affects results.
 const VERTEX_CHUNK: usize = 1 << 16;
 
 /// Pack an arc into a sortable 64-bit key.
@@ -252,66 +252,33 @@ fn compact_sublists(
 }
 
 /// Build a CSR with `n` vertices from packed arcs (see [`pack_arc`]) by
-/// a global parallel sort — the **naive sort-based oracle**.
+/// one sort and one counting pass — the **naive sort-based oracle**.
 ///
 /// No production caller uses it: the generators stream through
-/// [`csr_from_arc_stream`] and relabeling scatters in two passes
-/// ([`crate::reorder::relabel`]). It is the ground truth the property
-/// tests compare both against, at ≈ 24 B per arc. Semantics are
-/// identical:
+/// [`csr_from_arc_stream`] and relabeling ([`crate::reorder`]) scatters
+/// in two passes. It is the ground truth the property tests compare
+/// both against, at ≈ 12 B per arc. Semantics are identical:
 ///
 /// * `dedup` — remove duplicate arcs.
 /// * Self-loops are preserved.
 /// * Both endpoints are range-checked against `n`.
 pub fn csr_from_packed_arcs(n: usize, mut arcs: Vec<u64>, dedup: bool) -> Csr {
-    arcs.par_sort_unstable();
+    arcs.sort_unstable();
     if dedup {
         arcs.dedup();
     }
-    // The arcs are sorted, so the largest src is in the last arc; dst is
-    // the low half of the key and is unordered, so every arc is checked.
-    if let Some(&last) = arcs.last() {
-        let (src, _) = unpack_arc(last);
+    let mut offsets = vec![0u64; n + 1];
+    let mut targets = Vec::with_capacity(arcs.len());
+    for &a in &arcs {
+        let (src, dst) = unpack_arc(a);
         assert!((src as usize) < n, "arc with src {src} out of range (n = {n})");
+        assert!((dst as usize) < n, "arc with dst {dst} out of range (n = {n})");
+        offsets[src as usize + 1] += 1;
+        targets.push(dst);
     }
-    // (Gathered, not asserted, inside the parallel scan: a worker-thread
-    // panic reaches the caller with its message replaced by the pool's.)
-    let bad_dsts: Vec<VertexId> = arcs
-        .par_iter()
-        .map(|&a| unpack_arc(a).1)
-        .filter(|&dst| (dst as usize) >= n)
-        .collect();
-    if let Some(&dst) = bad_dsts.first() {
-        panic!("arc with dst {dst} out of range (n = {n})");
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
     }
-    // Offsets from the *sorted* arc list: `offsets[v]` is the number of
-    // arcs with src < v. Fixed-size vertex chunks (boundaries depend on
-    // `n` alone, keeping the result thread-count-invariant) each locate
-    // their arc segment with one binary search, then walk it linearly —
-    // O((n + m) / threads) overall.
-    let vertex_chunks: Vec<(u64, u64)> = (0..n.div_ceil(VERTEX_CHUNK))
-        .map(|i| {
-            (
-                (i * VERTEX_CHUNK) as u64,
-                ((i + 1) * VERTEX_CHUNK).min(n) as u64,
-            )
-        })
-        .collect();
-    let mut offsets: Vec<u64> = vertex_chunks
-        .par_iter()
-        .flat_map_iter(|&(lo, hi)| {
-            let arcs = &arcs;
-            let mut pos = arcs.partition_point(|&a| (a >> 32) < lo);
-            (lo..hi).map(move |v| {
-                while pos < arcs.len() && (arcs[pos] >> 32) < v {
-                    pos += 1;
-                }
-                pos as u64
-            })
-        })
-        .collect();
-    offsets.push(arcs.len() as u64);
-    let targets: Vec<VertexId> = arcs.par_iter().map(|&a| unpack_arc(a).1).collect();
     Csr::from_parts(offsets, targets)
 }
 

@@ -13,9 +13,7 @@ use crate::builder::csr_from_arc_stream;
 use crate::csr::Csr;
 use crate::gen::{chunk_rng, chunk_sizes, ArcStream};
 use crate::VertexId;
-use rand::seq::SliceRandom;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use cxlg_sim::Xoshiro256StarStar;
 
 /// Graph500 RMAT quadrant probabilities.
 pub const A: f64 = 0.57;
@@ -26,13 +24,13 @@ pub const C: f64 = 0.19;
 
 /// Draw one RMAT edge for a graph with `scale` levels.
 #[inline]
-fn rmat_edge(rng: &mut SmallRng, scale: u32) -> (VertexId, VertexId) {
+fn rmat_edge(rng: &mut Xoshiro256StarStar, scale: u32) -> (VertexId, VertexId) {
     let mut src = 0u32;
     let mut dst = 0u32;
     for _ in 0..scale {
         src <<= 1;
         dst <<= 1;
-        let r: f64 = rng.gen();
+        let r = rng.next_f64();
         if r < A {
             // upper-left: no bits set
         } else if r < A + B {
@@ -56,7 +54,7 @@ pub(crate) fn arc_stream(scale: u32, edge_factor: u32, seed: u64) -> ArcStream {
 
     // Random relabeling permutation, shared by all chunks.
     let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
-    perm.shuffle(&mut SmallRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF));
+    Xoshiro256StarStar::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF).shuffle(&mut perm);
 
     ArcStream {
         n,

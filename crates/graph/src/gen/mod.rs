@@ -21,8 +21,7 @@ pub mod social;
 pub mod uniform;
 
 use crate::VertexId;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use cxlg_sim::Xoshiro256StarStar;
 
 /// A regenerable arc stream plus the metadata both CSR builders need:
 /// the vertex count, the chunk descriptor list, and the family's dedup
@@ -48,11 +47,11 @@ pub(crate) const CHUNK_EDGES: usize = 1 << 16;
 
 /// Derive a chunk-local RNG from the master seed. SplitMix-style mixing of
 /// the chunk index keeps streams independent.
-pub(crate) fn chunk_rng(seed: u64, chunk: u64) -> SmallRng {
+pub(crate) fn chunk_rng(seed: u64, chunk: u64) -> Xoshiro256StarStar {
     let mut z = seed ^ chunk.wrapping_mul(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    SmallRng::seed_from_u64(z ^ (z >> 31))
+    Xoshiro256StarStar::seed_from_u64(z ^ (z >> 31))
 }
 
 /// Split a total edge count into chunk sizes.
@@ -72,7 +71,6 @@ pub(crate) fn chunk_sizes(total: u64) -> Vec<(u64, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::RngCore;
 
     #[test]
     fn chunk_sizes_cover_total() {

@@ -13,11 +13,11 @@
 use crate::builder::csr_from_arc_stream;
 use crate::csr::Csr;
 use crate::gen::{chunk_rng, chunk_sizes, ArcStream};
-use rand::Rng;
+use cxlg_sim::Xoshiro256StarStar;
 
 /// Walker alias table for O(1) sampling from a discrete distribution.
 #[derive(Debug, Clone)]
-pub struct AliasTable {
+struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<u32>,
 }
@@ -25,7 +25,7 @@ pub struct AliasTable {
 impl AliasTable {
     /// Build from non-negative weights (need not be normalized). Panics on
     /// an empty or all-zero input.
-    pub fn new(weights: &[f64]) -> Self {
+    fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "empty weight vector");
         let n = weights.len();
         // cxlg-lint: allow(D4) -- sequential index-order sum over the caller's fixed weight slice; no parallel or hash-order source
@@ -61,33 +61,27 @@ impl AliasTable {
 
     /// Draw one index.
     #[inline]
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
+    fn sample(&self, rng: &mut Xoshiro256StarStar) -> u32 {
         let n = self.prob.len();
-        let i = rng.gen_range(0..n);
-        if rng.gen::<f64>() < self.prob[i] {
+        let i = rng.next_below(n as u64) as usize;
+        if rng.next_f64() < self.prob[i] {
             i as u32
         } else {
             self.alias[i]
         }
     }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True when the table has no categories (cannot happen post-`new`).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
 }
+
+/// Power-law exponent of the complementary degree CDF; 2.5 matches
+/// measured social networks reasonably well.
+const EXPONENT: f64 = 2.5;
 
 /// Expected-degree sequence: bounded power law `w_i ∝ (i + i0)^(-mu)`,
 /// rescaled to hit `avg_degree` and capped to keep the Chung–Lu edge
 /// probabilities sane.
-fn degree_weights(n: usize, avg_degree: u32, exponent: f64) -> Vec<f64> {
-    // P(deg > k) ~ k^-(exponent - 1) corresponds to w_i ~ i^(-1/(exponent-1)).
-    let mu = 1.0 / (exponent - 1.0);
+fn degree_weights(n: usize, avg_degree: u32) -> Vec<f64> {
+    // P(deg > k) ~ k^-(EXPONENT - 1) corresponds to w_i ~ i^(-1/(EXPONENT-1)).
+    let mu = 1.0 / (EXPONENT - 1.0);
     let i0 = 10.0; // flattens the head so the hub is not absurdly large
     let mut w: Vec<f64> = (0..n).map(|i| (i as f64 + i0).powf(-mu)).collect();
     // cxlg-lint: allow(D4) -- sequential index-order sum over the just-built weight table; order is structural
@@ -102,16 +96,9 @@ fn degree_weights(n: usize, avg_degree: u32, exponent: f64) -> Vec<f64> {
 
 /// Generate a Friendster-like power-law graph with `2^scale` vertices and
 /// an average directed degree close to `avg_degree` (slightly lower after
-/// deduplication, as in real social graphs). `exponent` is the power-law
-/// exponent of the complementary degree CDF; 2.5 matches measured social
-/// networks reasonably well.
+/// deduplication, as in real social graphs).
 pub fn generate(scale: u32, avg_degree: u32, seed: u64) -> Csr {
-    generate_with_exponent(scale, avg_degree, 2.5, seed)
-}
-
-/// [`generate`] with an explicit power-law exponent.
-pub fn generate_with_exponent(scale: u32, avg_degree: u32, exponent: f64, seed: u64) -> Csr {
-    let parts = arc_stream_with_exponent(scale, avg_degree, exponent, seed);
+    let parts = arc_stream(scale, avg_degree, seed);
     csr_from_arc_stream(parts.n, &parts.chunks, parts.dedup, |chunk, count, sink| {
         (parts.stream)(chunk, count, sink)
     })
@@ -120,19 +107,9 @@ pub fn generate_with_exponent(scale: u32, avg_degree: u32, exponent: f64, seed: 
 /// The regenerable arc stream behind [`generate`]; the alias table is
 /// built once and captured by the chunk closure.
 pub(crate) fn arc_stream(scale: u32, avg_degree: u32, seed: u64) -> ArcStream {
-    arc_stream_with_exponent(scale, avg_degree, 2.5, seed)
-}
-
-pub(crate) fn arc_stream_with_exponent(
-    scale: u32,
-    avg_degree: u32,
-    exponent: f64,
-    seed: u64,
-) -> ArcStream {
     assert!(scale >= 1 && scale < 32, "scale out of range: {scale}");
-    assert!(exponent > 1.5, "exponent too heavy: {exponent}");
     let n = 1usize << scale;
-    let weights = degree_weights(n, avg_degree, exponent);
+    let weights = degree_weights(n, avg_degree);
     let table = AliasTable::new(&weights);
     let undirected = (n as u64 * avg_degree as u64) / 2;
 
@@ -165,14 +142,12 @@ pub(crate) fn arc_stream_with_exponent(
 mod tests {
     use super::*;
     use crate::VertexId;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn alias_table_matches_weights() {
         let weights = vec![1.0, 2.0, 4.0, 1.0];
         let t = AliasTable::new(&weights);
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let mut counts = [0u64; 4];
         let n = 200_000;
         for _ in 0..n {
@@ -192,10 +167,8 @@ mod tests {
     #[test]
     fn alias_table_single_category() {
         let t = AliasTable::new(&[3.0]);
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(2);
         assert_eq!(t.sample(&mut rng), 0);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

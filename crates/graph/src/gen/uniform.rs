@@ -12,7 +12,6 @@ use crate::builder::csr_from_arc_stream;
 use crate::csr::Csr;
 use crate::gen::{chunk_rng, chunk_sizes, ArcStream};
 use crate::VertexId;
-use rand::Rng;
 
 /// The regenerable arc stream behind [`generate`], shared with the spill
 /// builder so both storage backends consume identical arcs.
@@ -30,10 +29,10 @@ pub(crate) fn arc_stream(scale: u32, avg_degree: u32, seed: u64) -> ArcStream {
             let mut rng = chunk_rng(seed, chunk);
             let n = n as u64;
             for _ in 0..count {
-                let s = rng.gen_range(0..n) as VertexId;
-                let mut d = rng.gen_range(0..n) as VertexId;
+                let s = rng.next_below(n) as VertexId;
+                let mut d = rng.next_below(n) as VertexId;
                 while d == s {
-                    d = rng.gen_range(0..n) as VertexId;
+                    d = rng.next_below(n) as VertexId;
                 }
                 sink(s, d);
                 sink(d, s);

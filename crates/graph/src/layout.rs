@@ -105,14 +105,6 @@ impl<'a, G: CsrView + ?Sized> EdgeListLayout<'a, G> {
         self.csr.num_edges() * BYTES_PER_ID
     }
 
-    /// Sum of sublist sizes for a set of vertices — the useful-byte total
-    /// `E` of Equation 1 for one traversal step.
-    pub fn useful_bytes(&self, frontier: impl IntoIterator<Item = VertexId>) -> u64 {
-        frontier
-            .into_iter()
-            .map(|v| self.sublist_span(v).len)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -201,13 +193,5 @@ mod tests {
         assert_eq!(span.len, 40);
         assert_eq!(span.end(), 72);
         assert_eq!(layout.edge_list_bytes(), 88);
-    }
-
-    #[test]
-    fn useful_bytes_sums_frontier_sublists() {
-        let csr = Csr::from_parts(vec![0, 4, 9, 10, 11], vec![3, 1, 2, 1, 3, 1, 2, 0, 2, 3, 0]);
-        let layout = EdgeListLayout::new(&csr);
-        assert_eq!(layout.useful_bytes([0u32, 1]), (4 + 5) * BYTES_PER_ID);
-        assert_eq!(layout.useful_bytes([]), 0);
     }
 }

@@ -23,7 +23,6 @@
 pub mod builder;
 pub mod csr;
 pub mod gen;
-pub mod io;
 pub mod layout;
 pub mod reorder;
 pub mod spec;

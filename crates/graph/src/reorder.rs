@@ -17,9 +17,7 @@
 use crate::csr::Csr;
 use crate::storage::CsrView;
 use crate::VertexId;
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use cxlg_sim::Xoshiro256StarStar;
 
 /// Apply a relabeling permutation: vertex `v` becomes `perm[v]`.
 /// `perm` must be a permutation of `0..n`. The input may live in any
@@ -31,7 +29,7 @@ use rand::SeedableRng;
 /// kept, so the result equals the sort-based
 /// [`crate::builder::csr_from_packed_arcs`] over the relabeled arcs
 /// without dedup.
-pub fn relabel<G: CsrView + ?Sized>(g: &G, perm: &[VertexId]) -> Csr {
+fn relabel<G: CsrView + ?Sized>(g: &G, perm: &[VertexId]) -> Csr {
     let n = g.num_vertices();
     assert_eq!(perm.len(), n, "permutation length mismatch");
     debug_assert!(is_permutation(perm));
@@ -129,7 +127,7 @@ pub fn random<G: CsrView + ?Sized>(g: &G, seed: u64) -> Csr {
 
 fn random_perm(n: usize, seed: u64) -> Vec<VertexId> {
     let mut perm: Vec<VertexId> = (0..n as VertexId).collect();
-    perm.shuffle(&mut SmallRng::seed_from_u64(seed));
+    Xoshiro256StarStar::seed_from_u64(seed).shuffle(&mut perm);
     perm
 }
 

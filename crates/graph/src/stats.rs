@@ -80,7 +80,7 @@ impl DegreeStats {
 
 /// Render a byte count with a binary-ish decimal suffix as the paper does
 /// (GB = 10^9 B).
-pub fn human_bytes(b: u64) -> String {
+fn human_bytes(b: u64) -> String {
     const UNITS: [(&str, u64); 4] = [
         ("GB", 1_000_000_000),
         ("MB", 1_000_000),

@@ -14,16 +14,6 @@ use serde::{Deserialize, Serialize};
 /// CXL.mem access granularity in bytes.
 pub const CXL_FLIT_BYTES: u64 = 64;
 
-/// Outstanding requests permitted by the CXL protocol's 16 tag bits.
-pub const CXL_PROTOCOL_TAGS: u64 = 65_536;
-
-/// Number of device-level 64 B accesses needed for a read of `bytes`.
-/// Zero-byte reads cost nothing; any partial flit rounds up.
-#[inline]
-pub fn flits_for(bytes: u64) -> u64 {
-    bytes.div_ceil(CXL_FLIT_BYTES)
-}
-
 /// Per-port CXL interface configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CxlPortConfig {
@@ -51,10 +41,6 @@ impl CxlPortConfig {
         SimDuration::from_ps(self.port_latency_ps)
     }
 
-    /// Round-trip port latency contribution.
-    pub fn round_trip(&self) -> SimDuration {
-        SimDuration::from_ps(self.port_latency_ps * 2)
-    }
 }
 
 #[cfg(test)]
@@ -62,36 +48,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flit_splitting_matches_paper() {
-        // §4.2.2: 96 B and 128 B GPU reads become two 64 B CXL reads.
-        assert_eq!(flits_for(96), 2);
-        assert_eq!(flits_for(128), 2);
-        // 32 B and 64 B reads are a single access.
-        assert_eq!(flits_for(32), 1);
-        assert_eq!(flits_for(64), 1);
-        assert_eq!(flits_for(65), 2);
-        assert_eq!(flits_for(0), 0);
-    }
-
-    #[test]
-    fn protocol_tags_are_not_the_limit() {
-        // §3.5.3: 16 tag bits = 65,536 outstanding requests, far above
-        // any Nmax in the PCIe path.
-        assert_eq!(CXL_PROTOCOL_TAGS, 1 << 16);
-        assert!(CXL_PROTOCOL_TAGS > 768);
-    }
-
-    #[test]
     fn default_port_adds_half_microsecond_round_trip() {
         let port = CxlPortConfig::default();
-        assert!((port.round_trip().as_us_f64() - 0.5).abs() < 1e-9);
+        assert!((2.0 * port.port_latency().as_us_f64() - 0.5).abs() < 1e-9);
         assert_eq!(port.mem_instances, 2);
-    }
-
-    #[test]
-    fn large_transfers_split_linearly() {
-        assert_eq!(flits_for(4096), 64);
-        assert_eq!(flits_for(2048), 32);
-        assert_eq!(flits_for(2049), 33);
     }
 }

@@ -11,8 +11,8 @@
 //! * [`pcie`] — PCIe generations, lane scaling, effective bandwidth, tag
 //!   limits, and the request/completion overhead model;
 //! * [`cxl`] — CXL.mem framing: 64 B flit granularity (a 96 B or 128 B GPU
-//!   read splits into two device-level accesses, §4.2.2) and protocol tag
-//!   budget (16 tag bits, §3.5.3);
+//!   read splits into two device-level accesses, §4.2.2) and the port
+//!   latency;
 //! * [`topology`] — the dual-socket system of Figure 8, where devices
 //!   attached to the far socket incur an extra inter-CPU hop (visible in
 //!   the latency measurements of Figure 9).
@@ -24,6 +24,6 @@ pub mod cxl;
 pub mod pcie;
 pub mod topology;
 
-pub use cxl::{flits_for, CxlPortConfig, CXL_FLIT_BYTES, CXL_PROTOCOL_TAGS};
+pub use cxl::{CxlPortConfig, CXL_FLIT_BYTES};
 pub use pcie::{PcieGen, PcieLinkConfig};
 pub use topology::{DevicePlacement, Socket, Topology};

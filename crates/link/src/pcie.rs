@@ -33,7 +33,7 @@ impl PcieGen {
     /// Effective data bandwidth of a x16 link in MB/s (the paper's `W`:
     /// 12,000 for Gen3 per §4.2.2, 24,000 for Gen4 per §3.2; Gen5 doubles
     /// Gen4 per the Discussion section).
-    pub fn effective_mb_per_sec_x16(self) -> u64 {
+    fn effective_mb_per_sec_x16(self) -> u64 {
         match self {
             PcieGen::Gen3 => 12_000,
             PcieGen::Gen4 => 24_000,
@@ -41,14 +41,6 @@ impl PcieGen {
         }
     }
 
-    /// Theoretical x16 bandwidth in MB/s, for reference.
-    pub fn theoretical_mb_per_sec_x16(self) -> u64 {
-        match self {
-            PcieGen::Gen3 => 15_750,
-            PcieGen::Gen4 => 31_500,
-            PcieGen::Gen5 => 63_000,
-        }
-    }
 }
 
 /// A configured PCIe link (generation + lane count).
@@ -67,22 +59,13 @@ pub struct PcieLinkConfig {
 impl PcieLinkConfig {
     /// Default one-way propagation (0.4 µs, so ~0.8 µs of the Fig. 9
     /// round trip is attributed to the link and root complex).
-    pub const DEFAULT_PROPAGATION_PS: u64 = 400_000;
+    const DEFAULT_PROPAGATION_PS: u64 = 400_000;
 
     /// A x16 GPU link of the given generation with default propagation.
     pub fn x16(gen: PcieGen) -> Self {
         PcieLinkConfig {
             gen,
             lanes: 16,
-            propagation_ps: Self::DEFAULT_PROPAGATION_PS,
-        }
-    }
-
-    /// A x4 link (per-drive links for XLFDD / NVMe SSDs).
-    pub fn x4(gen: PcieGen) -> Self {
-        PcieLinkConfig {
-            gen,
-            lanes: 4,
             propagation_ps: Self::DEFAULT_PROPAGATION_PS,
         }
     }
@@ -138,13 +121,12 @@ mod tests {
         assert_eq!(PcieGen::Gen5.nmax_outstanding(), 768);
         assert_eq!(PcieGen::Gen4.effective_mb_per_sec_x16(), 24_000);
         assert_eq!(PcieGen::Gen3.effective_mb_per_sec_x16(), 12_000);
-        assert_eq!(PcieGen::Gen4.theoretical_mb_per_sec_x16(), 31_500);
     }
 
     #[test]
     fn lane_scaling() {
         let x16 = PcieLinkConfig::x16(PcieGen::Gen4);
-        let x4 = PcieLinkConfig::x4(PcieGen::Gen4);
+        let x4 = PcieLinkConfig { lanes: 4, ..x16 };
         assert_eq!(x16.bandwidth().mb_per_sec(), 24_000.0);
         assert_eq!(x4.bandwidth().mb_per_sec(), 6_000.0);
         assert_eq!(x16.nmax(), x4.nmax(), "Nmax is not lane-scaled");

@@ -71,25 +71,6 @@ impl Topology {
         }
     }
 
-    /// Round-trip form of [`Topology::socket_penalty`].
-    pub fn socket_penalty_round_trip(&self, placement: DevicePlacement) -> SimDuration {
-        let one_way = self.socket_penalty(placement);
-        one_way + one_way
-    }
-
-    /// The Figure 8 device placements: `(name, placement)` for the five
-    /// CXL devices and two DRAM nodes.
-    pub fn paper_fig8_devices() -> Vec<(&'static str, DevicePlacement)> {
-        vec![
-            ("DRAM0", DevicePlacement::far()),
-            ("DRAM1", DevicePlacement::near()),
-            ("CXL0", DevicePlacement::far()),
-            ("CXL1", DevicePlacement::far()),
-            ("CXL2", DevicePlacement::far()),
-            ("CXL3", DevicePlacement::near()),
-            ("CXL4", DevicePlacement::near()),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -100,10 +81,6 @@ mod tests {
     fn near_devices_have_no_penalty() {
         let t = Topology::default();
         assert_eq!(t.socket_penalty(DevicePlacement::near()), SimDuration::ZERO);
-        assert_eq!(
-            t.socket_penalty_round_trip(DevicePlacement::near()),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
@@ -112,26 +89,6 @@ mod tests {
         assert_eq!(
             t.socket_penalty(DevicePlacement::far()).as_ns_f64(),
             50.0
-        );
-        assert_eq!(
-            t.socket_penalty_round_trip(DevicePlacement::far()).as_ns_f64(),
-            100.0
-        );
-    }
-
-    #[test]
-    fn fig8_placement_matches_paper() {
-        let devs = Topology::paper_fig8_devices();
-        let find = |n: &str| devs.iter().find(|(name, _)| *name == n).unwrap().1;
-        // GPU is on CPU 1; DRAM1 and CXL3 are near it (solid bars in Fig 9).
-        assert_eq!(find("DRAM1").socket, Socket::Cpu1);
-        assert_eq!(find("CXL3").socket, Socket::Cpu1);
-        assert_eq!(find("DRAM0").socket, Socket::Cpu0);
-        assert_eq!(find("CXL0").socket, Socket::Cpu0);
-        // Five CXL devices total (§4.2.2).
-        assert_eq!(
-            devs.iter().filter(|(n, _)| n.starts_with("CXL")).count(),
-            5
         );
     }
 

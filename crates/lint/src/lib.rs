@@ -28,9 +28,8 @@
 //! aliasing, but it catches the hazard classes that actually corrupt
 //! reported series — and it runs in milliseconds as CI's first gate.
 //!
-//! Entry points: [`run_workspace`] (everything the walker finds),
-//! [`run_files`] (an explicit list), and the `cxlg-lint` binary /
-//! `cxlg lint` subcommand on top of them.
+//! Entry point: [`run_workspace`] (everything the walker finds), with
+//! the `cxlg lint` subcommand on top of it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,7 +51,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<LintRun> {
 }
 
 /// Lint an explicit list of workspace-relative files.
-pub fn run_files(root: &Path, files: &[String]) -> std::io::Result<LintRun> {
+fn run_files(root: &Path, files: &[String]) -> std::io::Result<LintRun> {
     let mut run = LintRun::default();
     for rel in files {
         let source = std::fs::read_to_string(root.join(rel))?;

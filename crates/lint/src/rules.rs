@@ -51,7 +51,7 @@ pub struct Finding {
 
 /// Where a file sits, which decides rule applicability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
+enum FileClass {
     /// Library/binary source: all rules apply.
     Source,
     /// Tests, benches, examples: only `D5` applies.
@@ -59,7 +59,7 @@ pub enum FileClass {
 }
 
 /// Classify a workspace-relative path.
-pub fn classify(path: &str) -> FileClass {
+fn classify(path: &str) -> FileClass {
     let test_dirs = ["/tests/", "/benches/", "/examples/"];
     if test_dirs.iter().any(|d| path.contains(d))
         || path.starts_with("tests/")

@@ -6,7 +6,7 @@
 //! new finding, new suppression, file addition or report-format drift
 //! shows up as a reviewable diff to
 //! `tests/golden_workspace_report.txt`. Regenerate with
-//! `cargo run -p cxlg-lint > crates/lint/tests/golden_workspace_report.txt`
+//! `cargo run -p cxlg-bench --bin cxlg -- lint > crates/lint/tests/golden_workspace_report.txt`
 //! from the workspace root.
 
 use std::path::Path;
@@ -44,7 +44,7 @@ fn workspace_report_matches_golden_bytes() {
     assert_eq!(
         rendered, golden,
         "lint report drifted from {}; if the change is intentional, \
-         regenerate with `cargo run -p cxlg-lint` and review the diff",
+         regenerate with `cxlg lint` and review the diff",
         golden_path.display()
     );
 }

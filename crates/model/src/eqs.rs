@@ -51,13 +51,6 @@ pub fn runtime(total_mb: f64, throughput_mb_per_sec: f64) -> f64 {
     total_mb / throughput_mb_per_sec
 }
 
-/// Equation 3 rearranged: the outstanding requests `N = T·L / d` needed
-/// to sustain throughput `T` (MB/s) at latency `L` (µs) with transfers of
-/// `d` bytes.
-pub fn littles_law_outstanding(throughput_mb_per_sec: f64, latency_us: f64, d_bytes: f64) -> f64 {
-    throughput_mb_per_sec * latency_us / d_bytes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,9 +110,15 @@ mod tests {
         // §4.2.2: L = Nmax · d / W = 256 × 89.6 / 12,000 = 1.91 us.
         let l: f64 = 256.0 * 89.6 / 12_000.0;
         assert!((l - 1.911).abs() < 0.01);
-        // Inverse check via the helper.
-        let n = littles_law_outstanding(12_000.0, l, 89.6);
-        assert!((n - 256.0).abs() < 1e-6);
+        // Inverse check: at that latency Equation 2's Little's-law term
+        // is exactly W.
+        let p = ThroughputParams {
+            iops: f64::INFINITY,
+            latency_us: l,
+            nmax: 256.0,
+            bandwidth_mb_per_sec: f64::INFINITY,
+        };
+        assert!((throughput(&p, 89.6) - 12_000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub struct Fig4Point {
 /// Piecewise-linear interpolation of RAF over the measured alignments
 /// (log-linear in `d`, matching how Figure 4 "smoothly interpolates the
 /// data points").
-pub fn interp_raf(points: &[(f64, f64)], d: f64) -> f64 {
+fn interp_raf(points: &[(f64, f64)], d: f64) -> f64 {
     assert!(!points.is_empty(), "no RAF points");
     if d <= points[0].0 {
         return points[0].1;

@@ -2,7 +2,7 @@
 //!
 //! * Equation 1: `t = D / T` ([`runtime`]);
 //! * Equation 2: `T = min(S·d, Nmax·d/L, W)` ([`throughput`]);
-//! * Equation 3: Little's Law `N·d = T·L` ([`littles_law_outstanding`]);
+//! * Equation 3: Little's Law `N·d = T·L`, as Equation 2's middle term;
 //! * Equation 5: slope `s = min(S, Nmax/L)` ([`slope`]);
 //! * Equation 6: the external-memory requirements for matching host-DRAM
 //!   EMOGI performance ([`requirements`](mod@requirements));
@@ -19,6 +19,6 @@ pub mod eqs;
 pub mod fig4;
 pub mod requirements;
 
-pub use eqs::{littles_law_outstanding, runtime, slope, throughput, ThroughputParams};
+pub use eqs::{runtime, slope, throughput, ThroughputParams};
 pub use fig4::{fig4_series, Fig4Params, Fig4Point};
 pub use requirements::{requirements, Requirements};

@@ -471,11 +471,6 @@ impl ResultStore {
         total
     }
 
-    /// On-disk bytes across all entries (staging/quarantine excluded).
-    pub fn total_bytes(&self) -> u64 {
-        self.keys().iter().map(|k| self.entry_bytes(k)).sum()
-    }
-
     /// Evict entries in ascending publication-`seq` order (LRU by
     /// publication; key order breaks seq ties deterministically) until
     /// the store fits `max_bytes` / `max_entries`. `None` bounds are
@@ -792,7 +787,7 @@ mod tests {
         assert_eq!(held.files[0].1, b"{\"x\":1}".to_vec(), "reader copy survives");
 
         // Byte bound: shrink to one entry's size → k2 (now oldest) goes.
-        let one = store.total_bytes() / 2;
+        let one = report.bytes_after / 2;
         let report = store.gc(Some(one), None);
         assert_eq!(report.evicted, vec![k2]);
         assert!(report.bytes_after <= one);

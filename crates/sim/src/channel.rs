@@ -7,18 +7,13 @@
 //! is exactly the behaviour that makes aggregate throughput obey
 //! `T <= W` (Equation 2's third term) in the full-system simulation.
 
-use crate::time::{Bandwidth, SimDuration, SimTime};
+use crate::time::{Bandwidth, SimTime};
 
 /// One direction of a shared link, serializing transfers at a fixed rate.
 #[derive(Debug, Clone)]
 pub struct BandwidthChannel {
     rate: Bandwidth,
     next_free: SimTime,
-    /// Total bytes accepted, for utilization accounting.
-    bytes_total: u64,
-    /// Total time the channel has spent transmitting.
-    busy: SimDuration,
-    transfers: u64,
 }
 
 impl BandwidthChannel {
@@ -27,16 +22,7 @@ impl BandwidthChannel {
         BandwidthChannel {
             rate,
             next_free: SimTime::ZERO,
-            bytes_total: 0,
-            busy: SimDuration::ZERO,
-            transfers: 0,
         }
-    }
-
-    /// The configured line rate.
-    #[inline]
-    pub fn rate(&self) -> Bandwidth {
-        self.rate
     }
 
     /// Submit a transfer of `bytes` at time `now`; returns the completion
@@ -46,69 +32,9 @@ impl BandwidthChannel {
     /// later submissions finish later.
     #[inline]
     pub fn transmit(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let ser = self.rate.transfer_time(bytes);
         let start = now.max(self.next_free);
-        let done = start + ser;
-        self.next_free = done;
-        self.bytes_total += bytes;
-        self.busy += ser;
-        self.transfers += 1;
-        done
-    }
-
-    /// Earliest time a new transfer could start.
-    #[inline]
-    pub fn next_free(&self) -> SimTime {
+        self.next_free = start + self.rate.transfer_time(bytes);
         self.next_free
-    }
-
-    /// Would a transfer submitted at `now` start immediately?
-    #[inline]
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.next_free <= now
-    }
-
-    /// Total bytes pushed through the channel.
-    #[inline]
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total
-    }
-
-    /// Number of transfers served.
-    #[inline]
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Cumulative transmitting time.
-    #[inline]
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Fraction of `[0, horizon]` spent transmitting.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.as_ps() == 0 {
-            return 0.0;
-        }
-        self.busy.as_ps() as f64 / horizon.as_ps() as f64
-    }
-
-    /// Achieved throughput over `[0, horizon]` in MB/s.
-    pub fn achieved_mb_per_sec(&self, horizon: SimTime) -> f64 {
-        let secs = horizon.as_secs_f64();
-        if secs == 0.0 {
-            return 0.0;
-        }
-        self.bytes_total as f64 / 1e6 / secs
-    }
-
-    /// Reset counters and availability (e.g. between measurement phases).
-    pub fn reset(&mut self) {
-        self.next_free = SimTime::ZERO;
-        self.bytes_total = 0;
-        self.busy = SimDuration::ZERO;
-        self.transfers = 0;
     }
 }
 
@@ -147,39 +73,12 @@ mod tests {
         for _ in 0..10_000 {
             last = ch.transmit(SimTime::ZERO, 128);
         }
-        let achieved = ch.achieved_mb_per_sec(last);
+        let achieved = 10_000.0 * 128.0 / 1e6 / last.as_secs_f64();
         assert!(
             achieved <= 24_000.0 + 1.0,
             "achieved {achieved} MB/s exceeds line rate"
         );
         // And it should be *at* the line rate when saturated.
         assert!(achieved > 23_900.0, "achieved {achieved} MB/s");
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut ch = BandwidthChannel::new(gbps(1));
-        ch.transmit(SimTime::ZERO, 500); // 0.5 us busy
-        let horizon = SimTime(1_000_000); // 1 us
-        assert!((ch.utilization(horizon) - 0.5).abs() < 1e-9);
-        assert_eq!(ch.bytes_total(), 500);
-        assert_eq!(ch.transfers(), 1);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut ch = BandwidthChannel::new(gbps(1));
-        ch.transmit(SimTime::ZERO, 1000);
-        ch.reset();
-        assert!(ch.is_idle_at(SimTime::ZERO));
-        assert_eq!(ch.bytes_total(), 0);
-        assert_eq!(ch.busy_time(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn zero_horizon_stats_are_zero() {
-        let ch = BandwidthChannel::new(gbps(1));
-        assert_eq!(ch.utilization(SimTime::ZERO), 0.0);
-        assert_eq!(ch.achieved_mb_per_sec(SimTime::ZERO), 0.0);
     }
 }

@@ -22,7 +22,6 @@ pub struct CreditPool {
     in_use_weighted: u128,
     last_update: SimTime,
     high_water: u64,
-    acquisitions: u64,
 }
 
 impl CreditPool {
@@ -35,7 +34,6 @@ impl CreditPool {
             in_use_weighted: 0,
             last_update: SimTime::ZERO,
             high_water: 0,
-            acquisitions: 0,
         }
     }
 
@@ -52,7 +50,6 @@ impl CreditPool {
         self.advance(now);
         if self.available > 0 {
             self.available -= 1;
-            self.acquisitions += 1;
             self.high_water = self.high_water.max(self.capacity - self.available);
             true
         } else {
@@ -76,25 +73,12 @@ impl CreditPool {
         self.advance(now);
         if let Some(w) = self.waiters.pop_front() {
             // Credit transferred to the waiter: still in use.
-            self.acquisitions += 1;
             Some(w)
         } else {
             assert!(self.available < self.capacity, "release without acquire");
             self.available += 1;
             None
         }
-    }
-
-    /// Total credits.
-    #[inline]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Credits currently free.
-    #[inline]
-    pub fn available(&self) -> u64 {
-        self.available
     }
 
     /// Credits currently held.
@@ -113,12 +97,6 @@ impl CreditPool {
     #[inline]
     pub fn high_water(&self) -> u64 {
         self.high_water
-    }
-
-    /// Total successful acquisitions (including hand-offs to waiters).
-    #[inline]
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
     }
 
     /// Time-averaged number of credits in use over `[0, now]` — the mean
@@ -154,7 +132,6 @@ mod tests {
         assert!(p.try_acquire(SimTime::ZERO));
         assert!(!p.try_acquire(SimTime::ZERO));
         assert_eq!(p.in_use(), 3);
-        assert_eq!(p.available(), 0);
         assert_eq!(p.high_water(), 3);
     }
 
@@ -163,7 +140,7 @@ mod tests {
         let mut p = CreditPool::new(1);
         assert!(p.try_acquire(SimTime::ZERO));
         assert_eq!(p.release(SimTime(10)), None);
-        assert_eq!(p.available(), 1);
+        assert_eq!(p.in_use(), 0);
         assert!(p.try_acquire(SimTime(10)));
     }
 
@@ -176,10 +153,10 @@ mod tests {
         p.enqueue_waiter(8);
         assert_eq!(p.release(SimTime(5)), Some(7));
         // Credit went straight to waiter 7: pool still exhausted.
-        assert_eq!(p.available(), 0);
+        assert_eq!(p.in_use(), 1);
         assert_eq!(p.release(SimTime(6)), Some(8));
         assert_eq!(p.release(SimTime(7)), None);
-        assert_eq!(p.available(), 1);
+        assert_eq!(p.in_use(), 0);
     }
 
     #[test]
@@ -189,15 +166,6 @@ mod tests {
         assert!(p.try_acquire(SimTime::ZERO));
         p.release(SimTime(1));
         p.release(SimTime(2));
-    }
-
-    #[test]
-    fn acquisition_count_includes_handoffs() {
-        let mut p = CreditPool::new(1);
-        assert!(p.try_acquire(SimTime::ZERO));
-        p.enqueue_waiter(1);
-        p.release(SimTime(1));
-        assert_eq!(p.acquisitions(), 2);
     }
 
     #[test]

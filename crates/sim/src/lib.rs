@@ -4,8 +4,7 @@
 //! the `cxl-gpu-graph` workspace: simulated time, in-order event lanes, and
 //! a small set of queueing-theory building blocks (bandwidth-serialized
 //! channels, rate-limited servers, credit pools) from which the PCIe link,
-//! the CXL memory prototype, the flash drives and the GPU warp scheduler
-//! are assembled.
+//! the CXL memory prototype and the flash drives are assembled.
 //!
 //! ## Design notes
 //!
@@ -41,5 +40,5 @@ pub use credit::CreditPool;
 pub use event::Lane;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use server::RateServer;
-pub use stats::{Histogram, OnlineStats, TimeWeighted};
+pub use stats::OnlineStats;
 pub use time::{Bandwidth, SimDuration, SimTime};

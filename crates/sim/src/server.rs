@@ -16,15 +16,12 @@ pub struct RateServer {
     /// Minimum spacing between operation starts, in ps.
     interval: SimDuration,
     next_slot: SimTime,
-    ops: u64,
-    /// Cumulative queueing delay experienced by operations.
-    queued: SimDuration,
 }
 
 impl RateServer {
     /// Server with the given operation rate (ops per second). A rate of 0
     /// means "never admits" (slot times saturate to the far future).
-    pub fn from_ops_per_sec(rate: f64) -> Self {
+    fn from_ops_per_sec(rate: f64) -> Self {
         assert!(rate >= 0.0, "negative rate");
         let interval = if rate == 0.0 {
             SimDuration(u64::MAX)
@@ -34,8 +31,6 @@ impl RateServer {
         RateServer {
             interval,
             next_slot: SimTime::ZERO,
-            ops: 0,
-            queued: SimDuration::ZERO,
         }
     }
 
@@ -45,64 +40,13 @@ impl RateServer {
         Self::from_ops_per_sec(mega_ops * 1e6)
     }
 
-    /// An unconstrained server (infinite IOPS) — used for host DRAM, whose
-    /// random-read rate is "excessively high" per §3.3.1.
-    pub fn unlimited() -> Self {
-        RateServer {
-            interval: SimDuration::ZERO,
-            next_slot: SimTime::ZERO,
-            ops: 0,
-            queued: SimDuration::ZERO,
-        }
-    }
-
     /// Admit an operation arriving at `now`; returns the time its service
     /// *starts* (>= now).
     #[inline]
     pub fn admit(&mut self, now: SimTime) -> SimTime {
         let start = now.max(self.next_slot);
         self.next_slot = start + self.interval;
-        self.ops += 1;
-        self.queued += start.saturating_since(now);
         start
-    }
-
-    /// Minimum spacing between starts.
-    #[inline]
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Operations admitted so far.
-    #[inline]
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Mean queueing delay per admitted operation.
-    pub fn mean_queue_delay(&self) -> SimDuration {
-        if self.ops == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration(self.queued.as_ps() / self.ops)
-        }
-    }
-
-    /// Achieved operation rate over `[0, horizon]`, in ops/sec.
-    pub fn achieved_ops_per_sec(&self, horizon: SimTime) -> f64 {
-        let secs = horizon.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
-    }
-
-    /// Reset counters and availability.
-    pub fn reset(&mut self) {
-        self.next_slot = SimTime::ZERO;
-        self.ops = 0;
-        self.queued = SimDuration::ZERO;
     }
 }
 
@@ -129,15 +73,6 @@ mod tests {
         // Arrives 10 us later, long after the next slot opened.
         let t = s.admit(SimTime(10_000_000));
         assert_eq!(t.as_us_f64(), 10.0);
-        assert_eq!(s.mean_queue_delay(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn unlimited_never_delays() {
-        let mut s = RateServer::unlimited();
-        for _ in 0..1000 {
-            assert_eq!(s.admit(SimTime(7)), SimTime(7));
-        }
     }
 
     #[test]
@@ -147,18 +82,8 @@ mod tests {
         for _ in 0..100_000 {
             last = s.admit(SimTime::ZERO);
         }
-        let achieved = s.achieved_ops_per_sec(last) / 1e6;
+        let achieved = 100_000.0 / last.as_secs_f64() / 1e6;
         assert!((achieved - 11.0).abs() / 11.0 < 0.01, "{achieved} MIOPS");
-    }
-
-    #[test]
-    fn queue_delay_accumulates() {
-        let mut s = RateServer::from_miops(1.0);
-        s.admit(SimTime::ZERO); // starts 0
-        s.admit(SimTime::ZERO); // starts 1us, queued 1us
-        s.admit(SimTime::ZERO); // starts 2us, queued 2us
-        assert_eq!(s.mean_queue_delay().as_us_f64(), 1.0);
-        assert_eq!(s.ops(), 3);
     }
 
     #[test]
@@ -169,15 +94,5 @@ mod tests {
         // The second op never gets a slot (saturated far future).
         let t1 = s.admit(SimTime::ZERO);
         assert_eq!(t1, SimTime::MAX);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = RateServer::from_miops(1.0);
-        s.admit(SimTime::ZERO);
-        s.admit(SimTime::ZERO);
-        s.reset();
-        assert_eq!(s.ops(), 0);
-        assert_eq!(s.admit(SimTime::ZERO), SimTime::ZERO);
     }
 }

@@ -10,11 +10,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Picoseconds per nanosecond.
-pub const PS_PER_NS: u64 = 1_000;
+const PS_PER_NS: u64 = 1_000;
 /// Picoseconds per microsecond.
-pub const PS_PER_US: u64 = 1_000_000;
-/// Picoseconds per millisecond.
-pub const PS_PER_MS: u64 = 1_000_000_000;
+const PS_PER_US: u64 = 1_000_000;
 /// Picoseconds per second.
 pub const PS_PER_S: u64 = 1_000_000_000_000;
 
@@ -49,12 +47,6 @@ impl SimTime {
     #[inline]
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
-    }
-
-    /// This instant expressed in (fractional) milliseconds.
-    #[inline]
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
     }
 
     /// This instant expressed in (fractional) seconds.
@@ -93,33 +85,11 @@ impl SimDuration {
         SimDuration(ps)
     }
 
-    /// Construct from (possibly fractional) nanoseconds. Panics in debug
-    /// builds on negative input.
-    #[inline]
-    pub fn from_ns(ns: f64) -> SimDuration {
-        debug_assert!(ns >= 0.0, "negative duration: {ns} ns");
-        SimDuration((ns * PS_PER_NS as f64).round() as u64)
-    }
-
     /// Construct from (possibly fractional) microseconds.
     #[inline]
     pub fn from_us(us: f64) -> SimDuration {
         debug_assert!(us >= 0.0, "negative duration: {us} us");
         SimDuration((us * PS_PER_US as f64).round() as u64)
-    }
-
-    /// Construct from (possibly fractional) milliseconds.
-    #[inline]
-    pub fn from_ms(ms: f64) -> SimDuration {
-        debug_assert!(ms >= 0.0, "negative duration: {ms} ms");
-        SimDuration((ms * PS_PER_MS as f64).round() as u64)
-    }
-
-    /// Construct from (possibly fractional) seconds.
-    #[inline]
-    pub fn from_secs(s: f64) -> SimDuration {
-        debug_assert!(s >= 0.0, "negative duration: {s} s");
-        SimDuration((s * PS_PER_S as f64).round() as u64)
     }
 
     /// Raw picosecond count.
@@ -144,12 +114,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_S as f64
-    }
-
-    /// Integer multiple of this duration.
-    #[inline]
-    pub fn mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
     }
 
     /// Longer of two durations.
@@ -254,18 +218,6 @@ impl Bandwidth {
         Bandwidth(gb * 1_000_000_000)
     }
 
-    /// Construct from raw bytes/sec.
-    #[inline]
-    pub const fn from_bytes_per_sec(b: u64) -> Bandwidth {
-        Bandwidth(b)
-    }
-
-    /// The rate in bytes per second.
-    #[inline]
-    pub fn bytes_per_sec(self) -> u64 {
-        self.0
-    }
-
     /// The rate in MB/s (decimal).
     #[inline]
     pub fn mb_per_sec(self) -> f64 {
@@ -293,12 +245,6 @@ impl Bandwidth {
         let ps = (bytes as u128 * PS_PER_S as u128).div_ceil(self.0 as u128);
         SimDuration(ps.min(u64::MAX as u128) as u64)
     }
-
-    /// Bytes that can be moved in `d` at this rate (rounded down).
-    #[inline]
-    pub fn bytes_in(self, d: SimDuration) -> u64 {
-        ((d.0 as u128 * self.0 as u128) / PS_PER_S as u128).min(u64::MAX as u128) as u64
-    }
 }
 
 impl fmt::Debug for Bandwidth {
@@ -313,17 +259,16 @@ mod tests {
 
     #[test]
     fn construct_and_convert() {
-        assert_eq!(SimDuration::from_ns(1.0).as_ps(), 1_000);
+        assert_eq!(SimDuration::from_ps(1_000).as_ns_f64(), 1.0);
         assert_eq!(SimDuration::from_us(1.0).as_ps(), 1_000_000);
-        assert_eq!(SimDuration::from_ms(1.0).as_ps(), 1_000_000_000);
-        assert_eq!(SimDuration::from_secs(1.0).as_ps(), PS_PER_S);
+        assert_eq!(SimDuration::from_ps(PS_PER_S).as_secs_f64(), 1.0);
         assert!((SimDuration::from_us(1.2).as_us_f64() - 1.2).abs() < 1e-9);
     }
 
     #[test]
     fn fractional_nanoseconds_round() {
-        // 0.5 ns = 500 ps exactly
-        assert_eq!(SimDuration::from_ns(0.5).as_ps(), 500);
+        // 0.0005 us = 500 ps exactly
+        assert_eq!(SimDuration::from_us(0.0005).as_ps(), 500);
         // 89.6 B at 24 GB/s is ~3.73 ns; check no truncation-to-zero.
         let bw = Bandwidth::from_mb_per_sec(24_000);
         assert!(bw.transfer_time(90).as_ps() > 0);
@@ -331,9 +276,9 @@ mod tests {
 
     #[test]
     fn time_arithmetic() {
-        let t = SimTime::ZERO + SimDuration::from_ns(10.0);
+        let t = SimTime::ZERO + SimDuration::from_ps(10_000);
         assert_eq!(t.as_ps(), 10_000);
-        let t2 = t + SimDuration::from_ns(5.0);
+        let t2 = t + SimDuration::from_ps(5_000);
         assert_eq!(t2.saturating_since(t).as_ps(), 5_000);
         assert_eq!(t.saturating_since(t2).as_ps(), 0);
         assert_eq!(t.max(t2), t2);
@@ -350,7 +295,7 @@ mod tests {
     #[test]
     fn saturating_behaviour() {
         let big = SimTime(u64::MAX - 10);
-        let t = big + SimDuration::from_secs(1.0);
+        let t = big + SimDuration::from_ps(PS_PER_S);
         assert_eq!(t, SimTime::MAX);
         assert_eq!(
             SimDuration(5).saturating_sub(SimDuration(10)),
@@ -368,19 +313,8 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_round_trip() {
-        let bw = Bandwidth::from_gb_per_sec(12);
-        let d = bw.transfer_time(4096);
-        // Rounding up means bytes_in(d) >= 4096 is not guaranteed in
-        // general, but must be within one byte-time.
-        let got = bw.bytes_in(d);
-        assert!(got >= 4096, "{got}");
-        assert!(got <= 4097, "{got}");
-    }
-
-    #[test]
     fn zero_bandwidth_is_infinite_delay() {
-        let bw = Bandwidth::from_bytes_per_sec(0);
+        let bw = Bandwidth(0);
         assert_eq!(bw.transfer_time(1).as_ps(), u64::MAX);
     }
 
@@ -390,7 +324,7 @@ mod tests {
         let bw = Bandwidth::from_gb_per_sec(1);
         assert_eq!(bw.transfer_time(3).as_ps(), 3_000);
         // 1 byte at 3 bytes/sec: 1/3 s, must round UP.
-        let slow = Bandwidth::from_bytes_per_sec(3);
+        let slow = Bandwidth(3);
         assert_eq!(slow.transfer_time(1).as_ps(), PS_PER_S / 3 + 1);
     }
 
@@ -403,7 +337,7 @@ mod tests {
         let rates = [3_000, 5_700, 6_000, 10_000, 12_000, 24_000, 48_000, 200_000]
             .map(Bandwidth::from_mb_per_sec)
             .into_iter()
-            .chain([1, 3, 7, u64::MAX].map(Bandwidth::from_bytes_per_sec));
+            .chain([1, 3, 7, u64::MAX].map(Bandwidth));
         let edge = u64::MAX / PS_PER_S;
         let sizes = [0, 1, 24, 64, 4096, 2 << 20, edge - 1, edge, edge + 1];
         for bw in rates {
@@ -422,10 +356,9 @@ mod tests {
 
     #[test]
     fn duration_scalar_ops() {
-        let d = SimDuration::from_ns(10.0);
-        assert_eq!(d.mul(3).as_ns_f64(), 30.0);
-        assert_eq!(d.max(SimDuration::from_ns(20.0)).as_ns_f64(), 20.0);
-        assert_eq!(d.min(SimDuration::from_ns(20.0)).as_ns_f64(), 10.0);
+        let d = SimDuration::from_ps(10_000);
+        assert_eq!(d.max(SimDuration::from_ps(20_000)).as_ns_f64(), 20.0);
+        assert_eq!(d.min(SimDuration::from_ps(20_000)).as_ns_f64(), 10.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use cxl_gpu_graph::core::microbench::{cxl_cpu_random_read, pointer_chase_latency};
 use cxl_gpu_graph::core::raf::{default_capacity, raf_for_trace};
-use cxl_gpu_graph::core::runner::geometric_mean;
+use cxl_gpu_graph::core::metrics::geometric_mean;
 use cxl_gpu_graph::core::traversal::bfs_trace;
 use cxl_gpu_graph::device::cxl_mem::CxlMemConfig;
 use cxl_gpu_graph::prelude::*;
