@@ -102,6 +102,7 @@ echo "==> streaming CSR builder stays within the peak-RSS budget (scale 18, <= 1
 GM="cargo run --release -p cxlg-bench --bin cxlg -- graph-mem"
 U18_MEM=$($GM urand 18 --max-bytes-per-arc=10);  echo "    $U18_MEM"
 K18_MEM=$($GM kron 18 --max-bytes-per-arc=12);   echo "    $K18_MEM"
+S18_MEM=$($GM social 18 --max-bytes-per-arc=12); echo "    $S18_MEM"
 U20_MEM=$($GM urand 20 --max-bytes-per-arc=10);  echo "    $U20_MEM"
 
 echo "==> a scale-22 urand graph (134M arcs) builds to completion"
@@ -115,6 +116,7 @@ echo "==> out-of-core spill backend: tighter peak-RSS budgets up the scale ladde
 # demonstration that the builder, not the graph, bounds memory.
 U18_SPILL=$($GM urand 18 --storage=spill --max-bytes-per-arc=4);  echo "    $U18_SPILL"
 K18_SPILL=$($GM kron 18 --storage=spill --max-bytes-per-arc=4);   echo "    $K18_SPILL"
+S18_SPILL=$($GM social 18 --storage=spill --max-bytes-per-arc=4); echo "    $S18_SPILL"
 U20_SPILL=$($GM urand 20 --storage=spill --max-bytes-per-arc=2);  echo "    $U20_SPILL"
 U22_SPILL=$($GM urand 22 --storage=spill --max-bytes-per-arc=1.5); echo "    $U22_SPILL"
 
@@ -122,6 +124,7 @@ echo "==> spill fingerprints are byte-identical to mem at every ladder rung"
 fp() { grep -o 'fingerprint=0x[0-9a-f]*' <<<"$1"; }
 [ "$(fp "$U18_MEM")" = "$(fp "$U18_SPILL")" ] || { echo "urand18 fingerprint diverges across backends"; exit 1; }
 [ "$(fp "$K18_MEM")" = "$(fp "$K18_SPILL")" ] || { echo "kron18 fingerprint diverges across backends"; exit 1; }
+[ "$(fp "$S18_MEM")" = "$(fp "$S18_SPILL")" ] || { echo "social18 fingerprint diverges across backends"; exit 1; }
 [ "$(fp "$U20_MEM")" = "$(fp "$U20_SPILL")" ] || { echo "urand20 fingerprint diverges across backends"; exit 1; }
 [ "$(fp "$U22_MEM")" = "$(fp "$U22_SPILL")" ] || { echo "urand22 fingerprint diverges across backends"; exit 1; }
 

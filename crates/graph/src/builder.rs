@@ -16,6 +16,17 @@
 //!   (packed arcs + the copied-out targets), and the O(m log m) global
 //!   comparison sort becomes O(m) counting + scatter plus small
 //!   per-sublist sorts.
+//!
+//!   Pass 2 hands slots out in batches of `SCATTER_BATCH` (256) arcs:
+//!   each arc takes its slot from its vertex's cursor as it arrives, but
+//!   its `dst` is written only when the batch is full. A locked
+//!   `fetch_add` cannot complete until earlier stores drain, and each
+//!   scatter store lands in a random, usually uncached, slot of a
+//!   targets array far larger than the caches; interleaved one-to-one,
+//!   every hand-out waited for the previous arc's store miss, so the
+//!   misses ran one at a time. Written back to back, a batch's store
+//!   misses overlap. Batching moves when the stores happen, not which
+//!   slots the arcs take, so the sorted output is unchanged.
 //! * [`csr_from_packed_arcs`] — the naive sort-based builder, retained
 //!   only as the test oracle: the property tests cross-check the
 //!   streaming builder and the [`crate::reorder`] relabeling against
@@ -62,6 +73,11 @@ unsafe impl Send for ScatterPtr {}
 // SAFETY: see the Send argument above — all concurrent access is
 // write-only to disjoint, bounds-checked indices of one live Vec.
 unsafe impl Sync for ScatterPtr {}
+
+/// Arcs whose slots pass 2 hands out before it writes any of their
+/// targets (see the module docs). 256 `(slot, dst)` pairs are 4 KiB of
+/// stack per worker.
+const SCATTER_BATCH: usize = 256;
 
 /// Build a CSR with `n` vertices from a **regenerable arc stream** — the
 /// two-pass streaming scatter builder.
@@ -119,15 +135,30 @@ where
     let base = ScatterPtr(targets.as_mut_ptr());
     chunks.par_iter().for_each(|&(chunk, len)| {
         let base = &base;
+        // Writes each buffered `dst` to its handed-out slot, back to back.
+        let write = |batch: &[(usize, VertexId)]| {
+            for &(slot, dst) in batch {
+                // SAFETY: every `slot` in a batch was handed out by an
+                // atomic fetch_add, so no two writes share an index, and
+                // `slot < m` was asserted at hand-out.
+                unsafe { *base.0.add(slot) = dst };
+            }
+        };
+        let mut batch = [(0usize, 0 as VertexId); SCATTER_BATCH];
+        let mut filled = 0;
         stream(chunk, len, &mut |src, dst| {
             let slot = counts[src as usize].fetch_add(1, Ordering::Relaxed) as usize;
             // Memory safety even for a misbehaving stream: a slot past
             // the array is a panic, never a wild write.
             assert!(slot < m, "scatter slot {slot} out of bounds (m = {m})");
-            // SAFETY: `slot` values are handed out by atomic fetch_add,
-            // so no two writes share an index; `slot < m` was checked.
-            unsafe { *base.0.add(slot) = dst };
+            batch[filled] = (slot, dst);
+            filled += 1;
+            if filled == SCATTER_BATCH {
+                write(&batch);
+                filled = 0;
+            }
         });
+        write(&batch[..filled]);
     });
     // Every cursor must have advanced exactly to the next offset —
     // anything else means the stream emitted different arcs in the two
@@ -431,12 +462,65 @@ mod tests {
     fn stream_rejects_nondeterministic_streams() {
         // Emits fewer arcs in the scatter pass than in the counting
         // pass: the cursor check must catch it before a corrupted CSR
-        // escapes. (Emitting *more* trips the slot bounds check instead.)
+        // escapes. (Emitting *more* trips the slot bounds check only for
+        // the last non-empty sublist; see the next test for the others.)
         let calls = AtomicU64::new(0);
         csr_from_arc_stream(4, &[(0, 1)], false, |_, _, sink| {
             for _ in calls.fetch_add(1, Ordering::Relaxed)..2 {
                 sink(1, 2);
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "different arcs across passes")]
+    fn stream_rejects_an_extra_arc_for_an_interior_vertex() {
+        // The extra arc's slot is the first of vertex 2's sublist, inside
+        // the array: only the cursor check can catch it.
+        let calls = AtomicU64::new(0);
+        csr_from_arc_stream(4, &[(0, 1)], false, |_, _, sink| {
+            for v in 0..4 {
+                sink(v, (v + 1) % 4);
+            }
+            if calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                sink(1, 3);
+            }
+        });
+    }
+
+    #[test]
+    fn scatter_batches_split_anywhere_match_the_sort_reference() {
+        // One chunk per arc count around the batch size: nothing, a lone
+        // arc, one short of a batch, exactly one, one over, and several
+        // full batches plus a ragged tail. Few vertices, so duplicates
+        // abound and dedup has work to do.
+        let b = SCATTER_BATCH;
+        let chunks: Vec<(u64, usize)> = (0u64..).zip([0, 1, b - 1, b, b + 1, 3 * b + 7]).collect();
+        let arc = |chunk: u64, i: usize| {
+            let h = (chunk << 32 | i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (((h >> 40) % 37) as VertexId, ((h >> 20) % 37) as VertexId)
+        };
+        let mut runs: Vec<Vec<(u64, usize)>> = chunks.iter().map(|&c| vec![c]).collect();
+        runs.push(chunks);
+        for run in runs {
+            for dedup in [false, true] {
+                let streamed = csr_from_arc_stream(37, &run, dedup, |c, len, sink| {
+                    for i in 0..len {
+                        let (s, d) = arc(c, i);
+                        sink(s, d);
+                    }
+                });
+                let packed = run
+                    .iter()
+                    .flat_map(|&(c, len)| (0..len).map(move |i| arc(c, i)))
+                    .map(|(s, d)| pack_arc(s, d))
+                    .collect();
+                assert_eq!(
+                    streamed,
+                    csr_from_packed_arcs(37, packed, dedup),
+                    "chunks {run:?}, dedup={dedup}"
+                );
+            }
+        }
     }
 }

@@ -44,14 +44,6 @@ impl Csr {
         Csr { offsets, targets }
     }
 
-    /// An empty graph with `n` vertices and no edges.
-    pub fn empty(n: usize) -> Self {
-        Csr {
-            offsets: vec![0; n + 1],
-            targets: Vec::new(),
-        }
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
@@ -93,11 +85,6 @@ impl Csr {
     #[inline]
     pub fn targets(&self) -> &[VertexId] {
         &self.targets
-    }
-
-    /// Iterator over all vertices.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.num_vertices() as VertexId).into_iter()
     }
 
     /// Number of vertices with degree zero (excluded from the paper's
@@ -231,6 +218,7 @@ impl Default for Fnv1a {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::csr_from_edges;
 
     /// The worked example from Figure 1 of the paper: vertex 1 points to
     /// five vertices whose IDs occupy edge-list indices 4..9.
@@ -254,7 +242,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = Csr::empty(10);
+        let g = csr_from_edges(10, &[], false, false);
         assert_eq!(g.num_vertices(), 10);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.num_isolated(), 10);
@@ -342,7 +330,8 @@ mod tests {
         // Any structural change moves the fingerprint.
         let other = Csr::from_parts(vec![0, 4, 9, 10, 11], vec![3, 1, 2, 1, 3, 1, 2, 0, 2, 3, 1]);
         assert_ne!(g.fingerprint(), other.fingerprint());
-        assert_ne!(Csr::empty(3).fingerprint(), Csr::empty(4).fingerprint());
+        let empty = |n| csr_from_edges(n, &[], false, false);
+        assert_ne!(empty(3).fingerprint(), empty(4).fingerprint());
     }
 
     #[test]

@@ -22,25 +22,32 @@ pub const B: f64 = 0.19;
 /// Probability of the lower-left quadrant.
 pub const C: f64 = 0.19;
 
-/// Draw one RMAT edge for a graph with `scale` levels.
+/// The `(src, dst)` bits of the quadrant a uniform draw `r` in `[0, 1)`
+/// selects: upper-left below `A`, upper-right below `A + B`, lower-left
+/// below `A + B + C`, lower-right above.
+///
+/// Computed from the quadrant boundaries with plain comparisons rather
+/// than an if-chain: every draw is random, so the CPU mispredicts a
+/// chain's branches on a large share of the bits of every edge. The
+/// comparisons are the chain's own, so the bits are identical for
+/// every `r`.
+#[inline]
+fn quadrant_bits(r: f64) -> (u32, u32) {
+    let src = r >= A + B;
+    let dst = (A..A + B).contains(&r) | (r >= A + B + C);
+    (src as u32, dst as u32)
+}
+
+/// Draw one RMAT edge for a graph with `scale` levels: one quadrant
+/// ([`quadrant_bits`]) per level, most significant bit first.
 #[inline]
 fn rmat_edge(rng: &mut Xoshiro256StarStar, scale: u32) -> (VertexId, VertexId) {
     let mut src = 0u32;
     let mut dst = 0u32;
     for _ in 0..scale {
-        src <<= 1;
-        dst <<= 1;
-        let r = rng.next_f64();
-        if r < A {
-            // upper-left: no bits set
-        } else if r < A + B {
-            dst |= 1;
-        } else if r < A + B + C {
-            src |= 1;
-        } else {
-            src |= 1;
-            dst |= 1;
-        }
+        let (s, d) = quadrant_bits(rng.next_f64());
+        src = src << 1 | s;
+        dst = dst << 1 | d;
     }
     (src, dst)
 }
@@ -86,6 +93,36 @@ pub fn generate(scale: u32, edge_factor: u32, seed: u64) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quadrant pick as an if-chain, the oracle for [`quadrant_bits`].
+    fn quadrant_bits_chain(r: f64) -> (u32, u32) {
+        if r < A {
+            (0, 0)
+        } else if r < A + B {
+            (0, 1)
+        } else if r < A + B + C {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn branch_free_quadrant_pick_equals_the_if_chain() {
+        let mut edges = vec![0.0];
+        for bound in [A, A + B, A + B + C] {
+            // The boundary itself and the largest `f64` below it.
+            edges.extend([bound, f64::from_bits(bound.to_bits() - 1)]);
+        }
+        for r in edges {
+            assert_eq!(quadrant_bits(r), quadrant_bits_chain(r), "r = {r:e}");
+        }
+        let mut rng = Xoshiro256StarStar::seed_from_u64(0x52_4d_41_54);
+        for _ in 0..1_000_000 {
+            let r = rng.next_f64();
+            assert_eq!(quadrant_bits(r), quadrant_bits_chain(r), "r = {r:e}");
+        }
+    }
 
     #[test]
     fn produces_heavy_tail_and_isolated_vertices() {

@@ -98,6 +98,7 @@ fn human_bytes(b: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::csr_from_edges;
     use crate::csr::Csr;
     use crate::spec::GraphSpec;
 
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn empty_graph_stats() {
-        let g = Csr::empty(5);
+        let g = csr_from_edges(5, &[], false, false);
         let s = DegreeStats::compute(&g);
         assert_eq!(s.num_edges, 0);
         assert_eq!(s.num_isolated, 5);
