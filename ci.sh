@@ -94,15 +94,18 @@ for PB in flash-social:28:413842:250353:250353 spill-sequential:9:655359:1558217
     echo "    $PB_WORKLOAD: trace.levels=$PB_LEVELS trace.frontier_vertices=$PB_VERTICES plan.requests=$PB_PLANNED engine.requests=$PB_SIMULATED"
 done
 
-echo "==> streaming CSR builder stays within the peak-RSS budget (scale 18, <= 10 B/arc)"
+echo "==> streaming CSR builder stays within the peak-RSS budget (scale 18: urand <= 10, kron and social <= 7 B/arc)"
 # The two-pass scatter builder promises ~4 B per directed arc plus the
 # per-vertex offset/cursor arrays; 10 B/arc leaves slack for the process
 # baseline while still failing loudly if arc materialization ever
-# creeps back in (the sort-based path measured ~19-24 B/arc).
+# creeps back in (the sort-based path measured ~19-24 B/arc). kron and
+# social dedup in place, so their peak is the scatter's 4 B per counted
+# arc over fewer stored arcs (~5-6 B/arc measured); 7 B/arc fails if a
+# second targets array comes back (~9-10 B/arc).
 GM="cargo run --release -p cxlg-bench --bin cxlg -- graph-mem"
 U18_MEM=$($GM urand 18 --max-bytes-per-arc=10);  echo "    $U18_MEM"
-K18_MEM=$($GM kron 18 --max-bytes-per-arc=12);   echo "    $K18_MEM"
-S18_MEM=$($GM social 18 --max-bytes-per-arc=12); echo "    $S18_MEM"
+K18_MEM=$($GM kron 18 --max-bytes-per-arc=7);    echo "    $K18_MEM"
+S18_MEM=$($GM social 18 --max-bytes-per-arc=7);  echo "    $S18_MEM"
 U20_MEM=$($GM urand 20 --max-bytes-per-arc=10);  echo "    $U20_MEM"
 
 echo "==> a scale-22 urand graph (134M arcs) builds to completion"

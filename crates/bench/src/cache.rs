@@ -167,6 +167,7 @@ impl GraphCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cxlg_graph::CsrView;
     use rayon::prelude::*;
 
     #[test]

@@ -18,7 +18,7 @@ use crate::experiment::{Experiment, ExperimentReport};
 use crate::registry;
 use cxlg_core::mem::{peak_rss_kb, rss_span};
 use cxlg_core::runner::timed;
-use cxlg_graph::GraphSpec;
+use cxlg_graph::{CsrView, GraphSpec};
 use cxlg_serve::fault::{ExecFault, FaultInjector, FaultPlan};
 use cxlg_serve::job::{canonical, Job, JobKey};
 use cxlg_serve::stats::{Stats, StoreStats};

@@ -5,6 +5,7 @@
 use crate::ctx::ExperimentCtx;
 use cxlg_core::system::{AccessConfig, BackendConfig, SystemConfig};
 use cxlg_core::traversal::Traversal;
+use cxlg_graph::CsrView;
 use cxlg_link::pcie::PcieGen;
 use serde::Serialize;
 

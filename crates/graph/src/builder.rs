@@ -10,23 +10,24 @@
 //!   regenerates the same chunks (generation is deterministic per
 //!   `(seed, chunk)`) and scatters each `dst` directly into its
 //!   pre-sized slot of the final targets array, and a parallel
-//!   per-sublist sort (+ in-place dedup) restores the invariant. Peak
-//!   memory is ≈ 4 B per directed arc plus the offsets/cursors arrays
-//!   (16 B per vertex), versus ≈ 12 B/arc for the sort-based path
-//!   (packed arcs + the copied-out targets), and the O(m log m) global
-//!   comparison sort becomes O(m) counting + scatter plus small
-//!   per-sublist sorts.
+//!   per-sublist sort (+ dedup, compacted in place) restores the
+//!   invariant. The targets array is the only per-arc allocation: the
+//!   build peaks at 4 B per *counted* arc plus 16 B per vertex (offsets
+//!   and cursors), ≈ 12 B/arc less than a sort over packed arcs. As
+//!   process peak RSS at scale 18 on 2 threads, per stored arc: urand
+//!   ≈ 4.9 B, kron ≈ 5.5 B and social ≈ 4.8 B (dedup drops a share of
+//!   their counted arcs after the peak).
 //!
-//!   Pass 2 hands slots out in batches of `SCATTER_BATCH` (256) arcs:
-//!   each arc takes its slot from its vertex's cursor as it arrives, but
-//!   its `dst` is written only when the batch is full. A locked
-//!   `fetch_add` cannot complete until earlier stores drain, and each
-//!   scatter store lands in a random, usually uncached, slot of a
+//!   Pass 2 and the sort are one window kernel, shared with the spill
+//!   builder ([`crate::storage::SpillCsr::build`]), which runs it once
+//!   per segment. It hands slots out in batches of `SCATTER_BATCH`
+//!   (256) arcs: each arc takes its slot from its vertex's cursor as it
+//!   arrives, but its `dst` is written only when the batch is full. A
+//!   locked `fetch_add` cannot complete until earlier stores drain, and
+//!   each scatter store lands in a random, usually uncached, slot of a
 //!   targets array far larger than the caches; interleaved one-to-one,
-//!   every hand-out waited for the previous arc's store miss, so the
-//!   misses ran one at a time. Written back to back, a batch's store
-//!   misses overlap. Batching moves when the stores happen, not which
-//!   slots the arcs take, so the sorted output is unchanged.
+//!   the misses ran one at a time. Written back to back, a batch's
+//!   store misses overlap, and the sorted output is unchanged.
 //! * [`csr_from_packed_arcs`] — the naive sort-based builder, retained
 //!   only as the test oracle: the property tests cross-check the
 //!   streaming builder and the [`crate::reorder`] relabeling against
@@ -41,11 +42,11 @@ use crate::csr::Csr;
 use crate::gen::{chunk_sizes, CHUNK_EDGES};
 use crate::VertexId;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Vertices per parallel work unit in the per-sublist sort and the dedup
-/// compaction. Boundaries depend on `n` alone, so work splitting never
-/// affects results.
+/// compaction. Boundaries depend on the window alone, so work splitting
+/// never affects results.
 const VERTEX_CHUNK: usize = 1 << 16;
 
 /// Pack an arc into a sortable 64-bit key.
@@ -60,24 +61,60 @@ pub fn unpack_arc(key: u64) -> (VertexId, VertexId) {
     ((key >> 32) as VertexId, key as VertexId)
 }
 
-/// A `*mut` target-array base shared by scatter workers. Safety rests on
-/// the slot discipline, not the type: every write lands at a distinct
-/// index handed out by an atomic cursor.
-struct ScatterPtr(*mut VertexId);
-// SAFETY: the pointer is only written through inside pass 2's scatter,
-// where every slot index comes from an atomic fetch_add hand-out — two
-// threads can never receive the same index, so concurrent `*base.add(slot)`
-// writes are to disjoint locations and sharing the base across threads
-// (Send) and by reference (Sync) is sound.
-unsafe impl Send for ScatterPtr {}
-// SAFETY: see the Send argument above — all concurrent access is
-// write-only to disjoint, bounds-checked indices of one live Vec.
-unsafe impl Sync for ScatterPtr {}
-
-/// Arcs whose slots pass 2 hands out before it writes any of their
+/// Arcs whose slots the scatter hands out before it writes any of their
 /// targets (see the module docs). 256 `(slot, dst)` pairs are 4 KiB of
 /// stack per worker.
 const SCATTER_BATCH: usize = 256;
+
+/// View `targets` as atomics, so that parallel scatter workers can
+/// store into it through a shared reference. A relaxed atomic store is
+/// the same plain store instruction, but two of them to one slot are
+/// defined behavior rather than a data race. Relaxed suffices: the
+/// parallel loop joins its workers, which publishes every store, before
+/// any target is read.
+fn as_atomic(targets: &mut [VertexId]) -> &[AtomicU32] {
+    const { assert!(std::mem::align_of::<AtomicU32>() == std::mem::align_of::<VertexId>()) };
+    // SAFETY: `AtomicU32` has the same size and bit validity as `u32`,
+    // and the same alignment (checked at compile time above), and the
+    // returned view holds the exclusive borrow of `targets`, so nothing
+    // else reads or writes them while it lives.
+    unsafe { std::slice::from_raw_parts(targets.as_mut_ptr().cast::<AtomicU32>(), targets.len()) }
+}
+
+/// Pass 1 of both builders: stream every chunk once, range-check both
+/// endpoints against `n`, and count per-vertex out-degrees. Returns the
+/// counted offsets (the degree prefix sums, length `n + 1`). Atomic
+/// increments commute, so the counts — and everything derived from
+/// them — are independent of chunk scheduling.
+pub(crate) fn count_offsets<F>(n: usize, chunks: &[(u64, usize)], stream: &F) -> Vec<u64>
+where
+    F: Fn(u64, usize, &mut dyn FnMut(VertexId, VertexId)) + Sync + ?Sized,
+{
+    let counts: Vec<AtomicU64> = std::iter::repeat_with(|| AtomicU64::new(0))
+        .take(n)
+        .collect();
+    chunks.par_iter().for_each(|&(chunk, len)| {
+        stream(chunk, len, &mut |src, dst| {
+            assert!(
+                (src as usize) < n,
+                "arc with src {src} out of range (n = {n})"
+            );
+            assert!(
+                (dst as usize) < n,
+                "arc with dst {dst} out of range (n = {n})"
+            );
+            counts[src as usize].fetch_add(1, Ordering::Relaxed);
+        });
+    });
+    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+    let mut acc = 0u64;
+    offsets.push(0);
+    for c in counts {
+        acc += c.into_inner();
+        offsets.push(acc);
+    }
+    offsets
+}
 
 /// Build a CSR with `n` vertices from a **regenerable arc stream** — the
 /// two-pass streaming scatter builder.
@@ -104,53 +141,87 @@ pub fn csr_from_arc_stream<F>(n: usize, chunks: &[(u64, usize)], dedup: bool, st
 where
     F: Fn(u64, usize, &mut dyn FnMut(VertexId, VertexId)) + Sync,
 {
-    // ---- Pass 1: per-vertex out-degree counts (no arc materialization).
-    // Atomic increments commute, so the counts — and everything derived
-    // from them — are independent of chunk scheduling.
-    let counts: Vec<AtomicU64> = std::iter::repeat_with(|| AtomicU64::new(0)).take(n).collect();
-    chunks.par_iter().for_each(|&(chunk, len)| {
-        stream(chunk, len, &mut |src, dst| {
-            assert!((src as usize) < n, "arc with src {src} out of range (n = {n})");
-            assert!((dst as usize) < n, "arc with dst {dst} out of range (n = {n})");
-            counts[src as usize].fetch_add(1, Ordering::Relaxed);
-        });
+    let mut offsets = count_offsets(n, chunks, &stream);
+    let targets = collate_window(0, &mut offsets, dedup, chunks.len(), |i, sink| {
+        let (chunk, len) = chunks[i];
+        stream(chunk, len, sink)
     });
+    Csr::from_parts(offsets, targets)
+}
 
-    // Offsets by prefix sum; then repurpose `counts` as the scatter
-    // cursors (each vertex's next free slot), saving an n-word array.
-    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut acc = 0u64;
-    offsets.push(0);
-    for c in &counts {
-        let deg = c.swap(acc, Ordering::Relaxed); // cursor := offsets[v]
-        acc += deg;
-        offsets.push(acc);
-    }
-    let m = usize::try_from(acc).expect("arc count overflows usize");
+/// The scatter, sort and dedup kernel of both builders, over the vertex
+/// window `[lo, lo + offsets.len() - 1)`.
+///
+/// `offsets` holds the window's counted offsets (vertex `lo + i`'s
+/// sublist is `offsets[i]..offsets[i + 1]`, in any frame: only
+/// differences from `offsets[0]` matter). `feed(part, sink)` for each
+/// `part < parts`, run in parallel, must emit every arc of the window
+/// exactly once overall. The kernel
+///
+/// 1. hands each arc a slot from its vertex's cursor and writes the
+///    slots in `SCATTER_BATCH` batches;
+/// 2. audits the cursors, panicking if the arcs do not match the
+///    counts (an arc outside the window, or a vertex with more or fewer
+///    arcs than counted);
+/// 3. sorts each sublist and, with `dedup`, drops repeats;
+/// 4. compacts the unique prefixes in place: each [`VERTEX_CHUNK`]
+///    segment shifts its own left in parallel, then one left
+///    `copy_within` per segment, in ascending order, closes the gaps.
+///
+/// Returns the window's targets and rewrites `offsets` to match them,
+/// keeping `offsets[0]`. No second targets array is ever allocated.
+///
+/// The scatter is sound for any `feed`, including one that breaks its
+/// contract: every write is a relaxed atomic store at a bounds-checked
+/// index, so an arc past its vertex's sublist end can at worst land in a
+/// slot that another arc also writes — defined behavior, and the audit
+/// then panics before any target is read.
+pub(crate) fn collate_window<F>(
+    lo: usize,
+    offsets: &mut [u64],
+    dedup: bool,
+    parts: usize,
+    feed: F,
+) -> Vec<VertexId>
+where
+    F: Fn(usize, &mut dyn FnMut(VertexId, VertexId)) + Sync,
+{
+    let w = offsets.len() - 1;
+    let base = offsets[0];
+    let len = usize::try_from(offsets[w] - base).expect("window arc count overflows usize");
+    let counted: &[u64] = offsets;
+    // Sublist end of window vertex `v`, relative to the window.
+    let end = |v: usize| (counted[v + 1] - base) as usize;
 
-    // ---- Pass 2: regenerate and scatter each dst into its sublist.
-    // `vec![0; m]` allocates zeroed pages lazily; they are first touched
-    // by the scatter writes themselves.
-    let mut targets: Vec<VertexId> = vec![0; m];
-    let base = ScatterPtr(targets.as_mut_ptr());
-    chunks.par_iter().for_each(|&(chunk, len)| {
-        let base = &base;
+    // ---- Scatter. `vec![0; len]` allocates zeroed pages lazily; they
+    // are first touched by the scatter writes themselves.
+    let cursors: Vec<AtomicU64> = counted[..w]
+        .iter()
+        .map(|&o| AtomicU64::new(o - base))
+        .collect();
+    let strays = AtomicU64::new(0);
+    let mut targets: Vec<VertexId> = vec![0; len];
+    let slots = as_atomic(&mut targets);
+    (0..parts).into_par_iter().for_each(|part| {
         // Writes each buffered `dst` to its handed-out slot, back to back.
+        // A slot past the window can only come from a vertex that got
+        // more arcs than counted; it is dropped, and the audit reports it.
         let write = |batch: &[(usize, VertexId)]| {
             for &(slot, dst) in batch {
-                // SAFETY: every `slot` in a batch was handed out by an
-                // atomic fetch_add, so no two writes share an index, and
-                // `slot < m` was asserted at hand-out.
-                unsafe { *base.0.add(slot) = dst };
+                if let Some(t) = slots.get(slot) {
+                    t.store(dst, Ordering::Relaxed);
+                }
             }
         };
         let mut batch = [(0usize, 0 as VertexId); SCATTER_BATCH];
         let mut filled = 0;
-        stream(chunk, len, &mut |src, dst| {
-            let slot = counts[src as usize].fetch_add(1, Ordering::Relaxed) as usize;
-            // Memory safety even for a misbehaving stream: a slot past
-            // the array is a panic, never a wild write.
-            assert!(slot < m, "scatter slot {slot} out of bounds (m = {m})");
+        feed(part, &mut |src, dst| {
+            let v = (src as usize).wrapping_sub(lo);
+            let Some(cursor) = cursors.get(v) else {
+                strays.fetch_add(1, Ordering::Relaxed);
+                return;
+            };
+            let slot = cursor.fetch_add(1, Ordering::Relaxed) as usize;
             batch[filled] = (slot, dst);
             filled += 1;
             if filled == SCATTER_BATCH {
@@ -160,82 +231,56 @@ where
         });
         write(&batch[..filled]);
     });
-    // Every cursor must have advanced exactly to the next offset —
+    // Every cursor must have advanced exactly to its sublist end —
     // anything else means the stream emitted different arcs in the two
-    // passes, and some sublist now holds a neighbor of another vertex.
-    // (Violations are gathered, not asserted, inside the parallel scan:
-    // a worker-thread panic would reach the caller with its message
-    // replaced by the pool's.)
-    let mismatched: Vec<u64> = (0..n as u64)
+    // passes. (Violations are gathered, not asserted, inside the
+    // parallel scan: a worker-thread panic would reach the caller with
+    // its message replaced by the pool's.)
+    let strays = strays.into_inner();
+    let mismatched: Vec<usize> = (0..w)
         .into_par_iter()
-        .filter(|&v| counts[v as usize].load(Ordering::Relaxed) != offsets[v as usize + 1])
+        .filter(|&v| cursors[v].load(Ordering::Relaxed) as usize != end(v))
         .collect();
     if let Some(&v) = mismatched.first() {
         panic!(
-            "stream emitted different arcs across passes (vertex {v}: \
+            "stream emitted different arcs across passes (vertex {}: \
              cursor {}, expected {}; {} vertices affected)",
-            counts[v as usize].load(Ordering::Relaxed),
-            offsets[v as usize + 1],
+            lo + v,
+            cursors[v].load(Ordering::Relaxed),
+            end(v),
             mismatched.len()
         );
     }
-    drop(counts);
+    assert!(
+        strays == 0,
+        "stream emitted different arcs across passes \
+         ({strays} arcs outside vertex window {lo}..{})",
+        lo + w
+    );
 
-    // ---- Pass 3: restore the sorted-sublist invariant.
-    let new_degrees = sort_sublists(&offsets, &mut targets, dedup);
-    if let Some(new_degrees) = new_degrees {
-        let (offsets, targets) = compact_sublists(&offsets, &targets, &new_degrees);
-        return Csr::from_parts(offsets, targets);
-    }
-    Csr::from_parts(offsets, targets)
-}
-
-/// Carve `targets` into one `&mut` slice per [`VERTEX_CHUNK`]-sized
-/// vertex range, paired with the range's first vertex. Sublist
-/// boundaries never split, so the slices are disjoint and segment
-/// workers can run in parallel safely; both the sort and the dedup
-/// compaction carve with this so their segmentation can never drift
-/// apart.
-fn carve_segments<'a>(
-    offsets: &[u64],
-    targets: &'a mut [VertexId],
-) -> Vec<(usize, &'a mut [VertexId])> {
-    let n = offsets.len() - 1;
-    let mut segments: Vec<(usize, &mut [VertexId])> = Vec::with_capacity(n.div_ceil(VERTEX_CHUNK));
-    let mut rest = targets;
-    let mut consumed = 0u64;
-    for first_v in (0..n).step_by(VERTEX_CHUNK) {
-        let seg_end = offsets[(first_v + VERTEX_CHUNK).min(n)];
-        let (seg, tail) = rest.split_at_mut((seg_end - consumed) as usize);
-        segments.push((first_v, seg));
+    // ---- Sort each sublist; with dedup, keep its unique prefix, shift
+    // it left within its segment, and record the vertex's kept degree in
+    // its (now spent) cursor. Segments end at sublist boundaries, so
+    // their slices are disjoint.
+    let mut segments = Vec::with_capacity(w.div_ceil(VERTEX_CHUNK));
+    let mut rest: &mut [VertexId] = &mut targets;
+    for first in (0..w).step_by(VERTEX_CHUNK) {
+        let last = (first + VERTEX_CHUNK).min(w);
+        let (seg, tail) = rest.split_at_mut((counted[last] - counted[first]) as usize);
+        segments.push((first, seg));
         rest = tail;
-        consumed = seg_end;
     }
-    segments
-}
-
-/// Sort every vertex's sublist in place, in parallel over fixed
-/// vertex-range segments. With `dedup`, each sorted sublist is also
-/// deduplicated in place — unique values moved to the sublist head —
-/// and the per-vertex unique counts are returned for
-/// [`compact_sublists`].
-fn sort_sublists(offsets: &[u64], targets: &mut [VertexId], dedup: bool) -> Option<Vec<u64>> {
-    let n = offsets.len() - 1;
-    let unique_counts: Vec<Vec<u64>> = carve_segments(offsets, targets)
+    let kept: Vec<usize> = segments
         .into_par_iter()
-        .map(|(first_v, seg)| {
-            let seg_base = offsets[first_v];
-            let last_v = (first_v + VERTEX_CHUNK).min(n);
-            let mut uniques = Vec::with_capacity(if dedup { last_v - first_v } else { 0 });
-            for v in first_v..last_v {
-                let lo = (offsets[v] - seg_base) as usize;
-                let hi = (offsets[v + 1] - seg_base) as usize;
-                let sublist = &mut seg[lo..hi];
+        .map(|(first, seg)| {
+            let seg_base = counted[first];
+            let mut out = 0;
+            for v in first..(first + VERTEX_CHUNK).min(w) {
+                let s = (counted[v] - seg_base) as usize;
+                let e = (counted[v + 1] - seg_base) as usize;
+                let sublist = &mut seg[s..e];
                 sublist.sort_unstable();
                 if dedup {
-                    // In-place dedup of a sorted run: unique prefix of
-                    // length k, tail left as garbage for the compaction
-                    // pass to skip.
                     let mut k = 0;
                     for i in 0..sublist.len() {
                         if i == 0 || sublist[i] != sublist[k - 1] {
@@ -243,43 +288,31 @@ fn sort_sublists(offsets: &[u64], targets: &mut [VertexId], dedup: bool) -> Opti
                             k += 1;
                         }
                     }
-                    uniques.push(k as u64);
+                    seg.copy_within(s..s + k, out);
+                    out += k;
+                    cursors[v].store(k as u64, Ordering::Relaxed);
                 }
             }
-            uniques
+            out
         })
         .collect();
-    dedup.then(|| unique_counts.into_iter().flatten().collect())
-}
-
-/// Rebuild `(offsets, targets)` keeping only each sublist's unique
-/// prefix (as recorded by [`sort_sublists`]), in parallel over the same
-/// vertex segments.
-fn compact_sublists(
-    offsets: &[u64],
-    targets: &[VertexId],
-    new_degrees: &[u64],
-) -> (Vec<u64>, Vec<VertexId>) {
-    let n = offsets.len() - 1;
-    let mut new_offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut acc = 0u64;
-    new_offsets.push(0);
-    for &d in new_degrees {
-        acc += d;
-        new_offsets.push(acc);
+    if !dedup {
+        return targets;
     }
-    let mut new_targets: Vec<VertexId> = vec![0; acc as usize];
-    let segments = carve_segments(&new_offsets, new_targets.as_mut_slice());
-    segments.into_par_iter().for_each(|(first_v, seg)| {
-        let mut out = 0usize;
-        for v in first_v..(first_v + VERTEX_CHUNK).min(n) {
-            let lo = offsets[v] as usize;
-            let keep = new_degrees[v] as usize;
-            seg[out..out + keep].copy_from_slice(&targets[lo..lo + keep]);
-            out += keep;
-        }
-    });
-    (new_offsets, new_targets)
+
+    // ---- Close the gaps between segments, then rebuild the offsets.
+    let mut out = 0;
+    for (first, &keep) in (0..w).step_by(VERTEX_CHUNK).zip(&kept) {
+        let start = (counted[first] - base) as usize;
+        targets.copy_within(start..start + keep, out);
+        out += keep;
+    }
+    targets.truncate(out);
+    targets.shrink_to_fit();
+    for v in 0..w {
+        offsets[v + 1] = offsets[v] + cursors[v].load(Ordering::Relaxed);
+    }
+    targets
 }
 
 /// Build a CSR with `n` vertices from packed arcs (see [`pack_arc`]) by
@@ -302,8 +335,14 @@ pub fn csr_from_packed_arcs(n: usize, mut arcs: Vec<u64>, dedup: bool) -> Csr {
     let mut targets = Vec::with_capacity(arcs.len());
     for &a in &arcs {
         let (src, dst) = unpack_arc(a);
-        assert!((src as usize) < n, "arc with src {src} out of range (n = {n})");
-        assert!((dst as usize) < n, "arc with dst {dst} out of range (n = {n})");
+        assert!(
+            (src as usize) < n,
+            "arc with src {src} out of range (n = {n})"
+        );
+        assert!(
+            (dst as usize) < n,
+            "arc with dst {dst} out of range (n = {n})"
+        );
         offsets[src as usize + 1] += 1;
         targets.push(dst);
     }
@@ -462,8 +501,7 @@ mod tests {
     fn stream_rejects_nondeterministic_streams() {
         // Emits fewer arcs in the scatter pass than in the counting
         // pass: the cursor check must catch it before a corrupted CSR
-        // escapes. (Emitting *more* trips the slot bounds check only for
-        // the last non-empty sublist; see the next test for the others.)
+        // escapes. (See the next test for emitting more.)
         let calls = AtomicU64::new(0);
         csr_from_arc_stream(4, &[(0, 1)], false, |_, _, sink| {
             for _ in calls.fetch_add(1, Ordering::Relaxed)..2 {
@@ -475,17 +513,115 @@ mod tests {
     #[test]
     #[should_panic(expected = "different arcs across passes")]
     fn stream_rejects_an_extra_arc_for_an_interior_vertex() {
-        // The extra arc's slot is the first of vertex 2's sublist, inside
-        // the array: only the cursor check can catch it.
+        // Two chunks, so two workers scatter at once at 2 threads. In its
+        // second pass chunk 0 emits an extra arc for vertex 1, whose slot
+        // is the first of vertex 2's sublist — the slot chunk 1's arc
+        // also takes. Only the cursor check can catch it: at 1 thread
+        // here, and at 2 threads for the expected panic.
+        let build = |threads| {
+            let calls = AtomicU64::new(0);
+            rayon::with_num_threads(threads, || {
+                csr_from_arc_stream(4, &[(0, 1), (1, 1)], false, |chunk, _, sink| {
+                    let arcs = if chunk == 0 {
+                        [(0, 1), (1, 2)]
+                    } else {
+                        [(2, 3), (3, 0)]
+                    };
+                    arcs.into_iter().for_each(|(s, d)| sink(s, d));
+                    if chunk == 0 && calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                        sink(1, 3);
+                    }
+                })
+            })
+        };
+        let err = std::panic::catch_unwind(|| build(1)).expect_err("an extra arc must not build");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("different arcs across passes"), "{msg}");
+        build(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "arcs outside vertex window")]
+    fn stream_rejects_an_out_of_range_src_in_the_scatter_pass() {
+        // Every counted arc comes back, so only the stray check sees the
+        // extra one whose source is past the last vertex.
         let calls = AtomicU64::new(0);
-        csr_from_arc_stream(4, &[(0, 1)], false, |_, _, sink| {
-            for v in 0..4 {
-                sink(v, (v + 1) % 4);
-            }
+        csr_from_arc_stream(5, &[(0, 1)], false, |_, _, sink| {
+            sink(0, 1);
             if calls.fetch_add(1, Ordering::Relaxed) == 1 {
-                sink(1, 3);
+                sink(9, 0);
             }
         });
+    }
+
+    /// Run the window kernel over `[lo, hi)` of `arcs`, fed round-robin
+    /// in three parts, and check its offsets and targets against the
+    /// sort oracle's sublists of the same vertices.
+    fn assert_window_matches_oracle(
+        n: usize,
+        arcs: &[(VertexId, VertexId)],
+        (lo, hi): (usize, usize),
+        dedup: bool,
+    ) {
+        let packed: Vec<u64> = arcs.iter().map(|&(s, d)| pack_arc(s, d)).collect();
+        let counted = csr_from_packed_arcs(n, packed.clone(), false).offsets()[lo..=hi].to_vec();
+        let oracle = csr_from_packed_arcs(n, packed, dedup);
+        let in_window = |&&(s, _): &&(VertexId, VertexId)| (lo..hi).contains(&(s as usize));
+        let window: Vec<_> = arcs.iter().filter(in_window).collect();
+        let mut offsets = counted.clone();
+        let targets = collate_window(lo, &mut offsets, dedup, 3, |part, sink| {
+            for &&(s, d) in window.iter().skip(part).step_by(3) {
+                sink(s, d);
+            }
+        });
+        let label = format!("window {lo}..{hi}, dedup={dedup}");
+        let want = &oracle.offsets()[lo..=hi];
+        let range = want[0] as usize..want[hi - lo] as usize;
+        assert_eq!(targets, oracle.targets()[range], "{label}");
+        let rebased: Vec<u64> = want.iter().map(|o| o - want[0] + counted[0]).collect();
+        assert_eq!(offsets, rebased, "{label}: offsets, with offsets[0] kept");
+    }
+
+    #[test]
+    fn window_kernel_matches_the_sort_oracle_on_edge_cases() {
+        let arcs_of = |sublists: &[&[VertexId]]| -> Vec<(VertexId, VertexId)> {
+            let arcs = (0..).zip(sublists);
+            arcs.flat_map(|(v, l)| l.iter().map(move |&d| (v, d)))
+                .collect()
+        };
+        // The first and the last vertex hold repeats, two are empty, and
+        // one sublist is a single arc four times.
+        let mixed = arcs_of(&[&[3, 1, 3], &[], &[4, 4, 4, 4], &[], &[0, 5, 2], &[5, 0, 0]]);
+        // One vertex holds every arc.
+        let hub = arcs_of(&[&[], &[], &[], &[1, 4, 1, 0, 4, 4], &[]]);
+        for dedup in [false, true] {
+            for window in [(0, 6), (2, 5), (5, 6), (1, 2), (3, 3), (0, 1)] {
+                assert_window_matches_oracle(6, &mixed, window, dedup);
+            }
+            for window in [(0, 5), (3, 4), (2, 5), (4, 5)] {
+                assert_window_matches_oracle(5, &hub, window, dedup);
+            }
+        }
+    }
+
+    #[test]
+    fn window_kernel_compacts_across_sort_segments() {
+        // Over two VERTEX_CHUNK segments, so the compaction shifts kept
+        // prefixes both within and across segments.
+        let n = 2 * VERTEX_CHUNK + 3;
+        let hubs = (0..n)
+            .step_by(997)
+            .chain([VERTEX_CHUNK - 1, VERTEX_CHUNK, n - 1]);
+        let arcs: Vec<(VertexId, VertexId)> = hubs
+            .flat_map(|v| {
+                let (v, w) = (v as VertexId, ((v + 1) % n) as VertexId);
+                [(v, v / 2), (v, 7), (v, v / 2), (v, w), (v, 7)]
+            })
+            .collect();
+        for dedup in [false, true] {
+            assert_window_matches_oracle(n, &arcs, (0, n), dedup);
+            assert_window_matches_oracle(n, &arcs, (VERTEX_CHUNK - 1, n), dedup);
+        }
     }
 
     #[test]

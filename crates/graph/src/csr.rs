@@ -203,6 +203,19 @@ impl Fnv1a {
         }
     }
 
+    /// Absorb `bytes` into two states in one pass: equal to
+    /// `a.update(bytes); b.update(bytes)`, but the two independent
+    /// multiply chains overlap instead of running back to back.
+    #[inline]
+    pub fn update_pair(a: &mut Fnv1a, b: &mut Fnv1a, bytes: &[u8]) {
+        let (mut x, mut y) = (a.0, b.0);
+        for &c in bytes {
+            x = (x ^ c as u64).wrapping_mul(Self::PRIME);
+            y = (y ^ c as u64).wrapping_mul(Self::PRIME);
+        }
+        (a.0, b.0) = (x, y);
+    }
+
     /// Current hash value (the state is usable after finishing).
     pub fn finish(&self) -> u64 {
         self.0

@@ -14,6 +14,7 @@
 //!   with frontier order (the locality BFS actually sees);
 //! * [`random`] — adversarial shuffling, the locality floor.
 
+use crate::builder::collate_window;
 use crate::csr::Csr;
 use crate::storage::CsrView;
 use crate::VertexId;
@@ -24,11 +25,11 @@ use cxlg_sim::Xoshiro256StarStar;
 /// storage backend; the relabeled result is always in-memory.
 ///
 /// Two passes, no arc list: new vertex `perm[v]` takes `v`'s degree, so
-/// the offsets are a prefix sum; then each old sublist is relabeled into
-/// its new sublist, which is sorted. Self-loops and repeated arcs are
-/// kept, so the result equals the sort-based
-/// [`crate::builder::csr_from_packed_arcs`] over the relabeled arcs
-/// without dedup.
+/// the offsets are a prefix sum; then the builders' window kernel
+/// scatters the relabeled arcs, in parallel over vertex ranges, and sorts
+/// each new sublist. Self-loops and repeated arcs are kept, so the
+/// result equals the sort-based [`crate::builder::csr_from_packed_arcs`]
+/// over the relabeled arcs without dedup.
 fn relabel<G: CsrView + ?Sized>(g: &G, perm: &[VertexId]) -> Csr {
     let n = g.num_vertices();
     assert_eq!(perm.len(), n, "permutation length mismatch");
@@ -40,19 +41,14 @@ fn relabel<G: CsrView + ?Sized>(g: &G, perm: &[VertexId]) -> Csr {
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
-    let mut targets: Vec<VertexId> = vec![0; offsets[n] as usize];
-    for v in 0..n as VertexId {
-        let nv = perm[v as usize] as usize;
-        let sublist = &mut targets[offsets[nv] as usize..offsets[nv + 1] as usize];
-        let mut next = 0;
-        g.with_neighbors(v, &mut |window| {
-            for &u in window {
-                sublist[next] = perm[u as usize];
-                next += 1;
-            }
-        });
-        sublist.sort_unstable();
-    }
+    // Old vertices per parallel part of the scatter's input.
+    const PART: usize = 1 << 12;
+    let targets = collate_window(0, &mut offsets, false, n.div_ceil(PART), |p, sink| {
+        for v in p * PART..((p + 1) * PART).min(n) {
+            let nv = perm[v];
+            g.for_neighbors(v as VertexId, &mut |u| sink(nv, perm[u as usize]));
+        }
+    });
     Csr::from_parts(offsets, targets)
 }
 

@@ -6,10 +6,9 @@
 //! reachable scale long before the simulator does. [`SpillCsr`] keeps
 //! only the offsets array (8 B/vertex) and a small page cache resident;
 //! the targets live in a spill file written segment-by-segment by the
-//! same two-pass streaming builder discipline as
-//! [`crate::builder::csr_from_arc_stream`], so peak build RSS is bounded
-//! by one segment (≈ `segment_arcs` arcs) instead of the whole edge
-//! list.
+//! window kernel of [`crate::builder::csr_from_arc_stream`], so peak
+//! build RSS is bounded by one segment (≈ `segment_arcs` arcs) instead
+//! of the whole edge list.
 //!
 //! ## Spill file layout (`CXLGSPL1`)
 //!
@@ -32,7 +31,7 @@
 //! machine as [`Csr::fingerprint`], which is what makes cross-backend
 //! fingerprint equality a meaningful differential gate.
 
-use crate::builder::{pack_arc, unpack_arc};
+use crate::builder::{collate_window, count_offsets, pack_arc, unpack_arc};
 use crate::csr::{edge_weight, Csr, Fnv1a};
 use crate::spec::GraphSpec;
 use crate::VertexId;
@@ -233,9 +232,13 @@ pub struct SpillConfig {
     /// Maximum resident pages; the cache evicts least-recently-used
     /// beyond this.
     pub cache_pages: usize,
-    /// Build-time segment size in counted arcs — the spill builder's
-    /// peak working set is one segment (≈ 12 B per arc: the 8 B packed
-    /// arc buffer plus the 4 B scatter buffer). A single vertex whose
+    /// Build-time segment size in counted arcs. The spill builder's
+    /// working set is one segment — 12 B per counted arc (the bucket's
+    /// 8 B packed arcs, read back whole, and the kernel's 4 B targets)
+    /// plus 16 B per segment vertex (cursors and window offsets) — on top
+    /// of 16 B per graph vertex (counted and final offsets). As process
+    /// peak RSS at scale 18 on 2 threads that is ≈ 3.0 B per stored arc
+    /// for urand, 3.5 for kron and 2.1 for social. A single vertex whose
     /// degree exceeds this gets a segment of its own.
     pub segment_arcs: u64,
 }
@@ -291,8 +294,31 @@ impl SpillCsr {
     /// Build `spec`'s graph directly into a spill file under
     /// `cfg.dir`, never materializing the full targets array. The file
     /// is deleted when the returned value drops.
+    ///
+    /// This is the out-of-core sibling of
+    /// [`crate::builder::csr_from_arc_stream`], with the same stream
+    /// contract (identical arcs on every invocation, panics on drift) and
+    /// the same collation kernel, but bounded peak memory:
+    ///
+    /// 1. **Count** — the in-memory builder's pass 1.
+    /// 2. **Partition** — carve vertices into contiguous segments of at
+    ///    most `segment_arcs` counted arcs, then stream all chunks again,
+    ///    appending each packed arc to its segment's bucket file. Bucket
+    ///    write order is thread-dependent; the per-sublist sort erases it.
+    /// 3. **Collate** — per segment in vertex order: read the bucket back,
+    ///    run the in-memory builder's window kernel over the segment's
+    ///    vertices (scatter with the count audit, sort, dedup, in-place
+    ///    compaction), append the window's targets to the spill file with
+    ///    one write, delete the bucket.
+    ///
+    /// The fingerprint is then computed by hashing the final offsets and
+    /// re-reading the written targets region — the same verification
+    /// [`SpillCsr::open`] performs, so a freshly built spill is already
+    /// checked end to end.
     pub fn build(spec: &GraphSpec, cfg: &SpillConfig) -> io::Result<SpillCsr> {
         let parts = spec.arc_stream();
+        let (n, chunks, dedup) = (parts.n, &parts.chunks, parts.dedup);
+        let stream = parts.stream.as_ref();
         fs::create_dir_all(&cfg.dir)?;
         let path = cfg.dir.join(format!(
             "{}-s{:x}-p{}-{}.spill",
@@ -301,14 +327,138 @@ impl SpillCsr {
             std::process::id(),
             SPILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed),
         ));
-        spill_from_arc_stream(
-            parts.n,
-            &parts.chunks,
-            parts.dedup,
-            parts.stream.as_ref(),
-            cfg,
+
+        // ---- Pass 1: per-vertex out-degree counts.
+        let counted = count_offsets(n, chunks, stream);
+
+        // Segment boundaries: contiguous vertex ranges of at most
+        // `segment_arcs` counted arcs (an over-budget vertex gets its own
+        // segment). Boundaries depend only on the counts, never on thread
+        // scheduling.
+        let segment_arcs = cfg.segment_arcs.max(1);
+        let mut seg_bounds: Vec<usize> = vec![0];
+        let mut v = 0usize;
+        while v < n {
+            let limit = counted[v].saturating_add(segment_arcs);
+            let w = counted
+                .partition_point(|&o| o <= limit)
+                .saturating_sub(1)
+                .clamp(v + 1, n);
+            seg_bounds.push(w);
+            v = w;
+        }
+        let num_segs = seg_bounds.len() - 1;
+        let seg_of = |src: VertexId| seg_bounds.partition_point(|&b| b <= src as usize) - 1;
+
+        // ---- Pass 2: partition the regenerated arcs into per-segment
+        // bucket files (packed u64 LE). Per-chunk local buffers keep bucket
+        // writes large and the writer locks uncontended.
+        let bucket_paths: Vec<PathBuf> = (0..num_segs)
+            .map(|s| path.with_extension(format!("bucket{s}")))
+            .collect();
+        let writers: Vec<Mutex<BufWriter<File>>> = bucket_paths
+            .iter()
+            .map(|p| File::create(p).map(|f| Mutex::new(BufWriter::with_capacity(1 << 16, f))))
+            .collect::<io::Result<_>>()?;
+        let io_fail: Mutex<Option<io::Error>> = Mutex::new(None);
+        chunks.par_iter().for_each(|&(chunk, len)| {
+            let mut local: Vec<Vec<u8>> = vec![Vec::new(); num_segs];
+            stream(chunk, len, &mut |src, dst| {
+                local[seg_of(src)].extend_from_slice(&pack_arc(src, dst).to_le_bytes());
+            });
+            for (s, buf) in local.iter().enumerate() {
+                if buf.is_empty() {
+                    continue;
+                }
+                let mut w = writers[s].lock().unwrap();
+                if let Err(e) = w.write_all(buf) {
+                    io_fail.lock().unwrap().get_or_insert(e);
+                }
+            }
+        });
+        for w in writers {
+            w.into_inner().unwrap().flush()?;
+        }
+        if let Some(e) = io_fail.into_inner().unwrap() {
+            return Err(e);
+        }
+
+        // ---- Pass 3: collate each segment in vertex order and append its
+        // sorted (and optionally deduplicated) sublists to the spill file.
+        let data_start = HEADER_BYTES + (n as u64 + 1) * 8;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        file.set_len(data_start)?;
+        file.seek(SeekFrom::Start(data_start))?;
+        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        for s in 0..num_segs {
+            let (first, last) = (seg_bounds[s], seg_bounds[s + 1]);
+            let mut bytes = fs::read(&bucket_paths[s])?;
+            let mut window = counted[first..=last].to_vec();
+            let blocks: Vec<&[u8]> = bytes.chunks(BUCKET_PART_ARCS * 8).collect();
+            let targets = collate_window(first, &mut window, dedup, blocks.len(), |b, sink| {
+                for a in blocks[b].chunks_exact(8) {
+                    let (src, dst) = unpack_arc(u64::from_le_bytes(a.try_into().unwrap()));
+                    sink(src, dst);
+                }
+            });
+            let written = *offsets.last().unwrap();
+            offsets.extend(window[1..].iter().map(|&o| written + (o - window[0])));
+            // The bucket's buffer (8 B/arc) takes the window's LE targets
+            // (4 B/arc) without growing, for one write.
+            bytes.clear();
+            bytes.extend(targets.iter().flat_map(|t| t.to_le_bytes()));
+            file.write_all(&bytes)?;
+            fs::remove_file(&bucket_paths[s])?;
+        }
+
+        // ---- Finalize: checksums and the fingerprint over the final
+        // offsets and a re-read of the targets just written (the same
+        // verification `open` performs).
+        let m = *offsets.last().unwrap();
+        let mut fp = Fnv1a::new();
+        let mut off_h = Fnv1a::new();
+        for &o in &offsets {
+            Fnv1a::update_pair(&mut fp, &mut off_h, &o.to_le_bytes());
+        }
+        file.seek(SeekFrom::Start(data_start))?;
+        let mut reader = BufReader::with_capacity(1 << 20, &mut file);
+        let targets_fnv = hash_targets(&mut reader, m, n as u64, &mut fp)?;
+        drop(reader);
+        let fingerprint = fp.finish();
+
+        file.seek(SeekFrom::Start(0))?;
+        let mut head = BufWriter::with_capacity(1 << 20, &mut file);
+        head.write_all(&MAGIC)?;
+        head.write_all(&(n as u64).to_le_bytes())?;
+        head.write_all(&m.to_le_bytes())?;
+        head.write_all(&off_h.finish().to_le_bytes())?;
+        head.write_all(&targets_fnv.to_le_bytes())?;
+        head.write_all(&fingerprint.to_le_bytes())?;
+        for &o in &offsets {
+            head.write_all(&o.to_le_bytes())?;
+        }
+        head.flush()?;
+        drop(head);
+
+        Ok(SpillCsr {
+            offsets,
+            file: Mutex::new(file),
             path,
-        )
+            data_start,
+            num_targets: m,
+            fingerprint,
+            page_len: cfg.page_len.max(1),
+            cache_pages: cfg.cache_pages.max(1),
+            cache: Mutex::new(BTreeMap::new()),
+            tick: AtomicU64::new(0),
+            owns_file: true,
+        })
     }
 
     /// Open and fully verify an existing spill file (magic, exact
@@ -351,8 +501,7 @@ impl SpillCsr {
         let mut prev = 0u64;
         for i in 0..=n {
             reader.read_exact(&mut word_buf)?;
-            fp.update(&word_buf);
-            off_h.update(&word_buf);
+            Fnv1a::update_pair(&mut fp, &mut off_h, &word_buf);
             let o = u64::from_le_bytes(word_buf);
             if i > 0 && o < prev {
                 return Err(bad_data("spill offsets are not non-decreasing"));
@@ -390,27 +539,6 @@ impl SpillCsr {
             tick: AtomicU64::new(0),
             owns_file: false,
         })
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of directed edges (arcs).
-    pub fn num_edges(&self) -> u64 {
-        self.num_targets
-    }
-
-    /// Edge-list index range of `v`'s sublist.
-    pub fn sublist_range(&self, v: VertexId) -> (u64, u64) {
-        (self.offsets[v as usize], self.offsets[v as usize + 1])
-    }
-
-    /// The fingerprint computed (and verified) at build/open time —
-    /// byte-identical to [`Csr::fingerprint`] of the same graph.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Resident footprint: offsets plus the full page-cache budget.
@@ -507,15 +635,15 @@ impl Drop for SpillCsr {
 
 impl CsrView for SpillCsr {
     fn num_vertices(&self) -> usize {
-        SpillCsr::num_vertices(self)
+        self.offsets.len() - 1
     }
 
     fn num_edges(&self) -> u64 {
-        SpillCsr::num_edges(self)
+        self.num_targets
     }
 
     fn sublist_range(&self, v: VertexId) -> (u64, u64) {
-        SpillCsr::sublist_range(self, v)
+        (self.offsets[v as usize], self.offsets[v as usize + 1])
     }
 
     fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) {
@@ -532,14 +660,16 @@ impl CsrView for SpillCsr {
         }
     }
 
+    /// The fingerprint computed (and verified) at build/open time —
+    /// byte-identical to [`Csr::fingerprint`] of the same graph.
     fn fingerprint(&self) -> u64 {
-        SpillCsr::fingerprint(self)
+        self.fingerprint
     }
 }
 
 /// A graph in either storage backend. This is what the campaign cache
-/// holds; every consumer goes through [`CsrView`] (or the mirroring
-/// inherent methods) and never sees which backend it got.
+/// holds; every consumer goes through [`CsrView`] and never sees which
+/// backend it got.
 #[derive(Debug)]
 pub enum CsrStorage {
     /// Fully resident arrays.
@@ -609,36 +739,6 @@ impl CsrStorage {
         }
     }
 
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
-        match self {
-            CsrStorage::Mem(g) => g.num_vertices(),
-            CsrStorage::Spill(s) => s.num_vertices(),
-        }
-    }
-
-    /// Number of directed edges (arcs).
-    pub fn num_edges(&self) -> u64 {
-        match self {
-            CsrStorage::Mem(g) => g.num_edges(),
-            CsrStorage::Spill(s) => s.num_edges(),
-        }
-    }
-
-    /// Out-degree of `v`.
-    pub fn degree(&self, v: VertexId) -> u64 {
-        let (s, e) = self.sublist_range(v);
-        e - s
-    }
-
-    /// Edge-list index range of `v`'s sublist.
-    pub fn sublist_range(&self, v: VertexId) -> (u64, u64) {
-        match self {
-            CsrStorage::Mem(g) => g.sublist_range(v),
-            CsrStorage::Spill(s) => s.sublist_range(v),
-        }
-    }
-
     /// Backend-verified graph fingerprint (== [`Csr::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
         match self {
@@ -646,48 +746,28 @@ impl CsrStorage {
             CsrStorage::Spill(s) => s.fingerprint(),
         }
     }
-
-    /// The vertex with the largest out-degree (ties broken low).
-    pub fn max_degree_vertex(&self) -> Option<VertexId> {
-        match self {
-            CsrStorage::Mem(g) => g.max_degree_vertex(),
-            CsrStorage::Spill(s) => CsrView::max_degree_vertex(s),
-        }
-    }
-
-    /// Number of vertices with degree zero.
-    pub fn num_isolated(&self) -> usize {
-        match self {
-            CsrStorage::Mem(g) => g.num_isolated(),
-            CsrStorage::Spill(s) => CsrView::num_isolated(s),
-        }
-    }
-
-    /// Materialized neighbor sublist of `v`.
-    pub fn neighbors_vec(&self, v: VertexId) -> Vec<VertexId> {
-        match self {
-            CsrStorage::Mem(g) => g.neighbors(v).to_vec(),
-            CsrStorage::Spill(s) => CsrView::neighbors_vec(s, v),
-        }
-    }
-
-    /// Deterministic SSSP edge weight (see [`crate::csr::edge_weight`]).
-    pub fn edge_weight(&self, u: VertexId, v: VertexId, max_weight: u32) -> u32 {
-        edge_weight(u, v, max_weight)
-    }
 }
 
 impl CsrView for CsrStorage {
     fn num_vertices(&self) -> usize {
-        CsrStorage::num_vertices(self)
+        match self {
+            CsrStorage::Mem(g) => g.num_vertices(),
+            CsrStorage::Spill(s) => s.num_vertices(),
+        }
     }
 
     fn num_edges(&self) -> u64 {
-        CsrStorage::num_edges(self)
+        match self {
+            CsrStorage::Mem(g) => g.num_edges(),
+            CsrStorage::Spill(s) => s.num_edges(),
+        }
     }
 
     fn sublist_range(&self, v: VertexId) -> (u64, u64) {
-        CsrStorage::sublist_range(self, v)
+        match self {
+            CsrStorage::Mem(g) => g.sublist_range(v),
+            CsrStorage::Spill(s) => s.sublist_range(v),
+        }
     }
 
     fn with_neighbors(&self, v: VertexId, f: &mut dyn FnMut(&[VertexId])) {
@@ -700,6 +780,13 @@ impl CsrView for CsrStorage {
     fn fingerprint(&self) -> u64 {
         CsrStorage::fingerprint(self)
     }
+
+    fn max_degree_vertex(&self) -> Option<VertexId> {
+        match self {
+            CsrStorage::Mem(g) => g.max_degree_vertex(),
+            CsrStorage::Spill(s) => s.max_degree_vertex(),
+        }
+    }
 }
 
 fn bad_data(msg: &str) -> io::Error {
@@ -707,9 +794,10 @@ fn bad_data(msg: &str) -> io::Error {
 }
 
 /// Stream `m` targets out of `reader`, feeding both the standalone
-/// targets checksum and the running whole-graph fingerprint, and
-/// rejecting any target `>= n`. Shared by the build finalizer and
-/// [`SpillCsr::open`] so they enforce identical invariants.
+/// targets checksum and the running whole-graph fingerprint in one pass
+/// per buffer, and rejecting any target `>= n`. Shared by the build
+/// finalizer and [`SpillCsr::open`] so they enforce identical
+/// invariants.
 fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::Result<u64> {
     let mut tgt_h = Fnv1a::new();
     let mut buf = [0u8; 1 << 16];
@@ -717,269 +805,29 @@ fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::R
     while remaining > 0 {
         let take = (buf.len() as u64).min(remaining) as usize;
         reader.read_exact(&mut buf[..take])?;
-        for c in buf[..take].chunks_exact(4) {
-            if u32::from_le_bytes(c.try_into().unwrap()) as u64 >= n {
-                return Err(bad_data("spill target out of range"));
-            }
+        if buf[..take]
+            .chunks_exact(4)
+            .any(|c| u32::from_le_bytes(c.try_into().unwrap()) as u64 >= n)
+        {
+            return Err(bad_data("spill target out of range"));
         }
-        tgt_h.update(&buf[..take]);
-        fp.update(&buf[..take]);
+        Fnv1a::update_pair(&mut tgt_h, fp, &buf[..take]);
         remaining -= take as u64;
     }
     Ok(tgt_h.finish())
 }
 
-/// The spill builder — the out-of-core sibling of
-/// [`crate::builder::csr_from_arc_stream`], with the same stream
-/// contract (identical arcs on every invocation, panics on drift) and
-/// the same sorted-sublist/dedup semantics, but bounded peak memory:
-///
-/// 1. **Count** — stream all chunks in parallel, atomic per-vertex
-///    out-degrees (identical to the in-memory pass 1).
-/// 2. **Partition** — carve vertices into contiguous segments of at
-///    most `segment_arcs` counted arcs, then stream all chunks again,
-///    appending each packed arc to its segment's bucket file. Bucket
-///    write order is thread-dependent; the per-sublist sort erases it.
-/// 3. **Collate** — per segment in vertex order: read the bucket back,
-///    scatter into a segment-local buffer (auditing the counts from
-///    pass 1), sort each sublist (+ dedup), append the surviving
-///    targets to the spill file, delete the bucket.
-///
-/// The fingerprint is then computed by hashing the final offsets and
-/// re-reading the written targets region — the same verification
-/// [`SpillCsr::open`] performs, so a freshly built spill is already
-/// checked end to end.
-fn spill_from_arc_stream(
-    n: usize,
-    chunks: &[(u64, usize)],
-    dedup: bool,
-    stream: &(dyn Fn(u64, usize, &mut dyn FnMut(VertexId, VertexId)) + Sync),
-    cfg: &SpillConfig,
-    path: PathBuf,
-) -> io::Result<SpillCsr> {
-    // ---- Pass 1: per-vertex out-degree counts (identical to the
-    // in-memory builder's counting pass).
-    let counts: Vec<AtomicU64> = std::iter::repeat_with(|| AtomicU64::new(0)).take(n).collect();
-    chunks.par_iter().for_each(|&(chunk, len)| {
-        stream(chunk, len, &mut |src, dst| {
-            assert!((src as usize) < n, "arc with src {src} out of range (n = {n})");
-            assert!((dst as usize) < n, "arc with dst {dst} out of range (n = {n})");
-            counts[src as usize].fetch_add(1, Ordering::Relaxed);
-        });
-    });
-    let mut counted_offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut acc = 0u64;
-    counted_offsets.push(0);
-    for c in &counts {
-        acc += c.load(Ordering::Relaxed);
-        counted_offsets.push(acc);
-    }
-    drop(counts);
-
-    // Segment boundaries: contiguous vertex ranges of at most
-    // `segment_arcs` counted arcs (an over-budget vertex gets its own
-    // segment). Boundaries depend only on the counts, never on thread
-    // scheduling.
-    let segment_arcs = cfg.segment_arcs.max(1);
-    let mut seg_bounds: Vec<usize> = vec![0];
-    let mut v = 0usize;
-    while v < n {
-        let limit = counted_offsets[v].saturating_add(segment_arcs);
-        let w = counted_offsets
-            .partition_point(|&o| o <= limit)
-            .saturating_sub(1)
-            .clamp(v + 1, n);
-        seg_bounds.push(w);
-        v = w;
-    }
-    let num_segs = seg_bounds.len() - 1;
-    let seg_of = |src: VertexId| seg_bounds.partition_point(|&b| b <= src as usize) - 1;
-
-    // ---- Pass 2: partition the regenerated arcs into per-segment
-    // bucket files (packed u64 LE). Per-chunk local buffers keep bucket
-    // writes large and the writer locks uncontended.
-    fs::create_dir_all(&cfg.dir)?;
-    let bucket_paths: Vec<PathBuf> = (0..num_segs)
-        .map(|s| path.with_extension(format!("bucket{s}")))
-        .collect();
-    let writers: Vec<Mutex<BufWriter<File>>> = bucket_paths
-        .iter()
-        .map(|p| File::create(p).map(|f| Mutex::new(BufWriter::with_capacity(1 << 16, f))))
-        .collect::<io::Result<_>>()?;
-    let io_fail: Mutex<Option<io::Error>> = Mutex::new(None);
-    chunks.par_iter().for_each(|&(chunk, len)| {
-        let mut local: Vec<Vec<u8>> = vec![Vec::new(); num_segs];
-        stream(chunk, len, &mut |src, dst| {
-            assert!((src as usize) < n, "arc with src {src} out of range (n = {n})");
-            assert!((dst as usize) < n, "arc with dst {dst} out of range (n = {n})");
-            local[seg_of(src)].extend_from_slice(&pack_arc(src, dst).to_le_bytes());
-        });
-        for (s, buf) in local.iter().enumerate() {
-            if buf.is_empty() {
-                continue;
-            }
-            let mut w = writers[s].lock().unwrap();
-            if let Err(e) = w.write_all(buf) {
-                io_fail.lock().unwrap().get_or_insert(e);
-            }
-        }
-    });
-    for w in writers {
-        w.into_inner()
-            .unwrap()
-            .into_inner()
-            .map_err(|e| e.into_error())?
-            .sync_data()
-            .or(Ok::<(), io::Error>(()))?;
-    }
-    if let Some(e) = io_fail.into_inner().unwrap() {
-        return Err(e);
-    }
-
-    // ---- Pass 3: collate each segment in vertex order and append the
-    // sorted (and optionally deduplicated) sublists to the spill file.
-    let data_start = HEADER_BYTES + (n as u64 + 1) * 8;
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&path)?;
-    file.set_len(data_start)?;
-    file.seek(SeekFrom::Start(data_start))?;
-    let mut out = BufWriter::with_capacity(1 << 20, &mut file);
-    let mut final_degrees: Vec<u64> = vec![0; n];
-    for s in 0..num_segs {
-        let (first, last) = (seg_bounds[s], seg_bounds[s + 1]);
-        let seg_base = counted_offsets[first];
-        let seg_len = (counted_offsets[last] - seg_base) as usize;
-        let bytes = fs::read(&bucket_paths[s])?;
-        if bytes.len() != seg_len * 8 {
-            panic!(
-                "stream emitted different arcs across passes (segment {s}: \
-                 {} arcs on disk, counted {seg_len})",
-                bytes.len() / 8
-            );
-        }
-        let mut cursors: Vec<u64> = counted_offsets[first..last]
-            .iter()
-            .map(|&o| o - seg_base)
-            .collect();
-        let mut seg_targets: Vec<VertexId> = vec![0; seg_len];
-        for a in bytes.chunks_exact(8) {
-            let (src, dst) = unpack_arc(u64::from_le_bytes(a.try_into().unwrap()));
-            let sv = src as usize;
-            assert!(
-                (first..last).contains(&sv),
-                "stream emitted different arcs across passes \
-                 (arc source {src} outside segment {first}..{last})"
-            );
-            let slot = cursors[sv - first];
-            assert!(
-                slot < counted_offsets[sv + 1] - seg_base,
-                "stream emitted different arcs across passes \
-                 (vertex {src}: more arcs than counted)"
-            );
-            cursors[sv - first] += 1;
-            seg_targets[slot as usize] = dst;
-        }
-        for v in first..last {
-            if cursors[v - first] != counted_offsets[v + 1] - seg_base {
-                panic!(
-                    "stream emitted different arcs across passes \
-                     (vertex {v}: fewer arcs than counted)"
-                );
-            }
-        }
-        drop(bytes);
-        for v in first..last {
-            let lo = (counted_offsets[v] - seg_base) as usize;
-            let hi = (counted_offsets[v + 1] - seg_base) as usize;
-            let sublist = &mut seg_targets[lo..hi];
-            sublist.sort_unstable();
-            let keep = if dedup {
-                // In-place dedup of a sorted run, as in the in-memory
-                // builder's pass 3.
-                let mut k = 0;
-                for i in 0..sublist.len() {
-                    if i == 0 || sublist[i] != sublist[k - 1] {
-                        sublist[k] = sublist[i];
-                        k += 1;
-                    }
-                }
-                k
-            } else {
-                sublist.len()
-            };
-            final_degrees[v] = keep as u64;
-            for &t in &sublist[..keep] {
-                out.write_all(&t.to_le_bytes())?;
-            }
-        }
-        fs::remove_file(&bucket_paths[s])?;
-    }
-    out.flush()?;
-    drop(out);
-
-    // ---- Finalize: offsets from the post-dedup degrees, then checksums
-    // and the fingerprint by re-reading what was just written (the same
-    // verification `open` performs).
-    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    let mut acc = 0u64;
-    offsets.push(0);
-    for &d in &final_degrees {
-        acc += d;
-        offsets.push(acc);
-    }
-    let m = acc;
-    let mut fp = Fnv1a::new();
-    let mut off_h = Fnv1a::new();
-    for &o in &offsets {
-        let b = o.to_le_bytes();
-        fp.update(&b);
-        off_h.update(&b);
-    }
-    file.seek(SeekFrom::Start(data_start))?;
-    let mut reader = BufReader::with_capacity(1 << 20, &mut file);
-    let targets_fnv = hash_targets(&mut reader, m, n as u64, &mut fp)?;
-    drop(reader);
-    let fingerprint = fp.finish();
-
-    file.seek(SeekFrom::Start(0))?;
-    let mut head = BufWriter::with_capacity(1 << 20, &mut file);
-    head.write_all(&MAGIC)?;
-    head.write_all(&(n as u64).to_le_bytes())?;
-    head.write_all(&m.to_le_bytes())?;
-    head.write_all(&off_h.finish().to_le_bytes())?;
-    head.write_all(&targets_fnv.to_le_bytes())?;
-    head.write_all(&fingerprint.to_le_bytes())?;
-    for &o in &offsets {
-        head.write_all(&o.to_le_bytes())?;
-    }
-    head.flush()?;
-    drop(head);
-
-    Ok(SpillCsr {
-        offsets,
-        file: Mutex::new(file),
-        path,
-        data_start,
-        num_targets: m,
-        fingerprint,
-        page_len: cfg.page_len.max(1),
-        cache_pages: cfg.cache_pages.max(1),
-        cache: Mutex::new(BTreeMap::new()),
-        tick: AtomicU64::new(0),
-        owns_file: true,
-    })
-}
+/// Packed arcs per parallel part when the spill collation reads a
+/// segment's bucket back (512 KiB of bucket bytes).
+const BUCKET_PART_ARCS: usize = 1 << 16;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn test_cfg(tag: &str) -> SpillConfig {
-        let dir = std::env::temp_dir().join(format!("cxlg-spill-test-{}-{tag}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cxlg-spill-test-{}-{tag}", std::process::id()));
         SpillConfig::new(dir)
     }
 
@@ -1039,7 +887,10 @@ mod tests {
         for v in [0u32, 1, 63, 127] {
             assert_eq!(mem.neighbors_vec(v), spill.neighbors_vec(v));
             assert_eq!(mem.degree(v), spill.degree(v));
-            assert_eq!(mem.edge_weight(v, v + 1, 64), spill.edge_weight(v, v + 1, 64));
+            assert_eq!(
+                mem.edge_weight(v, v + 1, 64),
+                spill.edge_weight(v, v + 1, 64)
+            );
         }
     }
 

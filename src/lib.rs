@@ -45,7 +45,7 @@ pub mod prelude {
     pub use cxlg_core::system::SystemConfig;
     pub use cxlg_core::traversal::Traversal;
     pub use cxlg_graph::spec::GraphSpec;
-    pub use cxlg_graph::Csr;
+    pub use cxlg_graph::{Csr, CsrView};
     pub use cxlg_link::pcie::PcieGen;
     pub use cxlg_sim::{SimDuration, SimTime};
 }
