@@ -32,6 +32,9 @@ cargo run --release --example quickstart >/dev/null
 echo "==> latency_sweep example runs (one sweep_systems call: DRAM baseline + 13 CXL latency points)"
 cargo run --release --example latency_sweep >/dev/null
 
+echo "==> alignment_study example runs (the public RAF sweep API over the three datasets)"
+cargo run --release --example alignment_study >/dev/null
+
 echo "==> perfbench counter-drift gate: every workload keeps its seed-1 baseline sim_digest; peak-RSS ceilings"
 # A simulator speed-up must not move a single simulated statistic. The
 # digest is FNV over every traversal's requests, fetched bytes, runtime
@@ -178,6 +181,37 @@ grep -Eq '"builds": 1$|"builds": 1,' target/ci-results-t1/manifest.json \
 if grep -E '"builds": ([2-9]|[0-9]{2,})' target/ci-results-t1/manifest.json; then
     echo "a dataset was built more than once per campaign"; exit 1
 fi
+
+echo "==> paper-scale gate: the committed scale-20 results and FIDELITY.md regenerate byte for byte"
+# FIDELITY.md is generated from crates/bench/tests/data/campaign-scale20/,
+# and the small campaigns above cannot see a change that moves results
+# only at larger scales (a cache geometry, a level-size threshold). So
+# rerun the 9 committed experiments at scale 20 on 2 threads, diff every
+# file against the committed one (threads header exempt), and regenerate
+# the report from the fresh results. ~2 min and ~1 GB peak RSS on 2 cores.
+S20_START=$SECONDS
+S20_DIR=target/ci-results-s20
+S20_DATA=crates/bench/tests/data/campaign-scale20
+rm -rf "$S20_DIR"
+CXLG_SCALE=20 RAYON_NUM_THREADS=2 CXLG_RESULTS_DIR="$S20_DIR" \
+    cargo run --release -p cxlg-bench --bin cxlg -- \
+    run table1 table2 fig3 fig4 fig5 fig6 fig9 fig10 fig11 >/dev/null
+S20_DIFFS=
+S20_FILES=0
+for f in "$S20_DATA"/*.json; do
+    b="$(basename "$f")"
+    [ "$b" = manifest.json ] && continue
+    cmp -s <(sed '/"threads"/d' "$f") <(sed '/"threads"/d' "$S20_DIR/$b") \
+        || S20_DIFFS="$S20_DIFFS $b"
+    S20_FILES=$((S20_FILES + 1))
+done
+[ -z "$S20_DIFFS" ] || { echo "scale-20 results differ from $S20_DATA:$S20_DIFFS"; exit 1; }
+[ "$S20_FILES" -eq 9 ] || { echo "expected 9 committed scale-20 result files, found $S20_FILES"; exit 1; }
+cargo run --release -p cxlg-bench --bin cxlg -- validate \
+    --campaign-dir="$S20_DIR" --write-report="$S20_DIR/FIDELITY.md" >/dev/null
+cmp FIDELITY.md "$S20_DIR/FIDELITY.md" \
+    || { echo "FIDELITY.md regenerated from the scale-20 run differs from the committed one"; exit 1; }
+echo "    $S20_FILES scale-20 result files and FIDELITY.md unchanged ($((SECONDS - S20_START)) s)"
 
 echo "==> spill-storage campaign: byte-identical results, green validate, no litter"
 # The whole campaign with every graph demand-paged from spill files.

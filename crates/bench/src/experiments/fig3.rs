@@ -45,7 +45,7 @@ pub fn run(ctx: &ExperimentCtx) {
                 "BFS" => bfs_trace(&g, src),
                 _ => sssp_trace(&g, src, 64),
             };
-            let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS, None);
+            let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS);
             Series {
                 workload,
                 dataset: spec.name(),

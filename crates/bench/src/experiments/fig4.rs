@@ -26,7 +26,7 @@ pub fn run(ctx: &ExperimentCtx) {
     let spec = ctx.paper_datasets()[0];
     let g = ctx.graph(spec);
     let trace = bfs_trace(&g, 0);
-    let raf = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS, None);
+    let raf = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS);
     let useful_mb = raf[0].useful_bytes as f64 / 1e6;
 
     let params = Fig4Params {

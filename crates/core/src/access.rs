@@ -10,7 +10,11 @@
 //!   architecture. No state.
 //! * [`AccessMethod::SoftwareCache`] — **BaM** (§3.3.2): data is read at
 //!   cache-line granularity (`d = a`) through a GPU-memory software
-//!   cache; only misses reach the device.
+//!   cache; only misses reach the device. UVM paging (§6) is this
+//!   method at 4 kB lines: a miss is a page fault, whose driver overhead
+//!   the engine charges at issue (`EngineConfig::issue_overhead`). The
+//!   Figure 3 RAF replay ([`crate::raf`]) plans through it too, so this
+//!   is the one loop that walks lines through a cache.
 //! * [`AccessMethod::Direct`] — **XLFDD** (§4.1.1): no cache; the whole
 //!   sublist is fetched in one request rounded to the drive's small
 //!   alignment, split only at the 2 kB max transfer. This keeps the
@@ -18,8 +22,7 @@
 
 use cxlg_graph::layout::{align_down, align_up, span_block_range, ByteSpan};
 use cxlg_gpu::coalesce::coalesce_span;
-use cxlg_gpu::swcache::{AccessOutcome, SoftwareCache, SoftwareCacheConfig};
-use cxlg_gpu::uvm::{UvmAccess, UvmConfig, UvmPageTable};
+use cxlg_gpu::swcache::{SoftwareCache, SoftwareCacheConfig};
 use serde::{Deserialize, Serialize};
 
 /// One read request as seen by the external device.
@@ -41,7 +44,7 @@ pub enum AccessMethod {
         /// GPU sector size — the effective alignment `a` (32 B).
         sector: u64,
     },
-    /// BaM: software cache with line size = alignment `a`.
+    /// BaM (and UVM): software cache with line size = alignment `a`.
     SoftwareCache {
         /// The cache (line size defines the device request size).
         cache: SoftwareCache,
@@ -62,14 +65,6 @@ pub enum AccessMethod {
         /// End of the last fetched aligned range in the current level
         /// (reset by [`AccessMethod::begin_level`]).
         fetched_to: u64,
-    },
-    /// Unified virtual memory: 4 kB page migration on fault (the
-    /// pre-EMOGI baseline, Related Work §6). Every request is a fault;
-    /// the engine charges the driver's fault-handling overhead at issue
-    /// (`EngineConfig::issue_overhead`).
-    Uvm {
-        /// Page table with residency tracking.
-        table: UvmPageTable,
     },
 }
 
@@ -98,13 +93,6 @@ impl AccessMethod {
         }
     }
 
-    /// UVM paging with the given parameters.
-    pub fn uvm(cfg: UvmConfig) -> Self {
-        AccessMethod::Uvm {
-            table: UvmPageTable::new(cfg),
-        }
-    }
-
     /// Start a new traversal level: frontier offsets restart from low
     /// addresses, so the Direct method's block-merge window resets.
     pub fn begin_level(&mut self) {
@@ -119,23 +107,13 @@ impl AccessMethod {
             AccessMethod::ZeroCopy { sector, .. } => *sector,
             AccessMethod::SoftwareCache { cache } => cache.config().line_bytes,
             AccessMethod::Direct { alignment, .. } => *alignment,
-            AccessMethod::Uvm { table } => table.config().page_bytes,
-        }
-    }
-
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AccessMethod::ZeroCopy { .. } => "emogi",
-            AccessMethod::SoftwareCache { .. } => "bam",
-            AccessMethod::Direct { .. } => "xlfdd-direct",
-            AccessMethod::Uvm { .. } => "uvm",
         }
     }
 
     /// Convert one sublist span into device requests, appending to `out`.
-    /// Returns the number of cache hits (BaM only — hits produce no
-    /// request).
+    /// Returns the number of cache hits (software cache: lines already
+    /// resident; Direct: a span inside a block already fetched this
+    /// level), which produce no request.
     pub fn requests_for_span(&mut self, span: ByteSpan, out: &mut Vec<DeviceRequest>) -> u64 {
         if span.is_empty() {
             return 0;
@@ -155,12 +133,13 @@ impl AccessMethod {
                 let (first, last) = span_block_range(span, line_bytes);
                 let mut hits = 0;
                 for line in first..last {
-                    match cache.access(line) {
-                        AccessOutcome::Hit => hits += 1,
-                        AccessOutcome::Miss { .. } => out.push(DeviceRequest {
+                    if cache.access(line) {
+                        hits += 1;
+                    } else {
+                        out.push(DeviceRequest {
                             addr: line * line_bytes,
                             bytes: line_bytes,
-                        }),
+                        });
                     }
                 }
                 hits
@@ -189,21 +168,6 @@ impl AccessMethod {
                 *fetched_to = end;
                 0
             }
-            AccessMethod::Uvm { table } => {
-                let page = table.config().page_bytes;
-                let (first, last) = span_block_range(span, page);
-                let mut hits = 0;
-                for p in first..last {
-                    match table.touch(p * page) {
-                        UvmAccess::Resident => hits += 1,
-                        UvmAccess::Fault => out.push(DeviceRequest {
-                            addr: p * page,
-                            bytes: page,
-                        }),
-                    }
-                }
-                hits
-            }
         }
     }
 }
@@ -231,7 +195,6 @@ mod tests {
         assert_eq!(reqs[1].bytes, 128);
         assert_eq!(reqs[2].bytes, 32);
         assert_eq!(m.alignment(), 32);
-        assert_eq!(m.name(), "emogi");
     }
 
     #[test]
@@ -364,12 +327,42 @@ mod tests {
         assert_eq!(std::mem::size_of::<DeviceRequest>(), 16);
     }
 
+    /// The UVM method as the system builds it, for an edge list small
+    /// enough that the 256-page residency floor binds.
+    fn uvm() -> AccessMethod {
+        use cxlg_link::pcie::PcieGen;
+        crate::system::SystemConfig::uvm_on_dram(PcieGen::Gen4).build_access(1 << 20)
+    }
+
+    /// Page faults (device requests) of touching each page once, in order.
+    fn uvm_faults(m: &mut AccessMethod, pages: impl IntoIterator<Item = u64>) -> usize {
+        let mut out = Vec::new();
+        for p in pages {
+            m.requests_for_span(span(p * 4096, 1), &mut out);
+        }
+        out.len()
+    }
+
+    #[test]
+    fn uvm_first_touch_faults_then_page_is_resident() {
+        let mut m = uvm();
+        assert_eq!(
+            collect(&mut m, span(5000, 1)),
+            vec![DeviceRequest {
+                addr: 4096,
+                bytes: 4096
+            }]
+        );
+        let mut out = Vec::new();
+        assert_eq!(m.requests_for_span(span(5001, 1), &mut out), 1);
+        assert_eq!(m.requests_for_span(span(4096, 1), &mut out), 1, "same page");
+        assert!(out.is_empty());
+        assert_eq!(collect(&mut m, span(8192, 1)).len(), 1, "next page faults");
+    }
+
     #[test]
     fn uvm_faults_whole_pages_once() {
-        let mut m = AccessMethod::uvm(UvmConfig {
-            resident_bytes: 1 << 20,
-            ..UvmConfig::default()
-        });
+        let mut m = uvm();
         let reqs = collect(&mut m, span(4096 + 100, 5000));
         assert_eq!(
             reqs,
@@ -387,6 +380,25 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(m.requests_for_span(span(8192, 64), &mut out), 1);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn uvm_working_set_beyond_residency_thrashes() {
+        // The 256-page budget, cycled at 4x its size twice: over 80% of
+        // the touches fault.
+        let mut m = uvm();
+        let faults = uvm_faults(&mut m, (0..2).flat_map(|_| 0..1024u64));
+        assert!(
+            faults * 10 > 2048 * 8,
+            "UVM should thrash on an oversized working set: {faults} faults of 2048"
+        );
+    }
+
+    #[test]
+    fn uvm_working_set_within_residency_settles() {
+        // 64 cold faults out of 256 touches.
+        let mut m = uvm();
+        assert_eq!(uvm_faults(&mut m, (0..4).flat_map(|_| 0..64u64)), 64);
     }
 
     #[test]

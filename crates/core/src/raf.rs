@@ -4,8 +4,9 @@
 //! alignment sizes and calculated the RAF. This is CPU simulation
 //! implementing a software cache to experiment with alignment sizes
 //! without hardware constraints." We do exactly that: replay a
-//! traversal's access trace through a set-associative software cache
-//! whose line size is the alignment `a`, and report
+//! traversal's access trace through the BaM access method
+//! ([`AccessMethod::bam`]), a set-associative software cache whose line
+//! size is the alignment `a`, and report
 //! `RAF = fetched bytes / useful bytes`.
 //!
 //! The cache capacity models the GPU memory available for caching; the
@@ -13,8 +14,8 @@
 //! default capacity here is a quarter of the edge list, preserving the
 //! "cache smaller than graph" regime at any simulation scale.
 
-use cxlg_gpu::swcache::{SoftwareCache, SoftwareCacheConfig};
-use cxlg_graph::layout::{span_block_range, EdgeListLayout};
+use crate::access::AccessMethod;
+use cxlg_graph::layout::EdgeListLayout;
 use cxlg_graph::{CsrView, VertexId};
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +36,9 @@ pub struct RafPoint {
 
 /// RAF of replaying `trace` (per-level vertex frontiers) at alignment
 /// `alignment` with a cache of `capacity_bytes`; 1.0 for a trace that
-/// reads no bytes (see [`crate::metrics::raf`]).
+/// reads no bytes (see [`crate::metrics::raf`]). Each sublist is planned
+/// with [`AccessMethod::requests_for_span`] exactly as a BaM run plans
+/// it; only the totals are kept.
 pub fn raf_for_trace<G: CsrView + ?Sized>(
     g: &G,
     trace: &[Vec<VertexId>],
@@ -43,52 +46,56 @@ pub fn raf_for_trace<G: CsrView + ?Sized>(
     capacity_bytes: u64,
 ) -> RafPoint {
     let layout = EdgeListLayout::new(g);
-    let mut cache = SoftwareCache::new(SoftwareCacheConfig::new(capacity_bytes, alignment));
-    let mut useful = 0u64;
+    let mut bam = AccessMethod::bam(capacity_bytes, alignment);
+    // One span's misses at a time, so no level-sized plan is held.
+    let mut requests = Vec::new();
+    let (mut useful, mut fetched, mut hits, mut misses) = (0u64, 0u64, 0u64, 0u64);
     for level in trace {
+        bam.begin_level();
         for &v in level {
             let span = layout.sublist_span(v);
             useful += span.len;
-            let (first, last) = span_block_range(span, alignment);
-            for line in first..last {
-                // Misses are tallied inside the cache as fetched lines.
-                let _ = cache.access(line);
-            }
+            hits += bam.requests_for_span(span, &mut requests);
+            misses += requests.len() as u64;
+            fetched += requests.iter().map(|r| r.bytes).sum::<u64>();
+            requests.clear();
         }
     }
-    let fetched = cache.fetched_bytes();
+    let accesses = hits + misses;
     RafPoint {
         alignment,
         raf: crate::metrics::raf(fetched, useful),
         useful_bytes: useful,
         fetched_bytes: fetched,
-        hit_rate: cache.hit_rate(),
+        hit_rate: if accesses == 0 {
+            0.0
+        } else {
+            hits as f64 / accesses as f64
+        },
     }
 }
 
-/// Default cache capacity for a graph: a quarter of the edge list,
-/// with a small floor so tiny test graphs still hold one full set.
-/// The floor is deliberately tiny — capacity must not grow with the
-/// alignment under sweep, or the Figure 3 monotonicity would be an
-/// artifact of changing cache sizes.
+/// Default cache capacity for a graph: a quarter of the edge list, with
+/// a floor of one full 16-way set of lines so tiny test graphs still
+/// cache something. The floor grows with the alignment and binds
+/// whenever the graph has fewer than `8 * alignment` arcs (kron10 at
+/// 4 kB gets 65,536 B instead of 42,056 B), so at small scales the
+/// largest alignments of a Figure 3 sweep also get a larger cache.
 pub fn default_capacity<G: CsrView + ?Sized>(g: &G, alignment: u64) -> u64 {
     (g.num_edges() * 8 / 4).max(alignment * 16)
 }
 
-/// RAF sweep over alignment sizes for one trace, as plotted in Figure 3
-/// (8 B – 4 kB on a log2 axis).
+/// RAF sweep over alignment sizes for one trace at each alignment's
+/// [`default_capacity`], as plotted in Figure 3 (8 B – 4 kB on a log2
+/// axis).
 pub fn raf_sweep<G: CsrView + ?Sized>(
     g: &G,
     trace: &[Vec<VertexId>],
     alignments: &[u64],
-    capacity_bytes: Option<u64>,
 ) -> Vec<RafPoint> {
     alignments
         .iter()
-        .map(|&a| {
-            let cap = capacity_bytes.unwrap_or_else(|| default_capacity(g, a));
-            raf_for_trace(g, trace, a, cap)
-        })
+        .map(|&a| raf_for_trace(g, trace, a, default_capacity(g, a)))
         .collect()
 }
 
@@ -100,6 +107,88 @@ mod tests {
     use super::*;
     use crate::traversal::{bfs_trace, sssp_trace};
     use cxlg_graph::spec::GraphSpec;
+
+    /// The reference replay: every sublist's lines straight through a
+    /// software cache, counting hits and misses per line access.
+    fn per_line_replay<G: CsrView + ?Sized>(
+        g: &G,
+        trace: &[Vec<VertexId>],
+        alignment: u64,
+        capacity_bytes: u64,
+    ) -> RafPoint {
+        use cxlg_gpu::swcache::{SoftwareCache, SoftwareCacheConfig};
+        use cxlg_graph::layout::span_block_range;
+        let layout = EdgeListLayout::new(g);
+        let mut cache = SoftwareCache::new(SoftwareCacheConfig::new(capacity_bytes, alignment));
+        let (mut useful, mut hits, mut misses) = (0u64, 0u64, 0u64);
+        for &v in trace.iter().flatten() {
+            let span = layout.sublist_span(v);
+            useful += span.len;
+            let (first, last) = span_block_range(span, alignment);
+            for line in first..last {
+                if cache.access(line) {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+        }
+        let fetched = misses * alignment;
+        let total = hits + misses;
+        RafPoint {
+            alignment,
+            raf: crate::metrics::raf(fetched, useful),
+            useful_bytes: useful,
+            fetched_bytes: fetched,
+            hit_rate: if total == 0 {
+                0.0
+            } else {
+                hits as f64 / total as f64
+            },
+        }
+    }
+
+    fn assert_same_point(got: RafPoint, want: RafPoint, what: &str) {
+        assert_eq!(got.alignment, want.alignment, "{what}");
+        assert_eq!(got.useful_bytes, want.useful_bytes, "{what}");
+        assert_eq!(got.fetched_bytes, want.fetched_bytes, "{what}");
+        assert_eq!(got.raf.to_bits(), want.raf.to_bits(), "{what}: raf");
+        assert_eq!(
+            got.hit_rate.to_bits(),
+            want.hit_rate.to_bits(),
+            "{what}: hit rate"
+        );
+    }
+
+    #[test]
+    fn planner_replay_equals_per_line_replay() {
+        for scale in 8..=12 {
+            for spec in GraphSpec::paper_trio(scale) {
+                let g = spec.seed(1).build();
+                let src = g.max_degree_vertex().unwrap_or(0);
+                for (workload, trace) in [
+                    ("BFS", bfs_trace(&g, src)),
+                    ("SSSP", sssp_trace(&g, src, 64)),
+                ] {
+                    for a in FIG3_ALIGNMENTS {
+                        let cap = default_capacity(&g, a);
+                        assert_same_point(
+                            raf_for_trace(&g, &trace, a, cap),
+                            per_line_replay(&g, &trace, a, cap),
+                            &format!("{workload} {} at {a} B", spec.name()),
+                        );
+                    }
+                    // A cache of one 16-way set of 512 B lines: evictions
+                    // on every level.
+                    assert_same_point(
+                        raf_for_trace(&g, &trace, 512, 16 * 512),
+                        per_line_replay(&g, &trace, 512, 16 * 512),
+                        &format!("{workload} {} at a small capacity", spec.name()),
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn raf_at_8b_alignment_is_nearly_one() {
@@ -118,7 +207,7 @@ mod tests {
         // size".
         let g = GraphSpec::urand(11).seed(1).build();
         let trace = bfs_trace(&g, 0);
-        let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS, None);
+        let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS);
         for w in points.windows(2) {
             assert!(
                 w[1].raf >= w[0].raf * 0.98,

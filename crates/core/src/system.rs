@@ -103,13 +103,10 @@ pub enum AccessConfig {
         /// Request address alignment.
         alignment: u64,
     },
-    /// Unified-virtual-memory paging (the pre-EMOGI baseline, §6), with
-    /// an optional residency budget (default: a quarter of the edge
-    /// list, like the BaM cache default).
-    Uvm {
-        /// GPU memory devoted to migrated pages.
-        resident_bytes: Option<u64>,
-    },
+    /// Unified-virtual-memory paging (the pre-EMOGI baseline, §6): the
+    /// software cache at 4 kB pages with a quarter of the edge list
+    /// resident, plus a per-fault issue overhead.
+    Uvm,
 }
 
 /// A complete simulated machine.
@@ -154,9 +151,7 @@ impl SystemConfig {
                 dram: HostDramConfig::default(),
                 placement: DevicePlacement::near(),
             },
-            access: AccessConfig::Uvm {
-                resident_bytes: None,
-            },
+            access: AccessConfig::Uvm,
         }
     }
 
@@ -223,7 +218,7 @@ impl SystemConfig {
     /// methods this is the Fig. 5 sweep variable.
     pub fn with_alignment(mut self, alignment: u64) -> Self {
         match &mut self.access {
-            AccessConfig::ZeroCopy | AccessConfig::Uvm { .. } => {}
+            AccessConfig::ZeroCopy | AccessConfig::Uvm => {}
             AccessConfig::SoftwareCache { line_bytes, .. } => *line_bytes = alignment,
             AccessConfig::Direct { alignment: a } => *a = alignment,
         }
@@ -256,7 +251,7 @@ impl SystemConfig {
             AccessConfig::ZeroCopy => "emogi",
             AccessConfig::SoftwareCache { .. } => "bam",
             AccessConfig::Direct { .. } => "direct",
-            AccessConfig::Uvm { .. } => "uvm",
+            AccessConfig::Uvm => "uvm",
         }
     }
 
@@ -346,10 +341,9 @@ impl SystemConfig {
         let socket_penalty = placement
             .map(|p| self.topology.socket_penalty(p))
             .unwrap_or(cxlg_sim::SimDuration::ZERO);
-        // Every UVM request is a page fault; the overhead does not depend
-        // on the residency budget.
+        // Every UVM request is a page fault.
         let issue_overhead = match self.access {
-            AccessConfig::Uvm { .. } => uvm_config(0).fault_overhead(),
+            AccessConfig::Uvm => UvmConfig::default().fault_overhead(),
             _ => cxlg_sim::SimDuration::ZERO,
         };
         Engine::new(
@@ -366,7 +360,7 @@ impl SystemConfig {
     }
 
     /// Build the access method. `edge_list_bytes` sizes the default BaM
-    /// cache (a quarter of the edge list).
+    /// cache and the UVM residency budget (a quarter of the edge list).
     pub fn build_access(&self, edge_list_bytes: u64) -> AccessMethod {
         match self.access {
             AccessConfig::ZeroCopy => AccessMethod::emogi(),
@@ -379,22 +373,11 @@ impl SystemConfig {
                 AccessMethod::bam(capacity, line_bytes)
             }
             AccessConfig::Direct { alignment } => AccessMethod::xlfdd_direct(alignment),
-            AccessConfig::Uvm { resident_bytes } => {
-                let resident = resident_bytes.unwrap_or((edge_list_bytes / 4).max(4096 * 256));
-                AccessMethod::uvm(uvm_config(resident))
+            AccessConfig::Uvm => {
+                let page = UvmConfig::default().page_bytes;
+                AccessMethod::bam((edge_list_bytes / 4).max(page * 256), page)
             }
         }
-    }
-}
-
-/// The UVM paging parameters with `resident_bytes` of GPU memory for
-/// migrated pages: the one source of both the page table
-/// [`SystemConfig::build_access`] builds and the fault overhead
-/// [`SystemConfig::build_engine`] charges at issue.
-fn uvm_config(resident_bytes: u64) -> UvmConfig {
-    UvmConfig {
-        resident_bytes,
-        ..UvmConfig::default()
     }
 }
 
@@ -458,12 +441,9 @@ mod tests {
     #[test]
     fn only_uvm_engines_charge_an_issue_overhead() {
         let uvm = SystemConfig::uvm_on_dram(PcieGen::Gen4);
-        let fault = match uvm.build_access(400 << 20) {
-            crate::access::AccessMethod::Uvm { table } => table.config().fault_overhead(),
-            _ => panic!("expected a UVM page table"),
-        };
+        let fault = uvm.build_engine().issue_overhead();
+        assert_eq!(fault, UvmConfig::default().fault_overhead());
         assert!(fault > cxlg_sim::SimDuration::ZERO);
-        assert_eq!(uvm.build_engine().issue_overhead(), fault);
         for sys in [
             SystemConfig::emogi_on_dram(PcieGen::Gen4),
             SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5),
@@ -477,6 +457,14 @@ mod tests {
                 sys.label()
             );
         }
+    }
+
+    #[test]
+    fn uvm_pages_are_4k_with_a_tens_of_microseconds_fault() {
+        let uvm = SystemConfig::uvm_on_dram(PcieGen::Gen4);
+        assert_eq!(uvm.build_access(400 << 20).alignment(), 4096);
+        let us = uvm.build_engine().issue_overhead().as_us_f64();
+        assert!((5.0..50.0).contains(&us), "{us}");
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! * [`config::GpuConfig`] — warp counts and per-item processing cost;
 //! * [`coalesce`] — the 32 B-sector coalescer that produces EMOGI's
 //!   32/64/96/128 B request mix (average 89.6 B in §3.3.1);
-//! * [`swcache`] — BaM's set-associative GPU-memory software cache;
+//! * [`swcache`] — BaM's set-associative GPU-memory software cache, also
+//!   the page-residency structure of UVM;
 //! * [`bar`] — submission-queue cost model for GPU-initiated storage
 //!   access (XLFDD has no completion queues, §4.1.1);
 //! * [`pointer_chase`] — the Appendix-B latency microbenchmark;
-//! * [`uvm`] — the unified-virtual-memory paging baseline that EMOGI's
-//!   zero-copy access supersedes (Related Work, §6).
+//! * [`uvm`] — the paging parameters (4 kB pages, per-fault overhead) of
+//!   the unified-virtual-memory baseline that EMOGI's zero-copy access
+//!   supersedes (Related Work, §6).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,5 +35,5 @@ pub use bar::SubmissionQueueModel;
 pub use coalesce::{coalesce_span, Transaction};
 pub use config::GpuConfig;
 pub use pointer_chase::PointerChase;
-pub use swcache::{AccessOutcome, SoftwareCache, SoftwareCacheConfig};
-pub use uvm::{UvmAccess, UvmConfig, UvmPageTable};
+pub use swcache::{SoftwareCache, SoftwareCacheConfig};
+pub use uvm::UvmConfig;

@@ -26,7 +26,7 @@ fn main() {
         let g = spec.build();
         let src = g.max_degree_vertex().unwrap_or(0);
         let trace = bfs_trace(&g, src);
-        let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS, None);
+        let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS);
         print!("{:<16}", spec.name());
         for p in &points {
             print!("{:>7.2}", p.raf);
