@@ -23,6 +23,14 @@ echo "==> cargo test -q (tier-1, all workspace members, 1-thread and 4-thread po
 RAYON_NUM_THREADS=1 cargo test -q
 RAYON_NUM_THREADS=4 cargo test -q
 
+echo "==> engine exactness gates on the release (LTO) build"
+# The engine golden hash, the sharded-vs-coupled differential suite and
+# the differential test of the closed-form credit hand-offs against the
+# fully evented oracle loop, run on the build whose speed perfbench
+# measures (the tier-1 runs above are debug builds).
+cargo test -q --release -p cxlg-core --test engine_golden --test parallel_differential
+cargo test -q --release -p cxlg-core --lib engine::tests::closed_form_hand_offs_equal_the_evented_oracle
+
 echo "==> cargo doc --no-deps with rustdoc warnings denied"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 

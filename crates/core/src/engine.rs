@@ -14,59 +14,75 @@
 //! SSSP round, matching the level-synchronous kernels of EMOGI/BaM); each
 //! batch is a list of [`DeviceRequest`]s executed to completion.
 //!
-//! # Event model: three kinds, two closed-form FIFO servers
+//! # Event model: credit hand-offs in closed form
 //!
-//! A request costs `2 + segments` events (3 on DRAM, 4 for a two-flit
-//! CXL read). **`Warp`**: a free warp takes the next item and a credit
-//! (or queues as a FIFO waiter); issuing computes the *request channel*
+//! Three things happen to a request. A **warp pull** takes the next item
+//! and, with a credit free, *issues* it: the request channel is computed
 //! in closed form — the TLP header / SQ entry serializes from
 //! `max(now + issue overhead, channel free)` and reaches the device a
-//! fixed flight later — calls the backend with that arrival instant, and
-//! schedules one `SegReady` per response segment. **`SegReady`**: the
-//! *return link* is a work-conserving FIFO server, so the segment is done
-//! at `max(now, link free) + serialization`; the segment served last (the
-//! last of the latest-ready ones, known at issue) schedules `Complete`
-//! one propagation later. **`Complete`**: record the latency, release the
-//! credit (a waiter takes it and issues now), and free the warp after the
-//! per-item compute.
+//! fixed flight later — the backend is called with that arrival instant,
+//! and one **`SegReady`** event is scheduled per response segment. At a
+//! `SegReady` the *return link*, a work-conserving FIFO server, is done
+//! with the segment at `max(now, link free) + serialization`; the segment
+//! served last (the last of the latest-ready ones, known at issue)
+//! carries the request's **completion** at `c = done + propagation`. A
+//! completion records the latency, releases the credit and frees the
+//! warp, whose next pull is at `c + item_compute`.
 //!
-//! Device arrival and segment departure need no events of their own, and
-//! the closed forms reproduce a loop that has them bit for bit
-//! (`crates/core/tests/engine_golden.rs` pins the reports across commits):
+//! Pulls and completions are events only where the credit pool can
+//! change hands; a saturated batch costs one event per response segment:
 //!
-//! * arrival is channel exit plus a constant and exits never decrease in
-//!   issue order, so the backend sees the same calls at the same instants;
-//! * same-instant `SegReady`s are scheduled in issue order either way, so
-//!   they enter the link FIFO alike, and link `done` times strictly
-//!   increase, so `Complete` times are distinct;
-//! * `SegReady` touches only the return link, disjoint from what `Warp`
-//!   and `Complete` touch, so their relative order is immaterial;
-//! * a `Complete` at `C` is scheduled by `C − propagation`, a `Warp` at
-//!   `C` at `C − item_compute`, so with `item_compute < propagation`
-//!   (asserted in [`Engine::new`]; 20 ns vs 400 ns) the `Complete` pops
-//!   first, as it did.
+//! * **Lazy pulls.** While every credit is held, a pull can only take its
+//!   item and wait, so pulls are not events then. The items waiting for a
+//!   credit are always the contiguous range `[next_issue, next_item)`,
+//!   and the credit pool keeps no waiter queue.
+//! * **One hand-off rule.** At a release at `c`, every pull strictly
+//!   before `c` has taken its item. If an item waits, the credit passes
+//!   straight to the oldest one, which issues at `c`; otherwise it goes
+//!   back to the pool.
+//! * **Early completion.** A request's last `SegReady` applies its
+//!   completion at once, instead of scheduling a `Complete` event, when
+//!   the pool is full, no `Complete` is pending, and an item waits at
+//!   `c`. Nothing can then touch credits, warps or the backend before
+//!   `c`: a credit frees only at a completion, later completions have
+//!   later link `done` times, and pulls meanwhile only wait.
 //!
-//! # Event list: one in-order lane per kind
+//! Otherwise the completion is a `Complete` event, and a pull with a
+//! credit free a `Warp` event. All of this reproduces, bit for bit, a
+//! loop that schedules every pull and completion and serves waiters from
+//! a FIFO queue (the differential test in this module keeps that loop as
+//! its oracle; `crates/core/tests/engine_golden.rs` pins the reports
+//! across commits):
 //!
-//! Each kind has its own [`Lane`]: a FIFO that takes pushes at or after
-//! its newest entry, plus an overflow heap for earlier ones. Every event
-//! is stamped from one sequence counter, and the loop pops whichever
-//! lane head has the smallest `(time, seq)`. That is exactly the total
-//! order of one heap over all events, for any push order, so the lanes
-//! change no result. They make most pushes O(1):
+//! * link `done` strictly increases, so completions apply in the same
+//!   order, early or not, and latencies fold in the same order;
+//! * issues stay in item order at nondecreasing instants, and channel
+//!   exits never decrease in issue order, so the backend sees the same
+//!   calls at the same instants;
+//! * the in-use credit integral is additive over breakpoints, and a
+//!   hand-off changes neither it nor the high water mark;
+//! * a `SegReady` touches only the return link, and its early completion
+//!   acts strictly later, so its place among same-instant `Warp` and
+//!   `Complete` events is immaterial.
 //!
-//! * a `Warp` is scheduled at the batch start or at `now + item_compute`,
-//!   and `now` never decreases, so warp times never decrease;
-//! * a `Complete` is scheduled at link `done + propagation`, and link
-//!   `done` strictly increases, so completion times never decrease;
+//! # Event list: two FIFOs and one lane
 //!
-//! so neither lane ever uses its heap. `SegReady` times are device ready
-//! times: in order on one host DRAM channel, mostly in order across
-//! interleaved CXL expanders, and mostly out of order on flash media with
-//! plane jitter. Shares of `SegReady` pushes that take the FIFO, at
-//! perfbench seed 1: `latency-sweep` 86.5%, `campaign` 79.2%,
-//! `spill-sequential` 51.7%, `flash-social` 10.2%. Scheduling an event
-//! before `now` panics, in release builds too.
+//! Pulls are scheduled at the batch start or at a completion plus the
+//! per-item compute, and completions at link `done + propagation`; both
+//! come in time order, so each kind is a plain FIFO (asserted on every
+//! push, in release builds too). The pull FIFO holds runs of warps per
+//! instant, so a batch's start is one entry however many warps it has. Among events due at one instant, a
+//! `Complete` pops before a `Warp` — a release at `c` precedes a pull at
+//! `c`; either order issues the same item at `c` with the same credit
+//! counts, and the rule fixes one — and both before a `SegReady`. Only `SegReady`s need sequence
+//! stamps: their times are device ready times, in order on one host DRAM
+//! channel, mostly in order across interleaved CXL expanders, and mostly
+//! out of order on flash media with plane jitter, so they go in a
+//! [`Lane`], a FIFO plus an overflow heap that pops in `(time, seq)`
+//! order. Shares of `SegReady` pushes that take the FIFO, at perfbench
+//! seed 1: `latency-sweep` 86.5%, `campaign` 79.2%, `spill-sequential`
+//! 51.7%, `flash-social` 10.2%. Scheduling a `SegReady` before `now`
+//! panics, in release builds too.
 //!
 //! # Parallel execution model: round shards
 //!
@@ -126,6 +142,7 @@ use cxlg_device::target::{MemoryTarget, ReadSegment};
 use cxlg_gpu::config::GpuConfig;
 use cxlg_link::pcie::PcieLinkConfig;
 use cxlg_sim::{Bandwidth, CreditPool, Lane, OnlineStats, SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// How requests travel to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,80 +193,130 @@ pub struct BatchResult {
     pub latency: OnlineStats,
 }
 
-/// The engine's future-event list: one [`Lane`] per event kind, all
-/// stamped from one sequence counter so that popping the smallest
-/// `(time, seq)` head across them is the order a single heap would give.
+/// The engine's future-event list (module docs, "Event list"): warp
+/// pulls and completions in time-ordered FIFOs, response segments in a
+/// sequence-stamped [`Lane`].
 #[derive(Default)]
 struct Events {
     /// Time of the event popped last; nothing may be scheduled before it.
     now: SimTime,
     seq: u64,
-    /// A warp is free and pulls the next work item.
-    warps: Lane<()>,
+    /// `(instant, warps)`: instants at which that many warps pull the
+    /// next work item.
+    pulls: VecDeque<(SimTime, usize)>,
     /// A response segment of `bytes` reaches the return link; the
     /// request's segment the link serves last carries its issue instant.
     segs: Lane<(u64, Option<SimTime>)>,
-    /// The final data of a request issued at the carried instant arrived
-    /// at the GPU.
-    completes: Lane<SimTime>,
+    /// `(instant, issued)`: the final data of a request issued at
+    /// `issued` arrives at the GPU.
+    completes: VecDeque<(SimTime, SimTime)>,
 }
 
-/// Which lane holds the next event.
+/// Which kind of event is next.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Next {
+    Complete,
     Warp,
     Seg,
-    Complete,
 }
 
 impl Events {
-    /// The next sequence number for an event due at `t`. Panics, in
-    /// release builds too, if `t` is before the current time.
+    /// Queue a warp pull at `t`. Panics, in release builds too, if `t` is
+    /// before the newest pull.
     #[inline]
-    fn stamp(&mut self, t: SimTime) -> u64 {
-        assert!(t >= self.now, "event at {t:?} before now, {:?}", self.now);
-        self.seq += 1;
-        self.seq
+    fn pull(&mut self, t: SimTime) {
+        match self.pulls.back_mut() {
+            Some((b, n)) if *b == t => *n += 1,
+            back => {
+                assert!(
+                    back.is_none_or(|&mut (b, _)| b < t),
+                    "warp pull at {t:?} out of time order"
+                );
+                self.pulls.push_back((t, 1));
+            }
+        }
     }
 
-    #[inline]
-    fn warp(&mut self, t: SimTime) {
-        let seq = self.stamp(t);
-        self.warps.push(t, seq, ());
-    }
-
+    /// Schedule a segment at `t`. Panics, in release builds too, if `t`
+    /// is before the current time.
     #[inline]
     fn seg(&mut self, t: SimTime, bytes: u64, last_of: Option<SimTime>) {
-        let seq = self.stamp(t);
-        self.segs.push(t, seq, (bytes, last_of));
+        assert!(t >= self.now, "event at {t:?} before now, {:?}", self.now);
+        self.seq += 1;
+        self.segs.push(t, self.seq, (bytes, last_of));
     }
 
+    /// Schedule a completion at `t`. Panics, in release builds too,
+    /// unless `t` is after every pending completion and not before now.
     #[inline]
     fn complete(&mut self, t: SimTime, issued: SimTime) {
-        let seq = self.stamp(t);
-        self.completes.push(t, seq, issued);
+        assert!(t >= self.now, "event at {t:?} before now, {:?}", self.now);
+        assert!(
+            self.completes.back().is_none_or(|&(b, _)| b < t),
+            "completion at {t:?} out of time order"
+        );
+        self.completes.push_back((t, issued));
     }
 
-    /// The lane whose head is the earliest `(time, seq)`, advancing `now`
-    /// to its time; `None` once every lane is empty. The caller pops it.
+    /// The kind of the earliest event, advancing `now` to its time;
+    /// `None` once none is pending. Pulls count only when `pulls_live`
+    /// (a credit is free and items remain). At equal instants a
+    /// `Complete` pops before a `Warp`, and both before a `SegReady`. The
+    /// caller pops the event.
     #[inline]
-    fn next(&mut self) -> Option<Next> {
-        const IDLE: (SimTime, u64) = (SimTime::MAX, u64::MAX);
-        let w = self.warps.peek_key().unwrap_or(IDLE);
-        let s = self.segs.peek_key().unwrap_or(IDLE);
-        let c = self.completes.peek_key().unwrap_or(IDLE);
-        let (key, next) = if s < w && s < c {
-            (s, Next::Seg)
-        } else if c < w {
-            (c, Next::Complete)
-        } else {
-            (w, Next::Warp)
+    fn next(&mut self, pulls_live: bool) -> Option<Next> {
+        const IDLE: SimTime = SimTime::MAX;
+        let c = self.completes.front().map_or(IDLE, |&(t, _)| t);
+        let w = match self.pulls.front() {
+            Some(&(t, _)) if pulls_live => t,
+            _ => IDLE,
         };
-        if key == IDLE {
+        let s = self.segs.peek_key().map_or(IDLE, |(t, _)| t);
+        let (t, next) = if c <= w && c <= s {
+            (c, Next::Complete)
+        } else if w <= s {
+            (w, Next::Warp)
+        } else {
+            (s, Next::Seg)
+        };
+        if t == IDLE {
             return None;
         }
-        self.now = key.0;
+        self.now = t;
         Some(next)
+    }
+
+    /// End a batch: drop the pulls left over (warps retiring with no
+    /// work) and free the segment lane, the one list that grows with
+    /// device depth. The pull and completion FIFOs, at most one entry
+    /// per warp, keep their storage for the next batch. Panics unless no
+    /// segment or completion is pending.
+    fn release(&mut self) {
+        assert!(self.completes.is_empty(), "completions pending");
+        self.segs.release();
+        self.pulls.clear();
+    }
+}
+
+/// One batch's progress through its items.
+struct Batch<'a> {
+    requests: &'a [DeviceRequest],
+    /// Items taken by warps; `[next_issue, next_item)` wait for a credit.
+    next_item: usize,
+    /// Items issued.
+    next_issue: usize,
+    /// One observation per completed item.
+    latency: OnlineStats,
+    end: SimTime,
+}
+
+impl Batch<'_> {
+    /// Whether an item waits for a credit at a release at `c`, given the
+    /// pending pulls: every pull strictly before `c` has taken an item.
+    #[inline]
+    fn waits_at(&self, c: SimTime, pulls: &VecDeque<(SimTime, usize)>) -> bool {
+        self.next_issue < self.next_item
+            || (self.next_item < self.requests.len() && pulls.front().is_some_and(|&(t, _)| t < c))
     }
 }
 
@@ -280,14 +347,9 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine over a backend device. Panics unless the per-item
-    /// compute is shorter than the link propagation (module docs).
+    /// Build an engine over a backend device.
     pub fn new(cfg: EngineConfig, backend: Box<dyn MemoryTarget>) -> Self {
         let prop = cfg.link.propagation();
-        assert!(
-            cfg.gpu.item_compute() < prop,
-            "item compute must be shorter than the link propagation"
-        );
         let bandwidth = cfg.link.bandwidth();
         let (request_bytes, sq_fetch) = match cfg.path {
             RequestPath::Memory => (PcieLinkConfig::REQUEST_TLP_BYTES, SimDuration::ZERO),
@@ -329,33 +391,40 @@ impl Engine {
         // Everything is scheduled in absolute time, from `start`.
         self.events.now = start;
         let warps = (self.cfg.gpu.active_warps as usize).min(r);
-        for _ in 0..warps {
-            self.events.warp(start);
-        }
+        self.events.pulls.push_back((start, warps));
 
-        let mut next_item = 0usize;
-        let mut completed = 0usize;
+        let mut b = Batch {
+            requests,
+            next_item: 0,
+            next_issue: 0,
+            latency: OnlineStats::new(),
+            end: start,
+        };
         let mut returned = 0u64;
-        let mut latency = OnlineStats::new();
-        let mut end = start;
         let prop = self.cfg.link.propagation();
-        let compute = self.cfg.gpu.item_compute();
 
-        while let Some(next) = self.events.next() {
+        loop {
+            let pulls_live = !self.credits.is_full() && b.next_item < r;
+            let Some(next) = self.events.next(pulls_live) else {
+                break;
+            };
             let now = self.events.now;
             match next {
                 Next::Warp => {
-                    self.events.warps.pop();
-                    if next_item >= r {
-                        continue; // no more work; warp retires
+                    // A credit is free, so no item waits: the warp takes
+                    // the next item and issues it.
+                    let front = self.events.pulls.front_mut().expect("peeked");
+                    front.1 -= 1;
+                    if front.1 == 0 {
+                        self.events.pulls.pop_front();
                     }
-                    let idx = next_item;
-                    next_item += 1;
-                    if self.credits.try_acquire(now) {
-                        self.issue(now, requests[idx]);
-                    } else {
-                        self.credits.enqueue_waiter(idx as u64);
-                    }
+                    let acquired = self.credits.try_acquire(now);
+                    assert!(
+                        acquired && b.next_issue == b.next_item,
+                        "a live pull found no credit"
+                    );
+                    b.next_item += 1;
+                    self.issue(now, &mut b);
                 }
                 Next::Seg => {
                     let (_, (bytes, last_of)) = self.events.segs.pop().expect("peeked");
@@ -367,59 +436,89 @@ impl Engine {
                     returned += bytes;
                     if let Some(issued) = last_of {
                         // Data reaches the GPU after the link propagation.
-                        self.events.complete(done + prop, issued);
+                        let c = done + prop;
+                        if self.credits.is_full()
+                            && self.events.completes.is_empty()
+                            && b.waits_at(c, &self.events.pulls)
+                        {
+                            // Nothing moves a credit before `c`.
+                            self.complete(c, issued, &mut b);
+                        } else {
+                            self.events.complete(c, issued);
+                        }
                     }
                 }
                 Next::Complete => {
-                    let (_, issued) = self.events.completes.pop().expect("peeked");
-                    let lat = now.saturating_since(issued);
-                    latency.push(lat.as_us_f64());
-                    completed += 1;
-                    end = end.max(now);
-                    if let Some(waiter) = self.credits.release(now) {
-                        self.issue(now, requests[waiter as usize]);
-                    }
-                    // The freed warp pulls its next item after processing
-                    // the fetched edges.
-                    self.events.warp(now + compute);
+                    let (c, issued) = self.events.completes.pop_front().expect("peeked");
+                    self.complete(c, issued, &mut b);
                 }
             }
         }
 
         let fetched: u64 = requests.iter().map(|x| x.bytes).sum();
-        assert_eq!(completed, r, "batch did not drain");
+        assert_eq!(b.latency.count(), r as u64, "batch did not drain");
         assert!(
-            self.credits.in_use() == 0 && self.credits.waiting() == 0,
+            self.credits.in_use() == 0 && b.next_issue == r,
             "credits outstanding after the batch drained"
         );
         assert_eq!(
             returned, fetched,
             "return-link payload differs from fetched bytes"
         );
-        assert!(end >= start, "batch ended before it started");
+        assert!(b.end >= start, "batch ended before it started");
         // A chained engine idles between its levels while the other
-        // systems of a sweep run theirs; it holds no event storage then.
-        self.events.warps.release();
-        self.events.segs.release();
-        self.events.completes.release();
+        // systems of a sweep run theirs; it holds no segment lane then.
+        self.events.release();
 
         self.run_fetched += fetched;
         self.run_requests += r as u64;
-        self.run_latency.merge(&latency);
-        self.end_of_time = end;
+        self.run_latency.merge(&b.latency);
+        self.end_of_time = b.end;
         BatchResult {
-            end,
+            end: b.end,
             fetched_bytes: fetched,
             requests: r as u64,
-            latency,
+            latency: b.latency,
         }
     }
 
-    /// Issue `req` at `now`: the host-side issue overhead (zero except
-    /// for UVM page faults), then the request serializes on the request
-    /// channel once it is free and flies to the device, which is handed
-    /// the read at its arrival instant.
-    fn issue(&mut self, now: SimTime, req: DeviceRequest) {
+    /// Apply the completion at `c` of a request issued at `issued`:
+    /// record its latency, hand its credit over (module docs), and, while
+    /// items remain, queue the freed warp's next pull after it processes
+    /// the fetched edges.
+    fn complete(&mut self, c: SimTime, issued: SimTime, b: &mut Batch) {
+        b.latency.push(c.saturating_since(issued).as_us_f64());
+        b.end = b.end.max(c);
+        let pulls = &mut self.events.pulls;
+        while let Some((t, n)) = pulls.front_mut() {
+            let left = b.requests.len() - b.next_item;
+            if left == 0 || *t >= c {
+                break;
+            }
+            let take = (*n).min(left);
+            b.next_item += take;
+            *n -= take;
+            if *n == 0 {
+                pulls.pop_front();
+            }
+        }
+        if b.next_issue < b.next_item {
+            self.issue(c, b);
+        } else {
+            self.credits.release(c);
+        }
+        if b.next_item < b.requests.len() {
+            self.events.pull(c + self.cfg.gpu.item_compute());
+        }
+    }
+
+    /// Issue the batch's next item at `now`: the host-side issue overhead
+    /// (zero except for UVM page faults), then the request serializes on
+    /// the request channel once it is free and flies to the device, which
+    /// is handed the read at its arrival instant.
+    fn issue(&mut self, now: SimTime, b: &mut Batch) {
+        let req = b.requests[b.next_issue];
+        b.next_issue += 1;
         let out = (now + self.cfg.issue_overhead).max(self.req_next_free) + self.request_ser;
         self.req_next_free = out;
         let arrive = out + self.request_flight;
@@ -452,16 +551,6 @@ impl Engine {
             mean_outstanding: self.credits.mean_in_use(end),
             peak_outstanding: self.credits.high_water(),
         }
-    }
-
-    /// The engine's configured credit limit.
-    pub fn credit_limit(&self) -> u64 {
-        self.cfg.credits
-    }
-
-    /// The host-side overhead charged before each request is issued.
-    pub fn issue_overhead(&self) -> SimDuration {
-        self.cfg.issue_overhead
     }
 
     /// Execute one round shard on this engine: run `requests` as a batch
@@ -563,6 +652,8 @@ mod tests {
     use cxlg_device::cxl_mem::CxlMemDevice;
     use cxlg_device::dram::{HostDram, HostDramConfig};
     use cxlg_link::pcie::PcieGen;
+    use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     fn dram_engine(gen: PcieGen, warps: u32) -> Engine {
         let link = PcieLinkConfig::x16(gen);
@@ -587,17 +678,29 @@ mod tests {
     }
 
     /// A device answering its `i`-th read with `script[i]`: segments of
-    /// `(delay after arrival in ps, bytes)`.
+    /// `(delay after arrival in ps, bytes)`. It logs every read's arrival
+    /// instant and address.
     struct Scripted {
         script: Vec<Vec<(u64, u64)>>,
         reads: usize,
+        log: Arc<Mutex<Vec<(SimTime, u64)>>>,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<Vec<(u64, u64)>>) -> Self {
+            Scripted {
+                script,
+                reads: 0,
+                log: Arc::default(),
+            }
+        }
     }
 
     impl MemoryTarget for Scripted {
         fn read(
             &mut self,
             t_arrive: SimTime,
-            _addr: u64,
+            addr: u64,
             _bytes: u64,
             out: &mut Vec<ReadSegment>,
         ) -> SimTime {
@@ -608,6 +711,7 @@ mod tests {
                 });
             }
             self.reads += 1;
+            self.log.lock().unwrap().push((t_arrive, addr));
             out.last().map_or(t_arrive, |s| s.ready)
         }
         fn alignment(&self) -> u64 {
@@ -661,10 +765,7 @@ mod tests {
         //      A, no gap).
         //   C: ready 403 ns too, queued behind B: 405 → 407 ns.
         // Each completes 400 ns after its link transfer.
-        let dev = Scripted {
-            script: vec![vec![(0, 48)], vec![(1_000, 48)], vec![(0, 48)]],
-            reads: 0,
-        };
+        let dev = Scripted::new(vec![vec![(0, 48)], vec![(1_000, 48)], vec![(0, 48)]]);
         let mut e = scripted_engine(3, Box::new(dev));
         let r = e.run_batch(SimTime::ZERO, &uniform_requests(3, 48));
         assert_eq!(r.end, SimTime(807_000));
@@ -698,10 +799,7 @@ mod tests {
         // channel: out at 1001 ns, device at 1401 ns, link 1401 → 1403 ns,
         // at the GPU at 1803 ns — exactly 1 µs later than without it.
         let run = |overhead_ps| {
-            let dev = Scripted {
-                script: vec![vec![(0, 48)]],
-                reads: 0,
-            };
+            let dev = Scripted::new(vec![vec![(0, 48)]]);
             let mut e =
                 scripted_engine_with_overhead(1, Box::new(dev), SimDuration::from_ps(overhead_ps));
             e.run_batch(SimTime::ZERO, &uniform_requests(1, 48))
@@ -713,14 +811,57 @@ mod tests {
         assert_eq!(uvm.latency.mean(), us(1_803_000));
     }
 
-    /// Pop every pending event, returning the lanes in pop order.
+    #[test]
+    fn a_completion_releases_before_a_same_instant_pull_takes_the_credit() {
+        // Two credits, two warps, three 48 B reads. A and B issue at 0
+        // (out at 1 and 2 ns, at the device at 401 and 402 ns).
+        //   A: ready 401 ns, link 401 → 403 ns, completes at 803 ns; its
+        //      credit goes back to the pool (one free) and its warp pulls
+        //      again at 823 ns.
+        //   B: ready 421 ns, link 421 → 423 ns, completes at 823 ns — the
+        //      instant of A's warp's pull, with one credit free.
+        // B's completion releases first; the pull then takes the credit
+        // and issues C at 823 ns: out 824 ns, device 1224 ns, link
+        // 1224 → 1226 ns, at the GPU at 1626 ns.
+        let dev = Scripted::new(vec![vec![(0, 48)], vec![(19_000, 48)], vec![(0, 48)]]);
+        let log = Arc::clone(&dev.log);
+        let link = PcieLinkConfig::x16(PcieGen::Gen4);
+        let cfg = EngineConfig {
+            gpu: GpuConfig::default().with_active_warps(2),
+            credits: 2,
+            link,
+            socket_penalty: SimDuration::ZERO,
+            path: RequestPath::Memory,
+            issue_overhead: SimDuration::ZERO,
+        };
+        let mut e = Engine::new(cfg, Box::new(dev));
+        let r = e.run_batch(SimTime::ZERO, &uniform_requests(3, 48));
+        assert_eq!(r.end, SimTime(1_626_000));
+        let arrivals: Vec<SimTime> = log.lock().unwrap().iter().map(|&(t, _)| t).collect();
+        assert_eq!(
+            arrivals,
+            [SimTime(401_000), SimTime(402_000), SimTime(1_224_000)]
+        );
+        assert_eq!(r.latency.min(), us(803_000));
+        assert_eq!(r.latency.max(), us(823_000));
+        // Two credits held over [0, 803) ns, one over [803, 823) and
+        // [823, 1626) ns; never more than two.
+        assert_eq!(
+            e.credits.in_use_integral(r.end),
+            2 * 803_000 + 20_000 + 803_000
+        );
+        assert_eq!(e.credits.high_water(), 2);
+    }
+
+    /// Pop every pending event, pulls live, returning the kinds in pop
+    /// order.
     fn drain(ev: &mut Events) -> Vec<Next> {
         std::iter::from_fn(|| {
-            let next = ev.next()?;
+            let next = ev.next(true)?;
             match next {
-                Next::Warp => ev.warps.pop().map(drop),
+                Next::Warp => ev.pulls.pop_front().map(drop),
                 Next::Seg => ev.segs.pop().map(drop),
-                Next::Complete => ev.completes.pop().map(drop),
+                Next::Complete => ev.completes.pop_front().map(drop),
             };
             Some(next)
         })
@@ -728,9 +869,9 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_events_pop_in_schedule_order() {
+    fn same_instant_events_pop_complete_then_warp_then_seg() {
         // A Warp, a SegReady and a Complete due at the same picosecond
-        // pop in the order they were scheduled, whichever lanes hold them.
+        // pop in one fixed order, whatever order they were scheduled in.
         use Next::{Complete, Seg, Warp};
         let t = SimTime(5_000);
         for order in [
@@ -744,20 +885,32 @@ mod tests {
             let mut ev = Events::default();
             for kind in order {
                 match kind {
-                    Warp => ev.warp(t),
+                    Warp => ev.pull(t),
                     Seg => ev.seg(t, 64, Some(SimTime::ZERO)),
                     Complete => ev.complete(t, SimTime::ZERO),
                 }
             }
-            assert_eq!(drain(&mut ev), order);
+            assert_eq!(drain(&mut ev), [Complete, Warp, Seg]);
             assert_eq!(ev.now, t);
         }
     }
 
     #[test]
+    fn pulls_are_not_events_while_no_credit_is_free() {
+        let mut ev = Events::default();
+        ev.pull(SimTime(10));
+        ev.seg(SimTime(20), 64, None);
+        assert_eq!(ev.next(false), Some(Next::Seg));
+        assert_eq!(ev.now, SimTime(20));
+        ev.segs.pop();
+        assert_eq!(ev.next(false), None);
+        assert_eq!(ev.pulls.len(), 1);
+    }
+
+    #[test]
     fn clock_advances_on_pop() {
         let mut ev = Events::default();
-        ev.warp(SimTime(100));
+        ev.pull(SimTime(100));
         assert_eq!(ev.now, SimTime::ZERO);
         assert_eq!(drain(&mut ev), [Next::Warp]);
         assert_eq!(ev.now, SimTime(100));
@@ -770,7 +923,7 @@ mod tests {
     fn earlier_events_pop_first_across_lanes() {
         let mut ev = Events::default();
         ev.complete(SimTime(30), SimTime::ZERO);
-        ev.warp(SimTime(20));
+        ev.pull(SimTime(20));
         ev.seg(SimTime(40), 64, None);
         ev.seg(SimTime(10), 64, Some(SimTime::ZERO)); // out of order: overflow heap
         assert_eq!(
@@ -784,25 +937,17 @@ mod tests {
     #[should_panic(expected = "before now")]
     fn scheduling_into_the_past_panics() {
         let mut ev = Events::default();
-        ev.warp(SimTime(10));
+        ev.pull(SimTime(10));
         drain(&mut ev);
         ev.complete(SimTime(9), SimTime::ZERO);
     }
 
     #[test]
-    #[should_panic(expected = "item compute must be shorter")]
-    fn compute_not_shorter_than_propagation_is_rejected() {
-        let link =
-            PcieLinkConfig::x16(PcieGen::Gen4).with_propagation(SimDuration::from_ps(20_000));
-        let cfg = EngineConfig {
-            gpu: GpuConfig::default(),
-            credits: link.nmax(),
-            link,
-            socket_penalty: SimDuration::ZERO,
-            path: RequestPath::Memory,
-            issue_overhead: SimDuration::ZERO,
-        };
-        Engine::new(cfg, Box::new(HostDram::new(HostDramConfig::default())));
+    #[should_panic(expected = "out of time order")]
+    fn completions_out_of_time_order_panic() {
+        let mut ev = Events::default();
+        ev.complete(SimTime(10), SimTime::ZERO);
+        ev.complete(SimTime(10), SimTime::ZERO);
     }
 
     #[test]
@@ -1018,5 +1163,344 @@ mod tests {
             t_few > 2.0 * t_many,
             "64 warps should be much slower: {t_few} vs {t_many}"
         );
+    }
+
+    /// The event loop before credit hand-offs were closed form, kept as
+    /// the oracle of [`Engine::run_batch`]: every warp pull and every
+    /// completion is an event, each kind has its own [`Lane`], all events
+    /// are stamped from one sequence counter, and items that find no
+    /// credit wait in a FIFO queue. It drives the engine's own link,
+    /// credit and backend state.
+    mod oracle {
+        use super::*;
+
+        #[derive(Default)]
+        struct Events {
+            now: SimTime,
+            seq: u64,
+            warps: Lane<()>,
+            segs: Lane<(u64, Option<SimTime>)>,
+            completes: Lane<SimTime>,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Next {
+            Warp,
+            Seg,
+            Complete,
+        }
+
+        impl Events {
+            fn stamp(&mut self, t: SimTime) -> u64 {
+                assert!(t >= self.now, "event at {t:?} before now, {:?}", self.now);
+                self.seq += 1;
+                self.seq
+            }
+
+            fn warp(&mut self, t: SimTime) {
+                let seq = self.stamp(t);
+                self.warps.push(t, seq, ());
+            }
+
+            fn seg(&mut self, t: SimTime, bytes: u64, last_of: Option<SimTime>) {
+                let seq = self.stamp(t);
+                self.segs.push(t, seq, (bytes, last_of));
+            }
+
+            fn complete(&mut self, t: SimTime, issued: SimTime) {
+                let seq = self.stamp(t);
+                self.completes.push(t, seq, issued);
+            }
+
+            fn next(&mut self) -> Option<Next> {
+                const IDLE: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+                let w = self.warps.peek_key().unwrap_or(IDLE);
+                let s = self.segs.peek_key().unwrap_or(IDLE);
+                let c = self.completes.peek_key().unwrap_or(IDLE);
+                let (key, next) = if s < w && s < c {
+                    (s, Next::Seg)
+                } else if c < w {
+                    (c, Next::Complete)
+                } else {
+                    (w, Next::Warp)
+                };
+                if key == IDLE {
+                    return None;
+                }
+                self.now = key.0;
+                Some(next)
+            }
+        }
+
+        /// [`Engine::run_batch`] as a fully evented loop.
+        pub(super) fn run_batch(
+            e: &mut Engine,
+            start: SimTime,
+            requests: &[DeviceRequest],
+        ) -> BatchResult {
+            let r = requests.len();
+            if r == 0 {
+                return BatchResult {
+                    end: start,
+                    fetched_bytes: 0,
+                    requests: 0,
+                    latency: OnlineStats::new(),
+                };
+            }
+            let mut ev = Events {
+                now: start,
+                ..Events::default()
+            };
+            let warps = (e.cfg.gpu.active_warps as usize).min(r);
+            for _ in 0..warps {
+                ev.warp(start);
+            }
+            let mut waiters = VecDeque::new();
+
+            let mut next_item = 0usize;
+            let mut completed = 0usize;
+            let mut returned = 0u64;
+            let mut latency = OnlineStats::new();
+            let mut end = start;
+            let prop = e.cfg.link.propagation();
+            let compute = e.cfg.gpu.item_compute();
+
+            while let Some(next) = ev.next() {
+                let now = ev.now;
+                match next {
+                    Next::Warp => {
+                        ev.warps.pop();
+                        if next_item >= r {
+                            continue; // no more work; warp retires
+                        }
+                        let idx = next_item;
+                        next_item += 1;
+                        if e.credits.try_acquire(now) {
+                            issue(e, &mut ev, now, requests[idx]);
+                        } else {
+                            waiters.push_back(idx);
+                        }
+                    }
+                    Next::Seg => {
+                        let (_, (bytes, last_of)) = ev.segs.pop().expect("peeked");
+                        let ser = e
+                            .bandwidth
+                            .transfer_time(bytes + PcieLinkConfig::COMPLETION_HEADER_BYTES);
+                        let done = now.max(e.ret_next_free) + ser;
+                        e.ret_next_free = done;
+                        returned += bytes;
+                        if let Some(issued) = last_of {
+                            ev.complete(done + prop, issued);
+                        }
+                    }
+                    Next::Complete => {
+                        let (_, issued) = ev.completes.pop().expect("peeked");
+                        let lat = now.saturating_since(issued);
+                        latency.push(lat.as_us_f64());
+                        completed += 1;
+                        end = end.max(now);
+                        // The credit passes to the oldest waiter, or back
+                        // to the pool.
+                        if let Some(waiter) = waiters.pop_front() {
+                            issue(e, &mut ev, now, requests[waiter]);
+                        } else {
+                            e.credits.release(now);
+                        }
+                        ev.warp(now + compute);
+                    }
+                }
+            }
+
+            let fetched: u64 = requests.iter().map(|x| x.bytes).sum();
+            assert_eq!(completed, r, "batch did not drain");
+            assert!(e.credits.in_use() == 0 && waiters.is_empty());
+            assert_eq!(returned, fetched);
+            e.run_fetched += fetched;
+            e.run_requests += r as u64;
+            e.run_latency.merge(&latency);
+            e.end_of_time = end;
+            BatchResult {
+                end,
+                fetched_bytes: fetched,
+                requests: r as u64,
+                latency,
+            }
+        }
+
+        fn issue(e: &mut Engine, ev: &mut Events, now: SimTime, req: DeviceRequest) {
+            let out = (now + e.cfg.issue_overhead).max(e.req_next_free) + e.request_ser;
+            e.req_next_free = out;
+            let arrive = out + e.request_flight;
+            e.segs.clear();
+            e.backend.read(arrive, req.addr, req.bytes, &mut e.segs);
+            let last = (0..e.segs.len())
+                .max_by_key(|&i| e.segs[i].ready)
+                .expect("a device read yields at least one segment");
+            for (i, s) in e.segs.iter().enumerate() {
+                let last_of = (i == last).then_some(now);
+                ev.seg(s.ready + e.cfg.socket_penalty, s.bytes, last_of);
+            }
+        }
+    }
+
+    /// One random engine configuration with a scripted device, and the
+    /// batches to run on it back to back.
+    struct Scenario {
+        cfg: EngineConfig,
+        script: Vec<Vec<(u64, u64)>>,
+        batches: Vec<Vec<DeviceRequest>>,
+    }
+
+    fn scenario(seed: u64) -> Scenario {
+        let mut rng = cxlg_sim::Xoshiro256StarStar::seed_from_u64(seed);
+        let mut pick = |n: u64| rng.next_below(n);
+        // Credits on both sides of the warp count, batches on both sides
+        // of the credit count.
+        let credits = 1 + pick(8);
+        let warps = 1 + pick(2 * credits + 2) as u32;
+        let link = PcieLinkConfig::x16(if pick(2) == 0 {
+            PcieGen::Gen3
+        } else {
+            PcieGen::Gen4
+        });
+        let path = match pick(3) {
+            0 => RequestPath::Storage {
+                entry_bytes: [16, 64][pick(2) as usize],
+                completion_bytes: [0, 16][pick(2) as usize],
+            },
+            _ => RequestPath::Memory,
+        };
+        let issue_overhead = SimDuration::from_ps([0, 0, 1_000, 15_000_000][pick(4) as usize]);
+        let socket_penalty = SimDuration::from_ps([0, 0, 60_000][pick(3) as usize]);
+        // Segment delays on a coarse grid make equal ready instants,
+        // equal link `done`s and pull/completion ties common.
+        let grain = [1_000, 20_000, 400_000][pick(3) as usize];
+        let mut script = Vec::new();
+        let batches = (0..1 + pick(3))
+            .map(|_| {
+                (0..pick(3 * credits + 2))
+                    .map(|i| {
+                        let segs: Vec<(u64, u64)> = (0..1 + pick(3))
+                            .map(|_| (pick(8) * grain, [16, 48, 64, 128][pick(4) as usize]))
+                            .collect();
+                        let bytes = segs.iter().map(|&(_, b)| b).sum();
+                        script.push(segs);
+                        DeviceRequest {
+                            addr: i * 4096,
+                            bytes,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Scenario {
+            cfg: EngineConfig {
+                gpu: GpuConfig::default().with_active_warps(warps),
+                link,
+                credits,
+                socket_penalty,
+                path,
+                issue_overhead,
+            },
+            script,
+            batches,
+        }
+    }
+
+    /// Everything a run reports, bit for bit, and every read the device
+    /// saw.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        batches: Vec<(SimTime, u64, u64, u64)>,
+        integral: u128,
+        high_water: u64,
+        mean_outstanding: u64,
+        run_latency: u64,
+        reads: Vec<(SimTime, u64)>,
+    }
+
+    /// Run `batches` back to back on `e`, batch by batch through `run`.
+    fn observe(
+        mut e: Engine,
+        log: Arc<Mutex<Vec<(SimTime, u64)>>>,
+        batches: &[Vec<DeviceRequest>],
+        run: fn(&mut Engine, SimTime, &[DeviceRequest]) -> BatchResult,
+    ) -> Observed {
+        let mut t = SimTime::ZERO;
+        let mut out = Vec::new();
+        for b in batches {
+            let r = run(&mut e, t, b);
+            out.push((r.end, r.fetched_bytes, r.requests, r.latency.fingerprint()));
+            t = r.end;
+        }
+        let integral = e.credits.in_use_integral(t);
+        let m = e.finish();
+        let reads = log.lock().unwrap().clone();
+        Observed {
+            batches: out,
+            integral,
+            high_water: m.peak_outstanding,
+            mean_outstanding: m.mean_outstanding.to_bits(),
+            run_latency: m.latency.fingerprint(),
+            reads,
+        }
+    }
+
+    fn observe_scenario(
+        seed: u64,
+        run: fn(&mut Engine, SimTime, &[DeviceRequest]) -> BatchResult,
+    ) -> Observed {
+        let s = scenario(seed);
+        let dev = Scripted::new(s.script);
+        let log = Arc::clone(&dev.log);
+        observe(Engine::new(s.cfg, Box::new(dev)), log, &s.batches, run)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn closed_form_hand_offs_equal_the_evented_oracle(seed in any::<u64>()) {
+            let got = observe_scenario(seed, Engine::run_batch);
+            let want = observe_scenario(seed, oracle::run_batch);
+            prop_assert_eq!(got, want, "seed {:#x}", seed);
+        }
+    }
+
+    #[test]
+    fn closed_form_hand_offs_equal_the_evented_oracle_on_every_backend() {
+        // The paper's presets, a tag-starved CXL expander and the
+        // out-of-order bridge, over batches below, at and above their
+        // credit counts.
+        use crate::system::{BackendConfig, SystemConfig};
+        let mut out_of_order =
+            SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(1.5);
+        if let BackendConfig::CxlMem { dev, .. } = &mut out_of_order.backend {
+            *dev = dev.out_of_order();
+        }
+        for sys in [
+            SystemConfig::emogi_on_dram(PcieGen::Gen3),
+            SystemConfig::uvm_on_dram(PcieGen::Gen4).with_active_warps(64),
+            SystemConfig::emogi_on_cxl(PcieGen::Gen4, 1).with_added_latency_us(3.0),
+            out_of_order,
+            SystemConfig::xlfdd(PcieGen::Gen4, 2),
+            SystemConfig::bam_on_nvme(PcieGen::Gen4, 1),
+        ] {
+            let n = sys.credits() as usize;
+            let batches = [
+                uniform_requests(n / 3, 512),
+                uniform_requests(3 * n, 2048),
+                uniform_requests(n + 1, 512),
+            ];
+            let run = |f: fn(&mut Engine, SimTime, &[DeviceRequest]) -> BatchResult| {
+                observe(sys.build_engine(), Arc::default(), &batches, f)
+            };
+            assert_eq!(
+                run(Engine::run_batch),
+                run(oracle::run_batch),
+                "{}",
+                sys.label()
+            );
+        }
     }
 }

@@ -124,15 +124,20 @@ mod tests {
     fn fig9_and_eqcheck_engines_charge_no_issue_overhead() {
         // The chase and the eqcheck saturation batch build plain
         // requests; only a UVM system's engine adds a per-request
-        // overhead, and neither runs on one.
+        // overhead, and neither runs on one: each engine's UVM twin ends a
+        // one-read batch a whole fault overhead later.
         for sys in [
             SystemConfig::emogi_on_dram(PcieGen::Gen4),
             SystemConfig::emogi_on_dram(PcieGen::Gen4).on_far_socket(),
             SystemConfig::emogi_on_cxl(PcieGen::Gen4, 1).with_added_latency_us(3.0),
             SystemConfig::emogi_on_cxl(PcieGen::Gen4, 1).on_far_socket(),
         ] {
-            let engine = sys.with_active_warps(1).build_engine();
-            assert_eq!(engine.issue_overhead(), cxlg_sim::SimDuration::ZERO);
+            assert_eq!(
+                sys.with_active_warps(1).uvm_twin_delay(),
+                cxlg_gpu::uvm::UvmConfig::default().fault_overhead(),
+                "{}",
+                sys.label()
+            );
         }
     }
 

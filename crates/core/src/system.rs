@@ -381,9 +381,53 @@ impl SystemConfig {
     }
 }
 
+/// Behavioral probes of a built engine, for tests: what it charges is
+/// read off its simulated timelines.
+#[cfg(test)]
+impl SystemConfig {
+    /// When a batch of one 512 B read at address 0 ends on a fresh engine.
+    pub(crate) fn one_read_end(&self) -> cxlg_sim::SimTime {
+        let read = crate::access::DeviceRequest {
+            addr: 0,
+            bytes: 512,
+        };
+        self.build_engine()
+            .run_batch(cxlg_sim::SimTime::ZERO, &[read])
+            .end
+    }
+
+    /// How much later a one-read batch ends on this system's UVM twin
+    /// (the same machine with every request a page fault) than on this
+    /// system: the fault overhead minus this engine's own issue overhead.
+    pub(crate) fn uvm_twin_delay(&self) -> cxlg_sim::SimDuration {
+        let twin = SystemConfig {
+            access: AccessConfig::Uvm,
+            ..*self
+        };
+        twin.one_read_end().saturating_since(self.one_read_end())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The highest number of requests `sys`'s engine keeps outstanding
+    /// when `2·credits()` warps pull `2·credits()` reads at once.
+    fn peak_outstanding_when_flooded(sys: &SystemConfig) -> u64 {
+        let n = 2 * sys.credits();
+        let mut sys = *sys;
+        // Enough warps to ask for every credit and more, beyond the
+        // GPU's resident-warp limit if need be.
+        sys.gpu.active_warps = n as u32;
+        let reads: Vec<crate::access::DeviceRequest> = (0..n)
+            .map(|i| crate::access::DeviceRequest {
+                addr: i * 4096,
+                bytes: 512,
+            })
+            .collect();
+        sys.build_engine().run_shard(&reads).peak_outstanding
+    }
 
     #[test]
     fn presets_have_paper_credit_limits() {
@@ -433,26 +477,11 @@ mod tests {
             SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
             SystemConfig::xlfdd(PcieGen::Gen4, 16),
         ] {
-            let e = sys.build_engine();
-            assert_eq!(e.credit_limit(), sys.credits());
-        }
-    }
-
-    #[test]
-    fn only_uvm_engines_charge_an_issue_overhead() {
-        let uvm = SystemConfig::uvm_on_dram(PcieGen::Gen4);
-        let fault = uvm.build_engine().issue_overhead();
-        assert_eq!(fault, UvmConfig::default().fault_overhead());
-        assert!(fault > cxlg_sim::SimDuration::ZERO);
-        for sys in [
-            SystemConfig::emogi_on_dram(PcieGen::Gen4),
-            SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5),
-            SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
-            SystemConfig::xlfdd(PcieGen::Gen4, 16),
-        ] {
+            // The engine holds exactly `credits()` requests outstanding
+            // when more are asked for.
             assert_eq!(
-                sys.build_engine().issue_overhead(),
-                cxlg_sim::SimDuration::ZERO,
+                peak_outstanding_when_flooded(&sys),
+                sys.credits(),
                 "{}",
                 sys.label()
             );
@@ -460,10 +489,34 @@ mod tests {
     }
 
     #[test]
+    fn only_uvm_engines_charge_an_issue_overhead() {
+        // A one-read batch on UVM ends exactly one fault overhead after
+        // the same batch on the same host DRAM without it.
+        let uvm = SystemConfig::uvm_on_dram(PcieGen::Gen4);
+        let dram = SystemConfig::emogi_on_dram(PcieGen::Gen4);
+        let fault = uvm.one_read_end().saturating_since(dram.one_read_end());
+        assert_eq!(fault, UvmConfig::default().fault_overhead());
+        assert!(fault > cxlg_sim::SimDuration::ZERO);
+        // Every other engine charges nothing: its UVM twin ends a whole
+        // fault overhead later.
+        for sys in [
+            SystemConfig::emogi_on_dram(PcieGen::Gen4),
+            SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5),
+            SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
+            SystemConfig::xlfdd(PcieGen::Gen4, 16),
+        ] {
+            assert_eq!(sys.uvm_twin_delay(), fault, "{}", sys.label());
+        }
+    }
+
+    #[test]
     fn uvm_pages_are_4k_with_a_tens_of_microseconds_fault() {
         let uvm = SystemConfig::uvm_on_dram(PcieGen::Gen4);
         assert_eq!(uvm.build_access(400 << 20).alignment(), 4096);
-        let us = uvm.build_engine().issue_overhead().as_us_f64();
+        let fault = uvm
+            .one_read_end()
+            .saturating_since(SystemConfig::emogi_on_dram(PcieGen::Gen4).one_read_end());
+        let us = fault.as_us_f64();
         assert!((5.0..50.0).contains(&us), "{us}");
     }
 

@@ -16,8 +16,9 @@
 use crate::latency_bridge::{BridgeOrdering, LatencyBridge};
 use crate::target::{MemoryTarget, ReadSegment};
 use cxlg_link::cxl::{CxlPortConfig, CXL_FLIT_BYTES};
-use cxlg_sim::{Bandwidth, BandwidthChannel, Lane, SimDuration, SimTime};
+use cxlg_sim::{Bandwidth, BandwidthChannel, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Configuration of one CXL memory device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,13 +81,13 @@ pub struct CxlMemDevice {
     cfg: CxlMemConfig,
     dram: BandwidthChannel,
     bridge: LatencyBridge,
-    /// Release times of in-flight tags, sequenced by flit; admission
-    /// waits on the earliest release when the pool is exhausted. The
-    /// engine hands reads over in arrival order, so ingress, admission,
-    /// DRAM data-ready and bridge stamp times never decrease, releases
-    /// come in time order under either bridge ordering, and the lane
-    /// never needs its overflow heap.
-    tag_release: Lane<()>,
+    /// Release times of in-flight tags, in flit order; admission waits on
+    /// the earliest release when the pool is exhausted. The engine hands
+    /// reads over in arrival order, so ingress, admission, DRAM
+    /// data-ready and bridge stamp times never decrease, and releases
+    /// come in time order under either bridge ordering (asserted on every
+    /// push, in release builds too): the earliest is the front.
+    tag_release: VecDeque<SimTime>,
     reads: u64,
     flits: u64,
     bytes: u64,
@@ -103,7 +104,8 @@ impl CxlMemDevice {
                 cfg.dram_bandwidth_mb_per_sec,
             )),
             bridge: LatencyBridge::new(cfg.added_latency(), cfg.ordering),
-            tag_release: Lane::new(),
+            // Allocated once at the tag count it fills to.
+            tag_release: VecDeque::with_capacity(cfg.device_tags.min(4096) as usize),
             cfg,
             reads: 0,
             flits: 0,
@@ -132,7 +134,7 @@ impl CxlMemDevice {
         // Tag admission: wait for the earliest in-flight release if the
         // pool is full.
         let t_admit = if self.tag_release.len() as u64 >= self.cfg.device_tags {
-            let (earliest, ()) = self.tag_release.pop().expect("non-empty at capacity");
+            let earliest = self.tag_release.pop_front().expect("non-empty at capacity");
             t_ingress.max(earliest)
         } else {
             t_ingress
@@ -142,7 +144,11 @@ impl CxlMemDevice {
             + SimDuration::from_ps(self.cfg.dram_access_latency_ps);
         // Appendix A bridge.
         let release = self.bridge.release(t_admit, data_ready);
-        self.tag_release.push(release, self.flits, ());
+        assert!(
+            self.tag_release.back().is_none_or(|&b| b <= release),
+            "tag release at {release:?} out of time order"
+        );
+        self.tag_release.push_back(release);
         self.flits += 1;
         self.resident_ps += release.saturating_since(t_admit).as_ps() as u128;
         release

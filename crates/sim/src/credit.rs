@@ -3,20 +3,20 @@
 //! The PCIe specification bounds the number of outstanding non-posted reads
 //! (`Nmax` = 256 for Gen3, 768 for Gen4/5 — §3.2 of the paper), and the CXL
 //! prototype's FPGA bounds its own tags at 128 (§4.2.2). Both are modeled
-//! as a `CreditPool`: issuing a read acquires a credit, the completion
-//! releases it, and would-be issuers register as waiters served FIFO.
-//! Little's Law (`N d = T L`, Equation 3) then emerges from the simulation
-//! rather than being asserted.
+//! as a `CreditPool`: issuing a read acquires a credit and the completion
+//! releases it. Would-be issuers that find the pool full are the driver's
+//! to queue: a credit handed straight from a completing request to a
+//! waiting one never returns to the pool, which changes neither the in-use
+//! count nor its integral. Little's Law (`N d = T L`, Equation 3) then
+//! emerges from the simulation rather than being asserted.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
 
-/// A counting semaphore with FIFO waiters identified by opaque `u64` tokens.
+/// A counting semaphore that integrates its in-use count over time.
 #[derive(Debug, Clone)]
 pub struct CreditPool {
     capacity: u64,
     available: u64,
-    waiters: VecDeque<u64>,
     /// Time-weighted accumulator of in-use credits, for measuring the mean
     /// number of outstanding requests (the `N` in Little's Law).
     in_use_weighted: u128,
@@ -30,7 +30,6 @@ impl CreditPool {
         CreditPool {
             capacity,
             available: capacity,
-            waiters: VecDeque::new(),
             in_use_weighted: 0,
             last_update: SimTime::ZERO,
             high_water: 0,
@@ -43,8 +42,7 @@ impl CreditPool {
         self.last_update = self.last_update.max(now);
     }
 
-    /// Try to take one credit at `now`. On success returns `true`; on
-    /// failure the caller should register via [`CreditPool::enqueue_waiter`].
+    /// Try to take one credit at `now`; `false` if every credit is held.
     #[inline]
     pub fn try_acquire(&mut self, now: SimTime) -> bool {
         self.advance(now);
@@ -57,40 +55,25 @@ impl CreditPool {
         }
     }
 
-    /// Register `token` to be woken (returned by `release`) when a credit
-    /// frees up.
+    /// Return one credit to the pool at `now`. Panics, in release builds
+    /// too, if no credit is held.
     #[inline]
-    pub fn enqueue_waiter(&mut self, token: u64) {
-        self.waiters.push_back(token);
+    pub fn release(&mut self, now: SimTime) {
+        self.advance(now);
+        assert!(self.available < self.capacity, "release without acquire");
+        self.available += 1;
     }
 
-    /// Return one credit at `now`. If a waiter is queued, the credit is
-    /// handed directly to it and its token is returned (the pool count does
-    /// not change); otherwise the credit goes back to the pool. Panics, in
-    /// release builds too, if no credit is held.
+    /// Whether every credit is held.
     #[inline]
-    pub fn release(&mut self, now: SimTime) -> Option<u64> {
-        self.advance(now);
-        if let Some(w) = self.waiters.pop_front() {
-            // Credit transferred to the waiter: still in use.
-            Some(w)
-        } else {
-            assert!(self.available < self.capacity, "release without acquire");
-            self.available += 1;
-            None
-        }
+    pub fn is_full(&self) -> bool {
+        self.available == 0
     }
 
     /// Credits currently held.
     #[inline]
     pub fn in_use(&self) -> u64 {
         self.capacity - self.available
-    }
-
-    /// Waiters currently queued.
-    #[inline]
-    pub fn waiting(&self) -> usize {
-        self.waiters.len()
     }
 
     /// Maximum simultaneous credits ever held.
@@ -129,7 +112,9 @@ mod tests {
         let mut p = CreditPool::new(3);
         assert!(p.try_acquire(SimTime::ZERO));
         assert!(p.try_acquire(SimTime::ZERO));
+        assert!(!p.is_full());
         assert!(p.try_acquire(SimTime::ZERO));
+        assert!(p.is_full());
         assert!(!p.try_acquire(SimTime::ZERO));
         assert_eq!(p.in_use(), 3);
         assert_eq!(p.high_water(), 3);
@@ -139,24 +124,29 @@ mod tests {
     fn release_returns_credit_when_no_waiters() {
         let mut p = CreditPool::new(1);
         assert!(p.try_acquire(SimTime::ZERO));
-        assert_eq!(p.release(SimTime(10)), None);
+        p.release(SimTime(10));
         assert_eq!(p.in_use(), 0);
         assert!(p.try_acquire(SimTime(10)));
     }
 
     #[test]
-    fn release_hands_off_to_fifo_waiter() {
-        let mut p = CreditPool::new(1);
-        assert!(p.try_acquire(SimTime::ZERO));
-        assert!(!p.try_acquire(SimTime::ZERO));
-        p.enqueue_waiter(7);
-        p.enqueue_waiter(8);
-        assert_eq!(p.release(SimTime(5)), Some(7));
-        // Credit went straight to waiter 7: pool still exhausted.
-        assert_eq!(p.in_use(), 1);
-        assert_eq!(p.release(SimTime(6)), Some(8));
-        assert_eq!(p.release(SimTime(7)), None);
-        assert_eq!(p.in_use(), 0);
+    fn a_hand_off_that_skips_the_pool_keeps_its_integral() {
+        // A credit passed from a completing holder to a waiting one at
+        // 5 ps either returns to the pool and is taken again at once, or
+        // never touches the pool; the in-use integral and the high water
+        // mark agree.
+        let mut via_pool = CreditPool::new(1);
+        let mut handed = CreditPool::new(1);
+        for p in [&mut via_pool, &mut handed] {
+            assert!(p.try_acquire(SimTime::ZERO));
+        }
+        via_pool.release(SimTime(5));
+        assert!(via_pool.try_acquire(SimTime(5)));
+        for p in [&mut via_pool, &mut handed] {
+            p.release(SimTime(7));
+            assert_eq!(p.in_use_integral(SimTime(9)), 7);
+            assert_eq!(p.high_water(), 1);
+        }
     }
 
     #[test]

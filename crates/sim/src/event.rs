@@ -8,12 +8,13 @@
 //! The FIFO stays sorted because `seq` is the caller's counter and only
 //! grows, so a pop takes the smaller of two heads.
 //!
-//! Simulations that schedule one kind of event in nondecreasing time
-//! (a warp's next pull, a FIFO server's completions, a tag pool's
-//! releases) never touch the heap. A driver that keeps several lanes
-//! and pops the smallest head across them, with one `seq` counter shared
-//! by all of them, gets the total order one heap would give: ties at the
-//! same instant are broken by scheduling order.
+//! A lane is for events that arrive *mostly* in time order. The engine
+//! in `cxlg-core` keeps its response segments in one: device ready times
+//! are in order on one DRAM channel and out of order on flash media with
+//! plane jitter. Events that are scheduled in nondecreasing time by
+//! construction (a warp's next pull, a FIFO server's completions, a tag
+//! pool's releases) need no sequence stamps and no heap; a plain
+//! `VecDeque` with an order assert holds them.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};

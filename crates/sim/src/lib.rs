@@ -20,9 +20,12 @@
 //!   the paper-figure harnesses rely on.
 //! * **No inversion of control**: rather than a trait-object component
 //!   framework, a [`Lane`] is a plain `(time, seq)`-ordered event list and
-//!   the *driver* (in `cxlg-core`) owns the event loop, one lane per event
-//!   kind, the shared sequence counter, and all component state. This
-//!   keeps borrows simple and the hot loop monomorphic.
+//!   the *driver* (in `cxlg-core`) owns the event loop, its event lists
+//!   (a lane for the one kind that arrives out of time order, FIFOs for
+//!   the rest), and all component state, the [`CreditPool`] included:
+//!   the pool only counts and integrates held credits, and the driver
+//!   decides who waits for one. This keeps borrows simple and the hot
+//!   loop monomorphic.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
