@@ -2,29 +2,33 @@
 //! second run over a warm store is all cache hits with byte-identical
 //! result files and zero graph builds, job keys are stable across
 //! runs, a tampered CAS entry is re-executed and repaired rather than
-//! served, and under a pinned fault plan the campaign contains panics,
-//! retries within its attempt budget, heals poisoned entries, and
-//! replays to the same counters.
+//! served, and a failing experiment — one that panics or whose result
+//! cannot be read back — fails alone without publishing, and runs again
+//! on the next pass.
 
 use cxlg_bench::cli::{run_campaign, CampaignCache, CampaignOutcome, BUILD_ID};
 use cxlg_bench::ctx::ExperimentCtx;
-use cxlg_bench::experiment::Experiment;
+use cxlg_bench::experiment::{Experiment, FnExperiment};
 use cxlg_bench::registry;
-use cxlg_serve::fault::{FaultInjector, FaultPlan};
-use cxlg_serve::stats::Stats;
 use std::path::{Path, PathBuf};
 
 /// What one cached campaign left behind.
 struct Run {
     outcome: CampaignOutcome,
-    stats: Stats,
     graph_builds: Vec<(String, u64)>,
 }
 
-/// A cache over the store at `cas`; `plan` is `(fault plan, seed)`.
-fn open(cas: &Path, plan: Option<(&str, u64)>, max_attempts: u64) -> CampaignCache {
-    let faults = plan.map(|(spec, seed)| FaultInjector::new(seed, FaultPlan::parse(spec).unwrap()));
-    CampaignCache::open(cas, BUILD_ID, faults, max_attempts).unwrap()
+impl Run {
+    /// `(cache hits, cache misses)` of the run.
+    fn hits_misses(&self) -> (usize, usize) {
+        let hits = self.outcome.cached.iter().filter(|r| r.cache_hit).count();
+        (hits, self.outcome.cached.len() - hits)
+    }
+}
+
+/// A cache over the store at `cas`.
+fn open(cas: &Path) -> CampaignCache {
+    CampaignCache::open(cas, BUILD_ID).unwrap()
 }
 
 /// `cxlg run --cached` over `list` at scale 8 into `results`.
@@ -42,7 +46,6 @@ fn run(
     });
     Run {
         outcome,
-        stats: cache.stats(),
         graph_builds: ctx.graph_build_counts(),
     }
 }
@@ -64,13 +67,8 @@ fn base(tag: &str) -> PathBuf {
     dir
 }
 
-/// The fields of a `service-stats.json` snapshot.
-fn stats_fields(results: &Path) -> (String, Vec<(String, serde::Value)>) {
-    let text = String::from_utf8(read(&results.join("service-stats.json"))).unwrap();
-    let Ok(serde::Value::Map(map)) = serde_json::from_str::<serde::Value>(&text) else {
-        panic!("service-stats.json must be a JSON map:\n{text}")
-    };
-    (text, map)
+fn read_text(path: &Path) -> String {
+    String::from_utf8(read(path)).unwrap()
 }
 
 #[test]
@@ -86,7 +84,7 @@ fn second_cached_run_is_all_hits_and_byte_identical() {
         &pass1,
         &list,
         Some(&pass1.join("manifest.json")),
-        open(&cas, None, 1),
+        open(&cas),
     );
     assert!(
         o1.outcome.failed.is_empty(),
@@ -97,7 +95,7 @@ fn second_cached_run_is_all_hits_and_byte_identical() {
         o1.outcome.cached.iter().all(|r| !r.cache_hit),
         "a cold store has no hits"
     );
-    assert_eq!((o1.stats.cache_hits, o1.stats.cache_misses), (0, 3));
+    assert_eq!(o1.hits_misses(), (0, 3));
     assert!(!o1.graph_builds.is_empty(), "cold run must build graphs");
     // eqcheck is the print-only experiment: cached as done, no files.
     let eq = o1
@@ -117,7 +115,7 @@ fn second_cached_run_is_all_hits_and_byte_identical() {
         &pass2,
         &list,
         Some(&pass2.join("manifest.json")),
-        open(&cas, None, 1),
+        open(&cas),
     );
     assert!(
         o2.outcome.failed.is_empty(),
@@ -134,7 +132,7 @@ fn second_cached_run_is_all_hits_and_byte_identical() {
             .map(|(r, c)| (r.name.clone(), c.cache_hit))
             .collect::<Vec<_>>()
     );
-    assert_eq!((o2.stats.cache_hits, o2.stats.cache_misses), (3, 0));
+    assert_eq!(o2.hits_misses(), (3, 0));
     assert!(
         o2.graph_builds.is_empty(),
         "a fully warm run must not build any graph, got {:?}",
@@ -164,14 +162,7 @@ fn second_cached_run_is_all_hits_and_byte_identical() {
 
     // A different job (other seed) gets a different key.
     let pass3 = base.join("pass3");
-    let o3 = run(
-        0x0BAD,
-        2,
-        &pass3,
-        &exps(&["fig3"]),
-        None,
-        open(&cas, None, 1),
-    );
+    let o3 = run(0x0BAD, 2, &pass3, &exps(&["fig3"]), None, open(&cas));
     assert_ne!(o3.outcome.cached[0].key, o1.outcome.cached[2].key);
     assert!(
         !o3.outcome.cached[0].cache_hit,
@@ -186,7 +177,7 @@ fn tampered_cas_entries_are_reexecuted_and_repaired() {
     let list = exps(&["fig3"]);
 
     let pass1 = base.join("pass1");
-    let o1 = run(0x5EED, 1, &pass1, &list, None, open(&cas, None, 1));
+    let o1 = run(0x5EED, 1, &pass1, &list, None, open(&cas));
     assert!(o1.outcome.failed.is_empty());
     let key = o1.outcome.cached[0].key.clone();
     let fresh = read(&pass1.join("fig3.json"));
@@ -199,7 +190,8 @@ fn tampered_cas_entries_are_reexecuted_and_repaired() {
     std::fs::write(&payload, &bytes).unwrap();
 
     let pass2 = base.join("pass2");
-    let o2 = run(0x5EED, 1, &pass2, &list, None, open(&cas, None, 1));
+    let manifest = pass2.join("manifest.json");
+    let o2 = run(0x5EED, 1, &pass2, &list, Some(&manifest), open(&cas));
     assert!(o2.outcome.failed.is_empty());
     assert!(
         !o2.outcome.cached[0].cache_hit,
@@ -213,218 +205,162 @@ fn tampered_cas_entries_are_reexecuted_and_repaired() {
     // entry is repaired.
     assert_eq!(read(&pass2.join("fig3.json")), fresh);
     assert_eq!(read(&payload), fresh);
+    // The manifest records the quarantined entry.
+    let manifest = read_text(&manifest);
+    assert!(manifest.contains("\"quarantined\": 1,"), "{manifest}");
 }
 
 #[test]
-fn a_chaos_campaign_self_heals_to_fault_free_bytes() {
-    let base = base("cached-chaos");
-    let list = exps(&["fig3", "fig4"]);
-
-    // The fault-free reference run.
-    let clean_dir = base.join("clean");
-    let o0 = run(
-        0x5EED,
-        1,
-        &clean_dir,
-        &list,
-        None,
-        open(&base.join("cas-clean"), None, 1),
-    );
-    assert!(
-        o0.outcome.failed.is_empty(),
-        "failed: {:?}",
-        o0.outcome.failed
-    );
-
-    // Deterministic event trace (experiments in order, attempts in
-    // order):
-    //   fig3: exec#1 ok → publish#1 TORN  → retry
-    //         exec#2 ok → publish#2 CORRUPT → published but poisoned;
-    //         the verifying probe quarantines it and the heal loop
-    //         re-executes
-    //         exec#3 ok → publish#3 ok → healed
-    //   fig4: exec#4 PANIC → retry → exec#5 ok → publish#4 ok
-    let chaos_dir = base.join("chaos");
-    let o1 = run(
-        0x5EED,
-        1,
-        &chaos_dir,
-        &list,
-        None,
-        open(
-            &base.join("cas-chaos"),
-            Some(("torn@1,corrupt@2,panic@4", 42)),
-            4,
-        ),
-    );
-    assert!(
-        o1.outcome.failed.is_empty(),
-        "the chaos campaign must self-heal, not fail: {:?}",
-        o1.outcome.failed
-    );
-
-    // Every result file converges to the fault-free bytes.
-    for name in ["fig3.json", "fig4.json"] {
-        assert_eq!(
-            read(&chaos_dir.join(name)),
-            read(&clean_dir.join(name)),
-            "{name} differs from the fault-free run"
-        );
+fn a_panicking_experiment_fails_alone_and_publishes_nothing() {
+    fn boom(_: &ExperimentCtx) {
+        panic!("deliberate test panic");
     }
+    fn no_specs(_: &ExperimentCtx) -> Vec<cxlg_graph::GraphSpec> {
+        Vec::new()
+    }
+    static BOOM: FnExperiment = FnExperiment {
+        name: "boom",
+        description: "panics on purpose",
+        specs: no_specs,
+        run: boom,
+    };
+    let base = base("cached-panic");
+    let cas = base.join("cas");
+    let fig4 = registry::find("fig4").unwrap();
+    let list: [&dyn Experiment; 2] = [&BOOM, fig4];
 
-    // The stats snapshot records the recovery work the plan forced.
-    let (text, map) = stats_fields(&chaos_dir);
-    let field = |k: &str| {
-        map.iter()
-            .find(|(n, _)| n == k)
-            .unwrap_or_else(|| panic!("stats must carry `{k}`:\n{text}"))
-            .1
-            .clone()
-    };
+    let pass1 = base.join("pass1");
+    let manifest = pass1.join("manifest.json");
+    let o1 = run(0x5EED, 1, &pass1, &list, Some(&manifest), open(&cas));
     assert_eq!(
-        field("retries"),
-        serde::Value::U64(2),
-        "torn + panic each retry"
+        o1.outcome.failed,
+        vec!["boom".to_string()],
+        "fig4 still runs"
     );
-    assert_eq!(field("faults_injected"), serde::Value::U64(3));
-    assert_eq!(field("failed"), serde::Value::U64(0));
-    let serde::Value::Map(store) = field("store") else {
-        panic!("store stats must be a map")
-    };
+    let (panicked, published) = (&o1.outcome.cached[0], &o1.outcome.cached[1]);
+    assert_eq!(panicked.error.as_deref(), Some("experiment panicked"));
+    assert_eq!(published.error, None);
     assert!(
-        store
-            .iter()
-            .any(|(k, v)| k == "quarantined" && *v == serde::Value::U64(1)),
-        "the poisoned entry must be quarantined: {text}"
+        !cas.join(&panicked.key).exists(),
+        "a failed run must publish nothing"
+    );
+    assert!(cas.join(&published.key).is_dir(), "fig4 must publish");
+    // The manifest names the failure and its cause.
+    let text = read_text(&manifest);
+    assert!(text.contains("\"failed\": true"), "{text}");
+    assert!(
+        text.contains("\"error\": \"experiment panicked\""),
+        "{text}"
+    );
+
+    // A second pass serves fig4 and re-executes the panicker, which has
+    // no entry to serve.
+    let pass2 = base.join("pass2");
+    let o2 = run(0x5EED, 1, &pass2, &list, None, open(&cas));
+    assert_eq!(o2.outcome.failed, vec!["boom".to_string()]);
+    assert!(!o2.outcome.cached[0].cache_hit);
+    assert!(o2.outcome.cached[1].cache_hit, "fig4 must be a hit");
+    assert_eq!(
+        read(&pass1.join("fig4.json")),
+        read(&pass2.join("fig4.json"))
     );
 }
 
 #[test]
 fn injected_panic_is_contained_and_retried_within_budget() {
-    let base = base("cached-panic");
-    let list = exps(&["fig3"]);
-    let clean_dir = base.join("clean");
-    run(
-        0x5EED,
-        1,
-        &clean_dir,
-        &list,
-        None,
-        open(&base.join("cas-clean"), None, 1),
+    // A cached miss gets one attempt per pass. A panic injected into the
+    // first pass is contained there; the next pass is the retry, and its
+    // success is published and served from then on.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    static PANICKED: AtomicBool = AtomicBool::new(false);
+    fn flaky(ctx: &ExperimentCtx) {
+        if !PANICKED.swap(true, Ordering::SeqCst) {
+            panic!("deliberate first-run panic");
+        }
+        ctx.dump_json("flaky", &42u64);
+    }
+    fn no_specs(_: &ExperimentCtx) -> Vec<cxlg_graph::GraphSpec> {
+        Vec::new()
+    }
+    static FLAKY: FnExperiment = FnExperiment {
+        name: "flaky",
+        description: "panics on its first run only",
+        specs: no_specs,
+        run: flaky,
+    };
+    let base = base("cached-flaky");
+    let cas = base.join("cas");
+    let list: [&dyn Experiment; 1] = [&FLAKY];
+
+    let pass1 = base.join("pass1");
+    let o1 = run(0x5EED, 1, &pass1, &list, None, open(&cas));
+    assert_eq!(o1.outcome.failed, vec!["flaky".to_string()]);
+    let key = o1.outcome.cached[0].key.clone();
+    assert_eq!(
+        o1.outcome.cached[0].error.as_deref(),
+        Some("experiment panicked")
+    );
+    assert!(
+        !cas.join(&key).exists(),
+        "a panicked run must publish nothing"
     );
 
-    let dir = base.join("panic");
-    let o = run(
-        0x5EED,
-        1,
-        &dir,
-        &list,
-        None,
-        open(&base.join("cas"), Some(("panic@1", 1)), 2),
-    );
-    assert!(o.outcome.failed.is_empty(), "retry must absorb the panic");
-    assert!(!o.outcome.cached[0].cache_hit);
-    assert_eq!(o.outcome.cached[0].error, None);
-    assert_eq!(o.stats.retries, 1);
-    assert_eq!(o.stats.failed, 0);
-    assert_eq!(o.stats.faults_injected, 1);
-    // The retry reuses the graphs already built, and its result is
-    // byte-identical to a fault-free run.
+    let pass2 = base.join("pass2");
+    let o2 = run(0x5EED, 1, &pass2, &list, None, open(&cas));
+    assert!(o2.outcome.failed.is_empty(), "the retry succeeds");
+    assert_eq!(o2.outcome.cached[0].key, key, "the retry is the same job");
+    assert!(!o2.outcome.cached[0].cache_hit);
+    assert!(cas.join(&key).is_dir(), "the retry publishes");
+
+    let pass3 = base.join("pass3");
+    let o3 = run(0x5EED, 1, &pass3, &list, None, open(&cas));
+    assert!(o3.outcome.failed.is_empty());
     assert!(
-        o.graph_builds.iter().all(|(_, n)| *n == 1),
-        "{:?}",
-        o.graph_builds
+        o3.outcome.cached[0].cache_hit,
+        "the published retry is served"
     );
     assert_eq!(
-        read(&dir.join("fig3.json")),
-        read(&clean_dir.join("fig3.json"))
+        read(&pass2.join("flaky.json")),
+        read(&pass3.join("flaky.json"))
     );
 }
 
 #[test]
 fn exhausted_retry_budget_fails_with_the_last_error() {
-    let base = base("cached-budget");
-    let dir = base.join("results");
-    let manifest = dir.join("manifest.json");
-    let o = run(
-        0x5EED,
-        1,
-        &dir,
-        &exps(&["fig3", "fig4"]),
-        Some(&manifest),
-        open(&base.join("cas"), Some(("error@1,error@2", 1)), 2),
-    );
-    assert_eq!(
-        o.outcome.failed,
-        vec!["fig3".to_string()],
-        "fig4 still runs"
-    );
-    assert_eq!(
-        o.outcome.cached[0].error.as_deref(),
-        Some("injected fault: execute error")
-    );
-    assert_eq!(o.outcome.cached[1].error, None);
-    assert_eq!((o.stats.retries, o.stats.failed), (1, 1));
-    let (text, map) = stats_fields(&dir);
-    assert!(
-        map.iter()
-            .any(|(k, v)| k == "failed" && *v == serde::Value::U64(1)),
-        "{text}"
-    );
-    // The manifest names the failure and its cause.
-    let manifest = String::from_utf8(read(&manifest)).unwrap();
-    assert!(
-        manifest.contains("\"error\": \"injected fault: execute error\""),
-        "{manifest}"
-    );
-    assert!(manifest.contains("\"failed\": true"), "{manifest}");
-}
-
-#[test]
-fn a_pinned_fault_plan_replays_byte_for_byte() {
-    // Under the plan, in experiment and attempt order:
-    //   fig3: exec#1 ok, publish#1 ok
-    //   fig4: exec#2 PANIC → retry → exec#3 ok, publish#2 TORN → retry
-    //         → exec#4 ERROR → retry → exec#5 (delayed) ok, publish#3
-    //         CORRUPT → poisoned → heal: exec#6 ok, publish#4 ok
-    //   eqcheck: exec#7 ok, publish#5 ok
-    let base = base("cached-replay");
-    let list = exps(&["fig3", "fig4", "eqcheck"]);
-    let replay = |tag: &str| {
-        let dir = base.join(tag);
-        let o = run(
-            0x5EED,
-            1,
-            &dir,
-            &list,
-            None,
-            open(
-                &base.join(format!("cas-{tag}")),
-                Some(("panic@2,error@4,delay@5:10,torn@2,corrupt@3", 2023)),
-                4,
-            ),
-        );
-        assert!(o.outcome.failed.is_empty(), "{:?}", o.outcome.failed);
-        assert_eq!(
-            o.stats.retries, 3,
-            "panic + torn + error each cost one retry"
-        );
-        assert_eq!(o.stats.faults_injected, 5, "the whole plan must fire");
-        assert_eq!(
-            o.stats.store.quarantined, 1,
-            "the corruption must quarantine"
-        );
-        assert_eq!(o.stats.failed, 0, "every experiment must heal");
-        dir
+    // The one attempt of a cached miss ends at its last failing stage:
+    // a run that returns but whose result file is gone before
+    // publication fails with the read error, not a panic, and publishes
+    // nothing, on every pass.
+    fn vanishing(ctx: &ExperimentCtx) {
+        ctx.dump_json("vanishing", &7u64);
+        std::fs::remove_file(ctx.results_dir.join("vanishing.json")).unwrap();
+    }
+    fn no_specs(_: &ExperimentCtx) -> Vec<cxlg_graph::GraphSpec> {
+        Vec::new()
+    }
+    static VANISHING: FnExperiment = FnExperiment {
+        name: "vanishing",
+        description: "deletes its own result file",
+        specs: no_specs,
+        run: vanishing,
     };
-    let a = replay("a");
-    let b = replay("b");
-    assert_eq!(
-        read(&a.join("service-stats.json")),
-        read(&b.join("service-stats.json")),
-        "same (seed, plan) must replay to an identical stats snapshot"
-    );
-    for name in ["fig3.json", "fig4.json"] {
-        assert_eq!(read(&a.join(name)), read(&b.join(name)), "{name}");
+    let base = base("cached-vanishing");
+    let cas = base.join("cas");
+    let list: [&dyn Experiment; 1] = [&VANISHING];
+
+    for pass in ["pass1", "pass2"] {
+        let dir = base.join(pass);
+        let manifest = dir.join("manifest.json");
+        let o = run(0x5EED, 1, &dir, &list, Some(&manifest), open(&cas));
+        assert_eq!(o.outcome.failed, vec!["vanishing".to_string()], "{pass}");
+        let record = &o.outcome.cached[0];
+        assert!(!record.cache_hit, "{pass}: nothing to serve");
+        let error = record.error.as_deref().unwrap_or_default();
+        assert!(error.starts_with("read result `"), "{pass}: {error}");
+        assert!(error.contains("vanishing.json"), "{pass}: {error}");
+        assert!(!cas.join(&record.key).exists(), "{pass}: nothing published");
+        let text = read_text(&manifest);
+        assert!(text.contains("\"failed\": true"), "{text}");
+        assert!(text.contains("\"error\": \"read result `"), "{text}");
     }
 }

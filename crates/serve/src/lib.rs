@@ -11,13 +11,7 @@
 //! * [`store`] — [`ResultStore`]: one directory per job key holding the
 //!   result payloads and a manifest with integrity checksums, published
 //!   atomically (write-then-rename), verified on every read,
-//!   quarantined when damaged, recovered on open, and bounded by GC;
-//! * [`fault`] — the deterministic chaos layer: a
-//!   [`fault::FaultPlan`] schedules panics, execute errors, delays,
-//!   torn publishes, and checksum corruption onto exact event indices,
-//!   replayable byte-for-byte from `(seed, plan)`;
-//! * [`stats`] — the byte-stable counter snapshot a cached campaign
-//!   leaves beside its results (`service-stats.json`).
+//!   quarantined when damaged, recovered on open, and bounded by GC.
 //!
 //! The crate does not know what an experiment is; `cxlg-bench` runs
 //! them and hands this crate names and bytes, so the dependency arrow
@@ -31,11 +25,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod fault;
 pub mod job;
-pub mod stats;
 pub mod store;
 
-pub use fault::{FaultInjector, FaultPlan};
 pub use job::{Job, JobKey};
 pub use store::ResultStore;

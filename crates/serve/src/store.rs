@@ -37,20 +37,12 @@
 //! store fits the requested byte/entry budget. Eviction is safe under
 //! concurrent readers because `probe` copies payload bytes out before
 //! returning.
-//!
-//! **Fault injection.** When a [`FaultInjector`] is attached
-//! ([`ResultStore::with_faults`]), the publish path consults it: a
-//! `torn` fault aborts mid-stage leaving partial `.tmp-*` litter, a
-//! `corrupt` fault lands the entry then flips one deterministic payload
-//! byte. Both exercise exactly the recovery paths above.
 
-use crate::fault::{FaultInjector, PublishFault};
 use crate::job::{fnv64, Job, JobKey};
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One graph input binding recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,9 +84,6 @@ pub struct StoredManifest {
     /// Integrity table, sorted by name. Filled in by
     /// [`ResultStore::publish`].
     pub files: Vec<FileEntry>,
-    /// Whether this entry was produced by a cache hit replay (always
-    /// `false` in the store; the campaign reports hit/miss per run).
-    pub cache_hit: bool,
     /// Execution wall-clock in milliseconds — telemetry, exempt from
     /// byte-stability.
     pub wall_ms: f64,
@@ -122,7 +111,7 @@ pub struct StoredResult {
 }
 
 /// Monotone counters of the store's recovery machinery, surfaced in a
-/// cached campaign's `service-stats.json`.
+/// cached campaign's manifest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// Stale `.tmp-*` staging directories reaped on open.
@@ -154,7 +143,6 @@ pub struct ResultStore {
     staging_reaped: AtomicU64,
     quarantined: AtomicU64,
     evicted: AtomicU64,
-    faults: Option<Arc<FaultInjector>>,
 }
 
 /// Pid embedded in a `.tmp-<key>-<pid>` staging-directory name, if the
@@ -191,16 +179,9 @@ impl ResultStore {
             staging_reaped: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            faults: None,
         };
         store.recover();
         Ok(store)
-    }
-
-    /// Attach a fault injector to the publish path (chaos testing).
-    pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
-        self.faults = Some(faults);
-        self
     }
 
     /// The store's root directory.
@@ -308,11 +289,6 @@ impl ResultStore {
             .collect();
         manifest.files.sort_by(|a, b| a.name.cmp(&b.name));
 
-        let fault = match &self.faults {
-            Some(f) => f.on_publish(),
-            None => PublishFault::None,
-        };
-
         let dest = self.entry_dir(&key);
         if dest.exists() {
             return Ok(false);
@@ -329,57 +305,21 @@ impl ResultStore {
         let manifest_json = serde_json::to_string_pretty(&manifest)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         write(&tmp.join("manifest.json"), manifest_json.as_bytes())?;
-        if fault == PublishFault::Torn {
-            // Injected mid-publish crash: the manifest is staged but no
-            // payload is, and the staging directory is left behind —
-            // exactly what a process death between the writes produces.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Other,
-                "injected fault: torn publish",
-            ));
-        }
         for (name, bytes) in files {
             write(&tmp.join(name), bytes)?;
         }
-        let published = match std::fs::rename(&tmp, &dest) {
-            Ok(()) => true,
+        match std::fs::rename(&tmp, &dest) {
+            Ok(()) => Ok(true),
             Err(_) if dest.exists() => {
                 // Lost the publication race: keep the winner's entry.
                 let _ = std::fs::remove_dir_all(&tmp);
-                false
+                Ok(false)
             }
             Err(e) => {
                 let _ = std::fs::remove_dir_all(&tmp);
-                return Err(e);
+                Err(e)
             }
-        };
-        if published && fault == PublishFault::Corrupt {
-            // Injected bit rot: flip one deterministic payload byte
-            // post-publication. Discovered by the next probe's checksum
-            // pass, which quarantines and forces re-execution.
-            self.corrupt_entry(&dest, &manifest);
         }
-        Ok(published)
-    }
-
-    /// Apply an injected corruption to a freshly published entry: one
-    /// byte of the first payload (or of the manifest, for payload-less
-    /// entries) is XOR-flipped at a seed-deterministic offset.
-    fn corrupt_entry(&self, dir: &Path, manifest: &StoredManifest) {
-        let Some(f) = &self.faults else { return };
-        let target = match manifest.files.first() {
-            Some(entry) => dir.join(&entry.name),
-            None => dir.join("manifest.json"),
-        };
-        let Ok(mut bytes) = std::fs::read(&target) else {
-            return;
-        };
-        if bytes.is_empty() {
-            return;
-        }
-        let (offset, mask) = f.corrupt_pick(bytes.len() as u64);
-        bytes[offset as usize] ^= mask;
-        let _ = std::fs::write(&target, bytes);
     }
 
     /// Look a key up, verifying integrity. A verified entry comes back
@@ -532,7 +472,6 @@ pub fn manifest_for(
         job,
         fingerprints,
         files: Vec::new(),
-        cache_hit: false,
         wall_ms: 0.0,
         rss_semantics: "process-peak-delta".to_string(),
         rss_peak_kb: 0,
@@ -543,7 +482,6 @@ pub fn manifest_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultInjector, FaultPlan};
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -640,6 +578,25 @@ mod tests {
         // Re-publication after quarantine works.
         publish_one(&store);
         assert!(store.probe(&k).is_some());
+    }
+
+    #[test]
+    fn injected_corruption_is_caught_by_the_next_probe() {
+        // A verified hit does not vouch for the entry afterwards: a byte
+        // flipped on disk after a hit is caught by the very next probe.
+        let store = tmp_store("inject");
+        let k = publish_one(&store);
+        let held = store.probe(&k).expect("intact entry must hit");
+        let payload = store.root().join(k.as_str()).join("fig3.json");
+        let mut bytes = std::fs::read(&payload).unwrap();
+        bytes[2] ^= 0xFF;
+        std::fs::write(&payload, &bytes).unwrap();
+        assert!(store.probe(&k).is_none(), "the next probe must catch the flip");
+        assert_eq!(store.counters().quarantined, 1);
+        assert_eq!(held.files[0].1, b"{\"x\":1}".to_vec(), "the earlier hit's copy is intact");
+        assert!(store.probe(&k).is_none(), "a quarantined entry stays a miss");
+        assert_eq!(store.counters().quarantined, 1, "quarantine happens once");
+        assert!(store.is_empty());
     }
 
     #[test]
@@ -800,41 +757,40 @@ mod tests {
     }
 
     #[test]
-    fn injected_torn_publish_leaves_reapable_litter() {
-        let root = tmp_root("torn");
-        let faults = Arc::new(FaultInjector::new(7, FaultPlan::parse("torn@1").unwrap()));
-        let store = ResultStore::new(&root).unwrap().with_faults(Arc::clone(&faults));
+    fn publish_clears_its_own_stale_staging_dir() {
+        // A publish of this process that died mid-stage (the manifest
+        // staged, no payload) left its `.tmp-*` directory behind; the
+        // next publish of the same key through a live store overwrites
+        // it and lands a complete entry.
+        let root = tmp_root("stale-own");
+        let store = ResultStore::new(&root).unwrap();
         let k = key();
-        let m = manifest_for(&k, "canon".into(), job(), Vec::new());
-        let files = vec![("fig3.json".to_string(), b"{\"x\":1}".to_vec())];
-        let err = store.publish(m, &files).unwrap_err();
-        assert!(err.to_string().contains("torn"), "torn fault must surface: {err}");
-        assert!(store.probe(&k).is_none(), "no entry may land");
         let tmp = root.join(format!(".tmp-{}-{}", k.as_str(), std::process::id()));
-        assert!(tmp.is_dir(), "torn publish must leave staging litter");
-
-        // A retry through the same store (fault spent) self-heals: the
-        // publish path clears its own stale staging dir first.
-        let m = manifest_for(&k, "canon".into(), job(), Vec::new());
-        assert!(store.publish(m, &files).unwrap());
-        assert!(store.probe(&k).is_some());
-        assert!(!tmp.exists());
+        std::fs::create_dir_all(&tmp).unwrap();
+        std::fs::write(tmp.join("manifest.json"), b"{partial").unwrap();
+        let k = publish_one(&store);
+        assert_eq!(store.probe(&k).unwrap().files[0].1, b"{\"x\":1}".to_vec());
+        assert!(!tmp.exists(), "the stale staging dir must not survive");
     }
 
     #[test]
-    fn injected_corruption_is_caught_by_the_next_probe() {
-        let root = tmp_root("inj-corrupt");
-        let faults = Arc::new(FaultInjector::new(7, FaultPlan::parse("corrupt@1").unwrap()));
-        let store = ResultStore::new(&root).unwrap().with_faults(faults);
-        let k = key();
-        let m = manifest_for(&k, "canon".into(), job(), Vec::new());
-        let files = vec![("fig3.json".to_string(), b"{\"x\":1}".to_vec())];
-        assert!(store.publish(m, &files).unwrap(), "corrupt publish still lands");
-        assert!(store.probe(&k).is_none(), "flipped byte must fail verification");
-        assert_eq!(store.counters().quarantined, 1);
-        // Re-publish (fault spent) heals.
-        let m = manifest_for(&k, "canon".into(), job(), Vec::new());
-        assert!(store.publish(m, &files).unwrap());
-        assert_eq!(store.probe(&k).unwrap().files[0].1, b"{\"x\":1}".to_vec());
+    fn entries_written_with_a_cache_hit_field_still_parse() {
+        // Manifests from before the `cache_hit` field was dropped carry
+        // `"cache_hit": false`; fields are read by name, so recovery,
+        // probe and GC keep them.
+        let root = tmp_root("legacy-field");
+        let k = {
+            let store = ResultStore::new(&root).unwrap();
+            publish_one(&store)
+        };
+        let path = root.join(k.as_str()).join("manifest.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let legacy = text.replacen("\"wall_ms\"", "\"cache_hit\": false,\n  \"wall_ms\"", 1);
+        assert_ne!(legacy, text);
+        std::fs::write(&path, legacy).unwrap();
+        let store = ResultStore::new(&root).unwrap();
+        assert_eq!(store.counters().quarantined, 0, "recover keeps the entry");
+        assert_eq!(store.probe(&k).unwrap().manifest.seq, 1);
+        assert_eq!(store.gc(None, Some(0)).evicted, vec![k]);
     }
 }

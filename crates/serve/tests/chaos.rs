@@ -1,7 +1,7 @@
 //! Store repair under load: concurrent readers of a content-addressed
 //! entry that is being tampered with and re-published must only ever
-//! see verified bytes. The campaign-level chaos tests (fault plans,
-//! retries, replay) live with the campaign loop in
+//! see verified bytes. The campaign-level recovery tests (a tampered
+//! entry, a panicking experiment) live with the campaign loop in
 //! `crates/bench/tests/cached_campaign.rs`.
 
 use cxlg_serve::job::Job;

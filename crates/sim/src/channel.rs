@@ -43,7 +43,7 @@ mod tests {
     use super::*;
 
     fn gbps(g: u64) -> Bandwidth {
-        Bandwidth::from_gb_per_sec(g)
+        Bandwidth::from_mb_per_sec(g * 1_000)
     }
 
     #[test]

@@ -127,12 +127,6 @@ impl SimDuration {
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -210,12 +204,6 @@ impl Bandwidth {
     #[inline]
     pub const fn from_mb_per_sec(mb: u64) -> Bandwidth {
         Bandwidth(mb * 1_000_000)
-    }
-
-    /// Construct from GB/s (decimal gigabytes).
-    #[inline]
-    pub const fn from_gb_per_sec(gb: u64) -> Bandwidth {
-        Bandwidth(gb * 1_000_000_000)
     }
 
     /// The rate in MB/s (decimal).
@@ -297,10 +285,7 @@ mod tests {
         let big = SimTime(u64::MAX - 10);
         let t = big + SimDuration::from_ps(PS_PER_S);
         assert_eq!(t, SimTime::MAX);
-        assert_eq!(
-            SimDuration(5).saturating_sub(SimDuration(10)),
-            SimDuration::ZERO
-        );
+        assert_eq!(SimDuration(5) - SimDuration(10), SimDuration::ZERO);
     }
 
     #[test]
@@ -321,7 +306,7 @@ mod tests {
     #[test]
     fn transfer_time_rounds_up() {
         // 3 bytes at 1 GB/s = 3 ns exactly = 3000 ps.
-        let bw = Bandwidth::from_gb_per_sec(1);
+        let bw = Bandwidth::from_mb_per_sec(1_000);
         assert_eq!(bw.transfer_time(3).as_ps(), 3_000);
         // 1 byte at 3 bytes/sec: 1/3 s, must round UP.
         let slow = Bandwidth(3);
