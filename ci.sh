@@ -272,8 +272,8 @@ grep -q '"cache_misses": 0' target/ci-cached-pass2/manifest.json \
 if grep -q '"cache_hit": false' target/ci-cached-pass2/manifest.json; then
     echo "an experiment missed the cache on the second pass"; exit 1
 fi
-# A fully warm pass resolves job keys from the fingerprint memo and
-# serves results from the store: it must not build a single graph.
+# A fully warm pass derives job keys from the job alone and serves
+# results from the store: it must not build a single graph.
 if grep -Eq '"builds": [1-9]' target/ci-cached-pass2/manifest.json; then
     echo "the warm cached pass rebuilt a graph"; exit 1
 fi
@@ -282,6 +282,30 @@ grep -q '"quarantined": 0' target/ci-cached-pass2/manifest.json \
     || { echo "the second cached pass quarantined a store entry"; exit 1; }
 grep -q '"staging_reaped": 0' target/ci-cached-pass2/manifest.json \
     || { echo "the second cached pass found staging litter"; exit 1; }
+
+echo "==> a spill-storage cached pass over the same store is all cache hits"
+# Storage is an execution strategy, not a key input: a third pass with
+# every graph demand-paged from spill files must find every key pass 1
+# published and write the same bytes.
+rm -rf target/ci-cached-spill
+CXLG_SCALE=10 RAYON_NUM_THREADS=2 CXLG_RESULTS_DIR=target/ci-cached-spill \
+    cargo run --release -p cxlg-bench --bin cxlg -- \
+    run --all --cached --graph-storage=spill --cas-root=target/ci-cas --json-manifest >/dev/null
+grep -q '"cache_misses": 0' target/ci-cached-spill/manifest.json \
+    || { echo "the spill cached pass executed jobs instead of serving them"; exit 1; }
+if grep -Eq '"builds": [1-9]' target/ci-cached-spill/manifest.json; then
+    echo "the spill cached pass built a graph"; exit 1
+fi
+SPILL_CACHED=0
+for f in target/ci-cached-pass1/*.json; do
+    b="$(basename "$f")"
+    [ "$b" = manifest.json ] && continue
+    cmp "$f" "target/ci-cached-spill/$b" \
+        || { echo "$b differs between the mem and spill cached passes"; exit 1; }
+    SPILL_CACHED=$((SPILL_CACHED + 1))
+done
+[ "$SPILL_CACHED" -eq 16 ] || { echo "expected 16 cached result files, diffed $SPILL_CACHED"; exit 1; }
+echo "    $SPILL_CACHED spill-pass result files byte-identical to pass 1"
 
 echo "==> cached result JSON is byte-identical across passes and to the plain campaign"
 CACHED=0

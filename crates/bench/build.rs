@@ -1,8 +1,8 @@
 //! Emits `CXLG_BUILD_ID`: an FNV-1a 64 over every workspace Rust source
 //! under `crates/*/src` and `vendor/*/src`, path and bytes, in sorted
-//! path order. The cached campaign binds it into every job key and into
-//! the fingerprint memo, so a result store written by other code misses
-//! instead of serving that code's bytes.
+//! path order. The cached campaign binds it into every job key, so a
+//! result store written by other code misses instead of serving that
+//! code's bytes.
 
 use std::path::{Path, PathBuf};
 

@@ -22,9 +22,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// the degree parameter and seed, because `GraphSpec::name()` alone
 /// collapses specs that differ only in those fields — and a collapsed
 /// label would make the "exactly one build per spec" evidence lie.
-/// Public because the cached campaign keys its fingerprint memo (and
-/// thus every `JobKey`) on the same label.
-pub fn spec_label(spec: &GraphSpec) -> String {
+fn spec_label(spec: &GraphSpec) -> String {
     let param = match spec.kind {
         GraphKind::Uniform { avg_degree } => format!("deg{avg_degree}"),
         GraphKind::Kronecker { edge_factor } => format!("ef{edge_factor}"),

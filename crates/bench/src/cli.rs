@@ -9,18 +9,18 @@
 //!
 //! `cxlg run --cached` runs the same loop ([`run_campaign`]) with a
 //! [`CampaignCache`]: each experiment first looks its result up in a
-//! content-addressed store and executes only on a miss. `cxlg validate`
-//! (the paper-fidelity gate) lives in [`crate::fidelity`].
+//! content-addressed store, runs only on a miss, and publishes what it
+//! wrote. `cxlg validate` (the paper-fidelity gate) lives in
+//! [`crate::fidelity`].
 
-use crate::cache::spec_label;
 use crate::ctx::ExperimentCtx;
 use crate::experiment::{Experiment, ExperimentReport};
 use crate::registry;
-use cxlg_core::mem::{peak_rss_kb, rss_span};
+use cxlg_core::mem::peak_rss_kb;
 use cxlg_core::runner::timed;
 use cxlg_graph::{CsrView, GraphSpec};
 use cxlg_serve::job::{canonical, Job, JobKey};
-use cxlg_serve::store::{manifest_for, FingerprintEntry, ResultStore, StoredResult};
+use cxlg_serve::store::{manifest_for, ResultStore, StoredResult};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -72,8 +72,7 @@ OPTIONS:
     --graph-storage=MODE     (run) graph storage backend: `mem` keeps
                              every CSR fully resident (default), `spill`
                              demand-pages targets from a file under
-                             <results_dir>/graph-spill; overrides
-                             CXLG_GRAPH_STORAGE. Results are
+                             <results_dir>/graph-spill. Results are
                              backend-invariant
     --storage=MODE           (graph-mem) build the probe dataset into
                              the given backend (`mem` | `spill`)
@@ -96,7 +95,6 @@ ENVIRONMENT:
     CXLG_SCALE        log2 vertex count (default 16)
     CXLG_SEED         generator seed (default 0x5EED)
     CXLG_RESULTS_DIR  result directory (default target/paper-results)
-    CXLG_GRAPH_STORAGE graph storage backend: mem (default) | spill
     RAYON_NUM_THREADS worker threads for parallel sweeps
 ";
 
@@ -113,9 +111,8 @@ struct RunArgs {
     pub cached: bool,
     /// CAS root for `--cached` (default `<results_dir>/cas`).
     pub cas_root: Option<String>,
-    /// Graph storage backend override (`--graph-storage=`); `None`
-    /// falls back to `CXLG_GRAPH_STORAGE` / mem.
-    pub graph_storage: Option<cxlg_graph::StorageMode>,
+    /// Graph storage backend (`--graph-storage=`, default mem).
+    pub graph_storage: cxlg_graph::StorageMode,
 }
 
 /// Parse the arguments following `cxlg run`.
@@ -126,7 +123,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         manifest: None,
         cached: false,
         cas_root: None,
-        graph_storage: None,
+        graph_storage: cxlg_graph::StorageMode::Mem,
     };
     for a in args {
         if a == "--all" {
@@ -139,10 +136,8 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             }
             out.cas_root = Some(dir.to_string());
         } else if let Some(mode) = a.strip_prefix("--graph-storage=") {
-            out.graph_storage = Some(
-                cxlg_graph::StorageMode::parse(mode)
-                    .ok_or_else(|| format!("--graph-storage: unknown mode `{mode}` (mem | spill)"))?,
-            );
+            out.graph_storage = cxlg_graph::StorageMode::parse(mode)
+                .ok_or_else(|| format!("--graph-storage: unknown mode `{mode}` (mem | spill)"))?;
         } else if a == "--json-manifest" {
             out.manifest = Some(None);
         } else if let Some(path) = a.strip_prefix("--json-manifest=") {
@@ -223,15 +218,19 @@ pub fn run_experiments(
 
 /// The campaign loop behind `cxlg run`: [`run_experiments`] when
 /// `cache` is `None`, `cxlg run --cached` otherwise. With a cache, each
-/// experiment is first looked up in the store and executes only on a
-/// miss (see [`CampaignCache`]); the loop, its eviction plan and its
-/// manifest are otherwise the same, so a cached campaign's result files
-/// are byte-identical to a plain one's.
+/// experiment's [`JobKey`] is probed first: a verified hit is written
+/// into the results directory byte for byte and nothing runs (an entry
+/// that fails verification is quarantined by the probe and counts as a
+/// miss). A miss runs exactly as a plain campaign does and then
+/// publishes the files it reported; a panic or a failed publication
+/// fails that experiment alone. The eviction plan and the manifest are
+/// otherwise the same, so a cached campaign's result files are
+/// byte-identical to a plain one's.
 pub fn run_campaign(
     ctx: &ExperimentCtx,
     exps: &[&dyn Experiment],
     manifest_path: Option<&Path>,
-    mut cache: Option<&mut CampaignCache>,
+    cache: Option<&CampaignCache>,
 ) -> CampaignOutcome {
     // Eviction plan: count, across this run list, how many experiments
     // declared each spec, so a graph can leave the cache right after
@@ -254,25 +253,37 @@ pub fn run_campaign(
     let mut cached = Vec::new();
     for exp in exps {
         println!("\n################ {} ################\n", exp.name());
-        let (outcome, wall) = timed(|| match cache.as_deref_mut() {
-            None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(ctx)))
-                .map_err(|_| ()),
-            Some(cache) => {
-                let (record, outcome) = cache.step(ctx, *exp);
-                cached.push(record);
-                outcome.map_err(|e| eprintln!("[{}: {e}]", exp.name()))
+        let keyed = cache.map(|c| (c, c.job_key(ctx, *exp)));
+        let mut cache_hit = false;
+        let (outcome, wall) = timed(|| {
+            if let Some(hit) = keyed.as_ref().and_then(|(c, (_, key))| c.store.probe(key)) {
+                cache_hit = true;
+                return materialize(ctx, *exp, &hit);
             }
+            let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(ctx)))
+                .map_err(|_| "experiment panicked".to_string())?;
+            if let Some((c, (job, key))) = &keyed {
+                c.publish(job, key, &report)?;
+            }
+            Ok(report)
         });
         walls_ms.push(wall.as_secs_f64() * 1e3);
+        if let Some((_, (_, key))) = keyed {
+            cached.push(CacheRecord {
+                key: key.as_str().to_string(),
+                cache_hit,
+                error: outcome.as_ref().err().cloned(),
+            });
+        }
         match outcome {
             Ok(report) => {
                 reports.push(report);
                 failed_flags.push(false);
             }
-            Err(()) => {
-                // The panic message (via the default hook) or the cached
-                // step's error is already on stderr; salvage whatever was
-                // dumped before the failure.
+            Err(e) => {
+                // A panic's message is already on stderr (default hook);
+                // salvage whatever was dumped before the failure.
+                eprintln!("[{}: {e}]", exp.name());
                 eprintln!("[{} FAILED]", exp.name());
                 failed.push(exp.name().to_string());
                 failed_flags.push(true);
@@ -306,7 +317,7 @@ pub fn run_campaign(
         eprintln!("\nFAILED: {failed:?}");
     }
     if let Some(path) = manifest_path {
-        let cached_run = cache.as_deref().map(|c| (c, cached.as_slice()));
+        let cached_run = cache.map(|c| (c, cached.as_slice()));
         write_manifest(ctx, &reports, &walls_ms, &failed_flags, cached_run, path);
     }
     CampaignOutcome {
@@ -323,24 +334,17 @@ fn cache_hits(records: &[CacheRecord]) -> usize {
 
 /// Identity of the code this binary was built from: an FNV-64 over every
 /// workspace source, emitted by the `cxlg-bench` build script. Cached
-/// runs bind it into every job key and into the fingerprint memo, so a
-/// store written by other code misses instead of serving stale bytes.
+/// runs bind it into every job key, so a store written by other code
+/// misses instead of serving stale bytes.
 pub const BUILD_ID: &str = env!("CXLG_BUILD_ID");
 
 /// The result cache of a `cxlg run --cached` campaign: the
-/// content-addressed store and the fingerprint memo. [`run_campaign`]
-/// consults it once per experiment, in run order:
-///
-/// 1. resolve the experiment's graph fingerprints from the memo
-///    (building only graphs the memo lacks) and derive its [`JobKey`];
-/// 2. probe the store: a verified hit is written into the results
-///    directory byte for byte, and nothing runs (an entry that fails
-///    verification is quarantined by the probe and counts as a miss);
-/// 3. on a miss, run the experiment once under `catch_unwind` straight
-///    into the results directory and publish the files it reports.
+/// content-addressed store and the build identity its keys bind.
+/// [`run_campaign`] probes it before and publishes to it after each
+/// experiment.
 pub struct CampaignCache {
     store: ResultStore,
-    memo: FingerprintMemo,
+    build_id: String,
 }
 
 impl CampaignCache {
@@ -349,69 +353,32 @@ impl CampaignCache {
     pub fn open(cas_root: &Path, build_id: &str) -> std::io::Result<Self> {
         Ok(CampaignCache {
             store: ResultStore::new(cas_root)?,
-            memo: FingerprintMemo::load(cas_root.join("fingerprints.json"), build_id),
+            build_id: build_id.to_string(),
         })
     }
 
-    /// The cached step for one experiment (see the type docs).
-    fn step(
-        &mut self,
-        ctx: &ExperimentCtx,
-        exp: &dyn Experiment,
-    ) -> (CacheRecord, Result<ExperimentReport, String>) {
+    /// `exp`'s job in `ctx` and its key: a function of the experiment
+    /// name, `(scale, seed, threads)` and the build identity alone —
+    /// every experiment's datasets follow from `(scale, seed)` and the
+    /// generator code — so no graph is built or read.
+    fn job_key(&self, ctx: &ExperimentCtx, exp: &dyn Experiment) -> (Job, JobKey) {
         let job = Job {
             experiment: exp.name().to_string(),
             scale: ctx.scale,
             seed: ctx.seed,
             threads: ctx.threads,
         };
-        let fingerprints = self.memo.resolve(ctx, &exp.specs(ctx));
-        let key = JobKey::derive(&job, &fingerprints, &self.memo.build_id);
-        let (cache_hit, outcome) = match self.store.probe(&key) {
-            Some(hit) => (true, materialize(ctx, exp, &hit)),
-            None => (false, self.execute(ctx, exp, &job, &key, &fingerprints)),
-        };
-        let record = CacheRecord {
-            key: key.as_str().to_string(),
-            cache_hit,
-            error: outcome.as_ref().err().cloned(),
-        };
-        (record, outcome)
+        let key = JobKey::derive(&job, &self.build_id);
+        (job, key)
     }
 
-    /// Run `exp` into the results directory and publish its files under
-    /// `key`. A panic fails the experiment, not the campaign.
-    fn execute(
-        &self,
-        ctx: &ExperimentCtx,
-        exp: &dyn Experiment,
-        job: &Job,
-        key: &JobKey,
-        fingerprints: &[(String, u64)],
-    ) -> Result<ExperimentReport, String> {
-        let ((run, wall), span) = rss_span(|| {
-            timed(|| std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(ctx))))
-        });
-        let report = run.map_err(|_| "experiment panicked".to_string())?;
-        let mut manifest = manifest_for(
-            key,
-            canonical(job, fingerprints, &self.memo.build_id),
-            job.clone(),
-            fingerprints
-                .iter()
-                .map(|(spec, fp)| FingerprintEntry {
-                    spec: spec.clone(),
-                    fingerprint: *fp,
-                })
-                .collect(),
-        );
-        manifest.wall_ms = wall.as_secs_f64() * 1e3;
-        manifest.rss_peak_kb = span.after_kb;
-        manifest.rss_delta_kb = span.delta_kb();
+    /// Publish the files `report` lists under `key`.
+    fn publish(&self, job: &Job, key: &JobKey, report: &ExperimentReport) -> Result<(), String> {
+        let manifest = manifest_for(key, canonical(job, &self.build_id), job.clone());
         self.store
-            .publish(manifest, &read_result_files(&report)?)
-            .map_err(|e| format!("result publication failed: {e}"))?;
-        Ok(report)
+            .publish(manifest, &read_result_files(report)?)
+            .map(drop)
+            .map_err(|e| format!("result publication failed: {e}"))
     }
 }
 
@@ -452,108 +419,6 @@ fn materialize(
         result_files,
         peak_rss_kb: peak_rss_kb(),
     })
-}
-
-/// `(spec label → Csr::fingerprint)`, persisted as `fingerprints.json`
-/// under the store root so a warm store resolves job keys without
-/// building a graph. A fingerprint is a pure function of the spec *and
-/// the generator code*, so the memo records the build identity it was
-/// written under: a memo from other code — or a damaged one — loads
-/// empty and is rebuilt.
-struct FingerprintMemo {
-    path: PathBuf,
-    build_id: String,
-    fingerprints: BTreeMap<String, u64>,
-}
-
-impl FingerprintMemo {
-    fn load(path: PathBuf, build_id: &str) -> Self {
-        let fingerprints = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Self::parse(&text, build_id))
-            .unwrap_or_default();
-        FingerprintMemo {
-            path,
-            build_id: build_id.to_string(),
-            fingerprints,
-        }
-    }
-
-    /// The table in `text` if it is well formed and was written under
-    /// `build_id`; a partial table is never returned.
-    fn parse(text: &str, build_id: &str) -> Option<BTreeMap<String, u64>> {
-        let Ok(Value::Map(top)) = serde_json::from_str::<Value>(text) else {
-            return None;
-        };
-        let (mut written_by, mut table) = (None, None);
-        for (field, v) in top {
-            match (field.as_str(), v) {
-                ("build_id", Value::Str(id)) => written_by = Some(id),
-                ("fingerprints", Value::Map(m)) => table = Some(m),
-                _ => return None,
-            }
-        }
-        if written_by? != build_id {
-            return None;
-        }
-        table?
-            .into_iter()
-            .map(|(label, v)| match v {
-                Value::U64(fp) => Some((label, fp)),
-                Value::I64(fp) if fp >= 0 => Some((label, fp as u64)),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Write the memo, staged and renamed; label-sorted, so byte-stable.
-    fn persist(&self) -> std::io::Result<()> {
-        let v = Value::Map(vec![
-            ("build_id".to_string(), Value::Str(self.build_id.clone())),
-            (
-                "fingerprints".to_string(),
-                Value::Map(
-                    self.fingerprints
-                        .iter()
-                        .map(|(label, fp)| (label.clone(), Value::U64(*fp)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let text = serde_json::to_string_pretty(&v).expect("serialize fingerprint memo");
-        let tmp = self
-            .path
-            .with_extension(format!("tmp-{}", std::process::id()));
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, &self.path)
-    }
-
-    /// `(label, fingerprint)` per distinct spec, building (through the
-    /// context's graph cache, where the experiment will find the graph)
-    /// only specs the memo lacks, and persisting the memo when it grew.
-    fn resolve(&mut self, ctx: &ExperimentCtx, specs: &[GraphSpec]) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = Vec::new();
-        let mut grew = false;
-        for &spec in specs {
-            let label = spec_label(&spec);
-            if out.iter().any(|(l, _)| *l == label) {
-                continue;
-            }
-            let fp = *self.fingerprints.entry(label.clone()).or_insert_with(|| {
-                grew = true;
-                ctx.graph(spec).fingerprint()
-            });
-            out.push((label, fp));
-        }
-        if grew {
-            // The memo only saves work; a failed write costs a rebuild
-            // next time, never a wrong key.
-            if let Err(e) = self.persist() {
-                eprintln!("[fingerprint memo {} not saved: {e}]", self.path.display());
-            }
-        }
-        out
-    }
 }
 
 /// Serialize the run manifest: configuration, per-experiment wall-clock
@@ -681,9 +546,7 @@ fn run_cli(args: RunArgs) -> i32 {
             }
         }
     };
-    let ctx = ExperimentCtx::from_env_with_storage(
-        args.graph_storage.unwrap_or_else(crate::graph_storage),
-    );
+    let ctx = ExperimentCtx::from_env_with_storage(args.graph_storage);
     let manifest_path = args
         .manifest
         .map(|p| p.map_or_else(|| ctx.results_dir.join("manifest.json"), PathBuf::from));
@@ -700,7 +563,7 @@ fn run_cli(args: RunArgs) -> i32 {
             }
         }
     }
-    let outcome = run_campaign(&ctx, &exps, manifest_path.as_deref(), cache.as_mut());
+    let outcome = run_campaign(&ctx, &exps, manifest_path.as_deref(), cache.as_ref());
     if outcome.failed.is_empty() {
         0
     } else {
@@ -1066,11 +929,11 @@ mod tests {
     #[test]
     fn parse_graph_storage_forms() {
         let ra = parse_run_args(&s(&["fig3"])).unwrap();
-        assert_eq!(ra.graph_storage, None, "default defers to the environment");
+        assert_eq!(ra.graph_storage, cxlg_graph::StorageMode::Mem, "mem is the default");
         let ra = parse_run_args(&s(&["--graph-storage=spill", "fig3"])).unwrap();
-        assert_eq!(ra.graph_storage, Some(cxlg_graph::StorageMode::Spill));
+        assert_eq!(ra.graph_storage, cxlg_graph::StorageMode::Spill);
         let ra = parse_run_args(&s(&["--graph-storage=mem", "--cached", "fig3"])).unwrap();
-        assert_eq!(ra.graph_storage, Some(cxlg_graph::StorageMode::Mem));
+        assert_eq!(ra.graph_storage, cxlg_graph::StorageMode::Mem);
         assert!(ra.cached, "storage composes with --cached");
         assert!(parse_run_args(&s(&["--graph-storage=frob", "fig3"])).is_err());
         assert!(parse_run_args(&s(&["--graph-storage=", "fig3"])).is_err());
@@ -1166,77 +1029,6 @@ mod tests {
             };
             assert!(e.starts_with("unknown option"), "{opt}: {e}");
         }
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cxlg-cli-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn memo_round_trips_and_discards_damage() {
-        let path = tmp_dir("memo").join("fingerprints.json");
-        let mut memo = FingerprintMemo::load(path.clone(), "build-a");
-        assert!(memo.fingerprints.is_empty(), "a missing memo loads empty");
-        memo.fingerprints = BTreeMap::from([
-            ("kron8(ef16)@0x1".to_string(), 0xABCD_u64),
-            ("urand8(deg32)@0x1".to_string(), u64::MAX),
-        ]);
-        memo.persist().unwrap();
-        assert_eq!(FingerprintMemo::load(path.clone(), "build-a").fingerprints, memo.fingerprints);
-        // Byte-stable across rewrites.
-        let first = std::fs::read(&path).unwrap();
-        memo.persist().unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), first);
-        // Damage is discarded wholesale, not half-parsed.
-        for damaged in [
-            "not json",
-            r#"{"build_id": "build-a", "fingerprints": {"x": "nope"}}"#,
-            r#"{"build_id": "build-a"}"#,
-            r#"{"kron8(ef16)@0x1": 7}"#,
-        ] {
-            std::fs::write(&path, damaged).unwrap();
-            assert!(
-                FingerprintMemo::load(path.clone(), "build-a").fingerprints.is_empty(),
-                "{damaged}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_memo_from_another_build_loads_empty() {
-        let path = tmp_dir("memo-foreign").join("fingerprints.json");
-        let mut memo = FingerprintMemo::load(path.clone(), "build-a");
-        memo.fingerprints.insert("urand8(deg32)@0x1".to_string(), 7);
-        memo.persist().unwrap();
-        assert_eq!(FingerprintMemo::load(path.clone(), "build-a").fingerprints.len(), 1);
-        assert!(
-            FingerprintMemo::load(path, "build-b").fingerprints.is_empty(),
-            "fingerprints written by other generator code must not be trusted"
-        );
-    }
-
-    #[test]
-    fn memo_resolves_fingerprints_across_instances() {
-        let dir = tmp_dir("memo-resolve");
-        let path = dir.join("fingerprints.json");
-        let exp = registry::find("fig3").unwrap();
-        let ctx = ExperimentCtx::new(8, 1, 1, dir.join("results"));
-        let specs = exp.specs(&ctx);
-        let fps = FingerprintMemo::load(path.clone(), "build-a").resolve(&ctx, &specs);
-        assert!(!fps.is_empty(), "fig3 must declare graph inputs");
-        assert!(!ctx.graph_build_counts().is_empty(), "a cold memo builds to fingerprint");
-        // A fresh memo over a fresh context resolves without building.
-        let ctx2 = ExperimentCtx::new(8, 1, 1, dir.join("results2"));
-        let fps2 = FingerprintMemo::load(path.clone(), "build-a").resolve(&ctx2, &specs);
-        assert_eq!(fps2, fps);
-        assert!(ctx2.graph_build_counts().is_empty(), "a warm memo must not build");
-        // Under another build identity the same memo file is cold again.
-        let ctx3 = ExperimentCtx::new(8, 1, 1, dir.join("results3"));
-        assert_eq!(FingerprintMemo::load(path, "build-b").resolve(&ctx3, &specs), fps);
-        assert!(!ctx3.graph_build_counts().is_empty());
     }
 
     #[test]

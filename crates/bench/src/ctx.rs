@@ -44,9 +44,8 @@ impl ExperimentCtx {
     /// Context from the environment — `CXLG_SCALE` (default 16),
     /// `CXLG_SEED` (default `0x5EED`), `CXLG_RESULTS_DIR` (default
     /// `target/paper-results`) and the rayon pool size — with an explicit
-    /// storage backend: `cxlg run` passes its `--graph-storage=` override
-    /// or else [`crate::graph_storage`], so the flag beats the environment
-    /// without mutating it. In spill mode the graph spill files live
+    /// storage backend: `cxlg run` passes its `--graph-storage=` choice
+    /// (mem when absent). In spill mode the graph spill files live
     /// under `<results_dir>/graph-spill/` (not `.json`, so the result
     /// byte-diff gates never see them) and are deleted as graphs are
     /// evicted or the process exits.

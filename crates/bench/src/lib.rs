@@ -68,20 +68,6 @@ pub fn good_source<G: cxlg_graph::CsrView + ?Sized>(g: &G) -> cxlg_graph::Vertex
     g.max_degree_vertex().unwrap_or(0)
 }
 
-/// Graph storage backend for campaign builds, from `CXLG_GRAPH_STORAGE`
-/// (`mem` default, `spill` for the file-backed out-of-core backend).
-/// The CLI's `--graph-storage` flag overrides this by setting the
-/// variable before the context is constructed. Unknown values fall back
-/// to `mem` — storage is an execution strategy, and results are
-/// backend-invariant by the ci.sh byte-diff gates.
-pub fn graph_storage() -> cxlg_graph::StorageMode {
-    // cxlg-lint: allow(D6) -- storage mode is read once into the campaign's GraphCache and recorded in the manifest; results are storage-invariant by the ci.sh byte-diff gate
-    std::env::var("CXLG_GRAPH_STORAGE")
-        .ok()
-        .and_then(|s| cxlg_graph::StorageMode::parse(&s))
-        .unwrap_or_default()
-}
-
 /// Output directory for machine-readable results.
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("CXLG_RESULTS_DIR")

@@ -1,16 +1,20 @@
 //! The cached-campaign properties `cxlg run --cached` promises: a
 //! second run over a warm store is all cache hits with byte-identical
-//! result files and zero graph builds, job keys are stable across
+//! result files and zero graph builds — whatever the graph storage
+//! backend, which is not part of a key — job keys are stable across
 //! runs, a tampered CAS entry is re-executed and repaired rather than
 //! served, and a failing experiment — one that panics or whose result
 //! cannot be read back — fails alone without publishing, and runs again
 //! on the next pass.
 
 use cxlg_bench::cli::{run_campaign, CampaignCache, CampaignOutcome, BUILD_ID};
+use cxlg_bench::cache::GraphCache;
 use cxlg_bench::ctx::ExperimentCtx;
 use cxlg_bench::experiment::{Experiment, FnExperiment};
 use cxlg_bench::registry;
+use cxlg_graph::{SpillConfig, StorageMode};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// What one cached campaign left behind.
 struct Run {
@@ -38,11 +42,21 @@ fn run(
     results: &Path,
     list: &[&dyn Experiment],
     manifest: Option<&Path>,
-    mut cache: CampaignCache,
+    cache: CampaignCache,
 ) -> Run {
     let ctx = ExperimentCtx::new(8, seed, threads, results.to_path_buf());
-    let outcome = rayon::with_num_threads(threads, || {
-        run_campaign(&ctx, list, manifest, Some(&mut cache))
+    run_in(ctx, list, manifest, cache)
+}
+
+/// `cxlg run --cached` over `list` in `ctx`.
+fn run_in(
+    ctx: ExperimentCtx,
+    list: &[&dyn Experiment],
+    manifest: Option<&Path>,
+    cache: CampaignCache,
+) -> Run {
+    let outcome = rayon::with_num_threads(ctx.threads, || {
+        run_campaign(&ctx, list, manifest, Some(&cache))
     });
     Run {
         outcome,
@@ -159,6 +173,36 @@ fn second_cached_run_is_all_hits_and_byte_identical() {
             "{name} differs between fresh and cached runs"
         );
     }
+
+    // A spill-storage pass over the same store is all hits too: storage
+    // is an execution strategy, not a key input, and a hit reads no
+    // graph in any backend.
+    let spill = base.join("pass-spill");
+    let cache = Arc::new(GraphCache::with_storage(
+        StorageMode::Spill,
+        SpillConfig::new(spill.join("graph-spill")),
+    ));
+    let ctx = ExperimentCtx::with_cache(8, 0x5EED, 2, spill.clone(), cache);
+    let os = run_in(ctx, &list, Some(&spill.join("manifest.json")), open(&cas));
+    assert!(os.outcome.failed.is_empty(), "failed: {:?}", os.outcome.failed);
+    assert_eq!(os.hits_misses(), (3, 0), "storage mode must not move a key");
+    assert!(
+        os.graph_builds.is_empty(),
+        "a warm spill pass must not build any graph, got {:?}",
+        os.graph_builds
+    );
+    for (a, b) in o1.outcome.cached.iter().zip(&os.outcome.cached) {
+        assert_eq!(a.key, b.key);
+    }
+    for name in ["fig3.json", "fig4.json"] {
+        assert_eq!(
+            read(&pass1.join(name)),
+            read(&spill.join(name)),
+            "{name} differs between the mem pass and the spill pass"
+        );
+    }
+    let text = read_text(&spill.join("manifest.json"));
+    assert!(text.contains("\"graph_storage\": \"spill\""), "{text}");
 
     // A different job (other seed) gets a different key.
     let pass3 = base.join("pass3");

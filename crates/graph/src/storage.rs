@@ -24,12 +24,14 @@
 //! 48+(n+1)*8  m*4     targets, u32 LE each
 //! ```
 //!
-//! Invariants enforced by [`SpillCsr::open`] (corruption is an
-//! [`std::io::Error`], never UB): exact file length, monotone offsets
-//! ending at `m`, every target `< n`, and all three checksums. The
-//! fingerprint is computed with the byte-for-byte same FNV-1a state
-//! machine as [`Csr::fingerprint`], which is what makes cross-backend
-//! fingerprint equality a meaningful differential gate.
+//! A spill file is private to the process that built it and deleted
+//! when its [`SpillCsr`] drops; nothing reopens one. The build's
+//! finalizer re-reads the targets it wrote, rejecting any target `>= n`
+//! (an [`std::io::Error`], never UB), and computes the checksums and the
+//! fingerprint from those bytes. The fingerprint is computed with the
+//! byte-for-byte same FNV-1a state machine as [`Csr::fingerprint`],
+//! which is what makes cross-backend fingerprint equality a meaningful
+//! differential gate.
 
 use crate::builder::{collate_window, count_offsets, pack_arc, unpack_arc};
 use crate::csr::{edge_weight, Csr, Fnv1a};
@@ -286,8 +288,6 @@ pub struct SpillCsr {
     cache_pages: usize,
     cache: Mutex<BTreeMap<u64, CacheEntry>>,
     tick: AtomicU64,
-    /// Built spills own (and delete) their file; opened ones do not.
-    owns_file: bool,
 }
 
 impl SpillCsr {
@@ -312,9 +312,8 @@ impl SpillCsr {
     ///    one write, delete the bucket.
     ///
     /// The fingerprint is then computed by hashing the final offsets and
-    /// re-reading the written targets region — the same verification
-    /// [`SpillCsr::open`] performs, so a freshly built spill is already
-    /// checked end to end.
+    /// re-reading the written targets region (with a range check on every
+    /// target), so a freshly built spill is checked end to end.
     pub fn build(spec: &GraphSpec, cfg: &SpillConfig) -> io::Result<SpillCsr> {
         let parts = spec.arc_stream();
         let (n, chunks, dedup) = (parts.n, &parts.chunks, parts.dedup);
@@ -418,8 +417,7 @@ impl SpillCsr {
         }
 
         // ---- Finalize: checksums and the fingerprint over the final
-        // offsets and a re-read of the targets just written (the same
-        // verification `open` performs).
+        // offsets and a re-read of the targets just written.
         let m = *offsets.last().unwrap();
         let mut fp = Fnv1a::new();
         let mut off_h = Fnv1a::new();
@@ -457,87 +455,6 @@ impl SpillCsr {
             cache_pages: cfg.cache_pages.max(1),
             cache: Mutex::new(BTreeMap::new()),
             tick: AtomicU64::new(0),
-            owns_file: true,
-        })
-    }
-
-    /// Open and fully verify an existing spill file (magic, exact
-    /// length, monotone offsets, in-range targets, all checksums).
-    /// Corruption and truncation are reported as errors — an opened
-    /// `SpillCsr` is as trustworthy as a freshly built one. The file is
-    /// *not* deleted on drop.
-    pub fn open(path: &Path, cfg: &SpillConfig) -> io::Result<SpillCsr> {
-        let mut f = File::open(path)?;
-        let file_len = f.metadata()?.len();
-        let mut header = [0u8; HEADER_BYTES as usize];
-        f.read_exact(&mut header)
-            .map_err(|_| bad_data("spill file shorter than its header"))?;
-        if header[..8] != MAGIC {
-            return Err(bad_data("not a cxlg spill file (bad magic)"));
-        }
-        let word = |i: usize| u64::from_le_bytes(header[i * 8..i * 8 + 8].try_into().unwrap());
-        let (n, m) = (word(1), word(2));
-        let (offsets_fnv, targets_fnv, fingerprint) = (word(3), word(4), word(5));
-        if n > VertexId::MAX as u64 {
-            return Err(bad_data("implausible vertex count in spill header"));
-        }
-        let expected_len = (n + 1)
-            .checked_mul(8)
-            .and_then(|o| m.checked_mul(4).map(|t| (o, t)))
-            .and_then(|(o, t)| HEADER_BYTES.checked_add(o)?.checked_add(t))
-            .ok_or_else(|| bad_data("implausible sizes in spill header"))?;
-        if file_len != expected_len {
-            return Err(bad_data(&format!(
-                "spill file truncated or oversized: {file_len} bytes, expected {expected_len}"
-            )));
-        }
-
-        // Offsets region: monotone, closing at m, checksummed.
-        let mut reader = BufReader::with_capacity(1 << 20, &mut f);
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut fp = Fnv1a::new();
-        let mut off_h = Fnv1a::new();
-        let mut word_buf = [0u8; 8];
-        let mut prev = 0u64;
-        for i in 0..=n {
-            reader.read_exact(&mut word_buf)?;
-            Fnv1a::update_pair(&mut fp, &mut off_h, &word_buf);
-            let o = u64::from_le_bytes(word_buf);
-            if i > 0 && o < prev {
-                return Err(bad_data("spill offsets are not non-decreasing"));
-            }
-            prev = o;
-            offsets.push(o);
-        }
-        if prev != m {
-            return Err(bad_data("last spill offset does not equal the arc count"));
-        }
-        if off_h.finish() != offsets_fnv {
-            return Err(bad_data("spill offsets checksum mismatch"));
-        }
-
-        // Targets region: in-range, checksummed, fingerprint-closing.
-        let tgt_fnv = hash_targets(&mut reader, m, n, &mut fp)?;
-        if tgt_fnv != targets_fnv {
-            return Err(bad_data("spill targets checksum mismatch"));
-        }
-        if fp.finish() != fingerprint {
-            return Err(bad_data("spill fingerprint mismatch"));
-        }
-        drop(reader);
-
-        Ok(SpillCsr {
-            offsets,
-            file: Mutex::new(f),
-            path: path.to_path_buf(),
-            data_start: HEADER_BYTES + (n + 1) * 8,
-            num_targets: m,
-            fingerprint,
-            page_len: cfg.page_len.max(1),
-            cache_pages: cfg.cache_pages.max(1),
-            cache: Mutex::new(BTreeMap::new()),
-            tick: AtomicU64::new(0),
-            owns_file: false,
         })
     }
 
@@ -573,9 +490,9 @@ impl SpillCsr {
     ///
     /// # Panics
     ///
-    /// Panics on a post-open read failure: the file was fully verified
-    /// at build/open, so a failing read mid-traversal is an environment
-    /// failure (file deleted, disk gone), unrecoverable like OOM.
+    /// Panics on a read failure: the file was fully verified at build,
+    /// so a failing read mid-traversal is an environment failure (file
+    /// deleted, disk gone), unrecoverable like OOM.
     fn page(&self, idx: u64) -> Arc<Vec<VertexId>> {
         {
             let mut cache = self.cache.lock().unwrap();
@@ -627,9 +544,7 @@ impl SpillCsr {
 
 impl Drop for SpillCsr {
     fn drop(&mut self) {
-        if self.owns_file {
-            let _ = fs::remove_file(&self.path);
-        }
+        let _ = fs::remove_file(&self.path);
     }
 }
 
@@ -660,8 +575,7 @@ impl CsrView for SpillCsr {
         }
     }
 
-    /// The fingerprint computed (and verified) at build/open time —
-    /// byte-identical to [`Csr::fingerprint`] of the same graph.
+    /// The fingerprint computed at build time — byte-identical to [`Csr::fingerprint`] of the same graph.
     fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -789,15 +703,10 @@ impl CsrView for CsrStorage {
     }
 }
 
-fn bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
 /// Stream `m` targets out of `reader`, feeding both the standalone
 /// targets checksum and the running whole-graph fingerprint in one pass
-/// per buffer, and rejecting any target `>= n`. Shared by the build
-/// finalizer and [`SpillCsr::open`] so they enforce identical
-/// invariants.
+/// per buffer, and rejecting any target `>= n` — the build finalizer's
+/// re-read of the targets it wrote.
 fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::Result<u64> {
     let mut tgt_h = Fnv1a::new();
     let mut buf = [0u8; 1 << 16];
@@ -809,7 +718,10 @@ fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::R
             .chunks_exact(4)
             .any(|c| u32::from_le_bytes(c.try_into().unwrap()) as u64 >= n)
         {
-            return Err(bad_data("spill target out of range"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "spill target out of range",
+            ));
         }
         Fnv1a::update_pair(&mut tgt_h, fp, &buf[..take]);
         remaining -= take as u64;
@@ -895,24 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn open_round_trips_a_built_spill() {
-        let spec = GraphSpec::kron(7).seed(9);
-        let cfg = tiny_cfg("roundtrip");
-        let built = SpillCsr::build(&spec, &cfg).expect("build");
-        // `open` must re-verify and agree; keep `built` alive (it owns
-        // and would otherwise delete the file).
-        let opened = SpillCsr::open(built.path(), &cfg).expect("open");
-        assert_eq!(opened.fingerprint(), built.fingerprint());
-        assert_eq!(opened.num_edges(), built.num_edges());
-        for v in 0..opened.num_vertices() as VertexId {
-            assert_eq!(
-                CsrView::neighbors_vec(&opened, v),
-                CsrView::neighbors_vec(&built, v)
-            );
-        }
-    }
-
-    #[test]
     fn built_spill_deletes_its_file_on_drop() {
         let spec = GraphSpec::urand(6).seed(2);
         let cfg = test_cfg("drop");
@@ -920,45 +814,7 @@ mod tests {
         let path = built.path().to_path_buf();
         assert!(path.is_file());
         drop(built);
-        assert!(!path.exists(), "owned spill file must be removed on drop");
-    }
-
-    #[test]
-    fn open_rejects_corruption_and_truncation() {
-        let spec = GraphSpec::urand(6).seed(4);
-        let cfg = test_cfg("corrupt");
-        let built = SpillCsr::build(&spec, &cfg).expect("build");
-        let bytes = fs::read(built.path()).expect("read spill");
-
-        let dir = cfg.dir.clone();
-        let write_variant = |name: &str, data: &[u8]| {
-            let p = dir.join(name);
-            fs::write(&p, data).expect("write variant");
-            p
-        };
-
-        // Bad magic.
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xFF;
-        let p = write_variant("bad-magic.spill", &bad);
-        assert!(SpillCsr::open(&p, &cfg).is_err(), "bad magic must not open");
-
-        // Flipped target byte: targets checksum catches it.
-        let mut bad = bytes.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        let p = write_variant("bad-target.spill", &bad);
-        let err = SpillCsr::open(&p, &cfg).expect_err("corrupt target must not open");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // Truncated file.
-        let p = write_variant("truncated.spill", &bytes[..bytes.len() - 5]);
-        let err = SpillCsr::open(&p, &cfg).expect_err("truncated file must not open");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // Truncated to mid-header.
-        let p = write_variant("header-only.spill", &bytes[..20]);
-        assert!(SpillCsr::open(&p, &cfg).is_err(), "mid-header truncation");
+        assert!(!path.exists(), "a built spill file must be removed on drop");
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! The spill backend must be an *exact* stand-in for the in-memory CSR:
 //! same fingerprint, same neighbor slices, same degree statistics — for
 //! every generator family, at any page/segment granularity, built on
-//! any thread count. These tests sweep that space with proptest and pin
-//! the negative side of the file format: a corrupted or truncated spill
-//! file must fail `open` with an error, never produce wrong neighbors.
+//! any thread count. These tests sweep that space with proptest.
 //!
 //! This is the bottom rung of the scale ladder toward the paper's
 //! scale 27: ci.sh extends the same fingerprint gate to scales 18–22
@@ -103,62 +101,4 @@ proptest! {
         let rebuilt = spill.to_mem();
         prop_assert_eq!(mem.as_mem().expect("mem mode holds a Csr"), &rebuilt);
     }
-}
-
-/// Every corrupted byte region — magic, header counts, checksums,
-/// offsets, targets — and every truncation point must fail `open` with
-/// an error. Nothing here may panic or return a graph.
-#[test]
-fn corrupt_and_truncated_spill_files_error_cleanly() {
-    let spec = GraphSpec::urand(6).seed(3);
-    let cfg = cfg("neg", 16, 2, 64);
-    let dir = tmp_dir("neg");
-    let built = SpillCsr::build(&spec, &cfg).expect("spill build");
-    let copy = dir.join("copy.spill");
-    std::fs::copy(built.path(), &copy).expect("copy spill file");
-    drop(built); // deletes the original; the copy persists
-
-    // The pristine copy opens and still matches the mem build.
-    let opened = SpillCsr::open(&copy, &cfg).expect("open pristine copy");
-    assert_backends_agree("reopened copy", &spec.build(), &opened);
-    drop(opened); // opened (not built) spills must NOT delete their file
-    assert!(copy.is_file(), "open must not take ownership of the file");
-
-    let pristine = std::fs::read(&copy).expect("read spill bytes");
-    let len = pristine.len();
-    // Byte flips: magic (0), vertex count (9), header fingerprint (47),
-    // first offset (48), somewhere in the offsets, first and last target
-    // bytes.
-    let offsets_end = 48 + (spec.build().num_vertices() + 1) * 8;
-    for pos in [0, 9, 47, 48, offsets_end - 1, offsets_end, len - 1] {
-        let mut bytes = pristine.clone();
-        bytes[pos] ^= 0xFF;
-        let bad = dir.join(format!("bad-{pos}.spill"));
-        std::fs::write(&bad, &bytes).expect("write corrupted file");
-        let err = SpillCsr::open(&bad, &cfg)
-            .err()
-            .unwrap_or_else(|| panic!("corruption at byte {pos} must fail open"));
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "byte {pos}");
-        let _ = std::fs::remove_file(&bad);
-    }
-    // Truncations (including an empty file) and one extension: the
-    // format's length is exact, so every wrong size is rejected.
-    let mut extended = pristine.clone();
-    extended.push(0);
-    let wrong_sizes: Vec<Vec<u8>> = [0usize, 10, 47, 48, len / 2, len - 1]
-        .iter()
-        .map(|&cut| pristine[..cut].to_vec())
-        .chain(std::iter::once(extended))
-        .collect();
-    for (i, bytes) in wrong_sizes.iter().enumerate() {
-        let bad = dir.join(format!("short-{i}.spill"));
-        std::fs::write(&bad, bytes).expect("write resized file");
-        let err = SpillCsr::open(&bad, &cfg)
-            .err()
-            .unwrap_or_else(|| panic!("wrong file size {} must fail open", bytes.len()));
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "size {}", bytes.len());
-        let _ = std::fs::remove_file(&bad);
-    }
-    let _ = std::fs::remove_file(&copy);
-    let _ = std::fs::remove_dir(&dir);
 }

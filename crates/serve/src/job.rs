@@ -4,15 +4,18 @@
 //!
 //! A [`Job`] is one experiment at one `(scale, seed, threads)`
 //! configuration. Its [`JobKey`] is an FNV-64 hash over a canonical
-//! string of those fields, **the graph fingerprints of every dataset
-//! the experiment consumes** (`Csr::fingerprint`), and **the build
-//! identity of the code that runs it**, so the key changes — and the
-//! cache misses — whenever the experiment identity, its parameters,
-//! the actual bytes of its input graphs, or the program itself change.
-//! `threads` is part of the key because every result JSON records the
-//! pool size in its header; byte-identical replay requires keying on
-//! it. (Result *series* are thread-count invariant by the ci.sh
-//! byte-diff gate; only the header line differs.)
+//! string of those fields and **the build identity of the code that
+//! runs it**, so the key changes — and the cache misses — whenever the
+//! experiment identity, its parameters, or the program itself change.
+//! Those are all a result depends on: an experiment's datasets are a
+//! function of `(scale, seed)` and of the generator code, which the
+//! build identity already covers, so deriving a key never builds a
+//! graph. `threads` is part of the key because every result JSON
+//! records the pool size in its header; byte-identical replay requires
+//! keying on it. (Result *series* are thread-count invariant by the
+//! ci.sh byte-diff gate; only the header line differs.) The graph
+//! storage backend is not: results are storage-invariant by the same
+//! gate and no result file records it.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,12 +38,9 @@ pub struct Job {
 pub struct JobKey(String);
 
 impl JobKey {
-    /// Derive the key for `job` given the `(dataset label, fingerprint)`
-    /// pairs of every graph it consumes and the `build_id` of the code
-    /// that runs it. The pairs are sorted by label before hashing so
-    /// declaration order never changes the key.
-    pub fn derive(job: &Job, fingerprints: &[(String, u64)], build_id: &str) -> Self {
-        JobKey(fnv64_hex(&canonical(job, fingerprints, build_id)))
+    /// Derive the key for `job` run by code of identity `build_id`.
+    pub fn derive(job: &Job, build_id: &str) -> Self {
+        JobKey(fnv64_hex(&canonical(job, build_id)))
     }
 
     /// Wrap an already-derived key (a store directory name). Accepts
@@ -65,23 +65,13 @@ impl std::fmt::Display for JobKey {
     }
 }
 
-/// The canonical description a key hashes: stable across field
-/// reordering and fingerprint declaration order. Stored in the CAS
-/// manifest so an operator can audit what a key binds.
-pub fn canonical(job: &Job, fingerprints: &[(String, u64)], build_id: &str) -> String {
-    let mut fps: Vec<&(String, u64)> = fingerprints.iter().collect();
-    fps.sort();
-    let fp_part: Vec<String> = fps
-        .iter()
-        .map(|(label, fp)| format!("{label}={fp:#018x}"))
-        .collect();
+/// The canonical description a key hashes, in a fixed field order.
+/// Stored in the CAS manifest so an operator can audit what a key
+/// binds.
+pub fn canonical(job: &Job, build_id: &str) -> String {
     format!(
-        "build={build_id};experiment={};scale={};seed={:#x};threads={};graphs=[{}]",
-        job.experiment,
-        job.scale,
-        job.seed,
-        job.threads,
-        fp_part.join(",")
+        "build={build_id};experiment={};scale={};seed={:#x};threads={}",
+        job.experiment, job.scale, job.seed, job.threads
     )
 }
 
@@ -118,35 +108,37 @@ mod tests {
 
     #[test]
     fn key_is_stable_and_order_independent() {
-        let a = JobKey::derive(&job(), &[("urand10".into(), 7), ("kron10".into(), 9)], B);
-        let b = JobKey::derive(&job(), &[("kron10".into(), 9), ("urand10".into(), 7)], B);
-        assert_eq!(a, b, "fingerprint declaration order must not move the key");
+        // A key is a pure function of its job: deriving other keys in
+        // between (a campaign's run order) never moves it.
+        let a = JobKey::derive(&job(), B);
+        let mut other = job();
+        other.experiment = "fig4".into();
+        let _ = JobKey::derive(&other, B);
+        assert_eq!(JobKey::derive(&job(), B), a, "run order must not move the key");
         assert_eq!(a.as_str().len(), 16);
         assert!(a.as_str().bytes().all(|c| c.is_ascii_hexdigit()));
     }
 
     #[test]
     fn every_field_moves_the_key() {
-        let base = JobKey::derive(&job(), &[("urand10".into(), 7)], B);
+        let base = JobKey::derive(&job(), B);
         let mut j = job();
         j.experiment = "fig4".into();
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
+        assert_ne!(JobKey::derive(&j, B), base);
         let mut j = job();
         j.scale = 11;
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
+        assert_ne!(JobKey::derive(&j, B), base);
         let mut j = job();
         j.seed = 1;
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
+        assert_ne!(JobKey::derive(&j, B), base);
         let mut j = job();
         j.threads = 4;
-        assert_ne!(JobKey::derive(&j, &[("urand10".into(), 7)], B), base);
-        // A changed graph fingerprint (same label) also misses.
-        assert_ne!(JobKey::derive(&job(), &[("urand10".into(), 8)], B), base);
+        assert_ne!(JobKey::derive(&j, B), base);
     }
 
     #[test]
     fn parse_round_trips_and_rejects_junk() {
-        let k = JobKey::derive(&job(), &[], B);
+        let k = JobKey::derive(&job(), B);
         assert_eq!(JobKey::parse(k.as_str()).unwrap(), k);
         assert!(JobKey::parse("short").is_err());
         assert!(JobKey::parse("0123456789ABCDEF").is_err(), "uppercase rejected");
@@ -155,22 +147,18 @@ mod tests {
 
     #[test]
     fn canonical_names_every_input() {
-        let c = canonical(&job(), &[("urand10(deg32)@0x5eed".into(), 0xAB)], B);
-        assert!(c.contains("build=0123456789abcdef"));
-        assert!(c.contains("experiment=fig3"));
-        assert!(c.contains("scale=10"));
-        assert!(c.contains("seed=0x5eed"));
-        assert!(c.contains("threads=2"));
-        assert!(c.contains("urand10(deg32)@0x5eed=0x00000000000000ab"));
+        assert_eq!(
+            canonical(&job(), B),
+            "build=0123456789abcdef;experiment=fig3;scale=10;seed=0x5eed;threads=2"
+        );
     }
 
     #[test]
     fn two_build_identities_give_two_keys_for_the_same_job() {
-        let fps = [("urand10".to_string(), 7)];
-        let a = JobKey::derive(&job(), &fps, "0123456789abcdef");
-        let b = JobKey::derive(&job(), &fps, "fedcba9876543210");
+        let a = JobKey::derive(&job(), "0123456789abcdef");
+        let b = JobKey::derive(&job(), "fedcba9876543210");
         assert_ne!(a, b, "a store written by other code must miss");
-        assert_eq!(a, JobKey::derive(&job(), &fps, "0123456789abcdef"));
+        assert_eq!(a, JobKey::derive(&job(), "0123456789abcdef"));
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! One directory per [`JobKey`] under the store root:
 //!
 //! ```text
-//! <root>/<jobkey>/manifest.json   job identity, integrity table, telemetry
+//! <root>/<jobkey>/manifest.json   job identity and integrity table
 //! <root>/<jobkey>/<name>          one file per result payload (verbatim bytes)
 //! <root>/.quarantine/<key>.<n>    entries that failed verification (forensics)
 //! ```
+//!
+//! The store is the whole on-disk state of a cached campaign: keys are
+//! derived from the job alone ([`JobKey::derive`]), so nothing else
+//! needs persisting next to it.
 //!
 //! **Atomic publication.** A result is staged into a hidden
 //! `.tmp-<key>-<pid>` directory and `rename`d into place, so a reader
@@ -23,7 +27,9 @@
 //! (or is this process — our own litter from a previous open), and
 //! moves entries whose manifest is unreadable or names the wrong key
 //! into `.quarantine/` instead of serving them. Staging directories of
-//! *live* foreign publishers are left untouched.
+//! *live* foreign publishers are left untouched. A quarantined entry
+//! takes the first free `<key>.<n>` name, so damage found by successive
+//! store lifetimes accumulates side by side instead of colliding.
 //!
 //! **Integrity on read.** [`ResultStore::probe`] re-hashes every
 //! payload against the manifest's FNV-64 + length table and
@@ -44,15 +50,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One graph input binding recorded in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FingerprintEntry {
-    /// Dataset label (name, degree parameter, seed).
-    pub spec: String,
-    /// `Csr::fingerprint` of the built graph.
-    pub fingerprint: u64,
-}
-
 /// Integrity record for one stored payload file.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FileEntry {
@@ -64,9 +61,9 @@ pub struct FileEntry {
     pub fnv64: u64,
 }
 
-/// The per-entry manifest. Everything except the telemetry block
-/// (`wall_ms`, `rss_*`) is byte-stable for a given job — the same
-/// exemption the campaign manifest's wall-clock fields carry.
+/// The per-entry manifest, byte-stable for a given job and publication
+/// sequence. Fields are read by name, so manifests written by older
+/// builds with extra fields still parse.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoredManifest {
     /// The entry's own key (cross-checked on read).
@@ -79,25 +76,9 @@ pub struct StoredManifest {
     pub seq: u64,
     /// The job this result answers.
     pub job: Job,
-    /// Graph inputs the key binds, sorted by label.
-    pub fingerprints: Vec<FingerprintEntry>,
     /// Integrity table, sorted by name. Filled in by
     /// [`ResultStore::publish`].
     pub files: Vec<FileEntry>,
-    /// Execution wall-clock in milliseconds — telemetry, exempt from
-    /// byte-stability.
-    pub wall_ms: f64,
-    /// RSS attribution semantics: `"process-peak-delta"`. The numbers
-    /// below are growth of the *process-wide* high-water mark during
-    /// this job — an upper bound on the job's own footprint when other
-    /// jobs run concurrently, and 0 when the process peak predates the
-    /// job (see `cxlg_core::mem::rss_span`).
-    pub rss_semantics: String,
-    /// Process peak RSS (kB) when the job finished — telemetry.
-    pub rss_peak_kb: u64,
-    /// Growth of the process high-water mark during the job (kB) —
-    /// telemetry.
-    pub rss_delta_kb: u64,
 }
 
 /// A verified cache hit: the manifest plus every payload, bytes copied
@@ -242,13 +223,28 @@ impl ResultStore {
             .store(max_seq.saturating_add(1), Ordering::SeqCst);
     }
 
-    /// Move a failed entry aside for forensics instead of serving it.
+    /// Move a failed entry aside for forensics instead of serving it,
+    /// as the first free `.quarantine/<key>.<n>` (`n` from 1), so no
+    /// earlier copy — from this lifetime or another — is overwritten.
     /// Falls back to deletion if the rename fails (e.g. cross-device).
     fn quarantine(&self, dir: &Path, key_name: &str) {
-        let n = self.quarantined.fetch_add(1, Ordering::SeqCst) + 1;
+        self.quarantined.fetch_add(1, Ordering::SeqCst);
         let qroot = self.root.join(".quarantine");
-        let moved = std::fs::create_dir_all(&qroot).is_ok()
-            && std::fs::rename(dir, qroot.join(format!("{key_name}.{n}"))).is_ok();
+        let mut moved = false;
+        if std::fs::create_dir_all(&qroot).is_ok() {
+            for n in 1u64.. {
+                let dest = qroot.join(format!("{key_name}.{n}"));
+                if dest.exists() {
+                    continue;
+                }
+                moved = std::fs::rename(dir, &dest).is_ok();
+                // A concurrent quarantine may take `n` first; try the
+                // next name. Any other failure falls back to deletion.
+                if moved || !dest.exists() {
+                    break;
+                }
+            }
+        }
         if !moved {
             let _ = std::fs::remove_dir_all(dir);
         }
@@ -457,25 +453,15 @@ impl ResultStore {
     }
 }
 
-/// A manifest with empty telemetry, ready for [`ResultStore::publish`]
-/// to fill the integrity table and publication sequence.
-pub fn manifest_for(
-    key: &JobKey,
-    canonical: String,
-    job: Job,
-    fingerprints: Vec<FingerprintEntry>,
-) -> StoredManifest {
+/// A manifest ready for [`ResultStore::publish`] to fill the integrity
+/// table and publication sequence.
+pub fn manifest_for(key: &JobKey, canonical: String, job: Job) -> StoredManifest {
     StoredManifest {
         key: key.as_str().to_string(),
         canonical,
         seq: 0,
         job,
-        fingerprints,
         files: Vec::new(),
-        wall_ms: 0.0,
-        rss_semantics: "process-peak-delta".to_string(),
-        rss_peak_kb: 0,
-        rss_delta_kb: 0,
     }
 }
 
@@ -515,12 +501,12 @@ mod tests {
     }
 
     fn key() -> JobKey {
-        JobKey::derive(&job(), &[("urand8".to_string(), 7)], "test-build")
+        JobKey::derive(&job(), "test-build")
     }
 
     fn publish_one(store: &ResultStore) -> JobKey {
         let k = key();
-        let m = manifest_for(&k, "canon".into(), job(), Vec::new());
+        let m = manifest_for(&k, "canon".into(), job());
         let files = vec![("fig3.json".to_string(), b"{\"x\":1}".to_vec())];
         assert!(store.publish(m, &files).unwrap());
         k
@@ -528,8 +514,8 @@ mod tests {
 
     fn publish_n(store: &ResultStore, seed: u64) -> JobKey {
         let j = job_n(seed);
-        let k = JobKey::derive(&j, &[("urand8".to_string(), 7)], "test-build");
-        let m = manifest_for(&k, format!("canon-{seed}"), j, Vec::new());
+        let k = JobKey::derive(&j, "test-build");
+        let m = manifest_for(&k, format!("canon-{seed}"), j);
         let files = vec![("fig3.json".to_string(), format!("{{\"x\":{seed}}}").into_bytes())];
         assert!(store.publish(m, &files).unwrap());
         k
@@ -551,7 +537,7 @@ mod tests {
     fn double_publish_keeps_the_first_entry() {
         let store = tmp_store("firstwins");
         let k = publish_one(&store);
-        let m = manifest_for(&k, "canon".into(), job(), Vec::new());
+        let m = manifest_for(&k, "canon".into(), job());
         let other = vec![("fig3.json".to_string(), b"{\"x\":2}".to_vec())];
         assert!(!store.publish(m, &other).unwrap(), "second publish must lose");
         let hit = store.probe(&k).unwrap();
@@ -645,7 +631,7 @@ mod tests {
         let store = tmp_store("names");
         let k = key();
         for bad in ["", "manifest.json", "a/b.json", "..", ".hidden"] {
-            let m = manifest_for(&k, "canon".into(), job(), Vec::new());
+            let m = manifest_for(&k, "canon".into(), job());
             let files = vec![(bad.to_string(), Vec::new())];
             assert!(store.publish(m, &files).is_err(), "name `{bad}` must be rejected");
         }
@@ -773,11 +759,45 @@ mod tests {
         assert!(!tmp.exists(), "the stale staging dir must not survive");
     }
 
+    /// Tamper with the payload of `k`'s entry under `root` (same length,
+    /// flipped byte).
+    fn flip_payload(root: &Path, k: &JobKey) {
+        let payload = root.join(k.as_str()).join("fig3.json");
+        let mut bytes = std::fs::read(&payload).unwrap();
+        bytes[2] ^= 0xFF;
+        std::fs::write(&payload, &bytes).unwrap();
+    }
+
+    #[test]
+    fn quarantines_from_two_lifetimes_keep_both_copies() {
+        let root = tmp_root("requarantine");
+        for lifetime in 1..=2u64 {
+            let store = ResultStore::new(&root).unwrap();
+            let k = publish_one(&store);
+            flip_payload(&root, &k);
+            assert!(store.probe(&k).is_none(), "lifetime {lifetime}: tamper caught");
+            assert_eq!(store.counters().quarantined, 1, "lifetime {lifetime}");
+        }
+        let k = key();
+        let mut held: Vec<String> = std::fs::read_dir(root.join(".quarantine"))
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        held.sort();
+        assert_eq!(held, vec![format!("{k}.1"), format!("{k}.2")]);
+        for name in &held {
+            let manifest = root.join(".quarantine").join(name).join("manifest.json");
+            assert!(manifest.is_file(), "{name} must keep the damaged entry whole");
+        }
+    }
+
     #[test]
     fn entries_written_with_a_cache_hit_field_still_parse() {
-        // Manifests from before the `cache_hit` field was dropped carry
-        // `"cache_hit": false`; fields are read by name, so recovery,
-        // probe and GC keep them.
+        // Manifests from older builds carry fields since dropped — the
+        // `cache_hit` flag, the graph `fingerprints` table and the
+        // execution telemetry (`wall_ms`, `rss_*`); fields are read by
+        // name, so recovery, probe and GC keep them.
         let root = tmp_root("legacy-field");
         let k = {
             let store = ResultStore::new(&root).unwrap();
@@ -785,8 +805,13 @@ mod tests {
         };
         let path = root.join(k.as_str()).join("manifest.json");
         let text = std::fs::read_to_string(&path).unwrap();
-        let legacy = text.replacen("\"wall_ms\"", "\"cache_hit\": false,\n  \"wall_ms\"", 1);
-        assert_ne!(legacy, text);
+        let body = text.trim_end().strip_suffix('}').unwrap().trim_end();
+        let legacy = format!(
+            "{body},\n  \"cache_hit\": false,\n  \"fingerprints\": [{{\"spec\": \
+             \"urand8(deg32)@0x1\", \"fingerprint\": 7}}],\n  \"wall_ms\": 12.5,\n  \
+             \"rss_semantics\": \"process-peak-delta\",\n  \"rss_peak_kb\": 4096,\n  \
+             \"rss_delta_kb\": 512\n}}"
+        );
         std::fs::write(&path, legacy).unwrap();
         let store = ResultStore::new(&root).unwrap();
         assert_eq!(store.counters().quarantined, 0, "recover keeps the entry");

@@ -34,11 +34,11 @@ fn concurrent_readers_never_observe_torn_bytes_during_repair() {
     // mix — the checksum table is what makes repair safe under load.
     let store = Arc::new(ResultStore::new(tmp_dir("repair")).unwrap());
     let j = job("fig1");
-    let key = JobKey::derive(&j, &[("ds8".to_string(), 0xF00D)], "test-build");
+    let key = JobKey::derive(&j, "test-build");
     let old_bytes = b"{\"result\":\"old\"}".to_vec();
     let new_bytes = b"{\"result\":\"new\"}".to_vec();
     let publish = |bytes: &Vec<u8>| {
-        let m = manifest_for(&key, "canon".into(), j.clone(), Vec::new());
+        let m = manifest_for(&key, "canon".into(), j.clone());
         store
             .publish(m, &[("fig1.json".to_string(), bytes.clone())])
             .map(|_| ())
