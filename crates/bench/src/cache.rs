@@ -59,10 +59,13 @@ impl Default for GraphCache {
 impl GraphCache {
     /// An empty cache building fully resident graphs (the historical
     /// behavior).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D6: fallback spill directory only; a mem-mode cache never touches it, and spill callers pass their own via with_storage"
+    )]
     pub fn new() -> Self {
         Self::with_storage(
             StorageMode::Mem,
-            // cxlg-lint: allow(D6) -- fallback spill directory only; a mem-mode cache never touches it, and spill callers pass their own via with_storage
             SpillConfig::new(std::env::temp_dir().join("cxlg-graph-spill")),
         )
     }

@@ -52,11 +52,6 @@ USAGE:
                                                 check a captured campaign
                                                 against the paper's series
                                                 (exit 1 on any FLAG)
-    cxlg lint [--root=DIR] [--json] [--deny]    determinism & unsafety
-                                                static analysis over every
-                                                workspace .rs file (rules
-                                                D1-D6; --deny exits 1 on
-                                                any un-pragma'd finding)
 
 OPTIONS:
     --json-manifest[=PATH]   write a run manifest (scale/seed/threads,
@@ -84,8 +79,6 @@ OPTIONS:
                              store root; default <results_dir>/cas
     --campaign-dir=DIR       (validate) campaign to check; default is
                              the results dir
-    --root=DIR               (lint) workspace root to scan; default is
-                             the current directory
     --write-report[=PATH]    (validate) render FIDELITY.md — measured vs
                              paper per figure with residuals and
                              PASS/FLAG/SKIP verdicts; default PATH is
@@ -651,6 +644,10 @@ fn graph_mem(args: GraphMemArgs) -> i32 {
         _ => cxlg_graph::GraphSpec::friendster_like(args.scale),
     }
     .seed(seed);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D6: a scratch directory for the probe's spill file, deleted before exit"
+    )]
     let spill_dir = std::env::temp_dir().join(format!(
         "cxlg-graph-mem-spill-{}",
         std::process::id()
@@ -694,69 +691,6 @@ fn graph_mem(args: GraphMemArgs) -> i32 {
         }
     }
     0
-}
-
-/// Parsed `cxlg lint` arguments.
-#[derive(Debug, PartialEq, Eq)]
-struct LintArgs {
-    /// Workspace root to scan (default: current directory).
-    pub root: PathBuf,
-    /// Emit the machine-readable JSON report instead of text.
-    pub json: bool,
-    /// Exit 1 on any unsuppressed finding (the CI gate mode).
-    pub deny: bool,
-}
-
-/// Parse the arguments following `cxlg lint`.
-fn parse_lint_args(args: &[String]) -> Result<LintArgs, String> {
-    let mut out = LintArgs {
-        root: PathBuf::from("."),
-        json: false,
-        deny: false,
-    };
-    for a in args {
-        if let Some(dir) = a.strip_prefix("--root=") {
-            if dir.is_empty() {
-                return Err("--root= requires a directory".to_string());
-            }
-            out.root = PathBuf::from(dir);
-        } else if a == "--json" {
-            out.json = true;
-        } else if a == "--deny" {
-            out.deny = true;
-        } else {
-            return Err(format!("unknown argument `{a}`"));
-        }
-    }
-    Ok(out)
-}
-
-/// Execute `cxlg lint`: run the determinism & unsafety analyzer over
-/// the workspace, print the byte-stable report to stdout, and report
-/// wall-clock on stderr (the report itself must stay host-independent).
-/// Returns the process exit code: with `--deny`, 1 on any unsuppressed
-/// finding; 2 on I/O failure.
-fn run_lint(args: LintArgs) -> i32 {
-    let (run, wall) = timed(|| cxlg_lint::run_workspace(&args.root));
-    let run = match run {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cxlg lint: {e}");
-            return 2;
-        }
-    };
-    if args.json {
-        println!("{}", run.render_json());
-    } else {
-        print!("{}", run.render_text());
-    }
-    eprintln!("[lint wall-clock: {:.0} ms]", wall.as_secs_f64() * 1e3);
-    if args.deny && run.active().count() > 0 {
-        eprintln!("cxlg lint: denying on {} finding(s)", run.active().count());
-        1
-    } else {
-        0
-    }
 }
 
 /// Parsed `cxlg cas gc` arguments.
@@ -841,6 +775,7 @@ fn run_cas_gc(args: CasGcArgs) -> i32 {
 
 /// Entry point of the `cxlg` binary.
 pub fn cxlg_main() {
+    #[expect(clippy::disallowed_methods, reason = "D6: the command line selects the run")]
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("list") => {
@@ -870,13 +805,6 @@ pub fn cxlg_main() {
             Ok(ca) => run_cas_gc(ca),
             Err(msg) => {
                 eprintln!("cxlg cas: {msg}\n\n{USAGE}");
-                2
-            }
-        },
-        Some("lint") => match parse_lint_args(&args[1..]) {
-            Ok(la) => run_lint(la),
-            Err(msg) => {
-                eprintln!("cxlg lint: {msg}\n\n{USAGE}");
                 2
             }
         },
@@ -982,25 +910,6 @@ mod tests {
         assert!(parse_graph_mem_args(&s(&["urand", "18", "--frob"])).is_err());
         assert!(parse_graph_mem_args(&s(&["urand", "18", "--storage=frob"])).is_err());
         assert!(parse_graph_mem_args(&s(&["urand", "18", "--storage="])).is_err());
-    }
-
-    #[test]
-    fn parse_lint_forms() {
-        let la = parse_lint_args(&s(&[])).unwrap();
-        assert_eq!(
-            la,
-            LintArgs {
-                root: PathBuf::from("."),
-                json: false,
-                deny: false
-            }
-        );
-        let la = parse_lint_args(&s(&["--root=/tmp/ws", "--json", "--deny"])).unwrap();
-        assert_eq!(la.root, PathBuf::from("/tmp/ws"));
-        assert!(la.json && la.deny);
-        assert!(parse_lint_args(&s(&["--root="])).is_err());
-        assert!(parse_lint_args(&s(&["--frob"])).is_err());
-        assert!(parse_lint_args(&s(&["stray"])).is_err());
     }
 
     #[test]

@@ -55,11 +55,15 @@ impl ExperimentCtx {
             mode,
             SpillConfig::new(results_dir.join("graph-spill")),
         ));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D6: pool size is read once into ctx.threads and recorded in every result header; results are thread-count invariant by the ci.sh byte-diff gate"
+        )]
+        let threads = rayon::current_num_threads();
         Self::with_cache(
             crate::bench_scale(),
             crate::bench_seed(),
-            // cxlg-lint: allow(D6) -- pool size is read once into ctx.threads and recorded in every result header; results are thread-count invariant by the ci.sh byte-diff gate
-            rayon::current_num_threads(),
+            threads,
             results_dir,
             cache,
         )

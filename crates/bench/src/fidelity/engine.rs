@@ -314,7 +314,6 @@ fn extract_fig9(series: &Value, out: &mut Extracted) {
     if steps.len() == 2 {
         out.scalars.insert(
             "CXL step dev from 1 µs".into(),
-            // cxlg-lint: allow(D4) -- mean of a two-element Vec built in fixed label order; the golden FIDELITY.md test pins the bytes
             steps.iter().sum::<f64>() / steps.len() as f64,
         );
     }

@@ -46,6 +46,10 @@ use cxlg_core::metrics::RunReport;
 use std::path::PathBuf;
 
 /// log2 of the vertex count used by the figure binaries.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D6: CXLG_SCALE is read once into the context and recorded in every result header"
+)]
 pub fn bench_scale() -> u32 {
     std::env::var("CXLG_SCALE")
         .ok()
@@ -54,6 +58,10 @@ pub fn bench_scale() -> u32 {
 }
 
 /// Seed shared by the figure binaries (override with `CXLG_SEED`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D6: CXLG_SEED is read once into the context and recorded in every result header"
+)]
 pub fn bench_seed() -> u64 {
     std::env::var("CXLG_SEED")
         .ok()
@@ -69,6 +77,10 @@ pub fn good_source<G: cxlg_graph::CsrView + ?Sized>(g: &G) -> cxlg_graph::Vertex
 }
 
 /// Output directory for machine-readable results.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D6: CXLG_RESULTS_DIR picks where results are written, not what they contain"
+)]
 pub fn results_dir() -> PathBuf {
     let dir = std::env::var("CXLG_RESULTS_DIR")
         .map(PathBuf::from)

@@ -93,7 +93,6 @@ pub fn cxl_cpu_random_read(
         let addr = rng.next_below(region_bytes / 64) * 64;
         out.clear();
         let done = dev.read(issue, addr, 64, &mut out);
-        // cxlg-lint: allow(D4) -- sequential fold in fixed issue order over a single-threaded read loop; order is structural
         latency_sum += done.saturating_since(issue).as_us_f64();
         inflight.push(std::cmp::Reverse(done));
         last = last.max(done);

@@ -358,6 +358,10 @@ where
 /// time (nondeterministic), so it must never feed back into simulated
 /// results — only into operator-facing telemetry.
 pub fn timed<R>(f: impl FnOnce() -> R) -> (R, std::time::Duration) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2: the one wall-clock read; it feeds manifest telemetry, never a result"
+    )]
     let start = std::time::Instant::now();
     let r = f();
     (r, start.elapsed())

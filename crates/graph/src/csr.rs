@@ -180,9 +180,8 @@ pub fn edge_weight(u: VertexId, v: VertexId, max_weight: u32) -> u32 {
 }
 
 /// Incremental FNV-1a 64, the workspace's graph-identity hash. The spill
-/// file stores per-array checksums and the whole-graph fingerprint
-/// computed with this exact state machine, so a fingerprint streamed
-/// from disk is bit-comparable with [`Csr::fingerprint`].
+/// build streams its fingerprint from disk with this exact state
+/// machine, so it is bit-comparable with [`Csr::fingerprint`].
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
 
@@ -201,19 +200,6 @@ impl Fnv1a {
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
         }
-    }
-
-    /// Absorb `bytes` into two states in one pass: equal to
-    /// `a.update(bytes); b.update(bytes)`, but the two independent
-    /// multiply chains overlap instead of running back to back.
-    #[inline]
-    pub fn update_pair(a: &mut Fnv1a, b: &mut Fnv1a, bytes: &[u8]) {
-        let (mut x, mut y) = (a.0, b.0);
-        for &c in bytes {
-            x = (x ^ c as u64).wrapping_mul(Self::PRIME);
-            y = (y ^ c as u64).wrapping_mul(Self::PRIME);
-        }
-        (a.0, b.0) = (x, y);
     }
 
     /// Current hash value (the state is usable after finishing).

@@ -28,7 +28,6 @@ impl AliasTable {
     fn new(weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "empty weight vector");
         let n = weights.len();
-        // cxlg-lint: allow(D4) -- sequential index-order sum over the caller's fixed weight slice; no parallel or hash-order source
         let total: f64 = weights.iter().sum();
         assert!(total > 0.0, "weights sum to zero");
         let scale = n as f64 / total;
@@ -84,7 +83,6 @@ fn degree_weights(n: usize, avg_degree: u32) -> Vec<f64> {
     let mu = 1.0 / (EXPONENT - 1.0);
     let i0 = 10.0; // flattens the head so the hub is not absurdly large
     let mut w: Vec<f64> = (0..n).map(|i| (i as f64 + i0).powf(-mu)).collect();
-    // cxlg-lint: allow(D4) -- sequential index-order sum over the just-built weight table; order is structural
     let sum: f64 = w.iter().sum();
     let scale = avg_degree as f64 * n as f64 / sum;
     let cap = (avg_degree as f64 * (n as f64).sqrt()).max(avg_degree as f64 * 4.0);

@@ -10,28 +10,22 @@
 //! build RSS is bounded by one segment (≈ `segment_arcs` arcs) instead
 //! of the whole edge list.
 //!
-//! ## Spill file layout (`CXLGSPL1`)
+//! ## Spill file layout
 //!
 //! ```text
 //! offset  size        field
-//! 0       8           magic  b"CXLGSPL1"
-//! 8       8           n      vertex count           (u64 LE)
-//! 16      8           m      arc count              (u64 LE)
-//! 24      8           offsets checksum  (FNV-1a 64 over offsets LE bytes)
-//! 32      8           targets checksum  (FNV-1a 64 over targets LE bytes)
-//! 40      8           fingerprint       (== Csr::fingerprint)
-//! 48      (n+1)*8     offsets, u64 LE each
-//! 48+(n+1)*8  m*4     targets, u32 LE each
+//! 0       m*4         targets, u32 LE each
 //! ```
 //!
-//! A spill file is private to the process that built it and deleted
-//! when its [`SpillCsr`] drops; nothing reopens one. The build's
-//! finalizer re-reads the targets it wrote, rejecting any target `>= n`
-//! (an [`std::io::Error`], never UB), and computes the checksums and the
-//! fingerprint from those bytes. The fingerprint is computed with the
-//! byte-for-byte same FNV-1a state machine as [`Csr::fingerprint`],
-//! which is what makes cross-backend fingerprint equality a meaningful
-//! differential gate.
+//! The file is the targets array and nothing else: the offsets stay
+//! resident, so the file needs no header. A spill file is private to
+//! the process that built it and deleted when its [`SpillCsr`] drops;
+//! nothing reopens one. The build's finalizer re-reads the targets it
+//! wrote, rejecting any target `>= n` (an [`std::io::Error`], never UB),
+//! and computes the fingerprint from those bytes with the byte-for-byte
+//! same FNV-1a state machine as [`Csr::fingerprint`], which is what
+//! makes cross-backend fingerprint equality a meaningful differential
+//! gate.
 
 use crate::builder::{collate_window, count_offsets, pack_arc, unpack_arc};
 use crate::csr::{edge_weight, Csr, Fnv1a};
@@ -44,11 +38,6 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Spill file magic bytes (version 1).
-const MAGIC: [u8; 8] = *b"CXLGSPL1";
-/// Fixed header size before the offsets region.
-const HEADER_BYTES: u64 = 48;
 
 /// Read-side accessor every graph consumer is written against: the
 /// traversal planners, trace generators, validators, and statistics all
@@ -280,8 +269,6 @@ pub struct SpillCsr {
     offsets: Vec<u64>,
     file: Mutex<File>,
     path: PathBuf,
-    /// Byte offset of the targets region.
-    data_start: u64,
     num_targets: u64,
     fingerprint: u64,
     page_len: usize,
@@ -384,15 +371,12 @@ impl SpillCsr {
 
         // ---- Pass 3: collate each segment in vertex order and append its
         // sorted (and optionally deduplicated) sublists to the spill file.
-        let data_start = HEADER_BYTES + (n as u64 + 1) * 8;
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)?;
-        file.set_len(data_start)?;
-        file.seek(SeekFrom::Start(data_start))?;
         let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
         offsets.push(0);
         for s in 0..num_segs {
@@ -416,39 +400,23 @@ impl SpillCsr {
             fs::remove_file(&bucket_paths[s])?;
         }
 
-        // ---- Finalize: checksums and the fingerprint over the final
-        // offsets and a re-read of the targets just written.
+        // ---- Finalize: the fingerprint over the resident offsets and a
+        // re-read of the targets just written.
         let m = *offsets.last().unwrap();
         let mut fp = Fnv1a::new();
-        let mut off_h = Fnv1a::new();
         for &o in &offsets {
-            Fnv1a::update_pair(&mut fp, &mut off_h, &o.to_le_bytes());
+            fp.update(&o.to_le_bytes());
         }
-        file.seek(SeekFrom::Start(data_start))?;
+        file.seek(SeekFrom::Start(0))?;
         let mut reader = BufReader::with_capacity(1 << 20, &mut file);
-        let targets_fnv = hash_targets(&mut reader, m, n as u64, &mut fp)?;
+        hash_targets(&mut reader, m, n as u64, &mut fp)?;
         drop(reader);
         let fingerprint = fp.finish();
-
-        file.seek(SeekFrom::Start(0))?;
-        let mut head = BufWriter::with_capacity(1 << 20, &mut file);
-        head.write_all(&MAGIC)?;
-        head.write_all(&(n as u64).to_le_bytes())?;
-        head.write_all(&m.to_le_bytes())?;
-        head.write_all(&off_h.finish().to_le_bytes())?;
-        head.write_all(&targets_fnv.to_le_bytes())?;
-        head.write_all(&fingerprint.to_le_bytes())?;
-        for &o in &offsets {
-            head.write_all(&o.to_le_bytes())?;
-        }
-        head.flush()?;
-        drop(head);
 
         Ok(SpillCsr {
             offsets,
             file: Mutex::new(file),
             path,
-            data_start,
             num_targets: m,
             fingerprint,
             page_len: cfg.page_len.max(1),
@@ -463,9 +431,9 @@ impl SpillCsr {
         self.offsets.len() as u64 * 8 + self.cache_pages as u64 * self.page_len as u64 * 4
     }
 
-    /// Size of the spill file on disk.
+    /// Size of the spill file on disk: 4 B per target.
     pub fn on_disk_bytes(&self) -> u64 {
-        self.data_start + self.num_targets * 4
+        self.num_targets * 4
     }
 
     /// Path of the spill file.
@@ -508,7 +476,7 @@ impl SpillCsr {
         let mut bytes = vec![0u8; len * 4];
         {
             let mut f = self.file.lock().unwrap();
-            f.seek(SeekFrom::Start(self.data_start + start * 4))
+            f.seek(SeekFrom::Start(start * 4))
                 .unwrap_or_else(|e| panic!("seek in spill file {}: {e}", self.path.display()));
             f.read_exact(&mut bytes)
                 .unwrap_or_else(|e| panic!("read from spill file {}: {e}", self.path.display()));
@@ -703,12 +671,10 @@ impl CsrView for CsrStorage {
     }
 }
 
-/// Stream `m` targets out of `reader`, feeding both the standalone
-/// targets checksum and the running whole-graph fingerprint in one pass
-/// per buffer, and rejecting any target `>= n` — the build finalizer's
+/// Stream `m` targets out of `reader` into the running whole-graph
+/// fingerprint, rejecting any target `>= n` — the build finalizer's
 /// re-read of the targets it wrote.
-fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::Result<u64> {
-    let mut tgt_h = Fnv1a::new();
+fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::Result<()> {
     let mut buf = [0u8; 1 << 16];
     let mut remaining = m * 4;
     while remaining > 0 {
@@ -723,10 +689,10 @@ fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::R
                 "spill target out of range",
             ));
         }
-        Fnv1a::update_pair(&mut tgt_h, fp, &buf[..take]);
+        fp.update(&buf[..take]);
         remaining -= take as u64;
     }
-    Ok(tgt_h.finish())
+    Ok(())
 }
 
 /// Packed arcs per parallel part when the spill collation reads a
@@ -804,6 +770,17 @@ mod tests {
                 spill.edge_weight(v, v + 1, 64)
             );
         }
+    }
+
+    #[test]
+    fn spill_file_holds_only_the_targets() {
+        let spec = GraphSpec::kron(8).seed(5);
+        let spill = SpillCsr::build(&spec, &tiny_cfg("targets-only")).expect("build");
+        let m = spill.num_edges();
+        assert!(m > 64, "tiny_cfg must split the build into several segments");
+        assert_eq!(spill.on_disk_bytes(), 4 * m);
+        let len = fs::metadata(spill.path()).expect("stat spill file").len();
+        assert_eq!(len, spill.on_disk_bytes());
     }
 
     #[test]
