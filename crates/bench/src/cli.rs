@@ -6,11 +6,8 @@
 //! the graph cache builds each dataset exactly once per invocation), and
 //! `--json-manifest` records the run configuration, per-experiment
 //! wall-clock, every result path, and the cache's per-spec build counts.
-//!
-//! `cxlg run --cached` runs the same loop ([`run_campaign`]) with a
-//! [`CampaignCache`]: each experiment first looks its result up in a
-//! content-addressed store, runs only on a miss, and publishes what it
-//! wrote. `cxlg validate` (the paper-fidelity gate) lives in
+//! [`run_experiments`] is the one campaign loop behind `cxlg run`.
+//! `cxlg validate` (the paper-fidelity gate) lives in
 //! [`crate::fidelity`].
 
 use crate::ctx::ExperimentCtx;
@@ -19,8 +16,6 @@ use crate::registry;
 use cxlg_core::mem::peak_rss_kb;
 use cxlg_core::runner::timed;
 use cxlg_graph::{CsrView, GraphSpec};
-use cxlg_serve::job::{canonical, Job, JobKey};
-use cxlg_serve::store::{manifest_for, ResultStore, StoredResult};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -33,16 +28,6 @@ USAGE:
     cxlg list                                   enumerate registered experiments
     cxlg run [--json-manifest[=PATH]] <names..> run selected experiments
     cxlg run --all [--json-manifest[=PATH]]     run the full campaign
-    cxlg run --cached [--cas-root=DIR] <names..|--all>
-                                                run through the content-
-                                                addressed result store:
-                                                repeat runs with a warm store
-                                                are byte-identical cache hits
-    cxlg cas gc --cas-root=DIR [--max-bytes=N] [--max-entries=N]
-                                                reap stale staging dirs,
-                                                quarantine corrupt entries,
-                                                and evict oldest publications
-                                                until the bounds fit
     cxlg graph-mem <urand|kron|social> <scale> [--storage=mem|spill]
                                                 build one dataset, report
                                                 wall-clock / peak RSS /
@@ -57,9 +42,7 @@ OPTIONS:
     --json-manifest[=PATH]   write a run manifest (scale/seed/threads,
                              per-experiment wall-clock, peak RSS, result
                              paths, per-spec graph build and eviction
-                             counts; with --cached also the store root,
-                             hit/miss and store recovery counts and
-                             per-experiment job keys); default PATH is
+                             counts); default PATH is
                              <results_dir>/manifest.json
     --max-bytes-per-arc=N    (graph-mem) exit nonzero when peak RSS
                              exceeds N bytes per directed arc — the CI
@@ -71,12 +54,6 @@ OPTIONS:
                              backend-invariant
     --storage=MODE           (graph-mem) build the probe dataset into
                              the given backend (`mem` | `spill`)
-    --cached                 (run) serve each experiment from the
-                             content-addressed store when it holds a
-                             verified result, else execute and publish;
-                             repeat runs are cache hits
-    --cas-root=DIR           (run --cached, cas gc) content-addressed
-                             store root; default <results_dir>/cas
     --campaign-dir=DIR       (validate) campaign to check; default is
                              the results dir
     --write-report[=PATH]    (validate) render FIDELITY.md — measured vs
@@ -100,10 +77,6 @@ struct RunArgs {
     pub names: Vec<String>,
     /// `Some(None)` = manifest at the default path; `Some(Some(p))` = at `p`.
     pub manifest: Option<Option<String>>,
-    /// Run through the content-addressed result store.
-    pub cached: bool,
-    /// CAS root for `--cached` (default `<results_dir>/cas`).
-    pub cas_root: Option<String>,
     /// Graph storage backend (`--graph-storage=`, default mem).
     pub graph_storage: cxlg_graph::StorageMode,
 }
@@ -114,20 +87,11 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         all: false,
         names: Vec::new(),
         manifest: None,
-        cached: false,
-        cas_root: None,
         graph_storage: cxlg_graph::StorageMode::Mem,
     };
     for a in args {
         if a == "--all" {
             out.all = true;
-        } else if a == "--cached" {
-            out.cached = true;
-        } else if let Some(dir) = a.strip_prefix("--cas-root=") {
-            if dir.is_empty() {
-                return Err("--cas-root= requires a directory".to_string());
-            }
-            out.cas_root = Some(dir.to_string());
         } else if let Some(mode) = a.strip_prefix("--graph-storage=") {
             out.graph_storage = cxlg_graph::StorageMode::parse(mode)
                 .ok_or_else(|| format!("--graph-storage: unknown mode `{mode}` (mem | spill)"))?;
@@ -149,9 +113,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     }
     if !out.all && out.names.is_empty() {
         return Err("nothing to run: pass experiment names or --all".to_string());
-    }
-    if !out.cached && out.cas_root.is_some() {
-        return Err("--cas-root only applies with --cached".to_string());
     }
     Ok(out)
 }
@@ -177,53 +138,19 @@ pub struct CampaignOutcome {
     /// One report per executed experiment, in run order. Failed
     /// experiments report whatever files they dumped before panicking.
     pub reports: Vec<ExperimentReport>,
-    /// Names of experiments whose run panicked (or, on a cached run,
-    /// whose result could not be served or published).
+    /// Names of experiments whose run panicked.
     pub failed: Vec<String>,
-    /// On a cached run, how the store answered each report, in run
-    /// order; empty on a plain run.
-    pub cached: Vec<CacheRecord>,
 }
 
-/// How the result cache answered one experiment of a cached run.
-#[derive(Debug, Clone)]
-pub struct CacheRecord {
-    /// The experiment's content key (its store directory name).
-    pub key: String,
-    /// Whether the result came from the store.
-    pub cache_hit: bool,
-    /// Why the experiment failed, if it did.
-    pub error: Option<String>,
-}
-
-/// Run `exps` in order against one shared context, optionally writing a
-/// manifest. A panicking experiment is caught and recorded — the rest
-/// of the campaign (and the manifest) still completes. This is the
-/// library core of `cxlg run`, used directly by integration tests and
-/// the benchmark; it derives no keys and touches no store.
+/// The campaign loop behind `cxlg run`: run `exps` in order against one
+/// shared context, optionally writing a manifest. A panicking experiment
+/// is caught and recorded — the rest of the campaign (and the manifest)
+/// still completes. Integration tests and the benchmark call it
+/// directly.
 pub fn run_experiments(
     ctx: &ExperimentCtx,
     exps: &[&dyn Experiment],
     manifest_path: Option<&Path>,
-) -> CampaignOutcome {
-    run_campaign(ctx, exps, manifest_path, None)
-}
-
-/// The campaign loop behind `cxlg run`: [`run_experiments`] when
-/// `cache` is `None`, `cxlg run --cached` otherwise. With a cache, each
-/// experiment's [`JobKey`] is probed first: a verified hit is written
-/// into the results directory byte for byte and nothing runs (an entry
-/// that fails verification is quarantined by the probe and counts as a
-/// miss). A miss runs exactly as a plain campaign does and then
-/// publishes the files it reported; a panic or a failed publication
-/// fails that experiment alone. The eviction plan and the manifest are
-/// otherwise the same, so a cached campaign's result files are
-/// byte-identical to a plain one's.
-pub fn run_campaign(
-    ctx: &ExperimentCtx,
-    exps: &[&dyn Experiment],
-    manifest_path: Option<&Path>,
-    cache: Option<&CampaignCache>,
 ) -> CampaignOutcome {
     // Eviction plan: count, across this run list, how many experiments
     // declared each spec, so a graph can leave the cache right after
@@ -243,40 +170,21 @@ pub fn run_campaign(
     // and fail once, and the manifest must tell the two entries apart.
     let mut failed_flags = Vec::with_capacity(exps.len());
     let mut failed = Vec::new();
-    let mut cached = Vec::new();
     for exp in exps {
         println!("\n################ {} ################\n", exp.name());
-        let keyed = cache.map(|c| (c, c.job_key(ctx, *exp)));
-        let mut cache_hit = false;
         let (outcome, wall) = timed(|| {
-            if let Some(hit) = keyed.as_ref().and_then(|(c, (_, key))| c.store.probe(key)) {
-                cache_hit = true;
-                return materialize(ctx, *exp, &hit);
-            }
-            let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(ctx)))
-                .map_err(|_| "experiment panicked".to_string())?;
-            if let Some((c, (job, key))) = &keyed {
-                c.publish(job, key, &report)?;
-            }
-            Ok(report)
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run(ctx)))
         });
         walls_ms.push(wall.as_secs_f64() * 1e3);
-        if let Some((_, (_, key))) = keyed {
-            cached.push(CacheRecord {
-                key: key.as_str().to_string(),
-                cache_hit,
-                error: outcome.as_ref().err().cloned(),
-            });
-        }
         match outcome {
             Ok(report) => {
                 reports.push(report);
                 failed_flags.push(false);
             }
-            Err(e) => {
+            Err(_) => {
                 // A panic's message is already on stderr (default hook);
                 // salvage whatever was dumped before the failure.
-                eprintln!("[{}: {e}]", exp.name());
+                eprintln!("[{}: experiment panicked]", exp.name());
                 eprintln!("[{} FAILED]", exp.name());
                 failed.push(exp.name().to_string());
                 failed_flags.push(true);
@@ -288,159 +196,46 @@ pub fn run_campaign(
             }
         }
         // This experiment's declared graphs are done with (even on
-        // failure or a cache hit — it consumes no more); evict any whose
-        // last consumer this was.
+        // failure — it consumes no more); evict any whose last consumer
+        // this was.
         for spec in exp.specs(ctx) {
             if ctx.release(spec) {
                 eprintln!("[evicted {} from the graph cache]", spec.name());
             }
         }
     }
-    let mut summary = format!(
-        "{} of {} experiment(s) regenerated",
+    println!(
+        "\n{} of {} experiment(s) regenerated. JSON in {}.",
         reports.len() - failed.len(),
-        exps.len()
+        exps.len(),
+        ctx.results_dir.display()
     );
-    if cache.is_some() {
-        let hits = cache_hits(&cached);
-        summary += &format!(" ({hits} cache hit(s), {} fresh)", cached.len() - hits);
-    }
-    println!("\n{summary}. JSON in {}.", ctx.results_dir.display());
     if !failed.is_empty() {
         eprintln!("\nFAILED: {failed:?}");
     }
     if let Some(path) = manifest_path {
-        let cached_run = cache.map(|c| (c, cached.as_slice()));
-        write_manifest(ctx, &reports, &walls_ms, &failed_flags, cached_run, path);
+        write_manifest(ctx, &reports, &walls_ms, &failed_flags, path);
     }
-    CampaignOutcome {
-        reports,
-        failed,
-        cached,
-    }
-}
-
-/// How many experiments of a cached run the store served.
-fn cache_hits(records: &[CacheRecord]) -> usize {
-    records.iter().filter(|r| r.cache_hit).count()
-}
-
-/// Identity of the code this binary was built from: an FNV-64 over every
-/// workspace source, emitted by the `cxlg-bench` build script. Cached
-/// runs bind it into every job key, so a store written by other code
-/// misses instead of serving stale bytes.
-pub const BUILD_ID: &str = env!("CXLG_BUILD_ID");
-
-/// The result cache of a `cxlg run --cached` campaign: the
-/// content-addressed store and the build identity its keys bind.
-/// [`run_campaign`] probes it before and publishes to it after each
-/// experiment.
-pub struct CampaignCache {
-    store: ResultStore,
-    build_id: String,
-}
-
-impl CampaignCache {
-    /// Open (creating if needed) the cache rooted at `cas_root` for code
-    /// of identity `build_id` — [`BUILD_ID`] in production.
-    pub fn open(cas_root: &Path, build_id: &str) -> std::io::Result<Self> {
-        Ok(CampaignCache {
-            store: ResultStore::new(cas_root)?,
-            build_id: build_id.to_string(),
-        })
-    }
-
-    /// `exp`'s job in `ctx` and its key: a function of the experiment
-    /// name, `(scale, seed, threads)` and the build identity alone —
-    /// every experiment's datasets follow from `(scale, seed)` and the
-    /// generator code — so no graph is built or read.
-    fn job_key(&self, ctx: &ExperimentCtx, exp: &dyn Experiment) -> (Job, JobKey) {
-        let job = Job {
-            experiment: exp.name().to_string(),
-            scale: ctx.scale,
-            seed: ctx.seed,
-            threads: ctx.threads,
-        };
-        let key = JobKey::derive(&job, &self.build_id);
-        (job, key)
-    }
-
-    /// Publish the files `report` lists under `key`.
-    fn publish(&self, job: &Job, key: &JobKey, report: &ExperimentReport) -> Result<(), String> {
-        let manifest = manifest_for(key, canonical(job, &self.build_id), job.clone());
-        self.store
-            .publish(manifest, &read_result_files(report)?)
-            .map(drop)
-            .map_err(|e| format!("result publication failed: {e}"))
-    }
-}
-
-/// `(file name, bytes)` of every result file a run reported — the
-/// payloads of its store entry.
-fn read_result_files(report: &ExperimentReport) -> Result<Vec<(String, Vec<u8>)>, String> {
-    report
-        .result_files
-        .iter()
-        .map(|path| {
-            let p = Path::new(path);
-            let name = p
-                .file_name()
-                .and_then(|n| n.to_str())
-                .ok_or_else(|| format!("unnameable result file `{path}`"))?;
-            let bytes = std::fs::read(p).map_err(|e| format!("read result `{path}`: {e}"))?;
-            Ok((name.to_string(), bytes))
-        })
-        .collect()
-}
-
-/// Write a verified store hit's payloads into the results directory,
-/// verbatim, as `exp`'s report.
-fn materialize(
-    ctx: &ExperimentCtx,
-    exp: &dyn Experiment,
-    hit: &StoredResult,
-) -> Result<ExperimentReport, String> {
-    let mut result_files = Vec::with_capacity(hit.files.len());
-    for (name, bytes) in &hit.files {
-        let path = ctx.results_dir.join(name);
-        std::fs::write(&path, bytes).map_err(|e| format!("materialize `{name}`: {e}"))?;
-        eprintln!("[cache-hit {}]", path.display());
-        result_files.push(path.display().to_string());
-    }
-    Ok(ExperimentReport {
-        name: exp.name().to_string(),
-        result_files,
-        peak_rss_kb: peak_rss_kb(),
-    })
+    CampaignOutcome { reports, failed }
 }
 
 /// Serialize the run manifest: configuration, per-experiment wall-clock
 /// and result paths, and the graph cache's per-spec build counts (the
-/// proof that the campaign built each dataset exactly once). A cached
-/// run adds the store root, its hit/miss counts, the store's recovery
-/// counters and entry count, and per experiment the job key, whether it
-/// was a hit, and any error.
+/// proof that the campaign built each dataset exactly once).
 fn write_manifest(
     ctx: &ExperimentCtx,
     reports: &[ExperimentReport],
     walls_ms: &[f64],
     failed_flags: &[bool],
-    cached: Option<(&CampaignCache, &[CacheRecord])>,
     path: &Path,
 ) {
     let experiments = reports
         .iter()
         .zip(walls_ms)
         .zip(failed_flags)
-        .enumerate()
-        .map(|(i, ((r, wall), failed))| {
-            let record = cached.map(|(_, records)| &records[i]);
-            let mut fields = vec![("name".to_string(), Value::Str(r.name.clone()))];
-            if let Some(rec) = record {
-                fields.push(("key".to_string(), Value::Str(rec.key.clone())));
-                fields.push(("cache_hit".to_string(), Value::Bool(rec.cache_hit)));
-            }
-            fields.extend([
+        .map(|((r, wall), failed)| {
+            Value::Map(vec![
+                ("name".to_string(), Value::Str(r.name.clone())),
                 ("wall_ms".to_string(), Value::F64(*wall)),
                 ("failed".to_string(), Value::Bool(*failed)),
                 // Process high-water RSS when the experiment finished
@@ -450,11 +245,7 @@ fn write_manifest(
                     "result_files".to_string(),
                     Value::Array(r.result_files.iter().map(|f| Value::Str(f.clone())).collect()),
                 ),
-            ]);
-            if let Some(err) = record.and_then(|rec| rec.error.as_ref()) {
-                fields.push(("error".to_string(), Value::Str(err.clone())));
-            }
-            Value::Map(fields)
+            ])
         })
         .collect();
     let builds = ctx
@@ -478,7 +269,7 @@ fn write_manifest(
         })
         .collect();
     let (graph_resident, graph_on_disk) = ctx.graph_storage_bytes();
-    let mut manifest = vec![
+    let manifest = vec![
         ("scale".to_string(), Value::U64(ctx.scale as u64)),
         ("seed".to_string(), Value::U64(ctx.seed)),
         ("threads".to_string(), Value::U64(ctx.threads as u64)),
@@ -494,29 +285,11 @@ fn write_manifest(
             "results_dir".to_string(),
             Value::Str(ctx.results_dir.display().to_string()),
         ),
-    ];
-    if let Some((cache, records)) = cached {
-        let (hits, store) = (cache_hits(records), cache.store.counters());
-        let counts = [
-            ("cache_hits", hits as u64),
-            ("cache_misses", (records.len() - hits) as u64),
-            ("staging_reaped", store.staging_reaped),
-            ("quarantined", store.quarantined),
-            ("evicted", store.evicted),
-            ("store_entries", cache.store.len() as u64),
-        ];
-        manifest.push((
-            "cas_root".to_string(),
-            Value::Str(cache.store.root().display().to_string()),
-        ));
-        manifest.extend(counts.map(|(field, n)| (field.to_string(), Value::U64(n))));
-    }
-    manifest.extend([
         ("peak_rss_kb".to_string(), Value::U64(peak_rss_kb())),
         ("experiments".to_string(), Value::Array(experiments)),
         ("graph_builds".to_string(), Value::Array(builds)),
         ("graph_evictions".to_string(), Value::Array(evictions)),
-    ]);
+    ];
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent).expect("create manifest dir");
     }
@@ -543,20 +316,7 @@ fn run_cli(args: RunArgs) -> i32 {
     let manifest_path = args
         .manifest
         .map(|p| p.map_or_else(|| ctx.results_dir.join("manifest.json"), PathBuf::from));
-    let mut cache = None;
-    if args.cached {
-        let cas_root = args
-            .cas_root
-            .map_or_else(|| ctx.results_dir.join("cas"), PathBuf::from);
-        match CampaignCache::open(&cas_root, BUILD_ID) {
-            Ok(c) => cache = Some(c),
-            Err(e) => {
-                eprintln!("cxlg run --cached: open result store {}: {e}", cas_root.display());
-                return 2;
-            }
-        }
-    }
-    let outcome = run_campaign(&ctx, &exps, manifest_path.as_deref(), cache.as_ref());
+    let outcome = run_experiments(&ctx, &exps, manifest_path.as_deref());
     if outcome.failed.is_empty() {
         0
     } else {
@@ -693,86 +453,6 @@ fn graph_mem(args: GraphMemArgs) -> i32 {
     0
 }
 
-/// Parsed `cxlg cas gc` arguments.
-#[derive(Debug, PartialEq, Eq)]
-struct CasGcArgs {
-    /// Store root to collect.
-    pub cas_root: PathBuf,
-    /// Evict (LRU by publication sequence) until at or below this many
-    /// bytes.
-    pub max_bytes: Option<u64>,
-    /// Evict until at or below this many entries.
-    pub max_entries: Option<usize>,
-}
-
-/// Parse the arguments following `cxlg cas` (currently only the `gc`
-/// verb).
-fn parse_cas_args(args: &[String]) -> Result<CasGcArgs, String> {
-    let Some(("gc", rest)) = args.split_first().map(|(v, r)| (v.as_str(), r)) else {
-        return Err("cas: expected the `gc` verb".to_string());
-    };
-    let mut out = CasGcArgs {
-        cas_root: PathBuf::new(),
-        max_bytes: None,
-        max_entries: None,
-    };
-    let mut cas_root = None;
-    for a in rest {
-        if let Some(dir) = a.strip_prefix("--cas-root=") {
-            if dir.is_empty() {
-                return Err("--cas-root= requires a directory".to_string());
-            }
-            cas_root = Some(PathBuf::from(dir));
-        } else if let Some(n) = a.strip_prefix("--max-bytes=") {
-            out.max_bytes = Some(
-                n.parse::<u64>()
-                    .map_err(|_| format!("--max-bytes: bad size `{n}`"))?,
-            );
-        } else if let Some(n) = a.strip_prefix("--max-entries=") {
-            out.max_entries = Some(
-                n.parse::<usize>()
-                    .map_err(|_| format!("--max-entries: bad count `{n}`"))?,
-            );
-        } else {
-            return Err(format!("unknown argument `{a}`"));
-        }
-    }
-    out.cas_root = cas_root.ok_or("cas gc: --cas-root=DIR is required")?;
-    Ok(out)
-}
-
-/// Execute `cxlg cas gc`: open the store (which already reaps stale
-/// staging litter and quarantines corrupt manifests as part of open)
-/// and evict entries oldest-publication-first until the given bounds
-/// fit. With no bounds this is a recovery-only pass. Returns the exit
-/// code.
-fn run_cas_gc(args: CasGcArgs) -> i32 {
-    let store = match cxlg_serve::store::ResultStore::new(&args.cas_root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cxlg cas gc: open {}: {e}", args.cas_root.display());
-            return 2;
-        }
-    };
-    let recovered = store.counters();
-    let report = store.gc(args.max_bytes, args.max_entries);
-    for key in &report.evicted {
-        println!("evicted {key}");
-    }
-    println!(
-        "cas gc {}: entries {} -> {}, bytes {} -> {} (reaped {} staging dir(s), \
-         quarantined {} entr(ies))",
-        args.cas_root.display(),
-        report.entries_before,
-        report.entries_before - report.evicted.len(),
-        report.bytes_before,
-        report.bytes_after,
-        recovered.staging_reaped,
-        recovered.quarantined,
-    );
-    0
-}
-
 /// Entry point of the `cxlg` binary.
 pub fn cxlg_main() {
     #[expect(clippy::disallowed_methods, reason = "D6: the command line selects the run")]
@@ -798,13 +478,6 @@ pub fn cxlg_main() {
             Ok(ga) => graph_mem(ga),
             Err(msg) => {
                 eprintln!("cxlg graph-mem: {msg}\n\n{USAGE}");
-                2
-            }
-        },
-        Some("cas") => match parse_cas_args(&args[1..]) {
-            Ok(ca) => run_cas_gc(ca),
-            Err(msg) => {
-                eprintln!("cxlg cas: {msg}\n\n{USAGE}");
                 2
             }
         },
@@ -860,9 +533,8 @@ mod tests {
         assert_eq!(ra.graph_storage, cxlg_graph::StorageMode::Mem, "mem is the default");
         let ra = parse_run_args(&s(&["--graph-storage=spill", "fig3"])).unwrap();
         assert_eq!(ra.graph_storage, cxlg_graph::StorageMode::Spill);
-        let ra = parse_run_args(&s(&["--graph-storage=mem", "--cached", "fig3"])).unwrap();
+        let ra = parse_run_args(&s(&["--graph-storage=mem", "fig3"])).unwrap();
         assert_eq!(ra.graph_storage, cxlg_graph::StorageMode::Mem);
-        assert!(ra.cached, "storage composes with --cached");
         assert!(parse_run_args(&s(&["--graph-storage=frob", "fig3"])).is_err());
         assert!(parse_run_args(&s(&["--graph-storage=", "fig3"])).is_err());
     }
@@ -913,59 +585,22 @@ mod tests {
     }
 
     #[test]
-    fn parse_run_cached_forms() {
-        let ra = parse_run_args(&s(&["--cached", "--all"])).unwrap();
-        assert!(ra.cached && ra.all);
-        assert_eq!(ra.cas_root, None);
-        let ra = parse_run_args(&s(&["--cached", "--cas-root=/tmp/cas", "fig3"])).unwrap();
-        assert_eq!(ra.cas_root, Some("/tmp/cas".to_string()));
-        assert!(parse_run_args(&s(&["--cas-root=/tmp/cas", "fig3"])).is_err());
-        assert!(parse_run_args(&s(&["--cached", "--cas-root=", "fig3"])).is_err());
-    }
-
-    #[test]
-    fn parse_run_chaos_forms() {
-        // The store is bounded by `cxlg cas gc`, not by the run, and a
-        // cached miss is one attempt: no budget, fault schedule or seed.
+    fn parse_run_rejects_retired_options() {
+        // `cxlg run` has no result cache: no store, store root, budget,
+        // retry count, fault schedule or fault seed.
         for opt in [
+            "--cached",
+            "--cas-root=/tmp/cas",
             "--cas-max-bytes=4096",
             "--max-attempts=2",
             "--fault-plan=panic@1",
             "--fault-seed=7",
         ] {
-            let Err(e) = parse_run_args(&s(&["--cached", opt, "fig3"])) else {
+            let Err(e) = parse_run_args(&s(&[opt, "fig3"])) else {
                 panic!("{opt} must be rejected")
             };
             assert!(e.starts_with("unknown option"), "{opt}: {e}");
         }
-    }
-
-    #[test]
-    fn parse_cas_gc_forms() {
-        let ca = parse_cas_args(&s(&["gc", "--cas-root=/tmp/cas"])).unwrap();
-        assert_eq!(
-            ca,
-            CasGcArgs {
-                cas_root: PathBuf::from("/tmp/cas"),
-                max_bytes: None,
-                max_entries: None
-            }
-        );
-        let ca = parse_cas_args(&s(&[
-            "gc",
-            "--cas-root=/tmp/cas",
-            "--max-bytes=1048576",
-            "--max-entries=16",
-        ]))
-        .unwrap();
-        assert_eq!(ca.max_bytes, Some(1_048_576));
-        assert_eq!(ca.max_entries, Some(16));
-        assert!(parse_cas_args(&s(&[])).is_err(), "the verb is required");
-        assert!(parse_cas_args(&s(&["frob"])).is_err());
-        assert!(parse_cas_args(&s(&["gc"])).is_err(), "the root is required");
-        assert!(parse_cas_args(&s(&["gc", "--cas-root="])).is_err());
-        assert!(parse_cas_args(&s(&["gc", "--cas-root=/tmp/c", "--max-bytes=x"])).is_err());
-        assert!(parse_cas_args(&s(&["gc", "--cas-root=/tmp/c", "--frob"])).is_err());
     }
 
     #[test]

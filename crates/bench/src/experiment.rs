@@ -4,7 +4,7 @@
 //! ## Contract
 //!
 //! * [`name`](Experiment::name) is the stable identifier used by
-//!   `cxlg run <name>`, the result cache's job key, and the result file stem
+//!   `cxlg run <name>` and the result file stem
 //!   (`<results_dir>/<name>.json`). Names are unique across the
 //!   [registry](crate::registry).
 //! * [`description`](Experiment::description) is the one-line summary

@@ -6,7 +6,6 @@ use crate::ctx::ExperimentCtx;
 use crate::good_source;
 use cxlg_core::raf::{raf_sweep, RafPoint, FIG3_ALIGNMENTS};
 use cxlg_core::traversal::{bfs_trace, sssp_trace};
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// Banner title.
@@ -35,24 +34,21 @@ pub fn run(ctx: &ExperimentCtx) {
     let jobs: Vec<(usize, &'static str)> = (0..3)
         .flat_map(|i| [(i, "BFS"), (i, "SSSP")])
         .collect();
-    let series: Vec<Series> = jobs
-        .into_par_iter()
-        .map(|(i, workload)| {
-            let spec = datasets[i];
-            let g = ctx.graph(spec);
-            let src = good_source(&g);
-            let trace = match workload {
-                "BFS" => bfs_trace(&g, src),
-                _ => sssp_trace(&g, src, 64),
-            };
-            let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS);
-            Series {
-                workload,
-                dataset: spec.name(),
-                points,
-            }
-        })
-        .collect();
+    let series: Vec<Series> = ctx.sweep(jobs, |(i, workload)| {
+        let spec = datasets[i];
+        let g = ctx.graph(spec);
+        let src = good_source(&g);
+        let trace = match workload {
+            "BFS" => bfs_trace(&g, src),
+            _ => sssp_trace(&g, src, 64),
+        };
+        let points = raf_sweep(&g, &trace, &FIG3_ALIGNMENTS);
+        Series {
+            workload,
+            dataset: spec.name(),
+            points,
+        }
+    });
 
     print!("{:<22}", "Alignment [B]");
     for a in FIG3_ALIGNMENTS {

@@ -60,7 +60,8 @@ mod tests {
     fn experiments_sweep_only_through_the_context() {
         // `ExperimentCtx::{sweep, sweep_systems}` run on `ctx.threads`,
         // the worker count every result header records; the runner's
-        // sweeps run on whatever pool the caller happens to be on.
+        // sweeps and rayon's parallel iterators run on whatever pool the
+        // caller happens to be on.
         let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/experiments");
         let mut files: Vec<_> = std::fs::read_dir(&dir)
             .expect("experiments dir")
@@ -78,6 +79,12 @@ mod tests {
             assert!(
                 sweeps.is_empty(),
                 "{} calls cxlg_core::runner::{sweeps:?}; use ctx.sweep or ctx.sweep_systems",
+                path.display()
+            );
+            // Matches `par_iter`, `into_par_iter` and `par_iter_mut`.
+            assert!(
+                !src.contains("par_iter"),
+                "{} fans out with a rayon parallel iterator; use ctx.sweep",
                 path.display()
             );
         }

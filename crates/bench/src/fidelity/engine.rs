@@ -474,8 +474,10 @@ fn fmt(x: f64) -> String {
     if !x.is_finite() {
         return x.to_string();
     }
+    // `a` is finite here, so the range test agrees with the
+    // `a >= 10_000.0 || a < 0.01` it stands for (NaN returned above).
     let a = x.abs();
-    if a != 0.0 && (a >= 10_000.0 || a < 0.01) {
+    if a != 0.0 && !(0.01..10_000.0).contains(&a) {
         format!("{x:.3e}")
     } else {
         format!("{x:.3}")

@@ -11,8 +11,7 @@
 //!   once per campaign;
 //! * [`experiments`] — the per-figure implementations;
 //! * [`cli`] — the `cxlg` driver (`list` / `run` / `--json-manifest`)
-//!   and its one campaign loop, which `run --cached` runs with a
-//!   content-addressed result cache around each experiment;
+//!   and its one campaign loop;
 //! * [`fidelity`] — `cxlg validate`: the paper's reference series as
 //!   data, a residual engine over captured campaigns, and the generated
 //!   FIDELITY.md report.

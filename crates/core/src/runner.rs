@@ -84,7 +84,7 @@ pub(crate) fn drive<G: CsrView + ?Sized>(
                     clock: SimTime::ZERO,
                     levels: Vec::new(),
                 };
-                Slot::Chain(Mutex::new(chain), Condvar::new())
+                Slot::Chain(Mutex::new(Box::new(chain)), Condvar::new())
             } else {
                 Slot::Shards(Mutex::new(Vec::new()))
             }
@@ -227,8 +227,9 @@ enum Slot {
     /// finish, in any order.
     Shards(Mutex<Vec<(usize, ShardOutcome)>>),
     /// One engine that takes the levels in level order; the condition
-    /// variable announces each finished level.
-    Chain(Mutex<Chain>, Condvar),
+    /// variable announces each finished level. Boxed: an engine is far
+    /// larger than a shard list.
+    Chain(Mutex<Box<Chain>>, Condvar),
 }
 
 /// A chained system's engine and progress.
@@ -268,7 +269,7 @@ impl Slot {
                     engine,
                     clock,
                     levels,
-                } = &mut *guard;
+                } = &mut **guard;
                 let batch = engine.run_batch(*clock, &unit.requests);
                 levels.push((batch.fetched_bytes, batch.end.saturating_since(*clock)));
                 *clock = batch.end;

@@ -39,7 +39,7 @@ pub fn coalesce_span(span: ByteSpan, line: u64, sector: u64, mut f: impl FnMut(T
         let line_end = align_down(cur, line) + line;
         let stop = line_end.min(end);
         // Whole sectors covering [cur, stop).
-        let bytes = (stop - cur + sector - 1) / sector * sector;
+        let bytes = (stop - cur).div_ceil(sector) * sector;
         f(Transaction { addr: cur, bytes });
         cur += bytes;
         // `bytes` never overruns the line: stop <= line_end and cur was

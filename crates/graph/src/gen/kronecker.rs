@@ -55,7 +55,7 @@ fn rmat_edge(rng: &mut Xoshiro256StarStar, scale: u32) -> (VertexId, VertexId) {
 /// The regenerable arc stream behind [`generate`]; the relabeling
 /// permutation is built once and captured by the chunk closure.
 pub(crate) fn arc_stream(scale: u32, edge_factor: u32, seed: u64) -> ArcStream {
-    assert!(scale >= 1 && scale < 32, "scale out of range: {scale}");
+    assert!((1..32).contains(&scale), "scale out of range: {scale}");
     let n = 1usize << scale;
     let undirected = n as u64 * edge_factor as u64;
 

@@ -38,8 +38,12 @@ pub(crate) struct ArcStream {
     /// Whether duplicate arcs collapse (kron/social yes, urand no).
     pub dedup: bool,
     /// Emits chunk `chunk`'s arcs via the sink, identically on every call.
-    pub stream: Box<dyn Fn(u64, usize, &mut dyn FnMut(VertexId, VertexId)) + Sync + Send>,
+    pub stream: Box<ChunkEmitter>,
 }
+
+/// `(chunk_index, generator_len, sink)`: emits one chunk's arcs into
+/// the sink (see [`ArcStream::stream`]).
+pub(crate) type ChunkEmitter = dyn Fn(u64, usize, &mut dyn FnMut(VertexId, VertexId)) + Sync + Send;
 
 /// Edges generated per parallel chunk. Large enough to amortize thread
 /// dispatch, small enough to balance across cores.

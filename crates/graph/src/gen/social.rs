@@ -105,7 +105,7 @@ pub fn generate(scale: u32, avg_degree: u32, seed: u64) -> Csr {
 /// The regenerable arc stream behind [`generate`]; the alias table is
 /// built once and captured by the chunk closure.
 pub(crate) fn arc_stream(scale: u32, avg_degree: u32, seed: u64) -> ArcStream {
-    assert!(scale >= 1 && scale < 32, "scale out of range: {scale}");
+    assert!((1..32).contains(&scale), "scale out of range: {scale}");
     let n = 1usize << scale;
     let weights = degree_weights(n, avg_degree);
     let table = AliasTable::new(&weights);

@@ -16,7 +16,7 @@ use crate::VertexId;
 /// The regenerable arc stream behind [`generate`], shared with the spill
 /// builder so both storage backends consume identical arcs.
 pub(crate) fn arc_stream(scale: u32, avg_degree: u32, seed: u64) -> ArcStream {
-    assert!(scale >= 1 && scale < 32, "scale out of range: {scale}");
+    assert!((1..32).contains(&scale), "scale out of range: {scale}");
     assert!(avg_degree >= 1, "avg_degree must be positive");
     let n = 1usize << scale;
     let undirected = (n as u64 * avg_degree as u64) / 2;
