@@ -19,6 +19,7 @@ use crate::csr::Csr;
 use crate::storage::CsrView;
 use crate::VertexId;
 use cxlg_sim::Xoshiro256StarStar;
+use std::convert::Infallible;
 
 /// Apply a relabeling permutation: vertex `v` becomes `perm[v]`.
 /// `perm` must be a permutation of `0..n`. The input may live in any
@@ -43,12 +44,14 @@ fn relabel<G: CsrView + ?Sized>(g: &G, perm: &[VertexId]) -> Csr {
     }
     // Old vertices per parallel part of the scatter's input.
     const PART: usize = 1 << 12;
-    let targets = collate_window(0, &mut offsets, false, n.div_ceil(PART), |p, sink| {
-        for v in p * PART..((p + 1) * PART).min(n) {
-            let nv = perm[v];
-            g.for_neighbors(v as VertexId, &mut |u| sink(nv, perm[u as usize]));
-        }
-    });
+    let Ok(targets): Result<_, Infallible> =
+        collate_window(0, &mut offsets, false, n.div_ceil(PART), |p, sink| {
+            for v in p * PART..((p + 1) * PART).min(n) {
+                let nv = perm[v];
+                g.for_neighbors(v as VertexId, &mut |u| sink(nv, perm[u as usize]));
+            }
+            Ok(())
+        });
     Csr::from_parts(offsets, targets)
 }
 

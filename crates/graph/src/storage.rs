@@ -19,8 +19,8 @@
 //!
 //! The file is the targets array and nothing else: the offsets stay
 //! resident, so the file needs no header. A spill file is private to
-//! the process that built it and deleted when its [`SpillCsr`] drops;
-//! nothing reopens one. The build's finalizer re-reads the targets it
+//! the process that built it and deleted when its [`SpillCsr`] drops
+//! or its build fails; nothing reopens one. The build's finalizer re-reads the targets it
 //! wrote, rejecting any target `>= n` (an [`std::io::Error`], never UB),
 //! and computes the fingerprint from those bytes with the byte-for-byte
 //! same FNV-1a state machine as [`Csr::fingerprint`], which is what
@@ -29,12 +29,14 @@
 
 use crate::builder::{collate_window, count_offsets, pack_arc, unpack_arc};
 use crate::csr::{edge_weight, Csr, Fnv1a};
+use crate::gen::ArcStream;
 use crate::spec::GraphSpec;
 use crate::VertexId;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -224,20 +226,20 @@ pub struct SpillConfig {
     /// beyond this.
     pub cache_pages: usize,
     /// Build-time segment size in counted arcs. The spill builder's
-    /// working set is one segment — 12 B per counted arc (the bucket's
-    /// 8 B packed arcs, read back whole, and the kernel's 4 B targets)
-    /// plus 16 B per segment vertex (cursors and window offsets) — on top
-    /// of 16 B per graph vertex (counted and final offsets). As process
-    /// peak RSS at scale 18 on 2 threads that is ≈ 3.0 B per stored arc
-    /// for urand, 3.5 for kron and 2.1 for social. A single vertex whose
-    /// degree exceeds this gets a segment of its own.
+    /// working set is one segment — 4 B per counted arc (the kernel's
+    /// targets) plus 8 B per segment vertex (cursors) — on top of 8 B per
+    /// graph vertex (the offsets, counted and then finalized in place). As
+    /// process peak RSS at scale 18 on 2 threads that is ≈ 1.3–1.8 B
+    /// per stored arc for urand, 1.6 for kron and 1.3 for social. A single
+    /// vertex whose degree exceeds this gets a segment of its own.
     pub segment_arcs: u64,
 }
 
 impl SpillConfig {
     /// Defaults: 64 Ki targets per page (256 KB), 8 cached pages (2 MB),
-    /// 1 Mi-arc build segments (≈ 12 MB working set) — sized so a
-    /// scale-18 spill build fits the CI gate's 4 B/arc peak-RSS budget.
+    /// 1 Mi-arc build segments (≈ 4 MB working set) — sized
+    /// so a scale-18 spill build fits the CI gate's 2.5 B/arc peak-RSS
+    /// budget.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         SpillConfig {
             dir: dir.into(),
@@ -292,112 +294,155 @@ impl SpillCsr {
     ///    most `segment_arcs` counted arcs, then stream all chunks again,
     ///    appending each packed arc to its segment's bucket file. Bucket
     ///    write order is thread-dependent; the per-sublist sort erases it.
-    /// 3. **Collate** — per segment in vertex order: read the bucket back,
-    ///    run the in-memory builder's window kernel over the segment's
-    ///    vertices (scatter with the count audit, sort, dedup, in-place
-    ///    compaction), append the window's targets to the spill file with
-    ///    one write, delete the bucket.
+    /// 3. **Collate** — per segment in vertex order: run the in-memory
+    ///    builder's window kernel over the segment's vertices (scatter
+    ///    with the count audit, sort, dedup, in-place compaction), each
+    ///    of its parts streaming one 512 KiB block of the bucket back
+    ///    with 64 KiB positioned reads; append the window's targets to
+    ///    the spill file through a 64 KiB buffer; rewrite the segment's
+    ///    counted offsets into final ones in place; close the bucket,
+    ///    which frees its disk space.
     ///
     /// The fingerprint is then computed by hashing the final offsets and
     /// re-reading the written targets region (with a range check on every
-    /// target), so a freshly built spill is checked end to end.
+    /// target), so a freshly built spill is checked end to end. A failed
+    /// read or write in any pass comes back as the `io::Error`, and a
+    /// build that fails or panics leaves no file behind.
     pub fn build(spec: &GraphSpec, cfg: &SpillConfig) -> io::Result<SpillCsr> {
-        let parts = spec.arc_stream();
+        let name = format!("{}-s{:x}", spec.name(), spec.seed);
+        Self::build_stream(&spec.arc_stream(), &name, cfg)
+    }
+
+    /// [`SpillCsr::build`] over any arc stream; `name` starts the spill
+    /// file's name.
+    fn build_stream(parts: &ArcStream, name: &str, cfg: &SpillConfig) -> io::Result<SpillCsr> {
         let (n, chunks, dedup) = (parts.n, &parts.chunks, parts.dedup);
         let stream = parts.stream.as_ref();
         fs::create_dir_all(&cfg.dir)?;
-        let path = cfg.dir.join(format!(
-            "{}-s{:x}-p{}-{}.spill",
-            spec.name(),
-            spec.seed,
+        let pending = Unfinished(cfg.dir.join(format!(
+            "{name}-p{}-{}.spill",
             std::process::id(),
             SPILL_FILE_SEQ.fetch_add(1, Ordering::Relaxed),
-        ));
+        )));
+        let path = pending.0.as_path();
 
         // ---- Pass 1: per-vertex out-degree counts.
         let counted = count_offsets(n, chunks, stream);
 
-        // Segment boundaries: contiguous vertex ranges of at most
-        // `segment_arcs` counted arcs (an over-budget vertex gets its own
-        // segment). Boundaries depend only on the counts, never on thread
-        // scheduling.
-        let segment_arcs = cfg.segment_arcs.max(1);
-        let mut seg_bounds: Vec<usize> = vec![0];
-        let mut v = 0usize;
-        while v < n {
-            let limit = counted[v].saturating_add(segment_arcs);
-            let w = counted
-                .partition_point(|&o| o <= limit)
-                .saturating_sub(1)
-                .clamp(v + 1, n);
-            seg_bounds.push(w);
-            v = w;
-        }
+        let seg_bounds = segment_bounds(&counted, cfg.segment_arcs);
         let num_segs = seg_bounds.len() - 1;
         let seg_of = |src: VertexId| seg_bounds.partition_point(|&b| b <= src as usize) - 1;
 
         // ---- Pass 2: partition the regenerated arcs into per-segment
-        // bucket files (packed u64 LE). Per-chunk local buffers keep bucket
-        // writes large and the writer locks uncontended.
-        let bucket_paths: Vec<PathBuf> = (0..num_segs)
-            .map(|s| path.with_extension(format!("bucket{s}")))
-            .collect();
-        let writers: Vec<Mutex<BufWriter<File>>> = bucket_paths
-            .iter()
-            .map(|p| File::create(p).map(|f| Mutex::new(BufWriter::with_capacity(1 << 16, f))))
+        // bucket files (packed u64 LE). Per-task local buffers keep bucket
+        // writes large and the writer locks uncontended; each task takes
+        // `BUCKET_TASK_CHUNKS` chunks and reuses its buffers across them,
+        // since allocating and growing them afresh per chunk cost pass 2
+        // about a fifth of its time at urand 18. Each bucket is
+        // unlinked as soon as it is created: its open handle is the only
+        // way to it, so no return, error or panic leaves one behind, and
+        // its disk space goes when pass 3 drops the handle.
+        let writers: Vec<Mutex<BufWriter<File>>> = (0..num_segs)
+            .map(|s| {
+                let bucket_path = path.with_extension(format!("bucket{s}"));
+                let f = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(true)
+                    .open(&bucket_path)?;
+                fs::remove_file(&bucket_path)?;
+                Ok(Mutex::new(BufWriter::with_capacity(1 << 16, f)))
+            })
             .collect::<io::Result<_>>()?;
         let io_fail: Mutex<Option<io::Error>> = Mutex::new(None);
-        chunks.par_iter().for_each(|&(chunk, len)| {
+        let tasks = chunks.len().div_ceil(BUCKET_TASK_CHUNKS);
+        (0..tasks).into_par_iter().for_each(|task| {
+            let first = task * BUCKET_TASK_CHUNKS;
             let mut local: Vec<Vec<u8>> = vec![Vec::new(); num_segs];
-            stream(chunk, len, &mut |src, dst| {
-                local[seg_of(src)].extend_from_slice(&pack_arc(src, dst).to_le_bytes());
-            });
-            for (s, buf) in local.iter().enumerate() {
-                if buf.is_empty() {
-                    continue;
-                }
-                let mut w = writers[s].lock().unwrap();
-                if let Err(e) = w.write_all(buf) {
-                    io_fail.lock().unwrap().get_or_insert(e);
+            for &(chunk, len) in &chunks[first..(first + BUCKET_TASK_CHUNKS).min(chunks.len())] {
+                stream(chunk, len, &mut |src, dst| {
+                    local[seg_of(src)].extend_from_slice(&pack_arc(src, dst).to_le_bytes());
+                });
+                for (s, buf) in local.iter_mut().enumerate() {
+                    if buf.is_empty() {
+                        continue;
+                    }
+                    let mut w = writers[s].lock().unwrap();
+                    if let Err(e) = w.write_all(buf) {
+                        io_fail.lock().unwrap().get_or_insert(e);
+                    }
+                    buf.clear();
                 }
             }
         });
-        for w in writers {
-            w.into_inner().unwrap().flush()?;
-        }
         if let Some(e) = io_fail.into_inner().unwrap() {
             return Err(e);
         }
+        let buckets: Vec<File> = writers
+            .into_iter()
+            .map(|w| {
+                let w = w.into_inner().unwrap();
+                w.into_inner().map_err(|e| e.into_error())
+            })
+            .collect::<io::Result<_>>()?;
 
         // ---- Pass 3: collate each segment in vertex order and append its
         // sorted (and optionally deduplicated) sublists to the spill file.
+        // Each kernel part streams its own block of the bucket through a
+        // 64 KiB stack buffer, so a segment holds 4 B per counted arc (its
+        // targets) and nothing per bucket byte. The counted offsets become
+        // the final ones in place: a segment's window is its own entries;
+        // its first entry, which the previous segment already finalized,
+        // is set back to its counted value for the kernel, and the
+        // kernel's output is shifted down to the final frame.
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&path)?;
-        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        for s in 0..num_segs {
-            let (first, last) = (seg_bounds[s], seg_bounds[s + 1]);
-            let mut bytes = fs::read(&bucket_paths[s])?;
-            let mut window = counted[first..=last].to_vec();
-            let blocks: Vec<&[u8]> = bytes.chunks(BUCKET_PART_ARCS * 8).collect();
-            let targets = collate_window(first, &mut window, dedup, blocks.len(), |b, sink| {
-                for a in blocks[b].chunks_exact(8) {
-                    let (src, dst) = unpack_arc(u64::from_le_bytes(a.try_into().unwrap()));
-                    sink(src, dst);
+            .open(path)?;
+        let mut offsets = counted;
+        let mut counted_first = 0u64;
+        let block = (BUCKET_PART_ARCS * 8) as u64;
+        let mut le = [0u8; 1 << 16];
+        for (s, bucket) in buckets.into_iter().enumerate() {
+            let window = &mut offsets[seg_bounds[s]..=seg_bounds[s + 1]];
+            let written = window[0];
+            window[0] = counted_first;
+            counted_first = window[window.len() - 1];
+            // The bucket's own length, not the counted one: a stream that
+            // drifted between passes then fails the kernel's audit.
+            let bucket_len = bucket.metadata()?.len();
+            let parts = bucket_len.div_ceil(block) as usize;
+            let read_block = |b: usize, sink: &mut dyn FnMut(VertexId, VertexId)| {
+                let mut buf = [0u8; 1 << 16];
+                let mut pos = b as u64 * block;
+                let end = bucket_len.min(pos + block);
+                while pos < end {
+                    let take = (end - pos).min(buf.len() as u64) as usize;
+                    let bytes = &mut buf[..take];
+                    bucket.read_exact_at(bytes, pos)?;
+                    for a in bytes.chunks_exact(8) {
+                        let (src, dst) = unpack_arc(u64::from_le_bytes(a.try_into().unwrap()));
+                        sink(src, dst);
+                    }
+                    pos += bytes.len() as u64;
                 }
-            });
-            let written = *offsets.last().unwrap();
-            offsets.extend(window[1..].iter().map(|&o| written + (o - window[0])));
-            // The bucket's buffer (8 B/arc) takes the window's LE targets
-            // (4 B/arc) without growing, for one write.
-            bytes.clear();
-            bytes.extend(targets.iter().flat_map(|t| t.to_le_bytes()));
-            file.write_all(&bytes)?;
-            fs::remove_file(&bucket_paths[s])?;
+                io::Result::Ok(())
+            };
+            let targets = collate_window(seg_bounds[s], window, dedup, parts, read_block)?;
+            drop(bucket);
+            let shift = window[0] - written;
+            for o in window.iter_mut() {
+                *o -= shift;
+            }
+            for run in targets.chunks(le.len() / 4) {
+                for (b, t) in le.chunks_exact_mut(4).zip(run) {
+                    b.copy_from_slice(&t.to_le_bytes());
+                }
+                file.write_all(&le[..run.len() * 4])?;
+            }
         }
 
         // ---- Finalize: the fingerprint over the resident offsets and a
@@ -408,15 +453,13 @@ impl SpillCsr {
             fp.update(&o.to_le_bytes());
         }
         file.seek(SeekFrom::Start(0))?;
-        let mut reader = BufReader::with_capacity(1 << 20, &mut file);
-        hash_targets(&mut reader, m, n as u64, &mut fp)?;
-        drop(reader);
+        hash_targets(&mut file, m, n as u64, &mut fp)?;
         let fingerprint = fp.finish();
 
         Ok(SpillCsr {
             offsets,
             file: Mutex::new(file),
-            path,
+            path: pending.keep(),
             num_targets: m,
             fingerprint,
             page_len: cfg.page_len.max(1),
@@ -695,8 +738,54 @@ fn hash_targets(reader: &mut impl Read, m: u64, n: u64, fp: &mut Fnv1a) -> io::R
     Ok(())
 }
 
+/// Segment boundaries of a spill build over the counted offsets:
+/// contiguous vertex ranges of at most `segment_arcs` counted arcs (an
+/// over-budget vertex gets its own segment). Segment `s` is vertices
+/// `bounds[s]..bounds[s + 1]`. Boundaries depend only on the counts,
+/// never on thread scheduling.
+fn segment_bounds(counted: &[u64], segment_arcs: u64) -> Vec<usize> {
+    let n = counted.len() - 1;
+    let segment_arcs = segment_arcs.max(1);
+    let mut bounds: Vec<usize> = vec![0];
+    let mut v = 0usize;
+    while v < n {
+        let limit = counted[v].saturating_add(segment_arcs);
+        let w = counted
+            .partition_point(|&o| o <= limit)
+            .saturating_sub(1)
+            .clamp(v + 1, n);
+        bounds.push(w);
+        v = w;
+    }
+    bounds
+}
+
+/// A spill file whose build has not finished: deleted when dropped, so
+/// a build that returns an error or panics leaves none behind. `keep`
+/// hands the path to the built [`SpillCsr`], whose drop deletes it.
+struct Unfinished(PathBuf);
+
+impl Unfinished {
+    fn keep(mut self) -> PathBuf {
+        std::mem::take(&mut self.0)
+    }
+}
+
+impl Drop for Unfinished {
+    fn drop(&mut self) {
+        if !self.0.as_os_str().is_empty() {
+            let _ = fs::remove_file(&self.0);
+        }
+    }
+}
+
+/// Generator chunks per parallel task when the spill build partitions
+/// arcs into buckets; a task reuses its per-segment buffers across them.
+const BUCKET_TASK_CHUNKS: usize = 8;
+
 /// Packed arcs per parallel part when the spill collation reads a
-/// segment's bucket back (512 KiB of bucket bytes).
+/// segment's bucket back: each part reads one block of this many arcs
+/// (512 KiB of bucket bytes), the last one of a bucket possibly shorter.
 const BUCKET_PART_ARCS: usize = 1 << 16;
 
 #[cfg(test)]
@@ -783,15 +872,105 @@ mod tests {
         assert_eq!(len, spill.on_disk_bytes());
     }
 
+    /// The files in `dir`, by name.
+    fn dir_listing(dir: &Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = fs::read_dir(dir)
+            .expect("list spill dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn multi_block_buckets_read_back_exactly() {
+        for spec in [GraphSpec::urand(12).seed(4), GraphSpec::kron(12).seed(4)] {
+            let mut cfg = test_cfg("multi-block");
+            cfg.segment_arcs = 100_000;
+            // Some segment's bucket must span two or more read-back
+            // blocks, the last of them partial.
+            let parts = spec.arc_stream();
+            let counted = count_offsets(parts.n, &parts.chunks, parts.stream.as_ref());
+            let bounds = segment_bounds(&counted, cfg.segment_arcs);
+            assert!(
+                bounds.windows(2).any(|b| {
+                    let arcs = (counted[b[1]] - counted[b[0]]) as usize;
+                    arcs > BUCKET_PART_ARCS && !arcs.is_multiple_of(BUCKET_PART_ARCS)
+                }),
+                "{}: no segment spans a partial second block",
+                spec.name()
+            );
+            let mem = spec.build();
+            let spill = SpillCsr::build(&spec, &cfg).expect("spill build");
+            assert_eq!(spill.fingerprint(), mem.fingerprint(), "{}", spec.name());
+            for v in 0..mem.num_vertices() as VertexId {
+                assert_eq!(spill.degree(v), mem.degree(v), "{} vertex {v}", spec.name());
+                assert_eq!(
+                    CsrView::neighbors_vec(&spill, v),
+                    mem.neighbors(v),
+                    "{} vertex {v}",
+                    spec.name()
+                );
+            }
+        }
+    }
+
     #[test]
     fn built_spill_deletes_its_file_on_drop() {
-        let spec = GraphSpec::urand(6).seed(2);
-        let cfg = test_cfg("drop");
+        // Several segments, so several bucket files: once the build
+        // returns, the dir holds the one spill file; once it drops, none.
+        let spec = GraphSpec::kron(8).seed(6);
+        let cfg = tiny_cfg("drop");
+        let _ = fs::remove_dir_all(&cfg.dir);
         let built = SpillCsr::build(&spec, &cfg).expect("build");
+        assert!(
+            built.num_edges() > 64,
+            "tiny_cfg must split the build into several segments"
+        );
         let path = built.path().to_path_buf();
         assert!(path.is_file());
+        assert_eq!(dir_listing(&cfg.dir), [path.file_name().unwrap()]);
         drop(built);
         assert!(!path.exists(), "a built spill file must be removed on drop");
+        assert!(
+            dir_listing(&cfg.dir).is_empty(),
+            "a dropped spill leaves no files"
+        );
+    }
+
+    #[test]
+    fn a_build_that_fails_leaves_no_files() {
+        // A stream that emits one more arc per chunk after its counting
+        // pass: the kernel's audit panics in the first segment, after
+        // every bucket and the spill file exist.
+        let calls = AtomicU64::new(0);
+        let chunks: Vec<(u64, usize)> = (0..4).map(|c| (c, 200)).collect();
+        let counting_calls = chunks.len() as u64;
+        let parts = ArcStream {
+            n: 64,
+            chunks,
+            dedup: false,
+            stream: Box::new(move |chunk, len, sink| {
+                let drift = usize::from(calls.fetch_add(1, Ordering::Relaxed) >= counting_calls);
+                for i in 0..len + drift {
+                    sink(
+                        (i % 64) as VertexId,
+                        ((chunk as usize + i) % 64) as VertexId,
+                    );
+                }
+            }),
+        };
+        let cfg = tiny_cfg("failed");
+        let _ = fs::remove_dir_all(&cfg.dir);
+        let build = || SpillCsr::build_stream(&parts, "drift", &cfg);
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
+        let panic = built.err().expect("a drifting stream must fail the audit");
+        let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("different arcs across passes"), "{msg}");
+        assert!(
+            dir_listing(&cfg.dir).is_empty(),
+            "a failed build leaves no bucket or spill file"
+        );
     }
 
     #[test]
