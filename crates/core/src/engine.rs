@@ -10,9 +10,22 @@
 //! (return-channel serialization) — all *emerge* from this mechanism; the
 //! analytical model in `cxlg-model` is validated against it.
 //!
+//! # Batch input: windows and a lookahead of `active_warps + 1`
+//!
 //! A traversal runs as a sequence of **batches** (one per BFS level /
-//! SSSP round, matching the level-synchronous kernels of EMOGI/BaM); each
-//! batch is a list of [`DeviceRequest`]s executed to completion.
+//! SSSP round, matching the level-synchronous kernels of EMOGI/BaM), each
+//! a stream of [`DeviceRequest`]s: [`Engine::begin`] opens it,
+//! [`Engine::feed`] appends a window of items, and
+//! [`Engine::finish_batch`] runs it to completion ([`Engine::run_batch`]
+//! is the three with one feed). Warps take items in order, and an event
+//! takes at most `active_warps` of them (one per warp with a pull due),
+//! then asks whether one more is left. So the engine handles an event
+//! only while more than `active_warps` fed items are untaken, or after
+//! `finish_batch`: every decision is the one the whole list would make,
+//! however the items are split into feeds. The batch starts with
+//! `active_warps` pulls; pulls beyond the last item never go live.
+//! Between feeds the engine keeps only the items not yet issued: at most
+//! `active_warps` untaken, and at most one per warp waiting for a credit.
 //!
 //! # Event model: credit hand-offs in closed form
 //!
@@ -93,17 +106,10 @@
 //! What *is* independent is the sequence of batches themselves — each
 //! level runs the link to idle before the next one starts (the
 //! level-synchronous barrier), so the simulation decomposes exactly at
-//! round boundaries. The parallel engine exploits that:
+//! round boundaries:
 //!
-//! * each round's batch becomes one **shard**, simulated on its own
-//!   fresh [`Engine`] (its own event lanes) starting at `t = 0`
-//!   ([`Engine::run_shard`]);
-//! * the traversal driver (`runner::sweep_systems`) hands each planned
-//!   level out as one (level, system) unit per system sharing the plan;
-//!   any pool worker simulates a unit, drops its requests, and files the
-//!   outcome under its round index, so results come back in round order
-//!   no matter which worker ran them ([`simulate_shards`] does the same
-//!   over batches planned in advance);
+//! * each round's batch can be a **shard** on its own fresh [`Engine`]
+//!   from `t = 0` ([`Engine::run_shard`], [`simulate_shards`]);
 //! * [`merge_shard_metrics`] reduces the per-shard [`ShardOutcome`]s in
 //!   **shard-index order**: simulated times are `u64` picoseconds (sums
 //!   and maxes are exact), and the latency [`OnlineStats`] are merged —
@@ -122,17 +128,14 @@
 //! media carries real state across batches — plane page registers (a
 //! re-read of the most recently sensed page skips the full `tR`), plane
 //! busy timestamps, and the latency-jitter RNG stream — which a fresh
-//! per-shard engine would reset, changing the physics. The traversal
-//! driver therefore simulates each system by one of two policies, picked
-//! by [`BackendConfig::quiesces_between_batches`][qb]: quiescent backends
-//! take the shard policy above, flash-backed ones the chain policy — one
-//! engine per system whose batches run back to back on its clock, in
-//! level order, whichever worker planned them — keeping their
-//! paper-fidelity results byte-identical to the pre-shard engine.
-//! `Traversal::run_coupled` forces the chain on any backend. A worker
-//! holds at most one level's requests, shared with the other systems of
-//! its plan. The differential suite in `crates/core/tests/parallel_differential.rs`
-//! pins all of these equivalences.
+//! per-shard engine would reset, changing the physics. So the traversal
+//! driver (`runner::sweep_systems`), picking by
+//! [`BackendConfig::quiesces_between_batches`][qb], gives a quiescent
+//! backend a fresh shard engine per level and a flash-backed one a
+//! chain: one engine whose batches run back to back on its clock.
+//! `Traversal::run_coupled` forces the chain on any backend. The driver
+//! runs the systems in parallel, never one batch across threads.
+//! `crates/core/tests/parallel_differential.rs` pins these equivalences.
 //!
 //! [qb]: crate::system::BackendConfig::quiesces_between_batches
 
@@ -298,25 +301,43 @@ impl Events {
     }
 }
 
-/// One batch's progress through its items.
-struct Batch<'a> {
-    requests: &'a [DeviceRequest],
+/// One batch's progress through its items, which arrive in feeds.
+#[derive(Default)]
+struct Batch {
+    start: SimTime,
+    /// Items fed so far.
+    fed: usize,
     /// Items taken by warps; `[next_issue, next_item)` wait for a credit.
     next_item: usize,
     /// Items issued.
     next_issue: usize,
+    /// The items `[next_issue, fed)` as the last feed left them, the
+    /// first of them item `kept_from`: at most `2·active_warps`.
+    kept: Vec<DeviceRequest>,
+    kept_from: usize,
+    fetched: u64,
+    /// Payload bytes the return link has carried.
+    returned: u64,
     /// One observation per completed item.
     latency: OnlineStats,
     end: SimTime,
 }
 
-impl Batch<'_> {
+impl Batch {
+    /// Item `i`, while `window` holds the items fed last.
+    fn item(&self, window: &[DeviceRequest], i: usize) -> DeviceRequest {
+        match i.checked_sub(self.fed - window.len()) {
+            Some(j) => window[j],
+            None => self.kept[i - self.kept_from],
+        }
+    }
+
     /// Whether an item waits for a credit at a release at `c`, given the
     /// pending pulls: every pull strictly before `c` has taken an item.
     #[inline]
     fn waits_at(&self, c: SimTime, pulls: &VecDeque<(SimTime, usize)>) -> bool {
         self.next_issue < self.next_item
-            || (self.next_item < self.requests.len() && pulls.front().is_some_and(|&(t, _)| t < c))
+            || (self.next_item < self.fed && pulls.front().is_some_and(|&(t, _)| t < c))
     }
 }
 
@@ -340,6 +361,8 @@ pub struct Engine {
     /// The backend's response segments for the request being issued.
     segs: Vec<ReadSegment>,
     events: Events,
+    /// The batch in progress.
+    batch: Batch,
     run_latency: OnlineStats,
     run_requests: u64,
     run_fetched: u64,
@@ -368,6 +391,7 @@ impl Engine {
             ret_next_free: SimTime::ZERO,
             segs: Vec::new(),
             events: Events::default(),
+            batch: Batch::default(),
             run_latency: OnlineStats::new(),
             run_requests: 0,
             run_fetched: 0,
@@ -375,36 +399,90 @@ impl Engine {
         }
     }
 
-    /// Execute `requests` starting at `start`; returns when all data has
-    /// arrived at the GPU. Requests are handed to warps in order. Panics,
-    /// in release builds too, if the drained batch breaks an invariant.
-    pub fn run_batch(&mut self, start: SimTime, requests: &[DeviceRequest]) -> BatchResult {
-        let r = requests.len();
-        if r == 0 {
-            return BatchResult {
-                end: start,
-                fetched_bytes: 0,
-                requests: 0,
-                latency: OnlineStats::new(),
-            };
-        }
+    /// Begin a batch at `start`. Its items are handed to warps in the
+    /// order [`Engine::feed`] appends them; [`Engine::finish_batch`] runs
+    /// it to completion. Panics if a batch is open.
+    pub fn begin(&mut self, start: SimTime) {
+        assert!(self.events.pulls.is_empty(), "a batch is open");
         // Everything is scheduled in absolute time, from `start`.
         self.events.now = start;
-        let warps = (self.cfg.gpu.active_warps as usize).min(r);
-        self.events.pulls.push_back((start, warps));
-
-        let mut b = Batch {
-            requests,
-            next_item: 0,
-            next_issue: 0,
+        self.events.pulls.push_back((start, self.cfg.gpu.active_warps as usize));
+        self.batch = Batch {
+            start,
             latency: OnlineStats::new(),
             end: start,
+            ..Batch::default()
         };
-        let mut returned = 0u64;
-        let prop = self.cfg.link.propagation();
+    }
 
-        loop {
-            let pulls_live = !self.credits.is_full() && b.next_item < r;
+    /// Append `window` to the open batch's items and simulate every
+    /// event the items fed so far decide (module docs, "Batch input").
+    pub fn feed(&mut self, window: &[DeviceRequest]) {
+        self.batch.fed += window.len();
+        self.batch.fetched += window.iter().map(|x| x.bytes).sum::<u64>();
+        self.advance(window, false);
+        // Keep the items not yet issued.
+        let b = &mut self.batch;
+        let split = b.fed - window.len();
+        let issued_kept = (b.next_issue - b.kept_from).min(b.kept.len());
+        b.kept.drain(..issued_kept);
+        b.kept
+            .extend_from_slice(&window[b.next_issue.saturating_sub(split)..]);
+        b.kept_from = b.next_issue;
+    }
+
+    /// Run the open batch to completion: returns when all data has
+    /// arrived at the GPU. Panics, in release builds too, if the drained
+    /// batch breaks an invariant.
+    pub fn finish_batch(&mut self) -> BatchResult {
+        self.advance(&[], true);
+        let b = &mut self.batch;
+        let r = b.fed;
+        assert_eq!(b.latency.count(), r as u64, "batch did not drain");
+        assert!(
+            self.credits.in_use() == 0 && b.next_issue == r,
+            "credits outstanding after the batch drained"
+        );
+        assert_eq!(
+            b.returned, b.fetched,
+            "return-link payload differs from fetched bytes"
+        );
+        assert!(b.end >= b.start, "batch ended before it started");
+        // A chained engine idles between its levels while the other
+        // systems of a sweep run theirs; it holds no segment lane then.
+        self.events.release();
+        let latency = std::mem::take(&mut b.latency);
+        // An empty batch leaves the run's totals and clock alone.
+        if r > 0 {
+            self.run_fetched += b.fetched;
+            self.run_requests += r as u64;
+            self.run_latency.merge(&latency);
+            self.end_of_time = b.end;
+        }
+        BatchResult {
+            end: b.end,
+            fetched_bytes: b.fetched,
+            requests: r as u64,
+            latency,
+        }
+    }
+
+    /// Execute `requests` starting at `start`: [`Engine::begin`], one
+    /// [`Engine::feed`], [`Engine::finish_batch`].
+    pub fn run_batch(&mut self, start: SimTime, requests: &[DeviceRequest]) -> BatchResult {
+        self.begin(start);
+        self.feed(requests);
+        self.finish_batch()
+    }
+
+    /// Handle events while they are decided: while more than
+    /// `active_warps` fed items are untaken, or, once `finished`, until
+    /// none is pending. `window` holds the items fed last.
+    fn advance(&mut self, window: &[DeviceRequest], finished: bool) {
+        let warps = self.cfg.gpu.active_warps as usize;
+        let prop = self.cfg.link.propagation();
+        while finished || self.batch.fed - self.batch.next_item > warps {
+            let pulls_live = !self.credits.is_full() && self.batch.next_item < self.batch.fed;
             let Some(next) = self.events.next(pulls_live) else {
                 break;
             };
@@ -420,11 +498,11 @@ impl Engine {
                     }
                     let acquired = self.credits.try_acquire(now);
                     assert!(
-                        acquired && b.next_issue == b.next_item,
+                        acquired && self.batch.next_issue == self.batch.next_item,
                         "a live pull found no credit"
                     );
-                    b.next_item += 1;
-                    self.issue(now, &mut b);
+                    self.batch.next_item += 1;
+                    self.issue(now, window);
                 }
                 Next::Seg => {
                     let (_, (bytes, last_of)) = self.events.segs.pop().expect("peeked");
@@ -433,16 +511,16 @@ impl Engine {
                         .transfer_time(bytes + PcieLinkConfig::COMPLETION_HEADER_BYTES);
                     let done = now.max(self.ret_next_free) + ser;
                     self.ret_next_free = done;
-                    returned += bytes;
+                    self.batch.returned += bytes;
                     if let Some(issued) = last_of {
                         // Data reaches the GPU after the link propagation.
                         let c = done + prop;
                         if self.credits.is_full()
                             && self.events.completes.is_empty()
-                            && b.waits_at(c, &self.events.pulls)
+                            && self.batch.waits_at(c, &self.events.pulls)
                         {
                             // Nothing moves a credit before `c`.
-                            self.complete(c, issued, &mut b);
+                            self.complete(c, issued, window);
                         } else {
                             self.events.complete(c, issued);
                         }
@@ -450,35 +528,9 @@ impl Engine {
                 }
                 Next::Complete => {
                     let (c, issued) = self.events.completes.pop_front().expect("peeked");
-                    self.complete(c, issued, &mut b);
+                    self.complete(c, issued, window);
                 }
             }
-        }
-
-        let fetched: u64 = requests.iter().map(|x| x.bytes).sum();
-        assert_eq!(b.latency.count(), r as u64, "batch did not drain");
-        assert!(
-            self.credits.in_use() == 0 && b.next_issue == r,
-            "credits outstanding after the batch drained"
-        );
-        assert_eq!(
-            returned, fetched,
-            "return-link payload differs from fetched bytes"
-        );
-        assert!(b.end >= start, "batch ended before it started");
-        // A chained engine idles between its levels while the other
-        // systems of a sweep run theirs; it holds no segment lane then.
-        self.events.release();
-
-        self.run_fetched += fetched;
-        self.run_requests += r as u64;
-        self.run_latency.merge(&b.latency);
-        self.end_of_time = b.end;
-        BatchResult {
-            end: b.end,
-            fetched_bytes: fetched,
-            requests: r as u64,
-            latency: b.latency,
         }
     }
 
@@ -486,12 +538,13 @@ impl Engine {
     /// record its latency, hand its credit over (module docs), and, while
     /// items remain, queue the freed warp's next pull after it processes
     /// the fetched edges.
-    fn complete(&mut self, c: SimTime, issued: SimTime, b: &mut Batch) {
+    fn complete(&mut self, c: SimTime, issued: SimTime, window: &[DeviceRequest]) {
+        let b = &mut self.batch;
         b.latency.push(c.saturating_since(issued).as_us_f64());
         b.end = b.end.max(c);
         let pulls = &mut self.events.pulls;
         while let Some((t, n)) = pulls.front_mut() {
-            let left = b.requests.len() - b.next_item;
+            let left = b.fed - b.next_item;
             if left == 0 || *t >= c {
                 break;
             }
@@ -503,11 +556,11 @@ impl Engine {
             }
         }
         if b.next_issue < b.next_item {
-            self.issue(c, b);
+            self.issue(c, window);
         } else {
             self.credits.release(c);
         }
-        if b.next_item < b.requests.len() {
+        if self.batch.next_item < self.batch.fed {
             self.events.pull(c + self.cfg.gpu.item_compute());
         }
     }
@@ -516,8 +569,9 @@ impl Engine {
     /// (zero except for UVM page faults), then the request serializes on
     /// the request channel once it is free and flies to the device, which
     /// is handed the read at its arrival instant.
-    fn issue(&mut self, now: SimTime, b: &mut Batch) {
-        let req = b.requests[b.next_issue];
+    fn issue(&mut self, now: SimTime, window: &[DeviceRequest]) {
+        let b = &mut self.batch;
+        let req = b.item(window, b.next_issue);
         b.next_issue += 1;
         let out = (now + self.cfg.issue_overhead).max(self.req_next_free) + self.request_ser;
         self.req_next_free = out;
@@ -564,6 +618,12 @@ impl Engine {
             "run_shard requires a fresh engine; reuse couples shards"
         );
         let result = self.run_batch(SimTime::ZERO, requests);
+        self.shard_outcome(result)
+    }
+
+    /// The outcome of a shard whose batch, begun at `t = 0` on this fresh
+    /// engine, finished with `result`.
+    pub(crate) fn shard_outcome(&mut self, result: BatchResult) -> ShardOutcome {
         ShardOutcome {
             outstanding_integral: self.credits.in_use_integral(result.end),
             peak_outstanding: self.credits.high_water(),
@@ -1419,12 +1479,15 @@ mod tests {
         reads: Vec<(SimTime, u64)>,
     }
 
+    /// A run of one batch on an engine from an instant.
+    type Run<'a> = &'a mut dyn FnMut(&mut Engine, SimTime, &[DeviceRequest]) -> BatchResult;
+
     /// Run `batches` back to back on `e`, batch by batch through `run`.
     fn observe(
         mut e: Engine,
         log: Arc<Mutex<Vec<(SimTime, u64)>>>,
         batches: &[Vec<DeviceRequest>],
-        run: fn(&mut Engine, SimTime, &[DeviceRequest]) -> BatchResult,
+        run: Run<'_>,
     ) -> Observed {
         let mut t = SimTime::ZERO;
         let mut out = Vec::new();
@@ -1446,10 +1509,7 @@ mod tests {
         }
     }
 
-    fn observe_scenario(
-        seed: u64,
-        run: fn(&mut Engine, SimTime, &[DeviceRequest]) -> BatchResult,
-    ) -> Observed {
+    fn observe_scenario(seed: u64, run: Run<'_>) -> Observed {
         let s = scenario(seed);
         let dev = Scripted::new(s.script);
         let log = Arc::clone(&dev.log);
@@ -1461,46 +1521,135 @@ mod tests {
 
         #[test]
         fn closed_form_hand_offs_equal_the_evented_oracle(seed in any::<u64>()) {
-            let got = observe_scenario(seed, Engine::run_batch);
-            let want = observe_scenario(seed, oracle::run_batch);
+            let got = observe_scenario(seed, &mut Engine::run_batch);
+            let want = observe_scenario(seed, &mut oracle::run_batch);
             prop_assert_eq!(got, want, "seed {:#x}", seed);
         }
     }
 
-    #[test]
-    fn closed_form_hand_offs_equal_the_evented_oracle_on_every_backend() {
-        // The paper's presets, a tag-starved CXL expander and the
-        // out-of-order bridge, over batches below, at and above their
-        // credit counts.
+    /// The paper's presets, a tag-starved CXL expander and the
+    /// out-of-order bridge, each with batches below, at and above its
+    /// credit count.
+    fn preset_backends() -> Vec<(crate::system::SystemConfig, [Vec<DeviceRequest>; 3])> {
         use crate::system::{BackendConfig, SystemConfig};
         let mut out_of_order =
             SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(1.5);
         if let BackendConfig::CxlMem { dev, .. } = &mut out_of_order.backend {
             *dev = dev.out_of_order();
         }
-        for sys in [
+        [
             SystemConfig::emogi_on_dram(PcieGen::Gen3),
             SystemConfig::uvm_on_dram(PcieGen::Gen4).with_active_warps(64),
             SystemConfig::emogi_on_cxl(PcieGen::Gen4, 1).with_added_latency_us(3.0),
             out_of_order,
             SystemConfig::xlfdd(PcieGen::Gen4, 2),
             SystemConfig::bam_on_nvme(PcieGen::Gen4, 1),
-        ] {
+        ]
+        .into_iter()
+        .map(|sys| {
             let n = sys.credits() as usize;
             let batches = [
                 uniform_requests(n / 3, 512),
                 uniform_requests(3 * n, 2048),
                 uniform_requests(n + 1, 512),
             ];
-            let run = |f: fn(&mut Engine, SimTime, &[DeviceRequest]) -> BatchResult| {
-                observe(sys.build_engine(), Arc::default(), &batches, f)
-            };
+            (sys, batches)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn closed_form_hand_offs_equal_the_evented_oracle_on_every_backend() {
+        for (sys, batches) in preset_backends() {
+            let mut run = |f: Run<'_>| observe(sys.build_engine(), Arc::default(), &batches, f);
             assert_eq!(
-                run(Engine::run_batch),
-                run(oracle::run_batch),
+                run(&mut Engine::run_batch),
+                run(&mut oracle::run_batch),
                 "{}",
                 sys.label()
             );
+        }
+    }
+
+    /// A backend that logs every read's arrival instant and address and
+    /// passes it on.
+    struct Logged {
+        inner: Box<dyn MemoryTarget>,
+        log: Arc<Mutex<Vec<(SimTime, u64)>>>,
+    }
+
+    impl MemoryTarget for Logged {
+        fn read(
+            &mut self,
+            t_arrive: SimTime,
+            addr: u64,
+            bytes: u64,
+            out: &mut Vec<ReadSegment>,
+        ) -> SimTime {
+            self.log.lock().unwrap().push((t_arrive, addr));
+            self.inner.read(t_arrive, addr, bytes, out)
+        }
+        fn alignment(&self) -> u64 {
+            self.inner.alignment()
+        }
+        fn kind(&self) -> &'static str {
+            self.inner.kind()
+        }
+        fn reads_served(&self) -> u64 {
+            self.inner.reads_served()
+        }
+        fn bytes_served(&self) -> u64 {
+            self.inner.bytes_served()
+        }
+    }
+
+    /// One batch of `requests` on `e` from `start`, fed in windows of
+    /// sizes drawn from `rng`: empty, one item, at most `active_warps`,
+    /// or more.
+    fn run_windowed(
+        e: &mut Engine,
+        start: SimTime,
+        requests: &[DeviceRequest],
+        rng: &mut cxlg_sim::Xoshiro256StarStar,
+    ) -> BatchResult {
+        let warps = u64::from(e.cfg.gpu.active_warps);
+        e.begin(start);
+        let mut rest = requests;
+        while !rest.is_empty() {
+            let n = match rng.next_below(4) {
+                0 => 0,
+                1 => 1,
+                2 => 1 + rng.next_below(warps),
+                _ => warps + 1 + rng.next_below(warps),
+            };
+            let (window, tail) = rest.split_at((n as usize).min(rest.len()));
+            e.feed(window);
+            rest = tail;
+        }
+        e.finish_batch()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn windowed_feeds_equal_one_shot_batches(seed in any::<u64>()) {
+            let mut rng = cxlg_sim::Xoshiro256StarStar::seed_from_u64(seed);
+            let mut windowed = |e: &mut Engine, t, b: &[DeviceRequest]| run_windowed(e, t, b, &mut rng);
+            // The oracle's scripted grid...
+            let one_shot = observe_scenario(seed, &mut Engine::run_batch);
+            prop_assert_eq!(observe_scenario(seed, &mut windowed), one_shot, "seed {:#x}", seed);
+            // ...and one of its preset backends, its reads logged.
+            let (sys, batches) = preset_backends().swap_remove((seed % 6) as usize);
+            let mut run = |f: Run<'_>| {
+                let mut e = sys.build_engine();
+                let log = Arc::default();
+                let inner = std::mem::replace(&mut e.backend, Box::new(Scripted::new(Vec::new())));
+                e.backend = Box::new(Logged { inner, log: Arc::clone(&log) });
+                observe(e, log, &batches, f)
+            };
+            let one_shot = run(&mut Engine::run_batch);
+            prop_assert_eq!(run(&mut windowed), one_shot, "{} seed {:#x}", sys.label(), seed);
         }
     }
 }

@@ -4,30 +4,37 @@
 //! it traces each level once, plans it once per access method, and
 //! simulates it on every system (the `traversal` module docs,
 //! "Execution paths"). [`Traversal::run`] is the same driver with one
-//! system. Every simulation point is deterministic, so the figure
-//! harnesses also fan independent points out across cores with
-//! [`sweep`], and the results are identical to a sequential run — the
-//! guideline-recommended "convert the outer loop to `par_iter`" shape
-//! for embarrassingly parallel work.
+//! system.
+//!
+//! Levels run one after another. A group of systems that share an
+//! access method plans each level in windows of `WINDOW` (16 Ki)
+//! requests and feeds each window to every member's engine; the members
+//! of all groups take their windows in parallel. A member's engine keeps
+//! at most `2·active_warps` of them between feeds (the `engine` module
+//! docs, "Batch input"). So a run holds one window per group, never a
+//! level's whole plan.
+//!
+//! Every simulation point is deterministic, so the figure harnesses also
+//! fan independent points out across cores with [`sweep`], with results
+//! identical to a sequential run.
 
 use crate::access::{AccessMethod, DeviceRequest};
 use crate::engine::{merge_shard_metrics, Engine, ShardOutcome};
 use crate::metrics::{LevelStats, RunReport};
 use crate::system::{AccessConfig, SystemConfig};
-use crate::traversal::{Levels, Traversal};
+use crate::traversal::Traversal;
 use cxlg_graph::layout::EdgeListLayout;
 use cxlg_graph::{CsrView, VertexId};
 use cxlg_sim::{SimDuration, SimTime};
 use rayon::prelude::*;
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Run one traversal over many system configurations, returning one
 /// report per system in input order. Accepts any graph storage backend.
 ///
 /// The graph is traced once, each level is planned once per distinct
-/// [`AccessConfig`], and the (level, system) units are simulated across
-/// the rayon pool. Each report is bit-identical to [`Traversal::run`] on
-/// its system alone, at any pool size.
+/// [`AccessConfig`], and each planned window is simulated on the
+/// group's systems across the rayon pool. Each report is bit-identical
+/// to [`Traversal::run`] on its system alone, at any pool size.
 pub fn sweep_systems<G: CsrView + ?Sized>(
     graph: &G,
     traversal: Traversal,
@@ -36,11 +43,10 @@ pub fn sweep_systems<G: CsrView + ?Sized>(
     drive(graph, traversal, systems, false)
 }
 
-/// Worker loops per sweep, more than any pool has threads. Each loop
-/// takes units until the traversal has converged, so every pool thread
-/// stays busy and the surplus loops return at once; the pool size is
-/// never read.
-const WORKER_LOOPS: usize = 64;
+/// Requests a group plans before it feeds them to its members: 16 Ki
+/// requests, 256 KB. It exceeds any GPU's `active_warps` (at most
+/// 3,072), so a feed decides most of the events it brings.
+const WINDOW: usize = 16 * 1024;
 
 /// The one traversal driver behind [`sweep_systems`], [`Traversal::run`]
 /// and, with `coupled`, [`Traversal::run_coupled`], which chains every
@@ -51,74 +57,71 @@ pub(crate) fn drive<G: CsrView + ?Sized>(
     systems: &[SystemConfig],
     coupled: bool,
 ) -> Vec<RunReport> {
-    // The stepper first: it checks the workload against the graph on
-    // the calling thread.
-    let levels = traversal.levels(g);
+    // The stepper first: it checks the workload against the graph.
+    let mut levels = traversal.levels(g);
     if systems.is_empty() {
         return Vec::new();
     }
     let layout = EdgeListLayout::new(g);
     let mut groups: Vec<Group> = Vec::new();
-    let group_of: Vec<usize> = systems
-        .iter()
-        .map(|sys| {
-            groups.iter().position(|g| g.config == sys.access).unwrap_or_else(|| {
-                groups.push(Group {
-                    config: sys.access,
-                    access: sys.build_access(layout.edge_list_bytes()),
-                    plans: Vec::new(),
-                });
-                groups.len() - 1
-            })
-        })
-        .collect();
-    // A stable sort keeps each group's members in input order.
-    let mut order: Vec<(usize, usize)> = group_of.iter().copied().zip(0..).collect();
-    order.sort_by_key(|&(group, _)| group);
-    let slots: Vec<Slot> = systems
-        .iter()
-        .map(|sys| {
-            if coupled || !sys.backend.quiesces_between_batches() {
-                let chain = Chain {
-                    engine: sys.build_engine(),
-                    clock: SimTime::ZERO,
-                    levels: Vec::new(),
-                };
-                Slot::Chain(Mutex::new(Box::new(chain)), Condvar::new())
-            } else {
-                Slot::Shards(Mutex::new(Vec::new()))
+    for (index, sys) in systems.iter().enumerate() {
+        let member = Member {
+            index,
+            chained: coupled || !sys.backend.quiesces_between_batches(),
+            engine: Box::new(sys.build_engine()),
+            clock: SimTime::ZERO,
+            levels: Vec::new(),
+            shards: Vec::new(),
+        };
+        match groups.iter_mut().find(|g| g.config == sys.access) {
+            Some(group) => group.members.push(member),
+            None => groups.push(Group {
+                config: sys.access,
+                access: sys.build_access(layout.edge_list_bytes()),
+                plans: Vec::new(),
+                members: vec![member],
+                window: Vec::new(),
+                planned: 0,
+            }),
+        }
+    }
+    for frontier in levels.by_ref() {
+        for group in &mut groups {
+            group.begin_level(&frontier, systems);
+        }
+        // Each round plans one window per group whose level is open and
+        // feeds it to the group's members: all members at once.
+        let mut open: Vec<&mut Group> = groups.iter_mut().collect();
+        while !open.is_empty() {
+            let mut feeds = Vec::new();
+            for group in &mut open {
+                let last = group.plan_window(&layout, &frontier);
+                let Group {
+                    members, window, ..
+                } = &mut **group;
+                feeds.extend(members.iter_mut().map(|m| (m, &window[..], last)));
             }
-        })
-        .collect();
-    let source = Mutex::new(Source {
-        levels,
-        layout,
-        groups,
-        order,
-        cursor: 0,
-        frontier: Vec::new(),
-        requests: None,
-    });
-    (0..WORKER_LOOPS).into_par_iter().for_each(|_| loop {
-        let unit = source.lock().expect("a planner panicked").next_unit();
-        let Some(unit) = unit else { break };
-        slots[unit.system].simulate(&systems[unit.system], unit);
-    });
-    let source = source.into_inner().expect("a planner panicked");
-    let reached = source.levels.reached();
-    slots
-        .into_iter()
-        .zip(systems)
-        .zip(group_of)
-        .map(|((slot, sys), group)| {
-            slot.report(&source.groups[group].plans, reached, traversal, sys)
-        })
-        .collect()
+            feeds
+                .into_par_iter()
+                .for_each(|(m, window, last)| m.feed(window, last));
+            open.retain(|group| group.planned < frontier.len());
+        }
+    }
+    let reached = levels.reached();
+    let mut reports = Vec::new();
+    for group in groups {
+        for m in group.members {
+            let index = m.index;
+            reports.push((index, m.report(&group.plans, reached, traversal, &systems[index])));
+        }
+    }
+    reports.sort_unstable_by_key(|(index, _)| *index);
+    reports.into_iter().map(|(_, report)| report).collect()
 }
 
 /// What planning one level yields besides its requests: the
 /// trace-derived statistics the engine cannot know.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct LevelPlan {
     /// Frontier size.
     frontier: u64,
@@ -135,144 +138,92 @@ struct Group {
     /// The group's (stateful) access method; levels must be planned in
     /// level order.
     access: AccessMethod,
-    /// Each planned level's statistics, in level order.
+    /// Each level's statistics, in level order.
     plans: Vec<LevelPlan>,
+    /// The systems, in input order.
+    members: Vec<Member>,
+    /// The current level's requests planned last.
+    window: Vec<DeviceRequest>,
+    /// Frontier vertices of the current level planned so far.
+    planned: usize,
 }
 
 impl Group {
-    /// Append the device requests of one level's `frontier` to `out`.
-    fn plan<G: CsrView + ?Sized>(
+    /// Begin the level of `frontier` on the access method and the members.
+    fn begin_level(&mut self, frontier: &[VertexId], systems: &[SystemConfig]) {
+        self.access.begin_level();
+        self.plans.push(LevelPlan {
+            frontier: frontier.len() as u64,
+            ..LevelPlan::default()
+        });
+        self.planned = 0;
+        for m in &mut self.members {
+            m.begin(&systems[m.index]);
+        }
+    }
+
+    /// Plan the next window of `frontier`, whole vertices until it holds
+    /// [`WINDOW`] requests; returns whether it is the level's last.
+    fn plan_window<G: CsrView + ?Sized>(
         &mut self,
         layout: &EdgeListLayout<'_, G>,
         frontier: &[VertexId],
-        out: &mut Vec<DeviceRequest>,
-    ) {
-        self.access.begin_level();
-        let (mut useful, mut hits) = (0u64, 0u64);
-        for &v in frontier {
+    ) -> bool {
+        let plan = self.plans.last_mut().expect("a level is open");
+        self.window.clear();
+        for &v in &frontier[self.planned..] {
             let span = layout.sublist_span(v);
-            useful += span.len;
-            hits += self.access.requests_for_span(span, out);
-        }
-        self.plans.push(LevelPlan {
-            frontier: frontier.len() as u64,
-            useful,
-            hits,
-        });
-    }
-}
-
-/// One (level, system) work unit: a planned level for one system.
-struct Unit {
-    level: usize,
-    system: usize,
-    /// The level's requests, shared by every system of the group.
-    requests: Arc<Vec<DeviceRequest>>,
-}
-
-/// The sequential half of a sweep, behind one lock: it steps the trace
-/// and plans, and hands out the units in level order.
-struct Source<'g, G: ?Sized> {
-    levels: Levels<'g, G>,
-    layout: EdgeListLayout<'g, G>,
-    groups: Vec<Group>,
-    /// One level's units in hand-out order, as `(group, system)`. Each
-    /// group's units are adjacent, so the group plans the level at its
-    /// first unit and hands its requests over with its last.
-    order: Vec<(usize, usize)>,
-    /// Position in `order` of the next unit.
-    cursor: usize,
-    /// The current level's frontier, until its last group has planned it.
-    frontier: Vec<VertexId>,
-    /// The current group's requests.
-    requests: Option<Arc<Vec<DeviceRequest>>>,
-}
-
-impl<G: CsrView + ?Sized> Source<'_, G> {
-    /// The next unit in level order; `None` once the traversal has
-    /// converged.
-    fn next_unit(&mut self) -> Option<Unit> {
-        if self.cursor == 0 {
-            self.frontier = self.levels.next()?;
-        }
-        let (group, system) = self.order[self.cursor];
-        if self.cursor == 0 || self.order[self.cursor - 1].0 != group {
-            let mut requests = Vec::new();
-            self.groups[group].plan(&self.layout, &self.frontier, &mut requests);
-            self.requests = Some(Arc::new(requests));
-            if self.order.last().is_some_and(|&(last, _)| last == group) {
-                self.frontier = Vec::new();
+            plan.useful += span.len;
+            plan.hits += self.access.requests_for_span(span, &mut self.window);
+            self.planned += 1;
+            if self.window.len() >= WINDOW {
+                break;
             }
         }
-        self.cursor += 1;
-        let requests = match self.order.get(self.cursor) {
-            Some(&(next, _)) if next == group => self.requests.clone(),
-            _ => self.requests.take(),
-        };
-        if self.cursor == self.order.len() {
-            self.cursor = 0;
-        }
-        Some(Unit {
-            // Every group plans every level.
-            level: self.groups[group].plans.len() - 1,
-            system,
-            requests: requests.expect("the group planned this level"),
-        })
+        self.planned == frontier.len()
     }
 }
 
-/// One system's simulation in a sweep.
-enum Slot {
-    /// Round shards on fresh engines, filed under their level as they
-    /// finish, in any order.
-    Shards(Mutex<Vec<(usize, ShardOutcome)>>),
-    /// One engine that takes the levels in level order; the condition
-    /// variable announces each finished level. Boxed: an engine is far
-    /// larger than a shard list.
-    Chain(Mutex<Box<Chain>>, Condvar),
-}
-
-/// A chained system's engine and progress.
-struct Chain {
-    engine: Engine,
-    /// Where the next level's batch starts.
+/// One system of a group and its simulation so far.
+struct Member {
+    /// The system's position in the sweep.
+    index: usize,
+    /// One engine takes the levels back to back (the chain policy), or
+    /// each level runs as a round shard on a fresh engine.
+    chained: bool,
+    /// Boxed: members simulate side by side, and engines written by
+    /// different threads must not share cache lines.
+    engine: Box<Engine>,
+    /// Where the next level's batch starts: `t = 0` for a shard.
     clock: SimTime,
     /// Each finished level's fetched bytes and simulated time.
     levels: Vec<(u64, SimDuration)>,
+    /// A shard member's level outcomes, in level order.
+    shards: Vec<ShardOutcome>,
 }
 
-/// Wakes a chain's waiters when dropped, also on unwind, so a panicking
-/// level poisons them instead of leaving them waiting.
-struct WakeOnDrop<'a>(&'a Condvar);
-
-impl Drop for WakeOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.notify_all();
+impl Member {
+    /// Begin the next level's batch on `sys`. A shard member's first
+    /// level runs on the engine it was built with.
+    fn begin(&mut self, sys: &SystemConfig) {
+        if !self.chained && !self.levels.is_empty() {
+            *self.engine = sys.build_engine();
+        }
+        self.engine.begin(self.clock);
     }
-}
 
-impl Slot {
-    /// Simulate `unit` on `sys`.
-    fn simulate(&self, sys: &SystemConfig, unit: Unit) {
-        match self {
-            Slot::Shards(filed) => {
-                let outcome = sys.build_engine().run_shard(&unit.requests);
-                filed.lock().expect("a shard panicked").push((unit.level, outcome));
-            }
-            Slot::Chain(chain, turn) => {
-                let _wake = WakeOnDrop(turn);
-                let guard = chain.lock().expect("a chained level panicked");
-                let mut guard = turn
-                    .wait_while(guard, |c| c.levels.len() < unit.level)
-                    .expect("a chained level panicked");
-                let Chain {
-                    engine,
-                    clock,
-                    levels,
-                } = &mut **guard;
-                let batch = engine.run_batch(*clock, &unit.requests);
-                levels.push((batch.fetched_bytes, batch.end.saturating_since(*clock)));
-                *clock = batch.end;
+    /// Feed the level's next `window`; after its `last`, finish the
+    /// level and file it.
+    fn feed(&mut self, window: &[DeviceRequest], last: bool) {
+        self.engine.feed(window);
+        if last {
+            let result = self.engine.finish_batch();
+            self.levels
+                .push((result.fetched_bytes, result.end.saturating_since(self.clock)));
+            if self.chained {
+                self.clock = result.end;
+            } else {
+                self.shards.push(self.engine.shard_outcome(result));
             }
         }
     }
@@ -280,29 +231,18 @@ impl Slot {
     /// The system's report, from its simulated levels and its group's
     /// `plans`.
     fn report(
-        self,
+        mut self,
         plans: &[LevelPlan],
         reached: u64,
         traversal: Traversal,
         sys: &SystemConfig,
     ) -> RunReport {
-        let (mut metrics, simulated): (_, Vec<(u64, SimDuration)>) = match self {
-            Slot::Shards(filed) => {
-                let mut filed = filed.into_inner().expect("a shard panicked");
-                filed.sort_unstable_by_key(|&(level, _)| level);
-                let outcomes: Vec<ShardOutcome> = filed.into_iter().map(|(_, o)| o).collect();
-                let simulated = outcomes
-                    .iter()
-                    .map(|o| (o.result.fetched_bytes, o.result.end.saturating_since(SimTime::ZERO)))
-                    .collect();
-                (merge_shard_metrics(&outcomes), simulated)
-            }
-            Slot::Chain(chain, _) => {
-                let mut chain = chain.into_inner().expect("a chained level panicked");
-                let mut metrics = chain.engine.finish();
-                metrics.runtime = chain.clock.saturating_since(SimTime::ZERO);
-                (metrics, chain.levels)
-            }
+        let mut metrics = if self.chained {
+            let mut metrics = self.engine.finish();
+            metrics.runtime = self.clock.saturating_since(SimTime::ZERO);
+            metrics
+        } else {
+            merge_shard_metrics(&self.shards)
         };
         metrics.useful_bytes = plans.iter().map(|p| p.useful).sum();
         metrics.cache_hits = plans.iter().map(|p| p.hits).sum();
@@ -310,7 +250,7 @@ impl Slot {
             metrics,
             levels: plans
                 .iter()
-                .zip(simulated)
+                .zip(self.levels)
                 .enumerate()
                 .map(|(depth, (plan, (fetched_bytes, runtime)))| LevelStats {
                     depth: depth as u32,
@@ -542,6 +482,27 @@ mod tests {
         let (_, one) = graph_calls(&g, bfs, &systems[..1], 1);
         let (_, swept) = graph_calls(&g, bfs, &systems, 2);
         assert_eq!(swept, 4 * one);
+    }
+
+    #[test]
+    fn a_level_wider_than_a_window_plans_as_one_level() {
+        // XLFDD's direct planner fetches a block that neighboring
+        // sublists share once per level, so a window boundary must not
+        // restart it. PageRank reads every vertex in one level: one
+        // whole-sublist request each, several windows' worth.
+        let g = GraphSpec::urand(16).seed(1).build();
+        let sys = SystemConfig::xlfdd(PcieGen::Gen4, 16);
+        let layout = EdgeListLayout::new(&g);
+        let mut access = sys.build_access(layout.edge_list_bytes());
+        access.begin_level();
+        let mut requests = Vec::new();
+        for v in Traversal::pagerank(1).trace(&g).concat() {
+            access.requests_for_span(layout.sublist_span(v), &mut requests);
+        }
+        assert!(requests.len() > 3 * WINDOW, "{} requests", requests.len());
+        let fetched: u64 = requests.iter().map(|r| r.bytes).sum();
+        let report = Traversal::pagerank(1).run(&g, &sys);
+        assert_eq!(report.levels[0].fetched_bytes, fetched);
     }
 
     #[test]

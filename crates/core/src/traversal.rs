@@ -29,25 +29,26 @@
 //!   [`AccessConfig`][ac], the only input to
 //!   [`SystemConfig::build_access`] besides the graph. Each group plans
 //!   each level once, in level order — the access methods are stateful
-//!   across levels (the BaM cache, UVM fault tracking) — and the level's
-//!   frontier is dropped once the last group has planned it.
-//! * **Simulate per system.** Each planned level is a (level, system)
-//!   work unit for every system of its group, and the requests are
-//!   dropped after the last of them. Backends that quiesce at the level
-//!   barrier (DRAM, CXL) simulate a unit as an independent **round
-//!   shard** on a fresh engine, merged in level order afterwards (see
-//!   the `engine` module docs for why this is exact). Flash-backed
+//!   across levels (the BaM cache, UVM fault tracking) — in windows of a
+//!   fixed number of requests, whole vertices each.
+//! * **Simulate per system.** Each window is fed to the engine of every
+//!   system of its group and then dropped, so a run holds one window per
+//!   group, never a level's whole plan. Backends that quiesce at the
+//!   level barrier (DRAM, CXL) simulate each level as an independent
+//!   **round shard** on a fresh engine, merged in level order afterwards
+//!   (see the `engine` module docs for why this is exact). Flash-backed
 //!   backends, whose media carries state across batches, keep one
 //!   **chained** engine per system that takes the levels in order, each
 //!   batch starting on the clock where the previous one ended.
 //!
-//! Units are handed out in level order from one lock that also steps the
-//! trace and plans, and any pool worker may simulate any unit; a chained
-//! unit waits for its system's previous level. Every system's report is
-//! therefore bit-identical at any pool size, and equal to running the
-//! system alone. [`Traversal::run_coupled`] forces the chain on every
-//! backend, the physics oracle the shard decomposition is checked
-//! against.
+//! Levels run one after another. In each round every group with planning
+//! left plans its next window, and the rayon pool feeds the round's
+//! windows to all the systems at once. A system's engine sees the same
+//! items in the same order however they are split into windows (the
+//! `engine` module docs, "Batch input"), so every system's report is
+//! bit-identical at any pool size, and equal to running the system alone.
+//! [`Traversal::run_coupled`] forces the chain on every backend, the
+//! physics oracle the shard decomposition is checked against.
 //!
 //! [sweep]: crate::runner::sweep_systems
 //! [ac]: crate::system::AccessConfig
@@ -201,13 +202,6 @@ impl Traversal {
         self.levels(g).collect()
     }
 
-    /// The trace plus the stepper's [`Levels::reached`] count.
-    fn trace_with_reached<G: CsrView + ?Sized>(&self, g: &G) -> (Vec<Vec<VertexId>>, u64) {
-        let mut levels = self.levels(g);
-        let trace = levels.by_ref().collect();
-        (trace, levels.reached())
-    }
-
     /// Run the workload on a simulated system, producing full metrics:
     /// [`runner::sweep_systems`](crate::runner::sweep_systems) with this
     /// one system (module docs).
@@ -215,10 +209,9 @@ impl Traversal {
     /// On backends whose device state quiesces at the level barrier
     /// (DRAM, CXL — see
     /// [`BackendConfig::quiesces_between_batches`][qb]), each level's
-    /// batch is simulated as an independent round shard across the rayon
-    /// pool and the outcomes are merged in level order — bit-identical
-    /// at any `RAYON_NUM_THREADS` *and* bit-identical to the coupled
-    /// chain. Flash-backed backends (XLFDD, NVMe) carry real media state
+    /// batch is simulated as an independent round shard on a fresh engine
+    /// and the outcomes are merged in level order — bit-identical at any
+    /// `RAYON_NUM_THREADS` *and* bit-identical to the coupled chain. Flash-backed backends (XLFDD, NVMe) carry real media state
     /// between batches (plane page registers, busy timestamps, the
     /// jitter RNG), so resetting it per shard would change the physics;
     /// they stay on the coupled single-engine chain, preserving the
@@ -402,18 +395,21 @@ pub fn sssp_trace<G: CsrView + ?Sized>(g: &G, source: VertexId, max_weight: u32)
     sssp.trace(g)
 }
 
-/// Label-propagation connected components: the per-round frontier trace
-/// and the number of components found (isolated vertices included).
-pub fn cc_trace<G: CsrView + ?Sized>(g: &G) -> (Vec<Vec<VertexId>>, u64) {
-    Traversal::connected_components().trace_with_reached(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cxlg_graph::spec::GraphSpec;
     use cxlg_graph::{Csr, SpillConfig, SpillCsr};
     use cxlg_link::pcie::PcieGen;
+
+    impl Traversal {
+        /// The trace plus the stepper's [`Levels::reached`] count.
+        fn trace_with_reached<G: CsrView + ?Sized>(&self, g: &G) -> (Vec<Vec<VertexId>>, u64) {
+            let mut levels = self.levels(g);
+            let trace = levels.by_ref().collect();
+            (trace, levels.reached())
+        }
+    }
 
     fn sssp_with(source: VertexId, max_weight: u32) -> Traversal {
         Traversal {
@@ -672,7 +668,7 @@ mod tests {
         // Two disjoint paths => 2 components (plus no isolated vertices).
         let edges = vec![(0, 1), (1, 2), (3, 4)];
         let g = cxlg_graph::builder::csr_from_edges(5, &edges, true, false);
-        let (_, components) = cc_trace(&g);
+        let (_, components) = Traversal::connected_components().trace_with_reached(&g);
         assert_eq!(components, 2);
     }
 
@@ -680,7 +676,7 @@ mod tests {
     fn cc_counts_isolated_vertices() {
         let edges = vec![(0, 1)];
         let g = cxlg_graph::builder::csr_from_edges(4, &edges, true, false);
-        let (_, components) = cc_trace(&g);
+        let (_, components) = Traversal::connected_components().trace_with_reached(&g);
         assert_eq!(components, 3); // {0,1}, {2}, {3}
     }
 

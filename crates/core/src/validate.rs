@@ -121,7 +121,8 @@ pub fn verify_sssp<G: CsrView + ?Sized>(
     Ok(())
 }
 
-/// Count connected components by union-find (reference for `cc_trace`).
+/// Count connected components by union-find (reference for the CC
+/// stepper's [`Levels::reached`](crate::traversal::Levels::reached)).
 pub fn reference_component_count<G: CsrView + ?Sized>(g: &G) -> u64 {
     let n = g.num_vertices();
     let mut parent: Vec<u32> = (0..n as u32).collect();
@@ -186,8 +187,9 @@ mod tests {
     #[test]
     fn cc_matches_union_find() {
         let g = GraphSpec::kron(10).seed(5).build();
-        let (_, cc) = crate::traversal::cc_trace(&g);
-        assert_eq!(cc, reference_component_count(&g));
+        let mut levels = crate::traversal::Traversal::connected_components().levels(&g);
+        levels.by_ref().for_each(drop);
+        assert_eq!(levels.reached(), reference_component_count(&g));
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //!
 //! 1. **Parallel vs oracle** — [`Traversal::run`] must match itself on a
 //!    1-thread pool byte-for-byte at every worker count, on *every*
-//!    backend. On one worker the traversal driver plans and simulates
-//!    the round shards one level after another; on more, workers take
-//!    levels from the one shared planner in level order, which the
-//!    stateful UVM planner in the system sweep depends on. Flash-backed
-//!    backends take the coupled chain at any pool size.
+//!    backend. The traversal driver plans each level in windows, in
+//!    level order, and feeds each window to the systems of its plan in
+//!    parallel. Flash-backed backends take the coupled chain at any pool
+//!    size.
 //! 2. **Sharded vs coupled** — on backends whose device state quiesces
 //!    at the level barrier (DRAM, CXL, UVM), `run` must also match the
 //!    legacy one-engine [`Traversal::run_coupled`] physics oracle
@@ -17,7 +16,8 @@
 //! 3. **Fan-out vs one system** — `runner::sweep_systems` traces once
 //!    and plans once per access method for a whole system list; each of
 //!    its reports must equal the system run alone, at every worker
-//!    count, on in-memory and spilled graphs.
+//!    count, on in-memory and spilled graphs, and for a group of systems
+//!    that share every window of levels wider than one window.
 //! 4. **Tamper detection** — corrupting one shard's `OnlineStats`
 //!    before the merge must change the merged latency fingerprint, so a
 //!    buggy (e.g. reordered or lossy) merge cannot silently pass the
@@ -201,6 +201,50 @@ fn sweep_systems_equals_each_system_run_alone() {
     }
     drop(spill);
     let _ = std::fs::remove_dir_all(&cfg.dir);
+}
+
+#[test]
+fn a_multi_member_group_equals_each_system_run_alone() {
+    // The Fig. 11 grid: host DRAM and CXL at seven added latencies, all
+    // EMOGI zero-copy, so the eight systems are one group that is fed
+    // every window of every level.
+    let mut systems = vec![SystemConfig::emogi_on_dram(PcieGen::Gen3)];
+    systems.extend(
+        [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+            .map(|a| SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5).with_added_latency_us(a)),
+    );
+    let g = GraphSpec::urand(14).seed(3).build();
+    let src = g.max_degree_vertex().unwrap();
+    for trav in [Traversal::bfs(src), Traversal::sssp(src)] {
+        let alone: Vec<String> = systems
+            .iter()
+            .map(|sys| {
+                let report = rayon::with_num_threads(1, || trav.run(&g, sys));
+                serde_json::to_string(&report).unwrap()
+            })
+            .collect();
+        for pool in [1, 2, 4] {
+            let swept = rayon::with_num_threads(pool, || sweep_systems(&g, trav, &systems));
+            for ((report, sys), want) in swept.iter().zip(&systems).zip(&alone) {
+                assert_eq!(
+                    &serde_json::to_string(report).unwrap(),
+                    want,
+                    "{} on {} in the grid at pool {pool}",
+                    trav.name(),
+                    sys.label()
+                );
+            }
+        }
+        // EMOGI reads at most 128 B per request, so a level that fetched
+        // more than 16 Ki × 128 B was fed in several windows.
+        let widest = rayon::with_num_threads(1, || trav.run(&g, &systems[0]))
+            .levels
+            .iter()
+            .map(|l| l.fetched_bytes)
+            .max()
+            .unwrap();
+        assert!(widest > 16 * 1024 * 128, "{}: widest level {widest} B", trav.name());
+    }
 }
 
 #[test]
