@@ -76,10 +76,10 @@ for PB in latency-sweep:0x3b4f05e0897e93a6 flash-social:0x66a03ccf6e21b61c \
     tail -1 <<<"$PB_OUT" | grep -q '"correct": true' \
         || { echo "perfbench $PB_WORKLOAD reported incorrect results"; exit 1; }
     # Peak-RSS ceilings: the traversal driver feeds each level to the
-    # engines in windows of 16 Ki requests, so no run holds a level's
-    # whole request plan. spill-sequential measured 8.7-10.9 MB that way
-    # against ~15 MB with each level's plan materialized (35.1 MB with
-    # the whole run's), latency-sweep 8.1-9.9 MB against 12.0 MB; the
+    # engines in windows of at most 16 Ki requests, so no run holds a
+    # level's whole request plan. spill-sequential measured 9.3-11.3 MB
+    # that way against ~15 MB with each level's plan materialized (35.1 MB
+    # with the whole run's), latency-sweep 7.9-9.7 MB against 12.0 MB; the
     # ceilings sit between, so a plan that is materialized again fails.
     # spill-sequential's ceiling also fails a spill build that reads whole
     # buckets back again (~18.7 MB).

@@ -96,8 +96,8 @@ impl ExperimentCtx {
     }
 
     /// Run a sweep on this context's configured worker count — the one
-    /// knob that sizes both the cross-point fan-out and the (level,
-    /// system) units of [`sweep_systems`](Self::sweep_systems).
+    /// knob that sizes both the cross-point fan-out and the per-window
+    /// feeds of [`sweep_systems`](Self::sweep_systems).
     /// Experiments must route sweeps through here (or through
     /// `sweep_systems`) rather than calling `cxlg_core::runner`'s sweeps
     /// directly, so `ctx.threads` is authoritative and the manifest's

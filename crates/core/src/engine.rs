@@ -16,8 +16,9 @@
 //! SSSP round, matching the level-synchronous kernels of EMOGI/BaM), each
 //! a stream of [`DeviceRequest`]s: [`Engine::begin`] opens it,
 //! [`Engine::feed`] appends a window of items, and
-//! [`Engine::finish_batch`] runs it to completion ([`Engine::run_batch`]
-//! is the three with one feed). Warps take items in order, and an event
+//! [`Engine::finish_batch`] appends the last window and runs the batch to
+//! completion ([`Engine::run_batch`] is `begin` and `finish_batch` with
+//! every item, no feed). Warps take items in order, and an event
 //! takes at most `active_warps` of them (one per warp with a pull due),
 //! then asks whether one more is left. So the engine handles an event
 //! only while more than `active_warps` fed items are untaken, or after
@@ -128,14 +129,16 @@
 //! media carries real state across batches — plane page registers (a
 //! re-read of the most recently sensed page skips the full `tR`), plane
 //! busy timestamps, and the latency-jitter RNG stream — which a fresh
-//! per-shard engine would reset, changing the physics. So the traversal
-//! driver (`runner::sweep_systems`), picking by
-//! [`BackendConfig::quiesces_between_batches`][qb], gives a quiescent
-//! backend a fresh shard engine per level and a flash-backed one a
-//! chain: one engine whose batches run back to back on its clock.
-//! `Traversal::run_coupled` forces the chain on any backend. The driver
-//! runs the systems in parallel, never one batch across threads.
-//! `crates/core/tests/parallel_differential.rs` pins these equivalences.
+//! per-shard engine would reset, changing the physics
+//! ([`BackendConfig::quiesces_between_batches`][qb] tells them apart).
+//!
+//! The traversal driver (`runner::sweep_systems`) chains every system:
+//! one engine whose batches run back to back on its clock, on any
+//! backend. It runs systems in parallel, never one batch across threads,
+//! and never two levels of one system at once. The shards serve
+//! perfbench's traced pipeline, which simulates a traversal's levels
+//! from whole-level plans; `crates/core/tests/parallel_differential.rs`
+//! checks them against the driver's chain on the quiescent backends.
 //!
 //! [qb]: crate::system::BackendConfig::quiesces_between_batches
 
@@ -344,6 +347,11 @@ impl Batch {
 /// The execution core. Owns the backend device and all link state; one
 /// engine is used for a whole run so channel/credit state carries across
 /// batches.
+///
+/// Aligned to 128 bytes (an adjacent-line prefetch pair): the engines of
+/// a sweep simulate side by side on different threads, and one engine's
+/// hot fields must not share a cache line with another's.
+#[repr(align(128))]
 pub struct Engine {
     cfg: EngineConfig,
     backend: Box<dyn MemoryTarget>,
@@ -400,8 +408,8 @@ impl Engine {
     }
 
     /// Begin a batch at `start`. Its items are handed to warps in the
-    /// order [`Engine::feed`] appends them; [`Engine::finish_batch`] runs
-    /// it to completion. Panics if a batch is open.
+    /// order [`Engine::feed`] and [`Engine::finish_batch`] append them.
+    /// Panics if a batch is open.
     pub fn begin(&mut self, start: SimTime) {
         assert!(self.events.pulls.is_empty(), "a batch is open");
         // Everything is scheduled in absolute time, from `start`.
@@ -418,8 +426,7 @@ impl Engine {
     /// Append `window` to the open batch's items and simulate every
     /// event the items fed so far decide (module docs, "Batch input").
     pub fn feed(&mut self, window: &[DeviceRequest]) {
-        self.batch.fed += window.len();
-        self.batch.fetched += window.iter().map(|x| x.bytes).sum::<u64>();
+        self.append(window);
         self.advance(window, false);
         // Keep the items not yet issued.
         let b = &mut self.batch;
@@ -431,11 +438,12 @@ impl Engine {
         b.kept_from = b.next_issue;
     }
 
-    /// Run the open batch to completion: returns when all data has
-    /// arrived at the GPU. Panics, in release builds too, if the drained
-    /// batch breaks an invariant.
-    pub fn finish_batch(&mut self) -> BatchResult {
-        self.advance(&[], true);
+    /// Append `last`, the open batch's last items, and run the batch to
+    /// completion: returns when all data has arrived at the GPU. Panics,
+    /// in release builds too, if the drained batch breaks an invariant.
+    pub fn finish_batch(&mut self, last: &[DeviceRequest]) -> BatchResult {
+        self.append(last);
+        self.advance(last, true);
         let b = &mut self.batch;
         let r = b.fed;
         assert_eq!(b.latency.count(), r as u64, "batch did not drain");
@@ -467,12 +475,17 @@ impl Engine {
         }
     }
 
-    /// Execute `requests` starting at `start`: [`Engine::begin`], one
-    /// [`Engine::feed`], [`Engine::finish_batch`].
+    /// Execute `requests` starting at `start`: [`Engine::begin`] and
+    /// [`Engine::finish_batch`] with all of them.
     pub fn run_batch(&mut self, start: SimTime, requests: &[DeviceRequest]) -> BatchResult {
         self.begin(start);
-        self.feed(requests);
-        self.finish_batch()
+        self.finish_batch(requests)
+    }
+
+    /// Count `window` into the open batch's items.
+    fn append(&mut self, window: &[DeviceRequest]) {
+        self.batch.fed += window.len();
+        self.batch.fetched += window.iter().map(|x| x.bytes).sum::<u64>();
     }
 
     /// Handle events while they are decided: while more than
@@ -618,12 +631,6 @@ impl Engine {
             "run_shard requires a fresh engine; reuse couples shards"
         );
         let result = self.run_batch(SimTime::ZERO, requests);
-        self.shard_outcome(result)
-    }
-
-    /// The outcome of a shard whose batch, begun at `t = 0` on this fresh
-    /// engine, finished with `result`.
-    pub(crate) fn shard_outcome(&mut self, result: BatchResult) -> ShardOutcome {
         ShardOutcome {
             outstanding_integral: self.credits.in_use_integral(result.end),
             peak_outstanding: self.credits.high_water(),
@@ -651,8 +658,8 @@ pub struct ShardOutcome {
 /// pool, returning outcomes in round order. `factory` builds one fresh
 /// [`Engine`] per shard (each shard gets its own event lanes and backend
 /// state). The output is a pure function of `batches`, independent of
-/// `RAYON_NUM_THREADS`. The traversal driver files the same per-level
-/// outcomes as it goes instead (`runner::sweep_systems`).
+/// `RAYON_NUM_THREADS`. On a quiescent backend it equals the driver's
+/// chain (module docs).
 pub fn simulate_shards<F>(factory: F, batches: &[Vec<DeviceRequest>]) -> Vec<ShardOutcome>
 where
     F: Fn() -> Engine + Sync,
@@ -1605,7 +1612,8 @@ mod tests {
 
     /// One batch of `requests` on `e` from `start`, fed in windows of
     /// sizes drawn from `rng`: empty, one item, at most `active_warps`,
-    /// or more.
+    /// or more. The last window goes to `finish_batch`, or is fed before
+    /// an empty `finish_batch`.
     fn run_windowed(
         e: &mut Engine,
         start: SimTime,
@@ -1615,7 +1623,7 @@ mod tests {
         let warps = u64::from(e.cfg.gpu.active_warps);
         e.begin(start);
         let mut rest = requests;
-        while !rest.is_empty() {
+        loop {
             let n = match rng.next_below(4) {
                 0 => 0,
                 1 => 1,
@@ -1623,10 +1631,15 @@ mod tests {
                 _ => warps + 1 + rng.next_below(warps),
             };
             let (window, tail) = rest.split_at((n as usize).min(rest.len()));
+            if tail.is_empty() && rng.next_below(2) == 0 {
+                return e.finish_batch(window);
+            }
             e.feed(window);
+            if tail.is_empty() {
+                return e.finish_batch(&[]);
+            }
             rest = tail;
         }
-        e.finish_batch()
     }
 
     proptest! {
@@ -1641,7 +1654,7 @@ mod tests {
             prop_assert_eq!(observe_scenario(seed, &mut windowed), one_shot, "seed {:#x}", seed);
             // ...and one of its preset backends, its reads logged.
             let (sys, batches) = preset_backends().swap_remove((seed % 6) as usize);
-            let mut run = |f: Run<'_>| {
+            let run = |f: Run<'_>| {
                 let mut e = sys.build_engine();
                 let log = Arc::default();
                 let inner = std::mem::replace(&mut e.backend, Box::new(Scripted::new(Vec::new())));

@@ -6,11 +6,13 @@
 //! "Execution paths"). [`Traversal::run`] is the same driver with one
 //! system.
 //!
-//! Levels run one after another. A group of systems that share an
-//! access method plans each level in windows of `WINDOW` (16 Ki)
-//! requests and feeds each window to every member's engine; the members
-//! of all groups take their windows in parallel. A member's engine keeps
-//! at most `2·active_warps` of them between feeds (the `engine` module
+//! Levels run one after another, and every system chains them on one
+//! engine: each level's batch starts on the clock where the previous one
+//! ended. Within a level, the groups of systems that share an access
+//! method run in parallel. A group plans the level in windows of at
+//! most `WINDOW` (16 Ki) requests and feeds each window to its members'
+//! engines, in parallel across the members. A member's engine keeps at
+//! most `2·active_warps` of them between feeds (the `engine` module
 //! docs, "Batch input"). So a run holds one window per group, never a
 //! level's whole plan.
 //!
@@ -19,7 +21,7 @@
 //! identical to a sequential run.
 
 use crate::access::{AccessMethod, DeviceRequest};
-use crate::engine::{merge_shard_metrics, Engine, ShardOutcome};
+use crate::engine::Engine;
 use crate::metrics::{LevelStats, RunReport};
 use crate::system::{AccessConfig, SystemConfig};
 use crate::traversal::Traversal;
@@ -40,38 +42,19 @@ pub fn sweep_systems<G: CsrView + ?Sized>(
     traversal: Traversal,
     systems: &[SystemConfig],
 ) -> Vec<RunReport> {
-    drive(graph, traversal, systems, false)
-}
-
-/// Requests a group plans before it feeds them to its members: 16 Ki
-/// requests, 256 KB. It exceeds any GPU's `active_warps` (at most
-/// 3,072), so a feed decides most of the events it brings.
-const WINDOW: usize = 16 * 1024;
-
-/// The one traversal driver behind [`sweep_systems`], [`Traversal::run`]
-/// and, with `coupled`, [`Traversal::run_coupled`], which chains every
-/// system's levels on one engine whatever its backend.
-pub(crate) fn drive<G: CsrView + ?Sized>(
-    g: &G,
-    traversal: Traversal,
-    systems: &[SystemConfig],
-    coupled: bool,
-) -> Vec<RunReport> {
     // The stepper first: it checks the workload against the graph.
-    let mut levels = traversal.levels(g);
+    let mut levels = traversal.levels(graph);
     if systems.is_empty() {
         return Vec::new();
     }
-    let layout = EdgeListLayout::new(g);
+    let layout = EdgeListLayout::new(graph);
     let mut groups: Vec<Group> = Vec::new();
     for (index, sys) in systems.iter().enumerate() {
         let member = Member {
             index,
-            chained: coupled || !sys.backend.quiesces_between_batches(),
             engine: Box::new(sys.build_engine()),
             clock: SimTime::ZERO,
             levels: Vec::new(),
-            shards: Vec::new(),
         };
         match groups.iter_mut().find(|g| g.config == sys.access) {
             Some(group) => group.members.push(member),
@@ -81,31 +64,13 @@ pub(crate) fn drive<G: CsrView + ?Sized>(
                 plans: Vec::new(),
                 members: vec![member],
                 window: Vec::new(),
-                planned: 0,
             }),
         }
     }
     for frontier in levels.by_ref() {
-        for group in &mut groups {
-            group.begin_level(&frontier, systems);
-        }
-        // Each round plans one window per group whose level is open and
-        // feeds it to the group's members: all members at once.
-        let mut open: Vec<&mut Group> = groups.iter_mut().collect();
-        while !open.is_empty() {
-            let mut feeds = Vec::new();
-            for group in &mut open {
-                let last = group.plan_window(&layout, &frontier);
-                let Group {
-                    members, window, ..
-                } = &mut **group;
-                feeds.extend(members.iter_mut().map(|m| (m, &window[..], last)));
-            }
-            feeds
-                .into_par_iter()
-                .for_each(|(m, window, last)| m.feed(window, last));
-            open.retain(|group| group.planned < frontier.len());
-        }
+        let open: Vec<&mut Group> = groups.iter_mut().collect();
+        open.into_par_iter()
+            .for_each(|group| group.run_level(&layout, &frontier));
     }
     let reached = levels.reached();
     let mut reports = Vec::new();
@@ -119,9 +84,18 @@ pub(crate) fn drive<G: CsrView + ?Sized>(
     reports.into_iter().map(|(_, report)| report).collect()
 }
 
+/// The capacity a group's window grows to: 16 Ki requests, 256 KB. It
+/// exceeds any GPU's `active_warps` (at most 3,072), so a feed decides
+/// most of the events it brings.
+const WINDOW: usize = 16 * 1024;
+
+/// A window takes no further vertex once it holds this many requests,
+/// so a vertex of up to `WINDOW / 8` requests still fits in it.
+const WINDOW_FULL: usize = WINDOW - WINDOW / 8;
+
 /// What planning one level yields besides its requests: the
 /// trace-derived statistics the engine cannot know.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct LevelPlan {
     /// Frontier size.
     frontier: u64,
@@ -142,45 +116,50 @@ struct Group {
     plans: Vec<LevelPlan>,
     /// The systems, in input order.
     members: Vec<Member>,
-    /// The current level's requests planned last.
+    /// The requests planned last. It grows as a level needs, to at most
+    /// [`WINDOW`] of capacity once fed, so small levels keep it small.
     window: Vec<DeviceRequest>,
-    /// Frontier vertices of the current level planned so far.
-    planned: usize,
 }
 
 impl Group {
-    /// Begin the level of `frontier` on the access method and the members.
-    fn begin_level(&mut self, frontier: &[VertexId], systems: &[SystemConfig]) {
-        self.access.begin_level();
-        self.plans.push(LevelPlan {
-            frontier: frontier.len() as u64,
-            ..LevelPlan::default()
-        });
-        self.planned = 0;
-        for m in &mut self.members {
-            m.begin(&systems[m.index]);
-        }
-    }
-
-    /// Plan the next window of `frontier`, whole vertices until it holds
-    /// [`WINDOW`] requests; returns whether it is the level's last.
-    fn plan_window<G: CsrView + ?Sized>(
+    /// Plan the level of `frontier` window by window, whole vertices
+    /// each, and simulate it on every member.
+    fn run_level<G: CsrView + ?Sized>(
         &mut self,
         layout: &EdgeListLayout<'_, G>,
         frontier: &[VertexId],
-    ) -> bool {
-        let plan = self.plans.last_mut().expect("a level is open");
-        self.window.clear();
-        for &v in &frontier[self.planned..] {
-            let span = layout.sublist_span(v);
-            plan.useful += span.len;
-            plan.hits += self.access.requests_for_span(span, &mut self.window);
-            self.planned += 1;
-            if self.window.len() >= WINDOW {
+    ) {
+        self.access.begin_level();
+        let mut plan = LevelPlan {
+            frontier: frontier.len() as u64,
+            useful: 0,
+            hits: 0,
+        };
+        for m in &mut self.members {
+            m.engine.begin(m.clock);
+        }
+        let mut rest = frontier;
+        loop {
+            while let Some((&v, tail)) = rest.split_first() {
+                let span = layout.sublist_span(v);
+                plan.useful += span.len;
+                plan.hits += self.access.requests_for_span(span, &mut self.window);
+                rest = tail;
+                if self.window.len() >= WINDOW_FULL {
+                    break;
+                }
+            }
+            let (window, last) = (&self.window[..], rest.is_empty());
+            let members: Vec<&mut Member> = self.members.iter_mut().collect();
+            members.into_par_iter().for_each(|m| m.feed(window, last));
+            self.window.clear();
+            // A vertex too large for the window grew it.
+            self.window.shrink_to(WINDOW);
+            if last {
                 break;
             }
         }
-        self.planned == frontier.len()
+        self.plans.push(plan);
     }
 }
 
@@ -188,43 +167,27 @@ impl Group {
 struct Member {
     /// The system's position in the sweep.
     index: usize,
-    /// One engine takes the levels back to back (the chain policy), or
-    /// each level runs as a round shard on a fresh engine.
-    chained: bool,
-    /// Boxed: members simulate side by side, and engines written by
-    /// different threads must not share cache lines.
+    /// The engine that takes the levels back to back. Boxed, each in an
+    /// allocation of its own: members simulate side by side, and engines
+    /// written by different threads must not share cache lines.
     engine: Box<Engine>,
-    /// Where the next level's batch starts: `t = 0` for a shard.
+    /// Where the next level's batch starts.
     clock: SimTime,
     /// Each finished level's fetched bytes and simulated time.
     levels: Vec<(u64, SimDuration)>,
-    /// A shard member's level outcomes, in level order.
-    shards: Vec<ShardOutcome>,
 }
 
 impl Member {
-    /// Begin the next level's batch on `sys`. A shard member's first
-    /// level runs on the engine it was built with.
-    fn begin(&mut self, sys: &SystemConfig) {
-        if !self.chained && !self.levels.is_empty() {
-            *self.engine = sys.build_engine();
-        }
-        self.engine.begin(self.clock);
-    }
-
-    /// Feed the level's next `window`; after its `last`, finish the
+    /// Feed the level's next `window`; if it is the `last`, finish the
     /// level and file it.
     fn feed(&mut self, window: &[DeviceRequest], last: bool) {
-        self.engine.feed(window);
         if last {
-            let result = self.engine.finish_batch();
+            let result = self.engine.finish_batch(window);
             self.levels
                 .push((result.fetched_bytes, result.end.saturating_since(self.clock)));
-            if self.chained {
-                self.clock = result.end;
-            } else {
-                self.shards.push(self.engine.shard_outcome(result));
-            }
+            self.clock = result.end;
+        } else {
+            self.engine.feed(window);
         }
     }
 
@@ -237,13 +200,8 @@ impl Member {
         traversal: Traversal,
         sys: &SystemConfig,
     ) -> RunReport {
-        let mut metrics = if self.chained {
-            let mut metrics = self.engine.finish();
-            metrics.runtime = self.clock.saturating_since(SimTime::ZERO);
-            metrics
-        } else {
-            merge_shard_metrics(&self.shards)
-        };
+        let mut metrics = self.engine.finish();
+        metrics.runtime = self.clock.saturating_since(SimTime::ZERO);
         metrics.useful_bytes = plans.iter().map(|p| p.useful).sum();
         metrics.cache_hits = plans.iter().map(|p| p.hits).sum();
         RunReport {
@@ -281,7 +239,7 @@ where
 /// [`sweep`] on a pool of exactly `threads` workers, regardless of the
 /// ambient pool size. Campaign drivers route every sweep through this
 /// with the context's configured worker count, so one knob governs both
-/// the cross-point fan-out here and the (level, system) units of
+/// the cross-point fan-out here and the groups and members of
 /// [`sweep_systems`] called from the points. Results are identical at
 /// any thread count; only wall-clock changes.
 pub fn sweep_with_threads<P, R, F>(threads: usize, points: Vec<P>, f: F) -> Vec<R>

@@ -33,22 +33,20 @@
 //!   fixed number of requests, whole vertices each.
 //! * **Simulate per system.** Each window is fed to the engine of every
 //!   system of its group and then dropped, so a run holds one window per
-//!   group, never a level's whole plan. Backends that quiesce at the
-//!   level barrier (DRAM, CXL) simulate each level as an independent
-//!   **round shard** on a fresh engine, merged in level order afterwards
-//!   (see the `engine` module docs for why this is exact). Flash-backed
-//!   backends, whose media carries state across batches, keep one
-//!   **chained** engine per system that takes the levels in order, each
-//!   batch starting on the clock where the previous one ended.
+//!   group, never a level's whole plan. Every system keeps one
+//!   **chained** engine that takes the levels in order, each batch
+//!   starting on the clock where the previous one ended. On backends
+//!   that quiesce at the level barrier (DRAM, CXL) that equals simulating
+//!   each level as an independent round shard from `t = 0` (the `engine`
+//!   module docs); flash-backed backends carry media state across
+//!   batches, so only the chain is right for them.
 //!
-//! Levels run one after another. In each round every group with planning
-//! left plans its next window, and the rayon pool feeds the round's
-//! windows to all the systems at once. A system's engine sees the same
-//! items in the same order however they are split into windows (the
-//! `engine` module docs, "Batch input"), so every system's report is
-//! bit-identical at any pool size, and equal to running the system alone.
-//! [`Traversal::run_coupled`] forces the chain on every backend, the
-//! physics oracle the shard decomposition is checked against.
+//! Levels run one after another. Within a level the groups run in
+//! parallel, and each group feeds every window to its systems in
+//! parallel. A system's engine sees the same items in the same order
+//! however they are split into windows (the `engine` module docs, "Batch
+//! input"), so every system's report is bit-identical at any pool size,
+//! and equal to running the system alone.
 //!
 //! [sweep]: crate::runner::sweep_systems
 //! [ac]: crate::system::AccessConfig
@@ -204,34 +202,10 @@ impl Traversal {
 
     /// Run the workload on a simulated system, producing full metrics:
     /// [`runner::sweep_systems`](crate::runner::sweep_systems) with this
-    /// one system (module docs).
-    ///
-    /// On backends whose device state quiesces at the level barrier
-    /// (DRAM, CXL — see
-    /// [`BackendConfig::quiesces_between_batches`][qb]), each level's
-    /// batch is simulated as an independent round shard on a fresh engine
-    /// and the outcomes are merged in level order — bit-identical at any
-    /// `RAYON_NUM_THREADS` *and* bit-identical to the coupled chain. Flash-backed backends (XLFDD, NVMe) carry real media state
-    /// between batches (plane page registers, busy timestamps, the
-    /// jitter RNG), so resetting it per shard would change the physics;
-    /// they stay on the coupled single-engine chain, preserving the
-    /// paper-fidelity results exactly. Either way the result is identical
-    /// at every worker count.
-    ///
-    /// [qb]: crate::system::BackendConfig::quiesces_between_batches
+    /// one system (module docs). One engine takes the levels back to
+    /// back, so the result is identical at every worker count.
     pub fn run<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
         let mut reports = crate::runner::sweep_systems(g, *self, std::slice::from_ref(sys));
-        reports.pop().expect("one report per system")
-    }
-
-    /// Coupled execution on any backend: one engine for the whole run,
-    /// each batch starting on the clock where the previous one ended.
-    /// This is the physics oracle the shard decomposition is validated
-    /// against — for backends whose device state quiesces between
-    /// batches (all but the flash arrays with their page registers and
-    /// jitter RNGs), [`Traversal::run`] must reproduce it bit-for-bit.
-    pub fn run_coupled<G: CsrView + ?Sized>(&self, g: &G, sys: &SystemConfig) -> RunReport {
-        let mut reports = crate::runner::drive(g, *self, std::slice::from_ref(sys), true);
         reports.pop().expect("one report per system")
     }
 }
@@ -711,13 +685,54 @@ mod tests {
         assert_eq!(a.metrics.fetched_bytes, b.metrics.fetched_bytes);
     }
 
+    /// `trav` on `sys` as round shards: each level planned whole and
+    /// simulated from `t = 0` on a fresh engine, merged in level order.
+    /// Returns the run's metrics and each level's fetched bytes and
+    /// simulated time, serialized.
+    fn sharded(g: &Csr, trav: Traversal, sys: &SystemConfig) -> String {
+        use crate::engine::{merge_shard_metrics, simulate_shards};
+        use cxlg_graph::layout::EdgeListLayout;
+        let layout = EdgeListLayout::new(g);
+        let mut access = sys.build_access(layout.edge_list_bytes());
+        let (mut useful, mut hits) = (0, 0);
+        let batches: Vec<Vec<_>> = trav
+            .trace(g)
+            .iter()
+            .map(|frontier| {
+                access.begin_level();
+                let mut requests = Vec::new();
+                for &v in frontier {
+                    let span = layout.sublist_span(v);
+                    useful += span.len;
+                    hits += access.requests_for_span(span, &mut requests);
+                }
+                requests
+            })
+            .collect();
+        let outcomes = simulate_shards(|| sys.build_engine(), &batches);
+        let mut metrics = merge_shard_metrics(&outcomes);
+        metrics.useful_bytes = useful;
+        metrics.cache_hits = hits;
+        let levels: Vec<_> = outcomes
+            .iter()
+            .map(|o| (o.result.fetched_bytes, o.result.end.saturating_since(cxlg_sim::SimTime::ZERO)))
+            .collect();
+        serde_json::to_string(&(metrics, levels)).unwrap()
+    }
+
+    /// What [`sharded`] returns, from `report`.
+    fn chained(report: &RunReport) -> String {
+        let levels: Vec<_> = report.levels.iter().map(|l| (l.fetched_bytes, l.runtime)).collect();
+        serde_json::to_string(&(&report.metrics, levels)).unwrap()
+    }
+
     #[test]
     fn sharded_run_matches_coupled_run_exactly_on_memoryless_backends() {
         // The heart of the decomposition argument: on every backend
         // whose device state quiesces at the level barrier (DRAM, CXL,
         // UVM — everything but the flash arrays), the per-level shards
-        // merged in level order must reproduce the coupled single-engine
-        // run bit-for-bit — including the float fields.
+        // merged in level order must reproduce the chained run of
+        // `Traversal::run` bit-for-bit — including the float fields.
         let g = GraphSpec::kron(9).seed(11).build();
         let src = g.max_degree_vertex().unwrap();
         let systems = [
@@ -727,13 +742,12 @@ mod tests {
         ];
         for sys in &systems {
             for trav in [Traversal::bfs(src), Traversal::sssp(src)] {
-                let sharded = trav.run(&g, sys);
-                let coupled = trav.run_coupled(&g, sys);
-                let label = format!("{} on {}", trav.name(), sys.label());
                 assert_eq!(
-                    serde_json::to_string(&sharded).unwrap(),
-                    serde_json::to_string(&coupled).unwrap(),
-                    "sharded vs coupled diverged for {label}"
+                    sharded(&g, trav, sys),
+                    chained(&trav.run(&g, sys)),
+                    "sharded vs coupled diverged for {} on {}",
+                    trav.name(),
+                    sys.label()
                 );
             }
         }
@@ -742,10 +756,9 @@ mod tests {
     #[test]
     fn flash_backed_runs_take_the_coupled_path() {
         // Flash arrays carry real media state across batches (plane page
-        // registers, busy timestamps, the jitter RNG), so the dispatch
-        // in `run` must route XLFDD and NVMe through the coupled engine
-        // — their results stay byte-identical to the pre-shard physics
-        // the fidelity bands were validated against.
+        // registers, busy timestamps, the jitter RNG), so `run` must keep
+        // it from level to level: a fresh engine per level would give
+        // the round-shard result instead.
         let g = GraphSpec::kron(9).seed(11).build();
         let src = g.max_degree_vertex().unwrap();
         for sys in [
@@ -753,11 +766,9 @@ mod tests {
             SystemConfig::bam_on_nvme(PcieGen::Gen4, 4),
         ] {
             for trav in [Traversal::bfs(src), Traversal::sssp(src)] {
-                let run = trav.run(&g, &sys);
-                let coupled = trav.run_coupled(&g, &sys);
-                assert_eq!(
-                    serde_json::to_string(&run).unwrap(),
-                    serde_json::to_string(&coupled).unwrap(),
+                assert_ne!(
+                    sharded(&g, trav, &sys),
+                    chained(&trav.run(&g, &sys)),
                     "{} on {} left the coupled path",
                     trav.name(),
                     sys.label()
@@ -770,10 +781,8 @@ mod tests {
     fn run_on_one_worker_is_the_oracle_at_every_pool_size() {
         let g = GraphSpec::urand(9).seed(6).build();
         let trav = Traversal::bfs(0);
-        // On a 1-thread pool the shard policy plans and simulates the
-        // levels one after another; on a flash-backed backend `run`
-        // takes the chain at any pool size. Either way every pool must
-        // agree with it byte-for-byte.
+        // Every backend takes the chain at any pool size, so every pool
+        // must agree with a 1-thread pool byte-for-byte.
         for sys in [
             SystemConfig::emogi_on_cxl(PcieGen::Gen3, 5),
             SystemConfig::uvm_on_dram(PcieGen::Gen4),

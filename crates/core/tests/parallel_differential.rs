@@ -1,18 +1,17 @@
-//! Differential harness for the round-shard parallel engine.
+//! Differential harness for the traversal driver and the round shards.
 //!
-//! Three equivalences pin the decomposition (see the `engine` module
+//! Four equivalences pin the decomposition (see the `engine` module
 //! docs for why they hold):
 //!
 //! 1. **Parallel vs oracle** — [`Traversal::run`] must match itself on a
 //!    1-thread pool byte-for-byte at every worker count, on *every*
 //!    backend. The traversal driver plans each level in windows, in
 //!    level order, and feeds each window to the systems of its plan in
-//!    parallel. Flash-backed backends take the coupled chain at any pool
-//!    size.
+//!    parallel; every system chains its levels on one engine.
 //! 2. **Sharded vs coupled** — on backends whose device state quiesces
-//!    at the level barrier (DRAM, CXL, UVM), `run` must also match the
-//!    legacy one-engine [`Traversal::run_coupled`] physics oracle
-//!    bit-for-bit.
+//!    at the level barrier (DRAM, CXL, UVM), the whole-level round
+//!    shards of [`engine::simulate_shards`], merged in level order, must
+//!    match `run`'s chain bit-for-bit.
 //! 3. **Fan-out vs one system** — `runner::sweep_systems` traces once
 //!    and plans once per access method for a whole system list; each of
 //!    its reports must equal the system run alone, at every worker
@@ -28,10 +27,11 @@ use cxlg_core::engine;
 use cxlg_core::runner::sweep_systems;
 use cxlg_core::system::{BackendConfig, SystemConfig};
 use cxlg_core::traversal::Traversal;
+use cxlg_graph::layout::EdgeListLayout;
 use cxlg_graph::spec::GraphSpec;
 use cxlg_graph::{CsrView, SpillConfig, SpillCsr};
 use cxlg_link::pcie::PcieGen;
-use cxlg_sim::OnlineStats;
+use cxlg_sim::{OnlineStats, SimTime};
 use proptest::prelude::*;
 
 /// Worker counts the parallel path is exercised at: undersubscribed,
@@ -60,7 +60,7 @@ fn any_system(pick: u8) -> SystemConfig {
 }
 
 /// Systems whose backend carries no cross-batch device state — the ones
-/// the coupled physics oracle must match exactly.
+/// the round shards must match exactly.
 fn quiescent_system(pick: u8) -> SystemConfig {
     match pick % 3 {
         0 => SystemConfig::emogi_on_dram(PcieGen::Gen4),
@@ -76,6 +76,45 @@ fn workload(pick: u8, g: &cxlg_graph::Csr) -> Traversal {
         1 => Traversal::sssp(src),
         _ => Traversal::connected_components(),
     }
+}
+
+/// `trav` on `sys` as round shards: each level planned whole and
+/// simulated from `t = 0` on a fresh engine, merged in level order. The
+/// run's metrics and each level's fetched bytes and simulated time,
+/// serialized as [`chained`] serializes a report.
+fn sharded(g: &cxlg_graph::Csr, trav: Traversal, sys: &SystemConfig) -> String {
+    let layout = EdgeListLayout::new(g);
+    let mut access = sys.build_access(layout.edge_list_bytes());
+    let (mut useful, mut hits) = (0, 0);
+    let batches: Vec<Vec<DeviceRequest>> = trav
+        .trace(g)
+        .iter()
+        .map(|frontier| {
+            access.begin_level();
+            let mut requests = Vec::new();
+            for &v in frontier {
+                let span = layout.sublist_span(v);
+                useful += span.len;
+                hits += access.requests_for_span(span, &mut requests);
+            }
+            requests
+        })
+        .collect();
+    let outcomes = engine::simulate_shards(|| sys.build_engine(), &batches);
+    let mut metrics = engine::merge_shard_metrics(&outcomes);
+    metrics.useful_bytes = useful;
+    metrics.cache_hits = hits;
+    let levels: Vec<_> = outcomes
+        .iter()
+        .map(|o| (o.result.fetched_bytes, o.result.end.saturating_since(SimTime::ZERO)))
+        .collect();
+    serde_json::to_string(&(metrics, levels)).unwrap()
+}
+
+/// A report's metrics and each level's fetched bytes and simulated time.
+fn chained(report: &cxlg_core::metrics::RunReport) -> String {
+    let levels: Vec<_> = report.levels.iter().map(|l| (l.fetched_bytes, l.runtime)).collect();
+    serde_json::to_string(&(&report.metrics, levels)).unwrap()
 }
 
 proptest! {
@@ -117,11 +156,9 @@ proptest! {
         let g = family(fam, scale, seed).build();
         let trav = workload(work_pick, &g);
         let sys = quiescent_system(sys_pick);
-        let coupled = trav.run_coupled(&g, &sys);
-        let sharded = trav.run(&g, &sys);
         assert_eq!(
-            serde_json::to_string(&sharded).unwrap(),
-            serde_json::to_string(&coupled).unwrap(),
+            sharded(&g, trav, &sys),
+            chained(&trav.run(&g, &sys)),
             "{} on {}: shard merge is not bit-exact against the coupled engine",
             trav.name(),
             sys.label(),
@@ -171,9 +208,7 @@ fn assert_fan_out_matches<G: CsrView + ?Sized>(g: &G, trav: Traversal, oracle: &
 
 #[test]
 fn sweep_systems_equals_each_system_run_alone() {
-    // The oracle is each system alone on one worker: the coupled chain,
-    // which `run` equals on every backend (bit-exact on the quiescent
-    // ones, the same chain on the flash-backed ones).
+    // The oracle is each system alone on one worker.
     let spec = GraphSpec::kron(9).seed(7);
     let mem = spec.build();
     let mut cfg = SpillConfig::new(
@@ -192,7 +227,7 @@ fn sweep_systems_equals_each_system_run_alone() {
         let oracle: Vec<String> = mixed_systems()
             .iter()
             .map(|sys| {
-                let report = rayon::with_num_threads(1, || trav.run_coupled(&mem, sys));
+                let report = rayon::with_num_threads(1, || trav.run(&mem, sys));
                 serde_json::to_string(&report).unwrap()
             })
             .collect();
