@@ -25,6 +25,21 @@ if grep -q "does not refer to a reachable function" <<<"$CLIPPY_OUT"; then
     echo "$CLIPPY_OUT"; echo "clippy.toml names a function that does not exist"; exit 1
 fi
 
+echo "==> cargo build --workspace --all-targets: no rustc warning in the project's own code"
+# clippy above skips test code; rustc's warnings cover every target.
+# Cargo replays a fresh crate's cached warnings, rendered as when they
+# were first printed, so both the short (`path: warning:`) and the
+# human (`warning:` then ` --> path`) forms are matched. Vendored
+# crates are exempt, as they are for clippy.
+BUILD_OUT=$(cargo build --workspace --all-targets 2>&1) \
+    || { echo "$BUILD_OUT"; echo "the all-targets build failed"; exit 1; }
+if awk '/^(crates|src|tests|examples)\/[^ ]*: warning:/ { print; bad = 1 }
+        /^[a-z]+(\[[A-Za-z0-9]+\])?:/ { w = /^warning/ }
+        w && /^ *--> (crates|src|tests|examples)\// { print; bad = 1; w = 0 }
+        END { exit !bad }' <<<"$BUILD_OUT"; then
+    echo "$BUILD_OUT"; echo "rustc warned about the code above"; exit 1
+fi
+
 echo "==> cargo test -q (tier-1, all workspace members, 1-thread and 4-thread pools)"
 # The vendored rayon promises bit-identical results at any pool size;
 # run the whole suite at both extremes so thread-count nondeterminism

@@ -54,37 +54,6 @@ fn run_mixed(device: &mut (impl MemoryTarget + WritableTarget), write_fraction: 
     ops as f64 / last.as_secs_f64() / 1e3
 }
 
-// XlfddDrive has an inherent write method, not the trait; adapt.
-struct XlfddAdapter(XlfddDrive);
-impl MemoryTarget for XlfddAdapter {
-    fn read(
-        &mut self,
-        t: SimTime,
-        addr: u64,
-        bytes: u64,
-        out: &mut Vec<cxlg_device::target::ReadSegment>,
-    ) -> SimTime {
-        self.0.read(t, addr, bytes, out)
-    }
-    fn alignment(&self) -> u64 {
-        self.0.alignment()
-    }
-    fn kind(&self) -> &'static str {
-        self.0.kind()
-    }
-    fn reads_served(&self) -> u64 {
-        self.0.reads_served()
-    }
-    fn bytes_served(&self) -> u64 {
-        self.0.bytes_served()
-    }
-}
-impl WritableTarget for XlfddAdapter {
-    fn write(&mut self, t: SimTime, addr: u64, bytes: u64) -> SimTime {
-        self.0.write(t, addr, bytes)
-    }
-}
-
 /// Graph specs consumed — none; this experiment builds no graphs
 /// (cache-eviction planning; see
 /// [`crate::experiment::Experiment::specs`]).
@@ -103,7 +72,7 @@ pub fn run(ctx: &ExperimentCtx) {
         let kiops = match d {
             0 => run_mixed(&mut HostDram::default(), f),
             1 => run_mixed(&mut CxlMemDevice::new(CxlMemConfig::default()), f),
-            _ => run_mixed(&mut XlfddAdapter(XlfddDrive::default()), f),
+            _ => run_mixed(&mut XlfddDrive::default(), f),
         };
         Point {
             device: ["host-dram", "cxl-mem", "xlfdd"][d],

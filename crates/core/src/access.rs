@@ -20,6 +20,7 @@
 //!   alignment, split only at the 2 kB max transfer. This keeps the
 //!   average transfer size `d` close to the average sublist size.
 
+use cxlg_device::xlfdd::XlfddConfig;
 use cxlg_graph::layout::{align_down, align_up, span_block_range, ByteSpan};
 use cxlg_gpu::coalesce::coalesce_span;
 use cxlg_gpu::swcache::{SoftwareCache, SoftwareCacheConfig};
@@ -84,11 +85,12 @@ impl AccessMethod {
         }
     }
 
-    /// XLFDD-direct with the paper's interface limits.
+    /// XLFDD-direct with the paper's interface limits: the given
+    /// alignment, split at the drive's max transfer (2 kB).
     pub fn xlfdd_direct(alignment: u64) -> Self {
         AccessMethod::Direct {
             alignment,
-            max_transfer: 2048,
+            max_transfer: XlfddConfig::default().max_transfer,
             fetched_to: 0,
         }
     }

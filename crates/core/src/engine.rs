@@ -158,12 +158,11 @@ pub enum RequestPath {
     Memory,
     /// GPU-initiated storage access (BaM / XLFDD): submission-queue
     /// entries fetched by the drive; concurrency bounded by queue depth,
-    /// and the SQ fetch adds one extra link round trip.
+    /// and the SQ fetch adds one extra link round trip. No
+    /// completion-queue traffic is charged (XLFDD has none, §4.1.1).
     Storage {
         /// Bytes per SQ entry crossing the request path.
         entry_bytes: u64,
-        /// Completion-notification bytes on the return path (0 = no CQ).
-        completion_bytes: u64,
     },
 }
 
@@ -780,18 +779,6 @@ mod tests {
             self.reads += 1;
             self.log.lock().unwrap().push((t_arrive, addr));
             out.last().map_or(t_arrive, |s| s.ready)
-        }
-        fn alignment(&self) -> u64 {
-            1
-        }
-        fn kind(&self) -> &'static str {
-            "scripted"
-        }
-        fn reads_served(&self) -> u64 {
-            self.reads as u64
-        }
-        fn bytes_served(&self) -> u64 {
-            0
         }
     }
 
@@ -1433,7 +1420,6 @@ mod tests {
         let path = match pick(3) {
             0 => RequestPath::Storage {
                 entry_bytes: [16, 64][pick(2) as usize],
-                completion_bytes: [0, 16][pick(2) as usize],
             },
             _ => RequestPath::Memory,
         };
@@ -1568,7 +1554,7 @@ mod tests {
     #[test]
     fn closed_form_hand_offs_equal_the_evented_oracle_on_every_backend() {
         for (sys, batches) in preset_backends() {
-            let mut run = |f: Run<'_>| observe(sys.build_engine(), Arc::default(), &batches, f);
+            let run = |f: Run<'_>| observe(sys.build_engine(), Arc::default(), &batches, f);
             assert_eq!(
                 run(&mut Engine::run_batch),
                 run(&mut oracle::run_batch),
@@ -1595,18 +1581,6 @@ mod tests {
         ) -> SimTime {
             self.log.lock().unwrap().push((t_arrive, addr));
             self.inner.read(t_arrive, addr, bytes, out)
-        }
-        fn alignment(&self) -> u64 {
-            self.inner.alignment()
-        }
-        fn kind(&self) -> &'static str {
-            self.inner.kind()
-        }
-        fn reads_served(&self) -> u64 {
-            self.inner.reads_served()
-        }
-        fn bytes_served(&self) -> u64 {
-            self.inner.bytes_served()
         }
     }
 

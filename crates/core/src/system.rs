@@ -311,7 +311,6 @@ impl SystemConfig {
                         )),
                         RequestPath::Storage {
                             entry_bytes: sq.entry_bytes,
-                            completion_bytes: sq.completion_bytes,
                         },
                         None,
                     )
@@ -332,7 +331,6 @@ impl SystemConfig {
                         )),
                         RequestPath::Storage {
                             entry_bytes: sq.entry_bytes,
-                            completion_bytes: sq.completion_bytes,
                         },
                         None,
                     )

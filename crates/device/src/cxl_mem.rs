@@ -88,9 +88,7 @@ pub struct CxlMemDevice {
     /// come in time order under either bridge ordering (asserted on every
     /// push, in release builds too): the earliest is the front.
     tag_release: VecDeque<SimTime>,
-    reads: u64,
     flits: u64,
-    bytes: u64,
     /// Sum of device-resident times (admission to egress) for mean-latency
     /// reporting, in ps.
     resident_ps: u128,
@@ -107,16 +105,9 @@ impl CxlMemDevice {
             // Allocated once at the tag count it fills to.
             tag_release: VecDeque::with_capacity(cfg.device_tags.min(4096) as usize),
             cfg,
-            reads: 0,
             flits: 0,
-            bytes: 0,
             resident_ps: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CxlMemConfig {
-        &self.cfg
     }
 
     /// Mean device-resident time per flit (admission to response egress).
@@ -182,25 +173,7 @@ impl MemoryTarget for CxlMemDevice {
             last = last.max(ready);
             remaining -= seg;
         }
-        self.reads += 1;
-        self.bytes += bytes;
         last
-    }
-
-    fn alignment(&self) -> u64 {
-        CXL_FLIT_BYTES
-    }
-
-    fn kind(&self) -> &'static str {
-        "cxl-mem"
-    }
-
-    fn reads_served(&self) -> u64 {
-        self.reads
-    }
-
-    fn bytes_served(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -321,7 +294,7 @@ mod tests {
     #[test]
     fn out_of_order_mode_reported_in_config() {
         let d = CxlMemDevice::new(CxlMemConfig::default().out_of_order());
-        assert_eq!(d.config().ordering, BridgeOrdering::OutOfOrder);
+        assert_eq!(d.cfg.ordering, BridgeOrdering::OutOfOrder);
     }
 
     #[test]
@@ -330,8 +303,7 @@ mod tests {
         let mut out = Vec::new();
         d.read(SimTime::ZERO, 0, 128, &mut out);
         d.read(SimTime::ZERO, 128, 64, &mut out);
-        assert_eq!(d.reads_served(), 2);
-        assert_eq!(d.bytes_served(), 192);
+        assert_eq!(d.flits, 3);
         assert!(d.mean_resident().as_ns_f64() > 0.0);
     }
 }

@@ -43,8 +43,6 @@ impl HostDramConfig {
 pub struct HostDram {
     cfg: HostDramConfig,
     channel: BandwidthChannel,
-    reads: u64,
-    bytes: u64,
 }
 
 impl HostDram {
@@ -55,14 +53,7 @@ impl HostDram {
                 cfg.bandwidth_mb_per_sec,
             )),
             cfg,
-            reads: 0,
-            bytes: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &HostDramConfig {
-        &self.cfg
     }
 }
 
@@ -88,29 +79,7 @@ impl MemoryTarget for HostDram {
             ready: data_at,
             bytes,
         });
-        self.reads += 1;
-        self.bytes += bytes;
         data_at
-    }
-
-    fn alignment(&self) -> u64 {
-        // Zero-copy GPU access is sector-granular (32 B) — the GPU, not
-        // the DRAM, imposes that; the DIMM interface itself is 64 B burst
-        // but the paper attributes the 32 B alignment to the GPU
-        // architecture (§3.3.1). We report the DRAM burst size.
-        64
-    }
-
-    fn kind(&self) -> &'static str {
-        "host-dram"
-    }
-
-    fn reads_served(&self) -> u64 {
-        self.reads
-    }
-
-    fn bytes_served(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -154,15 +123,5 @@ mod tests {
         }
         let mb_s = (n * 128) as f64 / 1e6 / last.as_secs_f64();
         assert!((mb_s - 10_000.0).abs() / 10_000.0 < 0.01, "{mb_s}");
-        assert_eq!(d.reads_served(), n);
-        assert_eq!(d.bytes_served(), n * 128);
-    }
-
-    #[test]
-    fn kind_and_alignment() {
-        let d = HostDram::default();
-        assert_eq!(d.kind(), "host-dram");
-        assert_eq!(d.alignment(), 64);
-        assert_eq!(d.max_transfer(), None);
     }
 }

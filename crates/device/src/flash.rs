@@ -62,7 +62,6 @@ pub struct FlashArray {
     /// Page currently held in each plane's page register.
     plane_page: Vec<u64>,
     rng: Xoshiro256StarStar,
-    reads: u64,
 }
 
 impl FlashArray {
@@ -76,13 +75,7 @@ impl FlashArray {
             plane_page: vec![u64::MAX; (cfg.dies * cfg.planes_per_die) as usize],
             rng: Xoshiro256StarStar::seed_from_u64(cfg.seed),
             cfg,
-            reads: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &FlashConfig {
-        &self.cfg
     }
 
     /// Which plane an address maps to (page-granular striping with a mix
@@ -118,13 +111,7 @@ impl FlashArray {
         let ready = start + SimDuration::from_ps(service);
         self.plane_free[plane] = ready;
         self.plane_page[plane] = page;
-        self.reads += 1;
         ready
-    }
-
-    /// Page reads served.
-    pub fn reads(&self) -> u64 {
-        self.reads
     }
 
     /// Program (write) the page containing `addr`: occupies the plane for
@@ -138,7 +125,6 @@ impl FlashArray {
         self.plane_page[plane] = u64::MAX;
         ready
     }
-
 }
 
 #[cfg(test)]

@@ -75,31 +75,6 @@ impl<T: MemoryTarget> DeviceArray<T> {
             interleave,
         }
     }
-
-    /// Device count.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// True when the array has no devices (cannot happen post-`new`).
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// Access a device for statistics.
-    pub fn device(&self, i: usize) -> &T {
-        &self.devices[i]
-    }
-
-    /// Total reads served across devices.
-    pub fn reads_served(&self) -> u64 {
-        self.devices.iter().map(|d| d.reads_served()).sum()
-    }
-
-    /// Total bytes served across devices.
-    pub fn bytes_served(&self) -> u64 {
-        self.devices.iter().map(|d| d.bytes_served()).sum()
-    }
 }
 
 impl<T: MemoryTarget> MemoryTarget for DeviceArray<T> {
@@ -119,32 +94,30 @@ impl<T: MemoryTarget> MemoryTarget for DeviceArray<T> {
         });
         last
     }
-
-    fn alignment(&self) -> u64 {
-        self.devices[0].alignment()
-    }
-
-    fn max_transfer(&self) -> Option<u64> {
-        self.devices[0].max_transfer()
-    }
-
-    fn kind(&self) -> &'static str {
-        self.devices[0].kind()
-    }
-
-    fn reads_served(&self) -> u64 {
-        DeviceArray::reads_served(self)
-    }
-
-    fn bytes_served(&self) -> u64 {
-        DeviceArray::bytes_served(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dram::{HostDram, HostDramConfig};
+    use crate::dram::HostDram;
+
+    /// A device that answers at once and logs each `(local addr, bytes)`.
+    #[derive(Default)]
+    struct Logged(Vec<(u64, u64)>);
+
+    impl MemoryTarget for Logged {
+        fn read(
+            &mut self,
+            t: SimTime,
+            addr: u64,
+            bytes: u64,
+            out: &mut Vec<ReadSegment>,
+        ) -> SimTime {
+            self.0.push((addr, bytes));
+            out.push(ReadSegment { ready: t, bytes });
+            t
+        }
+    }
 
     #[test]
     fn route_round_robins_blocks() {
@@ -195,18 +168,16 @@ mod tests {
 
     #[test]
     fn array_routes_reads_to_devices() {
-        let dram = |_| HostDram::new(HostDramConfig::default());
-        let devices: Vec<HostDram> = (0..4).map(dram).collect();
+        let devices: Vec<Logged> = (0..4).map(|_| Logged::default()).collect();
         let mut arr = DeviceArray::new(devices, Interleave::new(4096, 4));
         let mut out = Vec::new();
         arr.read(SimTime::ZERO, 0, 128, &mut out);
         arr.read(SimTime::ZERO, 4096, 128, &mut out);
-        assert_eq!(arr.device(0).reads_served(), 1);
-        assert_eq!(arr.device(1).reads_served(), 1);
-        assert_eq!(arr.device(2).reads_served(), 0);
-        assert_eq!(arr.reads_served(), 2);
-        assert_eq!(arr.bytes_served(), 256);
-        assert_eq!(arr.len(), 4);
+        arr.read(SimTime::ZERO, 4 * 4096 + 64, 64, &mut out);
+        assert_eq!(arr.devices[0].0, [(0, 128), (4096 + 64, 64)]);
+        assert_eq!(arr.devices[1].0, [(0, 128)]);
+        assert!(arr.devices[2].0.is_empty() && arr.devices[3].0.is_empty());
+        assert_eq!(out.iter().map(|s| s.bytes).sum::<u64>(), 320);
     }
 
     #[test]

@@ -16,10 +16,15 @@
 //! * [`nvme::NvmeSsd`] — a conventional NVMe SSD as used by BaM: 512 B
 //!   blocks, 4 kB-optimal access, ~1.5 MIOPS per drive.
 //!
-//! Devices are *passive timing calculators*: the discrete-event driver in
-//! `cxlg-core` hands them a read arriving at time `t` and they return when
-//! the response data leaves the device, having internally accounted for
-//! tag limits, service rates, internal bandwidth, and response ordering.
+//! Devices are *passive timing calculators* with one method,
+//! [`MemoryTarget::read`]: the discrete-event driver in `cxlg-core` hands
+//! them a read arriving at time `t` and they return when the response
+//! data leaves the device, having internally accounted for tag limits,
+//! service rates, internal bandwidth, and response ordering. They report
+//! nothing else: alignment and transfer limits belong to the access
+//! method that plans the reads, and each drive asserts its own contract
+//! in `read`. The write study's posted writes go through
+//! [`write::WritableTarget`].
 //! Multi-device configurations (5 CXL expanders, 16 XLFDD drives, 4 SSDs)
 //! are assembled with [`interleave::Interleave`] address routing.
 

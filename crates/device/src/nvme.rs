@@ -56,8 +56,6 @@ pub struct NvmeSsd {
     controller: RateServer,
     link: BandwidthChannel,
     rng: Xoshiro256StarStar,
-    reads: u64,
-    bytes: u64,
 }
 
 impl NvmeSsd {
@@ -69,14 +67,7 @@ impl NvmeSsd {
             link: BandwidthChannel::new(Bandwidth::from_mb_per_sec(cfg.drive_link_mb_per_sec)),
             rng: Xoshiro256StarStar::seed_from_u64(cfg.seed),
             cfg,
-            reads: 0,
-            bytes: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &NvmeConfig {
-        &self.cfg
     }
 }
 
@@ -94,9 +85,11 @@ impl MemoryTarget for NvmeSsd {
         bytes: u64,
         out: &mut Vec<ReadSegment>,
     ) -> SimTime {
-        debug_assert!(bytes > 0, "zero-byte read");
-        debug_assert_eq!(addr % self.cfg.block_bytes, 0, "unaligned NVMe read");
-        debug_assert_eq!(bytes % self.cfg.block_bytes, 0, "partial-block NVMe read");
+        // The block interface's contract, checked in release builds: the
+        // access method must plan whole, aligned blocks.
+        assert!(bytes > 0, "zero-byte read");
+        assert_eq!(addr % self.cfg.block_bytes, 0, "unaligned NVMe read");
+        assert_eq!(bytes % self.cfg.block_bytes, 0, "partial-block NVMe read");
         // One IOPS slot per `optimal_bytes` chunk: a 4 kB-optimized drive
         // serves an 8 kB read as two internal operations, while anything
         // up to 4 kB costs one (reading fewer bytes does not raise IOPS).
@@ -113,25 +106,7 @@ impl MemoryTarget for NvmeSsd {
         let ready = admitted + SimDuration::from_ps(self.cfg.latency_ps + jitter);
         let ready = self.link.transmit(ready, bytes);
         out.push(ReadSegment { ready, bytes });
-        self.reads += 1;
-        self.bytes += bytes;
         ready
-    }
-
-    fn alignment(&self) -> u64 {
-        self.cfg.block_bytes
-    }
-
-    fn kind(&self) -> &'static str {
-        "nvme"
-    }
-
-    fn reads_served(&self) -> u64 {
-        self.reads
-    }
-
-    fn bytes_served(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -226,9 +201,16 @@ mod tests {
 
     #[test]
     fn interface_properties() {
-        let d = NvmeSsd::default();
-        assert_eq!(d.alignment(), 512);
-        assert_eq!(d.kind(), "nvme");
-        assert_eq!(d.max_transfer(), None);
+        let cfg = NvmeConfig::default();
+        assert_eq!(cfg.block_bytes, 512);
+        assert_eq!(cfg.optimal_bytes, 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned NVMe read")]
+    fn rejects_unaligned_reads() {
+        let mut d = quiet();
+        let mut out = Vec::new();
+        d.read(SimTime::ZERO, 16, 4096, &mut out);
     }
 }

@@ -18,7 +18,11 @@ pub struct ReadSegment {
     pub bytes: u64,
 }
 
-/// A passive timing model of an external memory or storage device.
+/// A passive timing model of an external memory or storage device: one
+/// read in, its response timing out. The quantities the paper reduces a
+/// device to (service rate, latency, internal bandwidth) live inside each
+/// model; alignment and transfer limits belong to the access method that
+/// plans the requests, and each drive asserts its own in `read`.
 ///
 /// `Send`, so a chained engine can take its levels on whichever pool
 /// worker planned them.
@@ -31,23 +35,6 @@ pub trait MemoryTarget: Send {
     /// `out` is an out-parameter so the hot path can reuse its allocation.
     fn read(&mut self, t_arrive: SimTime, addr: u64, bytes: u64, out: &mut Vec<ReadSegment>)
         -> SimTime;
-
-    /// Smallest address alignment the device supports for reads.
-    fn alignment(&self) -> u64;
-
-    /// Largest single-request transfer, if bounded (XLFDD: 2 kB).
-    fn max_transfer(&self) -> Option<u64> {
-        None
-    }
-
-    /// Short human-readable device kind for reports.
-    fn kind(&self) -> &'static str;
-
-    /// Reads served so far.
-    fn reads_served(&self) -> u64;
-
-    /// Bytes of response data produced so far.
-    fn bytes_served(&self) -> u64;
 }
 
 #[cfg(test)]
@@ -58,8 +45,6 @@ mod tests {
     /// and as a reference point for the real models.
     struct FixedLatency {
         latency_ps: u64,
-        reads: u64,
-        bytes: u64,
     }
 
     impl MemoryTarget for FixedLatency {
@@ -72,38 +57,17 @@ mod tests {
         ) -> SimTime {
             let ready = t + cxlg_sim::SimDuration::from_ps(self.latency_ps);
             out.push(ReadSegment { ready, bytes });
-            self.reads += 1;
-            self.bytes += bytes;
             ready
-        }
-        fn alignment(&self) -> u64 {
-            1
-        }
-        fn kind(&self) -> &'static str {
-            "fixed"
-        }
-        fn reads_served(&self) -> u64 {
-            self.reads
-        }
-        fn bytes_served(&self) -> u64 {
-            self.bytes
         }
     }
 
     #[test]
     fn trait_contract() {
-        let mut d = FixedLatency {
-            latency_ps: 1000,
-            reads: 0,
-            bytes: 0,
-        };
+        let mut d = FixedLatency { latency_ps: 1000 };
         let mut out = Vec::new();
         let ready = d.read(SimTime(5), 0, 64, &mut out);
         assert_eq!(ready, SimTime(1005));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].bytes, 64);
-        assert_eq!(d.reads_served(), 1);
-        assert_eq!(d.bytes_served(), 64);
-        assert_eq!(d.max_transfer(), None);
     }
 }

@@ -11,12 +11,11 @@
 //! * flash: a page **program** is an order of magnitude slower than a
 //!   read (`tPROG` ≈ 100 µs vs `tR` ≈ 4 µs) and occupies the plane, so
 //!   even a small write fraction collapses read IOPS — exactly the
-//!   asymmetry the Discussion warns about.
+//!   asymmetry the Discussion warns about. `XlfddDrive`'s impl lives
+//!   with the drive, which owns its flash array.
 
 use crate::cxl_mem::CxlMemDevice;
 use crate::dram::HostDram;
-use crate::flash::FlashArray;
-use crate::xlfdd::XlfddDrive;
 use cxlg_link::cxl::CXL_FLIT_BYTES;
 use cxlg_sim::SimTime;
 
@@ -55,32 +54,12 @@ impl WritableTarget for CxlMemDevice {
     }
 }
 
-impl XlfddDrive {
-    /// Program the pages covering `[addr, addr + bytes)`; returns when
-    /// the last plane finishes. Occupies planes for `tPROG` each.
-    pub fn write(&mut self, t_arrive: SimTime, addr: u64, bytes: u64) -> SimTime {
-        write_flash(self.flash_mut(), t_arrive, addr, bytes)
-    }
-}
-
-/// Program the pages covering `[addr, addr + bytes)` on a flash array.
-fn write_flash(flash: &mut FlashArray, t_arrive: SimTime, addr: u64, bytes: u64) -> SimTime {
-    let page_bytes = flash.config().page_bytes;
-    let first = addr / page_bytes;
-    let last = (addr + bytes.max(1) - 1) / page_bytes;
-    let mut done = SimTime::ZERO;
-    for page in first..=last {
-        let d = flash.program_page(t_arrive, page * page_bytes);
-        done = done.max(d);
-    }
-    done
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cxl_mem::CxlMemConfig;
-    use crate::flash::FlashConfig;
+    use crate::flash::{FlashArray, FlashConfig};
+    use crate::xlfdd::XlfddDrive;
 
     #[test]
     fn dram_write_is_cheap_and_posted() {

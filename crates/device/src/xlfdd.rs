@@ -14,6 +14,7 @@
 
 use crate::flash::{FlashArray, FlashConfig};
 use crate::target::{MemoryTarget, ReadSegment};
+use crate::write::WritableTarget;
 use cxlg_sim::{Bandwidth, BandwidthChannel, RateServer, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -56,8 +57,6 @@ pub struct XlfddDrive {
     controller: RateServer,
     flash: FlashArray,
     link: BandwidthChannel,
-    reads: u64,
-    bytes: u64,
 }
 
 impl XlfddDrive {
@@ -70,19 +69,7 @@ impl XlfddDrive {
             flash: FlashArray::new(cfg.flash),
             link: BandwidthChannel::new(Bandwidth::from_mb_per_sec(cfg.drive_link_mb_per_sec)),
             cfg,
-            reads: 0,
-            bytes: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &XlfddConfig {
-        &self.cfg
-    }
-
-    /// Mutable flash access (used by the write path).
-    pub fn flash_mut(&mut self) -> &mut FlashArray {
-        &mut self.flash
     }
 }
 
@@ -100,13 +87,15 @@ impl MemoryTarget for XlfddDrive {
         bytes: u64,
         out: &mut Vec<ReadSegment>,
     ) -> SimTime {
-        debug_assert!(bytes > 0, "zero-byte read");
-        debug_assert!(
+        // The drive's interface contract (§4.1.1), checked in release
+        // builds: the access method must plan within it.
+        assert!(bytes > 0, "zero-byte read");
+        assert!(
             bytes <= self.cfg.max_transfer,
             "transfer {bytes} exceeds XLFDD max {}; split at the access layer",
             self.cfg.max_transfer
         );
-        debug_assert_eq!(addr % self.cfg.alignment, 0, "misaligned XLFDD read");
+        assert_eq!(addr % self.cfg.alignment, 0, "misaligned XLFDD read");
         // Lightweight controller: one IOPS slot, fixed pipeline overhead.
         let admitted = self.controller.admit(t_arrive)
             + SimDuration::from_ps(self.cfg.controller_overhead_ps);
@@ -123,29 +112,22 @@ impl MemoryTarget for XlfddDrive {
         // switch fabric merges it onto the shared GPU link.
         let ready = self.link.transmit(ready, bytes);
         out.push(ReadSegment { ready, bytes });
-        self.reads += 1;
-        self.bytes += bytes;
         ready
     }
+}
 
-    fn alignment(&self) -> u64 {
-        self.cfg.alignment
-    }
-
-    fn max_transfer(&self) -> Option<u64> {
-        Some(self.cfg.max_transfer)
-    }
-
-    fn kind(&self) -> &'static str {
-        "xlfdd"
-    }
-
-    fn reads_served(&self) -> u64 {
-        self.reads
-    }
-
-    fn bytes_served(&self) -> u64 {
-        self.bytes
+impl WritableTarget for XlfddDrive {
+    /// Program the pages covering `[addr, addr + bytes)`; returns when
+    /// the last plane finishes. Occupies planes for `tPROG` each.
+    fn write(&mut self, t_arrive: SimTime, addr: u64, bytes: u64) -> SimTime {
+        let page_bytes = self.cfg.flash.page_bytes;
+        let first = addr / page_bytes;
+        let last = (addr + bytes.max(1) - 1) / page_bytes;
+        let mut done = SimTime::ZERO;
+        for page in first..=last {
+            done = done.max(self.flash.program_page(t_arrive, page * page_bytes));
+        }
+        done
     }
 }
 
@@ -153,10 +135,12 @@ impl MemoryTarget for XlfddDrive {
 mod tests {
     use super::*;
 
-    fn quiet() -> XlfddDrive {
+    fn quiet_with(dies: u32, planes_per_die: u32) -> XlfddDrive {
         XlfddDrive::new(
             XlfddConfig {
                 flash: FlashConfig {
+                    dies,
+                    planes_per_die,
                     jitter_mean_ps: 0,
                     ..FlashConfig::default()
                 },
@@ -164,6 +148,11 @@ mod tests {
             },
             0,
         )
+    }
+
+    fn quiet() -> XlfddDrive {
+        let f = FlashConfig::default();
+        quiet_with(f.dies, f.planes_per_die)
     }
 
     #[test]
@@ -202,7 +191,11 @@ mod tests {
         let us = ready.as_us_f64();
         assert!(us >= 4.29, "{us}");
         assert!(us <= 8.5, "{us}");
-        assert_eq!(d.flash.reads(), 2);
+        // On a one-plane array both page reads serialize: two full tR.
+        let mut one_plane = quiet_with(1, 1);
+        let ready = one_plane.read(SimTime::ZERO, 4096 - 1024, 2048, &mut out);
+        let t_r = FlashConfig::default().read_latency_ps;
+        assert!(ready.as_ps() >= 2 * t_r, "{ready:?}");
     }
 
     #[test]
@@ -218,16 +211,14 @@ mod tests {
 
     #[test]
     fn interface_properties_match_paper() {
-        let d = XlfddDrive::default();
-        assert_eq!(d.alignment(), 16);
-        assert_eq!(d.max_transfer(), Some(2048));
-        assert_eq!(d.kind(), "xlfdd");
+        let cfg = XlfddConfig::default();
+        assert_eq!(cfg.alignment, 16);
+        assert_eq!(cfg.max_transfer, 2048);
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "misaligned")]
-    fn rejects_misaligned_reads_in_debug() {
+    fn rejects_misaligned_reads() {
         let mut d = quiet();
         let mut out = Vec::new();
         d.read(SimTime::ZERO, 7, 64, &mut out);

@@ -19,20 +19,16 @@ pub struct SubmissionQueueModel {
     /// Bytes per SQ entry crossing the link when the drive fetches it
     /// (NVMe: 64 B commands; XLFDD's lightweight interface: 16 B).
     pub entry_bytes: u64,
-    /// Completion notification bytes crossing the link. XLFDD has **no
-    /// completion queues** — the payload DMA itself signals completion —
-    /// so this is 0; NVMe posts a 16 B CQ entry.
-    pub completion_bytes: u64,
     /// Queue depth per drive (outstanding commands the drive accepts).
     pub queue_depth_per_drive: u32,
 }
 
 impl SubmissionQueueModel {
-    /// BaM's NVMe queues: 64 B SQ entries, 16 B CQ entries, deep queues.
+    /// BaM's NVMe queues: 64 B SQ entries, deep queues. (NVMe's 16 B CQ
+    /// entries are not modelled; see DESIGN.md §"Access methods".)
     pub fn nvme() -> Self {
         SubmissionQueueModel {
             entry_bytes: 64,
-            completion_bytes: 16,
             queue_depth_per_drive: 1024,
         }
     }
@@ -41,7 +37,6 @@ impl SubmissionQueueModel {
     pub fn xlfdd() -> Self {
         SubmissionQueueModel {
             entry_bytes: 16,
-            completion_bytes: 0,
             queue_depth_per_drive: 1024,
         }
     }
@@ -50,7 +45,6 @@ impl SubmissionQueueModel {
     pub fn total_depth(&self, drives: u32) -> u64 {
         self.queue_depth_per_drive as u64 * drives as u64
     }
-
 }
 
 #[cfg(test)]
@@ -60,16 +54,17 @@ mod tests {
 
     #[test]
     fn xlfdd_has_no_completion_queue() {
+        // The payload DMA itself signals completion: no CQ to model, and
+        // its SQ entries are a quarter of NVMe's.
         let sq = SubmissionQueueModel::xlfdd();
-        assert_eq!(sq.completion_bytes, 0);
         assert_eq!(sq.entry_bytes, 16);
+        assert!(sq.entry_bytes < SubmissionQueueModel::nvme().entry_bytes);
     }
 
     #[test]
     fn nvme_entries_are_64_bytes() {
         let sq = SubmissionQueueModel::nvme();
         assert_eq!(sq.entry_bytes, 64);
-        assert_eq!(sq.completion_bytes, 16);
     }
 
     #[test]
@@ -79,15 +74,5 @@ mod tests {
         assert!(sq.total_depth(16) > PcieGen::Gen4.nmax_outstanding());
         let nvme = SubmissionQueueModel::nvme();
         assert!(nvme.total_depth(4) > PcieGen::Gen4.nmax_outstanding());
-    }
-
-    #[test]
-    fn xlfdd_overheads_are_lighter_than_nvme() {
-        let x = SubmissionQueueModel::xlfdd();
-        let n = SubmissionQueueModel::nvme();
-        assert!(
-            x.entry_bytes + x.completion_bytes
-                < n.entry_bytes + n.completion_bytes
-        );
     }
 }

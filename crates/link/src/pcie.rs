@@ -70,12 +70,6 @@ impl PcieLinkConfig {
         }
     }
 
-    /// Override the one-way propagation delay.
-    pub fn with_propagation(mut self, d: SimDuration) -> Self {
-        self.propagation_ps = d.as_ps();
-        self
-    }
-
     /// Effective bandwidth `W` scaled by lane count.
     pub fn bandwidth(&self) -> Bandwidth {
         let mb = self.gen.effective_mb_per_sec_x16() as u128 * self.lanes as u128 / 16;
@@ -142,18 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn propagation_override() {
-        let l = PcieLinkConfig::x16(PcieGen::Gen4)
-            .with_propagation(SimDuration::from_us(0.3));
-        assert_eq!(l.propagation().as_us_f64(), 0.3);
-        let d = PcieLinkConfig::x16(PcieGen::Gen4);
-        assert_eq!(d.propagation().as_us_f64(), 0.4);
-    }
-
-    #[test]
     fn serialization_times_are_sane() {
         // 128 B at Gen4 x16: ~5.3 ns; the request TLP is about 1 ns.
         let l = PcieLinkConfig::x16(PcieGen::Gen4);
+        assert_eq!(l.propagation().as_us_f64(), 0.4);
         let resp = l.bandwidth().transfer_time(128);
         assert!((resp.as_ns_f64() - 5.33).abs() < 0.1);
         let req = l.bandwidth().transfer_time(PcieLinkConfig::REQUEST_TLP_BYTES);
